@@ -31,7 +31,6 @@ from .experiments import (
     willet_wong_check,
 )
 from .hilbert import (
-    BasisTruncation,
     DiagonalModel,
     HSMatrix,
     apply_semigroup,
@@ -49,7 +48,6 @@ from .integral import (
     constant_integrand,
     discretize_predictable,
     integrate,
-    radonify,
     refinement_experiment,
 )
 from .picard import (
@@ -57,7 +55,6 @@ from .picard import (
     NonConvergenceError,
     SolverConfig,
     binding_time_bound,
-    drift_convolution,
     glue_solve,
     picard_step,
     residual,
@@ -86,7 +83,6 @@ __all__ = [
     "extend_dimension",
     "noise_path_to_csv",
     "noise_path_from_csv",
-    "BasisTruncation",
     "HSMatrix",
     "DiagonalModel",
     "make_model",
@@ -107,7 +103,6 @@ __all__ = [
     "constants_report",
     "AdaptednessError",
     "StepIntegrand",
-    "radonify",
     "integrate",
     "discretize_predictable",
     "constant_integrand",
@@ -115,7 +110,6 @@ __all__ = [
     "NonConvergenceError",
     "SolverConfig",
     "MildPath",
-    "drift_convolution",
     "picard_step",
     "solve",
     "residual",

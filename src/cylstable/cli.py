@@ -4,11 +4,11 @@ Subcommands: constants | sample | noise | integrate | solve | glue | tail
 | moment | picard | uniqueness | gronwall | check-model | gof.
 
 Exit codes: 0 all verdicts pass, 1 verdict failure (or non-convergence),
-2 usage error, 3 inconclusive (under-resolved) experiment.  ``--seed`` is
-mandatory for every stochastic subcommand: there is no silent entropy.
-Flags override the optional flat key=value config file; unknown config
-keys are rejected.  Outputs are byte-identical across identical
-invocations.
+2 usage error, 3 inconclusive (under-resolved) experiment; a failed
+verdict outranks an inconclusive one.  ``--seed`` is mandatory for every
+stochastic subcommand: there is no silent entropy.  Flags override the
+optional flat key=value config file; unknown config keys are rejected.
+Outputs are byte-identical across identical invocations.
 """
 
 from __future__ import annotations
@@ -119,9 +119,9 @@ def _report_exit(report: ExperimentReport, out_dir: Path, resolved: dict) -> int
     for note in report.notes:
         print(f"note: {note}")
     print(f"wrote: {', '.join(str(p) for p in paths)}  (runtime {report.runtime:.2f}s)")
-    if report.inconclusive:
-        return EXIT_INCONCLUSIVE
-    return EXIT_PASS if report.passed else EXIT_FAIL
+    if not all(v.passed for v in report.verdicts):
+        return EXIT_FAIL  # a failed verdict outranks "inconclusive"
+    return EXIT_INCONCLUSIVE if report.inconclusive else EXIT_PASS
 
 
 def _r_grid(resolved: dict) -> np.ndarray:

@@ -2,8 +2,8 @@
 
 Each experiment is a pure function of (parameters, master seed): replica
 streams are derived with counter-based tags, chunk sizes are fixed
-constants, and reductions are merged in fixed order, so reports are
-identical across reruns and across any parallel schedule.
+constants, and replicas and chunks are reduced in index order, so a rerun
+reproduces every report bit for bit.
 
 Verdict policy: tail plateaus are judged against the constant-free limit
 identity (the Levy mass outside the unit ball); the inequality-shaped
@@ -15,17 +15,24 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Sequence
 
 import numpy as np
 from scipy.integrate import cumulative_trapezoid
 
 from .constants import chain_constants, levy_tail_mass
-from .hilbert import DiagonalModel
-from .integral import StepIntegrand
-from .picard import SolverConfig, binding_time_bound, horizon_bounds, picard_step, solve
-from .rng import TAG_REPLICA, open_uniform, parallel_map, substream
+from .hilbert import DiagonalModel, as_matrix
+from .integral import StepIntegrand, _binomial_se
+from .picard import (
+    SolverConfig,
+    _semigroup_flow,
+    binding_time_bound,
+    horizon_bounds,
+    picard_step,
+    solve,
+)
+from .rng import TAG_REPLICA, open_uniform, substream
 from .sampling import _isotropic_from_uniforms, generate_noise_path, sample_isotropic
 
 __all__ = [
@@ -44,6 +51,8 @@ __all__ = [
 ]
 
 _CHUNK = 1 << 16
+_MIN_EXCEEDANCES = 50  # a radius with fewer is not judged
+_MIN_RADII = 3  # fewer judged radii make the tail experiment inconclusive
 _TAG_GOF = 0x60F
 _TAG_SCALED = 0x5CA1ED
 _TAG_ALT_NOISE = 0xA17
@@ -82,10 +91,6 @@ class ExperimentReport:
         self.verdicts.append(Verdict(name, bool(passed), str(threshold), str(observed)))
 
 
-def _binomial_se(p_hat: np.ndarray, n: int) -> np.ndarray:
-    return np.sqrt(np.clip(p_hat * (1.0 - p_hat), 0.0, None) / n)
-
-
 def _chunk_sizes(total: int) -> list[int]:
     full, rest = divmod(total, _CHUNK)
     return [_CHUNK] * full + ([rest] if rest else [])
@@ -95,16 +100,12 @@ def _radonified_norms(entries: np.ndarray, alpha: float, t: float, n_samples: in
     """||psi(L(t))|| over n_samples draws, chunked with fixed per-chunk streams."""
     m = entries.shape[1]
     scale = t ** (1.0 / alpha)
-
-    def one_chunk(args):
-        index, size = args
-        rng = substream(seed, TAG_REPLICA, index)
-        u = open_uniform(rng, (size, 2 + m))
+    norms = []
+    for index, size in enumerate(_chunk_sizes(n_samples)):
+        u = open_uniform(substream(seed, TAG_REPLICA, index), (size, 2 + m))
         draws = scale * _isotropic_from_uniforms(alpha, u)
-        return np.linalg.norm(draws @ entries.T, axis=1)
-
-    chunks = list(enumerate(_chunk_sizes(n_samples)))
-    return np.concatenate(parallel_map(one_chunk, chunks))
+        norms.append(np.linalg.norm(draws @ entries.T, axis=1))
+    return np.concatenate(norms)
 
 
 def _sup_integral_norms(
@@ -114,18 +115,14 @@ def _sup_integral_norms(
     dts = np.diff(integrand.grid)
     steps = integrand.steps
     scale = dts[:, None] ** (1.0 / alpha)
-
-    def one_chunk(args):
-        index, size = args
-        rng = substream(seed, TAG_REPLICA, index)
-        u = open_uniform(rng, (size, steps, 2 + m))
+    sups = []
+    for index, size in enumerate(_chunk_sizes(n_samples)):
+        u = open_uniform(substream(seed, TAG_REPLICA, index), (size, steps, 2 + m))
         increments = scale[None] * _isotropic_from_uniforms(alpha, u)
         terms = np.einsum("knm,rkm->rkn", integrand.values, increments)
         paths = np.cumsum(terms, axis=1)
-        return np.linalg.norm(paths, axis=2).max(axis=1)
-
-    chunks = list(enumerate(_chunk_sizes(n_samples)))
-    return np.concatenate(parallel_map(one_chunk, chunks))
+        sups.append(np.linalg.norm(paths, axis=2).max(axis=1))
+    return np.concatenate(sups)
 
 
 def _tail_table(norms: np.ndarray, alpha: float, r_grid: np.ndarray) -> dict[str, np.ndarray]:
@@ -144,22 +141,33 @@ def _tail_table(norms: np.ndarray, alpha: float, r_grid: np.ndarray) -> dict[str
 def _tail_verdicts(report: ExperimentReport, table: dict, alpha: float, n_samples: int,
                    target: float | None, target_se: float,
                    flatness_max: float = 1.5, level_frac: float = 0.15,
-                   slope_tol: float = 0.1) -> None:
+                   slope_tol: float = 0.1) -> np.ndarray | None:
+    """Verdicts on the radii with at least 50 exceedances.
+
+    Returns the indices of the top half of those radii, or None (and marks
+    the report inconclusive) when fewer than 3 radii resolve.
+    """
     r_grid, p_hat = table["r"], table["p_hat"]
-    if p_hat[-1] * n_samples < 50:
+    resolved = p_hat * n_samples >= _MIN_EXCEEDANCES
+    if resolved.sum() < _MIN_RADII:
         report.inconclusive = True
         report.notes.append(
-            f"under-resolved tail: only {int(p_hat[-1] * n_samples)} exceedances at r={r_grid[-1]}"
+            f"under-resolved tail: only {int(resolved.sum())} of {r_grid.size} radii have "
+            f">= {_MIN_EXCEEDANCES} exceedances (need {_MIN_RADII})"
         )
-        return
-    top = slice(r_grid.size // 2, None)
+        return None
+    if not resolved.all():
+        skipped = ", ".join(f"{r:.6g}" for r in r_grid[~resolved])
+        report.notes.append(f"not judged, fewer than {_MIN_EXCEEDANCES} exceedances: r={skipped}")
+    judged = np.flatnonzero(resolved)
+    top = judged[judged.size // 2:]
     plateau_top = table["plateau"][top]
     flat = float(plateau_top.max() / plateau_top.min())
     report.add_verdict("plateau_flatness", flat <= flatness_max,
                        f"max/min <= {flatness_max} (top half)", f"{flat:.4f}")
 
-    level = float(table["plateau"].mean())
-    level_se = float(table["plateau_se"].mean())  # conservative for correlated radii
+    level = float(table["plateau"][judged].mean())
+    level_se = float(table["plateau_se"][judged].mean())  # conservative for correlated radii
     if target is not None:
         tol = level_frac * target + 3.0 * math.hypot(level_se, target_se)
         report.add_verdict(
@@ -168,16 +176,12 @@ def _tail_verdicts(report: ExperimentReport, table: dict, alpha: float, n_sample
             f"|level - {target:.6g}| <= {tol:.3g} ({level_frac:.0%} + 3 SE)",
             f"{level:.6g}",
         )
-    mask = p_hat > 0.0
-    if mask.sum() >= 3:
-        slope = float(np.polyfit(np.log(r_grid[mask]), np.log(p_hat[mask]), 1)[0])
-        report.add_verdict(
-            "tail_slope", abs(slope + alpha) <= slope_tol,
-            f"slope = -{alpha} +- {slope_tol}", f"{slope:.4f}"
-        )
-    else:
-        report.inconclusive = True
-        report.notes.append("fewer than 3 resolvable radii for the slope regression")
+    slope = float(np.polyfit(np.log(r_grid[judged]), np.log(p_hat[judged]), 1)[0])
+    report.add_verdict(
+        "tail_slope", abs(slope + alpha) <= slope_tol,
+        f"slope = -{alpha} +- {slope_tol}", f"{slope:.4f}"
+    )
+    return top
 
 
 def tail_experiment(
@@ -222,16 +226,16 @@ def tail_experiment(
         norms = _sup_integral_norms(psi, alpha, m, n_samples, seed)
         table = _tail_table(norms, alpha, r_grid)
         report.tables["tail"] = table
-        _tail_verdicts(report, table, alpha, n_samples, target=None, target_se=0.0,
-                       flatness_max=flatness_max, level_frac=level_frac, slope_tol=slope_tol)
-        if not report.inconclusive:
+        top = _tail_verdicts(report, table, alpha, n_samples, target=None, target_se=0.0,
+                             flatness_max=flatness_max, level_frac=level_frac,
+                             slope_tol=slope_tol)
+        if top is not None:
             scaled = psi.scaled(scale_factor)
             norms_scaled = _sup_integral_norms(
                 scaled, alpha, m, n_samples, (seed << 1) ^ _TAG_SCALED
             )
             table_s = _tail_table(norms_scaled, alpha, r_grid * scale_factor)
             report.tables["tail_scaled"] = table_s
-            top = slice(r_grid.size // 2, None)
             base_level = float(table["plateau"][top].mean())
             scaled_level = float(table_s["plateau"][top].mean())
             base_se = float(table["plateau_se"][top].mean())
@@ -245,7 +249,7 @@ def tail_experiment(
                 f"scaled={scaled_level:.6g} expected={expected:.6g}",
             )
     else:
-        entries = psi.entries if hasattr(psi, "entries") else np.atleast_2d(np.asarray(psi, float))
+        entries = as_matrix(psi)
         norms = _radonified_norms(entries, alpha, t, n_samples, seed)
         singular = np.linalg.svd(entries, compute_uv=False)
         if singular.size <= 3:
@@ -370,20 +374,16 @@ def picard_convergence_experiment(
         )
     x0 = config.initial_state()
     grid = config.grid()
-
-    def one_replica(r: int) -> np.ndarray:
+    flow = _semigroup_flow(model, grid, x0)
+    all_diffs = np.empty((replicas, n_iters))
+    for r in range(replicas):
         noise_seed = _replica_seed(seed, TAG_REPLICA, r)
         noise = generate_noise_path(config.alpha, config.noise_dim, grid, noise_seed)
-        flow = np.exp(-np.outer(grid, model.lambdas)) * x0[None, :]
         prev = flow
-        diffs = np.empty(n_iters)
         for it in range(n_iters):
             new = picard_step(model, prev, noise, x0)
-            diffs[it] = np.linalg.norm(new[-1] - prev[-1])
+            all_diffs[r, it] = np.linalg.norm(new[-1] - prev[-1])
             prev = new
-        return diffs
-
-    all_diffs = np.stack(parallel_map(one_replica, range(replicas)))  # (R, n_iters)
     moments = (all_diffs**p).mean(axis=0)
     ses = (all_diffs**p).std(axis=0, ddof=1) / math.sqrt(replicas)
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -435,29 +435,22 @@ def uniqueness_experiment(
     x0_alt = x0.copy()
     x0_alt[0] += 0.1
 
-    def one_replica(r: int) -> tuple[float, float, float]:
+    def sup_dist(a, b) -> float:
+        return float(np.linalg.norm(a.states - b.states, axis=1).max())
+
+    rows = np.empty((replicas, 3))
+    for r in range(replicas):
         noise_seed = _replica_seed(seed, TAG_REPLICA, r)
         noise = generate_noise_path(config.alpha, config.noise_dim, grid, noise_seed)
-        cfg = SolverConfig(alpha=config.alpha, T=config.T, M=config.M, n=config.n, m=config.m,
-                           N_max=config.N_max, tol=config.tol, seed=noise_seed, x0=x0)
+        cfg = replace(config, seed=noise_seed, x0=x0)
         path_a = solve(model, cfg, noise=noise, warn_beyond_bound=False)
         path_b = solve(model, cfg, noise=noise, zero_seed_path=True, warn_beyond_bound=False)
-        seed_dist = float(np.linalg.norm(path_a.states - path_b.states, axis=1).max())
-
-        cfg_alt = SolverConfig(alpha=config.alpha, T=config.T, M=config.M, n=config.n,
-                               m=config.m, N_max=config.N_max, tol=config.tol,
-                               seed=noise_seed, x0=x0_alt)
-        path_c = solve(model, cfg_alt, noise=noise, warn_beyond_bound=False)
-        x0_dist = float(np.linalg.norm(path_a.states - path_c.states, axis=1).max())
-
+        path_c = solve(model, replace(cfg, x0=x0_alt), noise=noise, warn_beyond_bound=False)
         alt_noise = generate_noise_path(
             config.alpha, config.noise_dim, grid, _replica_seed(seed, _TAG_ALT_NOISE, r)
         )
         path_d = solve(model, cfg, noise=alt_noise, warn_beyond_bound=False)
-        noise_dist = float(np.linalg.norm(path_a.states - path_d.states, axis=1).max())
-        return seed_dist, x0_dist, noise_dist
-
-    rows = np.array(parallel_map(one_replica, range(replicas)))
+        rows[r] = sup_dist(path_a, path_b), sup_dist(path_a, path_c), sup_dist(path_a, path_d)
     seed_dists, x0_dists, noise_dists = rows.T
     threshold = 10.0 * config.tol
     report = ExperimentReport(

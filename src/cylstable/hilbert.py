@@ -23,8 +23,8 @@ from typing import Callable
 import numpy as np
 
 __all__ = [
-    "BasisTruncation",
     "HSMatrix",
+    "as_matrix",
     "DiagonalModel",
     "SHAPES",
     "make_model",
@@ -37,18 +37,6 @@ __all__ = [
     "check_A2",
     "check_A3",
 ]
-
-
-@dataclass(frozen=True)
-class BasisTruncation:
-    """Kept dimensions: m in the noise space U, n in the state space H."""
-
-    m: int
-    n: int
-
-    def __post_init__(self):
-        if self.m < 1 or self.n < 1:
-            raise ValueError(f"truncation dimensions must be >= 1, got m={self.m}, n={self.n}")
 
 
 class HSMatrix:
@@ -69,9 +57,6 @@ class HSMatrix:
     def hs_norm(self) -> float:
         return float(np.linalg.norm(self.entries))
 
-    def singular_values(self) -> np.ndarray:
-        return np.linalg.svd(self.entries, compute_uv=False)
-
     @classmethod
     def diagonal(cls, values, shape: tuple[int, int] | None = None) -> "HSMatrix":
         values = np.atleast_1d(np.asarray(values, dtype=float))
@@ -83,6 +68,13 @@ class HSMatrix:
 
     def __repr__(self):
         return f"HSMatrix(shape={self.shape}, hs_norm={self.hs_norm():.6g})"
+
+
+def as_matrix(psi) -> np.ndarray:
+    """The n x m entries of an :class:`HSMatrix` or of an array-like operator."""
+    if isinstance(psi, HSMatrix):
+        return psi.entries
+    return np.atleast_2d(np.asarray(psi, dtype=float))
 
 
 # Shape functions: bounded by 1 and 1-Lipschitz.  "one" disables the state
@@ -180,9 +172,6 @@ class DiagonalModel:
     def diffusion_diagonal(self, x: np.ndarray) -> np.ndarray:
         """Diagonal entries of G(x) (length n; zero-padded beyond min(n, m))."""
         return self.kappa * self.shape_fn(x)
-
-    def diffusion_matrix(self, x: np.ndarray) -> HSMatrix:
-        return HSMatrix.diagonal(self.diffusion_diagonal(x), shape=(self.n, self.noise_dim))
 
     def lipschitz_constants(self) -> tuple[float, float]:
         """(C_F, C_G): Lipschitz constants at t=0 for a 1-Lipschitz shape."""

@@ -16,14 +16,13 @@ from typing import Callable
 
 import numpy as np
 
-from .constants import c_alpha
+from .hilbert import as_matrix
 from .rng import TAG_REPLICA, open_uniform, substream
 from .sampling import NoisePath, _isotropic_from_uniforms
 
 __all__ = [
     "AdaptednessError",
     "StepIntegrand",
-    "radonify",
     "integrate",
     "discretize_predictable",
     "constant_integrand",
@@ -93,18 +92,6 @@ class StepIntegrand:
         return float(peak * np.sum((norms / peak) ** alpha * dts) ** (1.0 / alpha))
 
 
-def radonify(psi, increment: np.ndarray) -> np.ndarray:
-    """Apply a Hilbert-Schmidt matrix to a coordinate increment vector."""
-    entries = psi.entries if hasattr(psi, "entries") else np.asarray(psi, dtype=float)
-    increment = np.asarray(increment, dtype=float)
-    if entries.shape[1] != increment.shape[-1]:
-        raise ValueError(
-            f"dimension mismatch: operator is {entries.shape}, increment has "
-            f"{increment.shape[-1]} coordinates"
-        )
-    return increment @ entries.T
-
-
 def integrate(integrand: StepIntegrand, noise: NoisePath) -> np.ndarray:
     """Partial-sum integral path I(t_k) = sum_{i<k} Psi_i dL_i, shape (M+1, n)."""
     if not np.array_equal(integrand.grid, noise.grid):
@@ -146,7 +133,7 @@ def discretize_predictable(
 
 
 def constant_integrand(psi, grid) -> StepIntegrand:
-    entries = psi.entries if hasattr(psi, "entries") else np.atleast_2d(np.asarray(psi, float))
+    entries = as_matrix(psi)
     grid = np.asarray(grid, dtype=float)
     return StepIntegrand(grid, np.broadcast_to(entries, (grid.size - 1, *entries.shape)).copy())
 
@@ -177,7 +164,7 @@ def refinement_experiment(
     distances decay like 2^-k, so the table must be nonincreasing to within
     Monte-Carlo noise.
     """
-    entries = psi0.entries if hasattr(psi0, "entries") else np.atleast_2d(np.asarray(psi0, float))
+    entries = as_matrix(psi0)
     n, m = entries.shape
     if levels < 2:
         raise ValueError("need at least two refinement levels")
@@ -234,8 +221,3 @@ def refinement_experiment(
         for k in range(levels - 2)
     )
     return {"table": table, "monotone": monotone, "replicas": replicas, "alpha": alpha}
-
-
-def scalar_tail_level(alpha: float) -> float:
-    """Tail plateau of the standard scalar stable law: 1/c_alpha."""
-    return 1.0 / c_alpha(alpha)

@@ -1,4 +1,4 @@
-"""Discrete mild-solution solver: drift convolution, Picard iteration, gluing.
+"""Discrete mild-solution solver: Picard iteration, residual certificate, gluing.
 
 The mild form on a grid 0 = t_0 < ... < t_M = T reads
 
@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -35,7 +35,6 @@ __all__ = [
     "NonConvergenceError",
     "SolverConfig",
     "MildPath",
-    "drift_convolution",
     "picard_step",
     "solve",
     "residual",
@@ -71,14 +70,14 @@ class SolverConfig:
     def __post_init__(self):
         if not 1.0 < self.alpha < 2.0:
             raise ValueError(f"alpha must lie in (1, 2) for the solver, got {self.alpha}")
-        if self.T <= 0.0:
-            raise ValueError(f"T must be positive, got {self.T}")
+        if not 0.0 < self.T < math.inf:
+            raise ValueError(f"T must be positive and finite, got {self.T}")
         if self.M < 1:
             raise ValueError(f"M must be >= 1, got {self.M}")
         if self.N_max < 1:
             raise ValueError("N_max must be >= 1")
-        if not self.tol > 0.0:
-            raise ValueError("tol must be positive")
+        if not 0.0 < self.tol < math.inf:
+            raise ValueError(f"tol must be positive and finite, got {self.tol}")
         if self.x0 is not None:
             object.__setattr__(self, "x0", np.asarray(self.x0, dtype=float))
 
@@ -145,17 +144,6 @@ def _driven_diagonal(model: DiagonalModel, increments: np.ndarray) -> np.ndarray
     out = np.zeros((steps, n))
     out[:, :m] = increments
     return out
-
-
-def drift_convolution(model: DiagonalModel, states: np.ndarray, grid: np.ndarray, k: int) -> np.ndarray:
-    """Left-endpoint Riemann sum sum_{i<k} S(t_k - t_i) F(X(t_i)) dt_i (direct form)."""
-    states = np.asarray(states, dtype=float)
-    grid = np.asarray(grid, dtype=float)
-    acc = np.zeros(model.n)
-    for i in range(k):
-        dt = grid[i + 1] - grid[i]
-        acc += np.exp(-model.lambdas * (grid[k] - grid[i])) * model.drift(states[i]) * dt
-    return acc
 
 
 def _semigroup_flow(model: DiagonalModel, grid: np.ndarray, x0: np.ndarray) -> np.ndarray:
@@ -288,12 +276,22 @@ def glue_solve(
     The horizon is split into equal pieces of length
     T/ceil(T/(0.99 * T_bound)); each piece is solved with the previous
     terminal state as initial condition (bit-exact handoff) and its own
-    noise stream derived from (seed, piece index).
+    noise stream derived from (seed, piece index).  Every piece must get at
+    least 2 of the M steps, so the work stays bounded by M: a one-step
+    piece is solved exactly by 2 sweeps (the causal Picard map is
+    nilpotent) and could never report non-convergence.  Requests with
+    more than M // 2 pieces raise ValueError before any noise is drawn.
     """
     bound = binding_time_bound(model, config.alpha, c_convention)
     pieces = max(1, math.ceil(config.T / (GLUE_SAFETY * bound)))
+    if pieces > config.M // 2:
+        raise ValueError(
+            f"gluing T={config.T:.6g} needs pieces={pieces} (each at most "
+            f"{GLUE_SAFETY} * T_bound={bound:.6g} long), but M={config.M} steps allow at "
+            f"most {config.M // 2} pieces of 2 steps or more; raise M or shorten T"
+        )
     piece_T = config.T / pieces
-    steps = max(1, math.ceil(config.M / pieces))
+    steps = math.ceil(config.M / pieces)
 
     grids: list[np.ndarray] = []
     states: list[np.ndarray] = []
@@ -303,17 +301,7 @@ def glue_solve(
     final_gap = 0.0
     x0 = config.initial_state()
     for piece in range(pieces):
-        sub = SolverConfig(
-            alpha=config.alpha,
-            T=piece_T,
-            M=steps,
-            n=config.n,
-            m=config.m,
-            N_max=config.N_max,
-            tol=config.tol,
-            seed=config.seed,
-            x0=x0,
-        )
+        sub = replace(config, T=piece_T, M=steps, x0=x0)
         noise = generate_noise_path(
             config.alpha, config.noise_dim, sub.grid(), _piece_seed(config.seed, piece)
         )

@@ -1,22 +1,15 @@
-"""Deterministic seeding and schedule-independent parallel helpers.
+"""Deterministic seeding.
 
 All randomness in the package flows through :func:`substream`: a master
 64-bit seed plus an integer tag path is hashed (via ``SeedSequence``) into
 an independent counter-based Philox stream.  Streams depend only on
-``(seed, *tags)``, never on draw order elsewhere, so row- or
-replica-parallel generation is independent of the execution schedule.
+``(seed, *tags)``, never on draw order elsewhere, so every row, chunk or
+replica draws the same numbers on every rerun.
 """
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
-from typing import Callable, Sequence, TypeVar
-
 import numpy as np
-
-_T = TypeVar("_T")
-_U = TypeVar("_U")
 
 # Tag namespaces for derived streams.  Values are arbitrary but frozen:
 # changing them changes every sampled path.
@@ -45,27 +38,3 @@ def open_uniform(rng: np.random.Generator, shape) -> np.ndarray:
     """
     return np.clip(rng.random(shape), _UNIFORM_LO, _UNIFORM_HI)
 
-
-def thread_count() -> int:
-    """Parallelism cap: CYLSTABLE_THREADS if set, else machine parallelism."""
-    raw = os.environ.get("CYLSTABLE_THREADS")
-    if raw is not None:
-        count = int(raw)
-        if count < 1:
-            raise ValueError(f"CYLSTABLE_THREADS must be >= 1, got {raw}")
-        return count
-    return os.cpu_count() or 1
-
-
-def parallel_map(fn: Callable[[_T], _U], items: Sequence[_T]) -> list[_U]:
-    """Map ``fn`` over ``items``, preserving order regardless of schedule.
-
-    Uses a thread pool when more than one worker is allowed (numpy releases
-    the GIL on array kernels); results are merged in input order, so the
-    output is identical for any worker count.
-    """
-    workers = min(thread_count(), len(items)) if items else 1
-    if workers <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))

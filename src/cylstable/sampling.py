@@ -17,8 +17,8 @@ existing ones (bit-exact).
 
 Draw streams are counter-based per row with a fixed uniform-consumption
 layout (2 uniforms for the subordinator, then one per Gaussian coordinate
-through the inverse normal CDF), so generation is reproducible and
-schedule-independent.
+through the inverse normal CDF), so a rerun with the same seed reproduces
+every row bit for bit.
 """
 
 from __future__ import annotations
@@ -35,7 +35,6 @@ from .rng import (
     TAG_POSITIVE,
     TAG_SCALAR,
     open_uniform,
-    parallel_map,
     substream,
 )
 
@@ -175,26 +174,25 @@ def _validate_grid(grid: np.ndarray) -> None:
         raise ValueError("grid must be strictly increasing")
 
 
-def _row_uniforms(seed: int, row: int, m: int) -> np.ndarray:
-    rng = substream(seed, TAG_NOISE_ROW, row)
-    return open_uniform(rng, 2 + m)
+def _noise_increments(alpha: float, m: int, grid: np.ndarray, seed: int) -> np.ndarray:
+    """Row i: (dt_i)^(1/alpha) x isotropic, from its own (seed, row) stream."""
+    uniforms = np.stack([open_uniform(substream(seed, TAG_NOISE_ROW, i), 2 + m)
+                         for i in range(grid.size - 1)])
+    return np.diff(grid)[:, None] ** (1.0 / alpha) * _isotropic_from_uniforms(alpha, uniforms)
 
 
 def generate_noise_path(alpha: float, m: int, grid, seed: int) -> NoisePath:
     """Sample a NoisePath: independent rows, row i ~ (dt_i)^(1/alpha) x isotropic.
 
     Row i is generated from its own counter-based stream derived from
-    (seed, row index), so rows may be produced in parallel in any order.
+    (seed, row index), so a rerun with the same seed reproduces the path.
     """
     AlphaParams(alpha)
     if m < 1:
         raise ValueError(f"m must be >= 1, got {m}")
     grid = np.asarray(grid, dtype=float)
     _validate_grid(grid)
-    steps = grid.size - 1
-    uniforms = np.stack(parallel_map(lambda i: _row_uniforms(seed, i, m), range(steps)))
-    rows = _isotropic_from_uniforms(alpha, uniforms)
-    increments = np.diff(grid)[:, None] ** (1.0 / alpha) * rows
+    increments = _noise_increments(alpha, m, grid, seed)
     return NoisePath(alpha=alpha, m=m, grid=grid, increments=increments, seed=seed)
 
 
@@ -209,11 +207,7 @@ def extend_dimension(path: NoisePath, m_new: int) -> NoisePath:
         raise ValueError(f"m_new={m_new} must be >= current m={path.m}")
     if m_new == path.m:
         return path
-    uniforms = np.stack(
-        parallel_map(lambda i: _row_uniforms(path.seed, i, m_new), range(path.steps))
-    )
-    rows = _isotropic_from_uniforms(path.alpha, uniforms)
-    increments = path.dts[:, None] ** (1.0 / path.alpha) * rows
+    increments = _noise_increments(path.alpha, m_new, path.grid, path.seed)
     return NoisePath(
         alpha=path.alpha, m=m_new, grid=path.grid, increments=increments, seed=path.seed
     )

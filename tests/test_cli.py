@@ -1,6 +1,7 @@
 """CLI: exit-code contract, config precedence, byte-identical outputs."""
 
 import numpy as np
+import pytest
 
 from cylstable.cli import main
 
@@ -194,3 +195,12 @@ def test_verdict_failure_exit_code(tmp_path):
     summary = (tmp_path / "tail_radonified.summary").read_text()
     assert "verdict.tail_slope=fail" in summary
     assert "passed=false" in summary
+
+
+@pytest.mark.parametrize("extra", [["--T", "0.01", "--tol", "inf"], ["--T", "nan"]])
+def test_solve_rejects_non_finite_values(tmp_path, capsys, extra):
+    code = main(["solve", "--preset", "heat", "--M", "20", "--seed", "7",
+                 "--out", str(tmp_path), *extra])
+    assert code == 2
+    assert "must be positive and finite" in capsys.readouterr().err
+    assert not (tmp_path / "mild_path.csv").exists()

@@ -8,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cylstable.hilbert import (
-    BasisTruncation,
     DiagonalModel,
     HSMatrix,
     apply_semigroup,
@@ -30,12 +29,6 @@ def two_mode_model(lambdas=(1.0, 4.0)):
         kappa=np.zeros(len(lambdas)),
         f=np.zeros(len(lambdas)),
     )
-
-
-def test_truncation_validation():
-    with pytest.raises(ValueError):
-        BasisTruncation(m=0, n=1)
-    assert BasisTruncation(2, 3).m == 2
 
 
 def test_hsmatrix_norm_and_diagonal():

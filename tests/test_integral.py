@@ -6,36 +6,17 @@ import numpy as np
 import pytest
 from scipy.stats import ks_2samp
 
-from cylstable.hilbert import HSMatrix
 from cylstable.integral import (
     AdaptednessError,
     StepIntegrand,
     constant_integrand,
     discretize_predictable,
     integrate,
-    radonify,
     refinement_experiment,
 )
 from cylstable.sampling import AlphaParams, generate_noise_path, sample_scalar_sas
 
 KS_COEFF_1PCT = math.sqrt(-math.log(0.005) / 2.0)
-
-
-def test_radonify_zero_operator():
-    out = radonify(HSMatrix(np.zeros((3, 2))), np.array([1.0, -2.0]))
-    assert np.array_equal(out, np.zeros(3))
-
-
-def test_radonify_rank_one_action():
-    psi = np.zeros((3, 2))
-    psi[0, 0] = 1.0  # e1 (x) h1
-    out = radonify(psi, np.array([5.0, 7.0]))
-    assert np.array_equal(out, np.array([5.0, 0.0, 0.0]))
-
-
-def test_radonify_dimension_mismatch():
-    with pytest.raises(ValueError):
-        radonify(np.zeros((2, 3)), np.zeros(2))
 
 
 def test_radonify_tail_index():
@@ -44,7 +25,7 @@ def test_radonify_tail_index():
     from cylstable.sampling import sample_isotropic
 
     draws = sample_isotropic(alpha, 2, seed=80, size=1_000_000)
-    norms = np.linalg.norm(radonify(np.diag([1.0, 0.5]), draws), axis=1)
+    norms = np.linalg.norm(draws @ np.diag([1.0, 0.5]).T, axis=1)
     r = np.geomspace(10.0, 100.0, 9)
     surv = np.array([(norms > rr).mean() for rr in r])
     slope = np.polyfit(np.log(r), np.log(surv), 1)[0]

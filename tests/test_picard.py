@@ -1,6 +1,7 @@
 """Picard solver: oracles, fixed point, residual certificate, gluing."""
 
 import math
+import time
 
 import numpy as np
 import pytest
@@ -11,7 +12,6 @@ from cylstable.picard import (
     NonConvergenceError,
     SolverConfig,
     binding_time_bound,
-    drift_convolution,
     glue_solve,
     picard_step,
     residual,
@@ -22,33 +22,46 @@ from cylstable.picard import (
 from cylstable.sampling import generate_noise_path
 
 
+def drift_convolution(model, states, grid):
+    """sum_{i<k} S(t_k - t_i) F(X(t_i)) dt_i at every t_k, as one Picard sweep computes it.
+
+    With kappa = 0 and x0 = 0 the noise and the semigroup flow drop out of
+    :func:`picard_step`, which leaves the drift convolution alone.
+    """
+    assert not np.any(model.kappa)
+    noise = generate_noise_path(1.5, model.n, grid, seed=0)
+    return picard_step(model, states, noise, np.zeros(model.n))
+
+
 def test_drift_convolution_zero_drift():
-    model = make_model(n=3, f_rule="zero")
+    model = make_model(n=3, f_rule="zero", kappa_rule="zero")
     grid = np.linspace(0.0, 1.0, 6)
     states = np.random.default_rng(0).standard_normal((6, 3))
-    assert np.array_equal(drift_convolution(model, states, grid, 4), np.zeros(3))
+    assert np.array_equal(drift_convolution(model, states, grid), np.zeros((6, 3)))
 
 
 def test_drift_convolution_tiny_lambda_riemann_sum():
     # S ~ identity: the sum approaches t_k * f for constant F
-    model = make_model(n=2, lambda_rule="power:1e-8:1", f_rule="const:0.5", shape="one")
+    model = make_model(n=2, lambda_rule="power:1e-8:1", kappa_rule="zero",
+                       f_rule="const:0.5", shape="one")
     grid = np.linspace(0.0, 1.0, 501)
     states = np.zeros((501, 2))
-    out = drift_convolution(model, states, grid, 500)
+    out = drift_convolution(model, states, grid)[500]
     assert out == pytest.approx(np.full(2, 0.5 * 1.0), rel=3e-3)
 
 
 def test_drift_convolution_geometric_series_oracle():
     # constant F, uniform grid: coordinate k sums f_k dt q (1 - q^k)/(1 - q)
-    model = make_model(n=2, lambda_rule="power:2:1", f_rule="const:0.7", shape="one")
+    model = make_model(n=2, lambda_rule="power:2:1", kappa_rule="zero",
+                       f_rule="const:0.7", shape="one")
     grid = np.linspace(0.0, 1.0, 11)
     dt = 0.1
     states = np.zeros((11, 2))
+    out = drift_convolution(model, states, grid)
     for k in (1, 5, 10):
-        out = drift_convolution(model, states, grid, k)
         q = np.exp(-model.lambdas * dt)
         oracle = 0.7 * dt * q * (1.0 - q**k) / (1.0 - q)
-        assert np.all(np.abs(out - oracle) < 1e-12)
+        assert np.all(np.abs(out[k] - oracle) < 1e-12)
 
 
 def hand_rolled_picard_step(model, prev, noise, x0):
@@ -216,9 +229,28 @@ def test_glue_junctions_bit_exact():
 
 def test_glue_propagates_nonconvergence_with_piece_index():
     model = make_model(n=2, kappa_rule="const:80", f_rule="const:80")
-    config = SolverConfig(alpha=1.5, T=3.0, M=64, n=2, N_max=2, seed=111)
-    with pytest.raises(NonConvergenceError, match="piece 0 of"):
+    bound = binding_time_bound(model, 1.5)
+    config = SolverConfig(alpha=1.5, T=3.0 * bound, M=64, n=2, N_max=2, seed=111)
+    with pytest.raises(NonConvergenceError, match="piece 0 of 4 failed to converge"):
         glue_solve(model, config)
+
+
+def test_glue_refuses_pieces_shorter_than_two_steps():
+    # T_bound = 1.5e-6 here: T=3 would need ~2e6 pieces for only 64 steps
+    model = make_model(n=2, kappa_rule="const:80", f_rule="const:80")
+    config = SolverConfig(alpha=1.5, T=3.0, M=64, n=2, N_max=2, seed=111)
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match=r"pieces=\d+.*T_bound=.*M=64"):
+        glue_solve(model, config)
+    assert time.perf_counter() - start < 1.0
+
+
+@pytest.mark.parametrize("field", ["T", "tol"])
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_config_rejects_non_finite_values(field, value):
+    kwargs = {"alpha": 1.5, "T": 0.01, "M": 10, "n": 2, field: value}
+    with pytest.raises(ValueError, match=f"{field} must be positive and finite"):
+        SolverConfig(**kwargs)
 
 
 def test_solve_rejects_wrong_x0_shape():

@@ -1,10 +1,10 @@
-"""Stream derivation, schedule independence, and file conventions."""
+"""Stream derivation and file conventions."""
 
 import numpy as np
 import pytest
 
 from cylstable.reporting import format_value, write_csv, write_summary
-from cylstable.rng import parallel_map, substream, thread_count
+from cylstable.rng import substream
 
 
 def test_substream_determinism_and_independence():
@@ -19,24 +19,6 @@ def test_substream_determinism_and_independence():
 def test_substream_handles_wide_and_negative_seeds():
     assert substream(2**66 + 5).random(1).size == 1
     assert substream(-7).random(1).size == 1
-
-
-def test_parallel_map_preserves_order(monkeypatch):
-    items = list(range(64))
-    monkeypatch.setenv("CYLSTABLE_THREADS", "8")
-    assert parallel_map(lambda i: i * i, items) == [i * i for i in items]
-    monkeypatch.setenv("CYLSTABLE_THREADS", "1")
-    assert parallel_map(lambda i: i * i, items) == [i * i for i in items]
-
-
-def test_thread_count_env(monkeypatch):
-    monkeypatch.setenv("CYLSTABLE_THREADS", "3")
-    assert thread_count() == 3
-    monkeypatch.setenv("CYLSTABLE_THREADS", "0")
-    with pytest.raises(ValueError):
-        thread_count()
-    monkeypatch.delenv("CYLSTABLE_THREADS")
-    assert thread_count() >= 1
 
 
 def test_format_value_round_trip_doubles():

