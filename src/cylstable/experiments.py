@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
@@ -26,11 +26,15 @@ from .hilbert import DiagonalModel, as_matrix
 from .integral import StepIntegrand, _binomial_se
 from .picard import (
     SolverConfig,
+    _driven_diagonal,
+    _replica_chunks,
+    _require_converged,
+    _row_norms,
     _semigroup_flow,
+    _solve_batch,
+    _sweep,
     binding_time_bound,
     horizon_bounds,
-    picard_step,
-    solve,
 )
 from .rng import TAG_REPLICA, open_uniform, substream
 from .sampling import _isotropic_from_uniforms, generate_noise_path, sample_isotropic
@@ -357,6 +361,14 @@ def _replica_seed(seed: int, tag: int, index: int) -> int:
                .generate_state(1, np.uint64)[0])
 
 
+def _replica_driven(model: DiagonalModel, config: SolverConfig, seed: int, tag: int,
+                    index: int) -> np.ndarray:
+    """Driven increments of replica (tag, index): its own noise path on the config's grid."""
+    noise = generate_noise_path(config.alpha, config.noise_dim, config.grid(),
+                                _replica_seed(seed, tag, index))
+    return _driven_diagonal(model, noise.increments)
+
+
 def picard_convergence_experiment(
     model: DiagonalModel,
     config: SolverConfig,
@@ -372,17 +384,17 @@ def picard_convergence_experiment(
         raise ValueError(
             f"T={config.T} exceeds the admissible iteration bound {bound:.6g}"
         )
-    x0 = config.initial_state()
     grid = config.grid()
-    flow = _semigroup_flow(model, grid, x0)
+    dts = np.diff(grid)
+    flow = _semigroup_flow(model, grid, config.initial_state())
     all_diffs = np.empty((replicas, n_iters))
-    for r in range(replicas):
-        noise_seed = _replica_seed(seed, TAG_REPLICA, r)
-        noise = generate_noise_path(config.alpha, config.noise_dim, grid, noise_seed)
-        prev = flow
+    for chunk in _replica_chunks(replicas, grid.size * model.n):
+        driven = np.stack([_replica_driven(model, config, seed, TAG_REPLICA, r) for r in chunk])
+        flows = np.broadcast_to(flow, (len(chunk), *flow.shape))
+        prev = flows
         for it in range(n_iters):
-            new = picard_step(model, prev, noise, x0)
-            all_diffs[r, it] = np.linalg.norm(new[-1] - prev[-1])
+            new = _sweep(model, prev, driven, dts, flows)
+            all_diffs[chunk, it] = _row_norms(new[:, -1] - prev[:, -1])
             prev = new
     moments = (all_diffs**p).mean(axis=0)
     ses = (all_diffs**p).std(axis=0, ddof=1) / math.sqrt(replicas)
@@ -430,27 +442,27 @@ def uniqueness_experiment(
     bound = binding_time_bound(model, config.alpha)
     if config.T > bound:
         raise ValueError(f"T={config.T} exceeds the admissible uniqueness bound {bound:.6g}")
-    grid = config.grid()
     x0 = config.initial_state()
     x0_alt = x0.copy()
     x0_alt[0] += 0.1
-
-    def sup_dist(a, b) -> float:
-        return float(np.linalg.norm(a.states - b.states, axis=1).max())
+    # per replica, four paths (a, b, c, d): semigroup seed, zero seed, perturbed x0 and
+    # fresh noise, all compared with path a
+    x0_quad = np.stack([x0, x0, x0_alt, x0])
+    zero_seed_quad = np.array([False, True, False, False])
 
     rows = np.empty((replicas, 3))
-    for r in range(replicas):
-        noise_seed = _replica_seed(seed, TAG_REPLICA, r)
-        noise = generate_noise_path(config.alpha, config.noise_dim, grid, noise_seed)
-        cfg = replace(config, seed=noise_seed, x0=x0)
-        path_a = solve(model, cfg, noise=noise, warn_beyond_bound=False)
-        path_b = solve(model, cfg, noise=noise, zero_seed_path=True, warn_beyond_bound=False)
-        path_c = solve(model, replace(cfg, x0=x0_alt), noise=noise, warn_beyond_bound=False)
-        alt_noise = generate_noise_path(
-            config.alpha, config.noise_dim, grid, _replica_seed(seed, _TAG_ALT_NOISE, r)
-        )
-        path_d = solve(model, cfg, noise=alt_noise, warn_beyond_bound=False)
-        rows[r] = sup_dist(path_a, path_b), sup_dist(path_a, path_c), sup_dist(path_a, path_d)
+    for chunk in _replica_chunks(replicas, 4 * (config.M + 1) * model.n):
+        driven = []
+        for r in chunk:
+            shared = _replica_driven(model, config, seed, TAG_REPLICA, r)
+            fresh = _replica_driven(model, config, seed, _TAG_ALT_NOISE, r)
+            driven += [shared, shared, shared, fresh]
+        paths = _solve_batch(model, config, np.tile(x0_quad, (len(chunk), 1)), np.stack(driven),
+                             np.tile(zero_seed_quad, len(chunk)))
+        for path in paths:
+            _require_converged(path, config)
+        states = np.stack([path.states for path in paths]).reshape(len(chunk), 4, config.M + 1, -1)
+        rows[chunk] = np.linalg.norm(states[:, :1] - states[:, 1:], axis=3).max(axis=2)
     seed_dists, x0_dists, noise_dists = rows.T
     threshold = 10.0 * config.tol
     report = ExperimentReport(

@@ -8,10 +8,21 @@ The mild form on a grid 0 = t_0 < ... < t_M = T reads
 with left-endpoint evaluation in both sums (the predictable convention;
 a midpoint rule would break adaptedness).  The semigroup factor is applied
 exactly through the diagonal exponentials, so the fixed-point residual
-isolates Picard convergence rather than discretisation error.  Successive
-iterates are propagated by the exact one-step recurrence
-C_{k+1} = e^{-lambda dt_k) (C_k + b_k); the residual certificate
-re-evaluates the defining double sum directly.
+isolates Picard convergence rather than discretisation error.
+
+Every sweep works on a batch of R replicas that share the grid: states of
+shape (R, M+1, n) and driven noise increments of shape (R, M, n).  A sweep
+depends on the previous iterate only, so it evaluates all loads
+F(X(t_k)) dt_k + G(X(t_k)) dL_k and all decays exp(-lambda dt_k) in
+whole-array operations first; the time loop then keeps only the exact
+one-step recurrence C_{k+1} = e^{-lambda dt_k} (C_k + b_k) on (R, n) rows.
+Each replica carries its own convergence mask entry: it is frozen, with its
+own gap history and iteration count, at its first gap below tol, while the
+others keep sweeping.  The residual certificate re-evaluates the defining
+double sum directly, each row's (n, k) matrix of exponentials shared by
+the batch.  Per element, a replica's arithmetic is the same in any batch,
+so results do not depend on how replicas are batched; :func:`picard_step`,
+:func:`solve` and :func:`residual` are the batch of one.
 
 Given a fixed noise realisation the iteration map is strictly causal in
 time, hence nilpotent: the discrete fixed point exists, is unique, and is
@@ -20,6 +31,7 @@ reached after at most M+1 sweeps regardless of the Picard seed.
 
 from __future__ import annotations
 
+import itertools
 import math
 import warnings
 from dataclasses import dataclass, field, replace
@@ -43,6 +55,11 @@ __all__ = [
 ]
 
 GLUE_SAFETY = 0.99
+# Cap on the elements (replicas x grid points x n) of one batch array: 128 KiB
+# of float64.  Replicas beyond it go to further chunks, so batching leaves the
+# peak memory of an experiment where the one-replica loop had it (measured on
+# the picard and uniqueness CLI runs at M=200); a single replica is never split.
+_BATCH_ELEMENTS = 1 << 14
 
 
 class NonConvergenceError(Exception):
@@ -147,7 +164,61 @@ def _driven_diagonal(model: DiagonalModel, increments: np.ndarray) -> np.ndarray
 
 
 def _semigroup_flow(model: DiagonalModel, grid: np.ndarray, x0: np.ndarray) -> np.ndarray:
-    return np.exp(-np.outer(grid, model.lambdas)) * x0[None, :]
+    """S(t_k) x0 on the grid: shape (M+1, n) for x0 of shape (n,), (R, M+1, n) for (R, n)."""
+    return np.exp(-np.outer(grid, model.lambdas)) * x0[..., None, :]
+
+
+def _replica_chunks(count: int, elements_per_replica: int) -> list[range]:
+    """Consecutive replica index ranges whose batch arrays stay within the element budget."""
+    size = max(1, _BATCH_ELEMENTS // elements_per_replica)
+    return [range(start, min(start + size, count)) for start in range(0, count, size)]
+
+
+def _row_norms(rows: np.ndarray) -> np.ndarray:
+    """Euclidean norm over the last axis, bit-identical to 1-d ``np.linalg.norm``.
+
+    The 1-d norm is sqrt(x.dot(x)), a BLAS dot whose rounding an
+    ``axis=-1`` reduction does not reproduce, so each row is dotted alone;
+    rows are made contiguous first, because a strided dot rounds differently.
+    """
+    flat = np.ascontiguousarray(rows).reshape(-1, rows.shape[-1])
+    return np.sqrt([row.dot(row) for row in flat]).reshape(rows.shape[:-1])
+
+
+def _loads(model: DiagonalModel, states: np.ndarray, driven: np.ndarray,
+           dts: np.ndarray) -> np.ndarray:
+    """Left-endpoint loads F(X(t_k)) dt_k + G(X(t_k)) dL_k, shape (R, M, n)."""
+    x = states[:, :-1]
+    return model.drift(x) * dts[:, None] + model.diffusion_diagonal(x) * driven
+
+
+def _sweep(model: DiagonalModel, prev: np.ndarray, driven: np.ndarray, dts: np.ndarray,
+           flow: np.ndarray) -> np.ndarray:
+    """One Picard sweep of a batch: prev and flow (R, M+1, n), driven (R, M, n)."""
+    loads = _loads(model, prev, driven, dts)
+    decays = np.exp(-model.lambdas * dts[:, None])
+    new = np.array(flow, order="C")
+    conv = np.zeros((prev.shape[0], model.n))
+    for k in range(dts.size):
+        conv = decays[k] * (conv + loads[:, k])
+        new[:, k + 1] += conv
+    return new
+
+
+def _residuals(model: DiagonalModel, states: np.ndarray, driven: np.ndarray,
+               grid: np.ndarray, flow: np.ndarray) -> np.ndarray:
+    """Fixed-point certificate of each replica: sup_k |X(t_k) - its defining sum|.
+
+    Row k of the double sum weighs the loads at t_i, i < k, by the exact
+    exponentials exp(-lambda (t_k - t_i)); the (n, k) weight matrix is
+    built once per row and shared by the batch.
+    """
+    loads = _loads(model, states, driven, np.diff(grid)).transpose(0, 2, 1)  # (R, n, M)
+    gaps = np.empty_like(states)
+    for k in range(grid.size):
+        weights = np.exp(-np.outer(model.lambdas, grid[k] - grid[:k]))  # (n, k)
+        gaps[:, k] = states[:, k] - (flow[:, k] + (weights * loads[:, :, :k]).sum(axis=2))
+    return _row_norms(gaps).max(axis=1)
 
 
 def picard_step(
@@ -168,17 +239,8 @@ def picard_step(
             f"previous path has shape {prev_states.shape}, expected {(grid.size, model.n)}"
         )
     driven = _driven_diagonal(model, noise.increments)
-    dts = noise.dts
-    lam = model.lambdas
-    new = _semigroup_flow(model, grid, x0)
-    conv = np.zeros(model.n)
-    for k in range(1, grid.size):
-        decay = np.exp(-lam * dts[k - 1])
-        x_prev = prev_states[k - 1]
-        load = model.drift(x_prev) * dts[k - 1] + model.diffusion_diagonal(x_prev) * driven[k - 1]
-        conv = decay * (conv + load)
-        new[k] += conv
-    return new
+    flow = _semigroup_flow(model, grid, x0)
+    return _sweep(model, prev_states[None], driven[None], noise.dts, flow[None])[0]
 
 
 def residual(model: DiagonalModel, path: MildPath, noise: NoisePath, x0: np.ndarray) -> float:
@@ -190,18 +252,61 @@ def residual(model: DiagonalModel, path: MildPath, noise: NoisePath, x0: np.ndar
     grid = noise.grid
     if not np.array_equal(grid, path.grid):
         raise ValueError("path and noise must share a grid")
-    states = path.states
     driven = _driven_diagonal(model, noise.increments)
-    dts = noise.dts
-    loads = model.drift(states[:-1]) * dts[:, None] + model.diffusion_diagonal(states[:-1]) * driven
-    lags = grid[:, None] - grid[None, :-1]  # (M+1, M) matrix of t_k - t_i
-    worst = 0.0
     flow = _semigroup_flow(model, grid, x0)
-    for k in range(grid.size):
-        weights = np.exp(-np.outer(model.lambdas, lags[k, :k]))  # (n, k)
-        rhs = flow[k] + (weights * loads[:k].T).sum(axis=1)
-        worst = max(worst, float(np.linalg.norm(states[k] - rhs)))
-    return worst
+    return float(_residuals(model, path.states[None], driven[None], grid, flow[None])[0])
+
+
+def _solve_batch(
+    model: DiagonalModel,
+    config: SolverConfig,
+    x0s: np.ndarray,
+    driven: np.ndarray,
+    zero_seed: np.ndarray,
+) -> list[MildPath]:
+    """Iterate the Picard map for R replicas on the config's grid.
+
+    Replica r starts from x0s[r] (shape (R, n)) with its driven increments
+    driven[r] (shape (R, M, n)), seeded by the zero path where zero_seed[r]
+    and by the semigroup flow elsewhere.  All still-active replicas share
+    each sweep; a replica is frozen at the first gap below tol.  Converged
+    replicas carry their residual certificate, the others residual inf.
+    """
+    grid = config.grid()
+    dts = np.diff(grid)
+    flow = _semigroup_flow(model, grid, x0s)
+    states = np.where(zero_seed[:, None, None], 0.0, flow)
+    gaps: list[list[float]] = [[] for _ in range(x0s.shape[0])]
+    active = np.arange(x0s.shape[0])
+    for _ in range(config.N_max):
+        new = _sweep(model, states[active], driven[active], dts, flow[active])
+        sweep_gaps = np.linalg.norm(new - states[active], axis=2).max(axis=1)
+        states[active] = new
+        for r, gap in zip(active, sweep_gaps):
+            gaps[r].append(float(gap))
+        active = active[~(sweep_gaps < config.tol)]
+        if active.size == 0:
+            break
+    converged = np.array([g[-1] < config.tol for g in gaps])
+    residuals = np.full(x0s.shape[0], math.inf)
+    if converged.any():
+        residuals[converged] = _residuals(model, states[converged], driven[converged], grid,
+                                          flow[converged])
+    return [
+        MildPath(grid=grid, states=states[r], iteration_count=len(g), final_picard_gap=g[-1],
+                 residual=float(residuals[r]), gaps=g)
+        for r, g in enumerate(gaps)
+    ]
+
+
+def _require_converged(path: MildPath, config: SolverConfig) -> MildPath:
+    if not path.final_picard_gap < config.tol:
+        raise NonConvergenceError(
+            f"Picard gap {path.final_picard_gap:.3e} still above tol {config.tol:.1e} after "
+            f"{config.N_max} iterations",
+            path=path,
+        )
+    return path
 
 
 def solve(
@@ -233,37 +338,9 @@ def solve(
                 stacklevel=2,
             )
     x0 = config.initial_state()
-    prev = np.zeros((grid.size, model.n)) if zero_seed_path else _semigroup_flow(model, grid, x0)
-    gaps: list[float] = []
-    for _ in range(config.N_max):
-        new = picard_step(model, prev, noise, x0)
-        gap = float(np.linalg.norm(new - prev, axis=1).max())
-        gaps.append(gap)
-        prev = new
-        if gap < config.tol:
-            path = MildPath(
-                grid=grid,
-                states=prev,
-                iteration_count=len(gaps),
-                final_picard_gap=gap,
-                residual=0.0,
-                gaps=gaps,
-            )
-            path.residual = residual(model, path, noise, x0)
-            return path
-    partial = MildPath(
-        grid=grid,
-        states=prev,
-        iteration_count=len(gaps),
-        final_picard_gap=gaps[-1],
-        residual=math.inf,
-        gaps=gaps,
-    )
-    raise NonConvergenceError(
-        f"Picard gap {gaps[-1]:.3e} still above tol {config.tol:.1e} after "
-        f"{config.N_max} iterations",
-        path=partial,
-    )
+    driven = _driven_diagonal(model, noise.increments)
+    (path,) = _solve_batch(model, config, x0[None], driven[None], np.array([zero_seed_path]))
+    return _require_converged(path, config)
 
 
 def glue_solve(
@@ -276,7 +353,10 @@ def glue_solve(
     The horizon is split into equal pieces of length
     T/ceil(T/(0.99 * T_bound)); each piece is solved with the previous
     terminal state as initial condition (bit-exact handoff) and its own
-    noise stream derived from (seed, piece index).  Every piece must get at
+    noise stream derived from (seed, piece index).  The M steps are dealt
+    out as evenly as possible, the first M % pieces pieces getting one step
+    more, so the glued grid has exactly M + 1 points and piece_breaks are
+    the cumulative step counts.  Every piece must get at
     least 2 of the M steps, so the work stays bounded by M: a one-step
     piece is solved exactly by 2 sweeps (the causal Picard map is
     nilpotent) and could never report non-convergence.  Requests with
@@ -291,7 +371,7 @@ def glue_solve(
             f"most {config.M // 2} pieces of 2 steps or more; raise M or shorten T"
         )
     piece_T = config.T / pieces
-    steps = math.ceil(config.M / pieces)
+    steps = [config.M // pieces + (p < config.M % pieces) for p in range(pieces)]
 
     grids: list[np.ndarray] = []
     states: list[np.ndarray] = []
@@ -301,7 +381,7 @@ def glue_solve(
     final_gap = 0.0
     x0 = config.initial_state()
     for piece in range(pieces):
-        sub = replace(config, T=piece_T, M=steps, x0=x0)
+        sub = replace(config, T=piece_T, M=steps[piece], x0=x0)
         noise = generate_noise_path(
             config.alpha, config.noise_dim, sub.grid(), _piece_seed(config.seed, piece)
         )
@@ -330,7 +410,7 @@ def glue_solve(
         final_picard_gap=final_gap,
         residual=max(piece_residuals),
         gaps=gaps,
-        piece_breaks=[p * steps for p in range(1, pieces)],
+        piece_breaks=list(itertools.accumulate(steps[:-1])),
         piece_residuals=piece_residuals,
     )
 

@@ -1,10 +1,12 @@
 """Experiment harness: verdict logic, exactness claims, determinism."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from cylstable import picard
 from cylstable.constants import c_alpha
 from cylstable.experiments import (
     HypothesisFailed,
@@ -20,8 +22,19 @@ from cylstable.experiments import (
 )
 from cylstable.hilbert import HSMatrix, heat_preset
 from cylstable.integral import constant_integrand
-from cylstable.picard import SolverConfig, binding_time_bound
-from cylstable.sampling import sample_isotropic
+from cylstable.experiments import _TAG_ALT_NOISE, _replica_seed
+from cylstable.picard import (
+    SolverConfig,
+    _driven_diagonal,
+    _semigroup_flow,
+    _solve_batch,
+    binding_time_bound,
+    horizon_bounds,
+    picard_step,
+    solve,
+)
+from cylstable.rng import TAG_REPLICA
+from cylstable.sampling import generate_noise_path, sample_isotropic
 
 
 def test_tail_zero_operator():
@@ -229,3 +242,109 @@ def test_picard_experiment_additive_zero_from_n2():
     moments = report.tables["decay"]["moment"]
     assert moments[0] > 0.0
     assert np.array_equal(moments[1:], np.zeros(3))
+
+
+def per_replica_picard_decay(model, config, n_iters, p, replicas, seed):
+    """Reference for picard_convergence_experiment: one public picard_step per replica."""
+    x0 = config.initial_state()
+    grid = config.grid()
+    diffs = np.empty((replicas, n_iters))
+    for r in range(replicas):
+        noise = generate_noise_path(config.alpha, config.noise_dim, grid,
+                                    _replica_seed(seed, TAG_REPLICA, r))
+        prev = _semigroup_flow(model, grid, x0)
+        for it in range(n_iters):
+            new = picard_step(model, prev, noise, x0)
+            diffs[r, it] = np.linalg.norm(new[-1] - prev[-1])
+            prev = new
+    powered = diffs**p
+    return powered.mean(axis=0), powered.std(axis=0, ddof=1) / math.sqrt(replicas)
+
+
+def per_replica_uniqueness_paths(model, config, replicas, seed):
+    """Reference for uniqueness_experiment: four public solves per replica.
+
+    Returns the distance columns and the solved paths, replica-major in the
+    order semigroup seed, zero seed, perturbed x0, fresh noise.
+    """
+    grid = config.grid()
+    x0 = config.initial_state()
+    x0_alt = x0.copy()
+    x0_alt[0] += 0.1
+    paths, noises, rows = [], [], np.empty((replicas, 3))
+    for r in range(replicas):
+        noise = generate_noise_path(config.alpha, config.noise_dim, grid,
+                                    _replica_seed(seed, TAG_REPLICA, r))
+        alt_noise = generate_noise_path(config.alpha, config.noise_dim, grid,
+                                        _replica_seed(seed, _TAG_ALT_NOISE, r))
+        cfg = replace(config, x0=x0)
+        quad = [
+            solve(model, cfg, noise=noise, warn_beyond_bound=False),
+            solve(model, cfg, noise=noise, zero_seed_path=True, warn_beyond_bound=False),
+            solve(model, replace(cfg, x0=x0_alt), noise=noise, warn_beyond_bound=False),
+            solve(model, cfg, noise=alt_noise, warn_beyond_bound=False),
+        ]
+        rows[r] = [np.linalg.norm(quad[0].states - other.states, axis=1).max()
+                   for other in quad[1:]]
+        paths += quad
+        noises += [noise, noise, noise, alt_noise]
+    return rows.T, paths, noises, np.stack([x0, x0, x0_alt, x0] * replicas)
+
+
+def _ensemble_setup():
+    model = heat_preset(8)
+    picard_cfg = SolverConfig(alpha=1.5, T=0.9 * horizon_bounds(model, 1.5)["T_picard"],
+                              M=50, n=8, seed=19)
+    uniq_cfg = SolverConfig(alpha=1.5, T=0.8 * binding_time_bound(model, 1.5), M=50, n=8,
+                            seed=19)
+    return model, picard_cfg, uniq_cfg
+
+
+def test_batched_experiments_equal_per_replica_reference():
+    model, picard_cfg, uniq_cfg = _ensemble_setup()
+    report = picard_convergence_experiment(model, picard_cfg, n_iters=5, p=1.0, replicas=4,
+                                           seed=19)
+    moments, ses = per_replica_picard_decay(model, picard_cfg, 5, 1.0, 4, 19)
+    assert np.array_equal(report.tables["decay"]["moment"], moments)
+    assert np.array_equal(report.tables["decay"]["stderr"], ses)
+
+    report = uniqueness_experiment(model, uniq_cfg, replicas=3, seed=19)
+    columns, _, _, _ = per_replica_uniqueness_paths(model, uniq_cfg, 3, 19)
+    dists = report.tables["distances"]
+    for name, column in zip(["picard_seed", "x0_perturbed", "fresh_noise"], columns):
+        assert np.array_equal(dists[name], column)
+
+
+def test_solve_batch_equals_batches_of_one():
+    model, _, uniq_cfg = _ensemble_setup()
+    _, paths, noises, x0s = per_replica_uniqueness_paths(model, uniq_cfg, 3, 19)
+    driven = np.stack([_driven_diagonal(model, noise.increments) for noise in noises])
+    zero_seed = np.array([False, True, False, False] * 3)
+    batched = _solve_batch(model, uniq_cfg, x0s, driven, zero_seed)
+    # the batch freezes replicas at different sweeps
+    assert len({path.iteration_count for path in batched}) > 1
+    for ours, reference in zip(batched, paths, strict=True):
+        assert np.array_equal(ours.states, reference.states)
+        assert ours.gaps == reference.gaps
+        assert ours.iteration_count == reference.iteration_count
+        assert ours.final_picard_gap == reference.final_picard_gap
+        assert ours.residual == reference.residual
+
+
+def test_experiment_tables_independent_of_batch_budget(monkeypatch):
+    model, picard_cfg, uniq_cfg = _ensemble_setup()
+
+    def tables():
+        decay = picard_convergence_experiment(model, picard_cfg, n_iters=5, replicas=6,
+                                              seed=20).tables["decay"]
+        dists = uniqueness_experiment(model, uniq_cfg, replicas=5, seed=20).tables["distances"]
+        return [decay["moment"], decay["stderr"], dists["picard_seed"], dists["x0_perturbed"],
+                dists["fresh_noise"]]
+
+    assert len(picard._replica_chunks(6, 4 * 51 * 8)) == 1
+    batched = tables()
+    monkeypatch.setattr(picard, "_BATCH_ELEMENTS", 1)
+    assert len(picard._replica_chunks(6, 4 * 51 * 8)) == 6
+    chunked = tables()
+    for ours, reference in zip(batched, chunked, strict=True):
+        assert np.array_equal(ours, reference)

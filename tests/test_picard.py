@@ -17,6 +17,7 @@ from cylstable.picard import (
     residual,
     solve,
     _piece_seed,
+    _row_norms,
     _semigroup_flow,
 )
 from cylstable.sampling import generate_noise_path
@@ -80,6 +81,75 @@ def hand_rolled_picard_step(model, prev, noise, x0):
                     acc += decay * model.kappa[j] * s_val * noise.increments[i, j]
             out[k, j] = acc
     return out
+
+
+def per_step_picard_step(model, prev, noise, x0):
+    """Reference sweep: drift, diffusion and decay evaluated step by step."""
+    dts = noise.dts
+    new = _semigroup_flow(model, noise.grid, x0)
+    conv = np.zeros(model.n)
+    for k in range(1, noise.grid.size):
+        decay = np.exp(-model.lambdas * dts[k - 1])
+        x_prev = prev[k - 1]
+        load = (model.drift(x_prev) * dts[k - 1]
+                + model.diffusion_diagonal(x_prev) * noise.increments[k - 1, :model.n])
+        conv = decay * (conv + load)
+        new[k] += conv
+    return new
+
+
+def full_lag_residual(model, path, noise, x0):
+    """Reference certificate: the double sum over the full (M+1, M) lag matrix."""
+    grid, states = noise.grid, path.states
+    loads = (model.drift(states[:-1]) * noise.dts[:, None]
+             + model.diffusion_diagonal(states[:-1]) * noise.increments[:, :model.n])
+    lags = grid[:, None] - grid[None, :-1]
+    flow = _semigroup_flow(model, grid, x0)
+    worst = 0.0
+    for k in range(grid.size):
+        weights = np.exp(-np.outer(model.lambdas, lags[k, :k]))
+        rhs = flow[k] + (weights * loads[:k].T).sum(axis=1)
+        worst = max(worst, float(np.linalg.norm(states[k] - rhs)))
+    return worst
+
+
+def test_sweep_and_residual_equal_per_step_references_bit_for_bit():
+    model = heat_preset(8)
+    config = SolverConfig(alpha=1.5, T=0.05, M=200, n=8, seed=7)
+    noise = generate_noise_path(1.5, 8, config.grid(), config.seed)
+    x0 = config.initial_state()
+    prev = _semigroup_flow(model, config.grid(), x0)
+    for _ in range(3):
+        new = picard_step(model, prev, noise, x0)
+        assert np.array_equal(new, per_step_picard_step(model, prev, noise, x0))
+        prev = new
+    path = solve(model, config, noise=noise, warn_beyond_bound=False)
+    assert path.residual == full_lag_residual(model, path, noise, x0)
+
+
+def test_solve_matches_exponential_euler_oracle():
+    # the discrete fixed point is one forward exponential-Euler sweep
+    # X_{k+1} = e^{-lambda dt_k} (X_k + F(X_k) dt_k + G(X_k) dL_k)
+    model = heat_preset(8)
+    config = SolverConfig(alpha=1.5, T=0.9 * binding_time_bound(model, 1.5), M=400, n=8,
+                          seed=113)
+    noise = generate_noise_path(1.5, 8, config.grid(), config.seed)
+    path = solve(model, config, noise=noise)
+    euler = np.empty_like(path.states)
+    euler[0] = config.initial_state()
+    for k, dt in enumerate(noise.dts):
+        x = euler[k]
+        euler[k + 1] = np.exp(-model.lambdas * dt) * (
+            x + model.drift(x) * dt + model.diffusion_diagonal(x) * noise.increments[k]
+        )
+    assert np.abs(path.states - euler).max() <= 1e-12
+
+
+def test_row_norms_equal_one_dimensional_norm_for_strided_rows():
+    rows = np.asfortranarray(np.random.default_rng(4).standard_normal((2000, 5)))
+    expected = [np.linalg.norm(row.copy()) for row in rows]
+    assert np.array_equal(_row_norms(rows), expected)
+    assert np.array_equal(_row_norms(rows.reshape(400, 5, 5)).ravel(), expected)
 
 
 def test_picard_step_matches_hand_rolled_oracle():
@@ -225,6 +295,19 @@ def test_glue_junctions_bit_exact():
     piece0 = solve(model, sub, noise=noise0, warn_beyond_bound=False)
     junction = glued.piece_breaks[0]
     assert np.array_equal(glued.states[junction], piece0.terminal)
+
+
+def test_glue_deals_out_exactly_M_steps():
+    # 121 steps over 3 pieces: 41 + 40 + 40, not 3 * ceil(121 / 3) = 123
+    model = heat_preset(8)
+    bound = binding_time_bound(model, 1.5)
+    config = SolverConfig(alpha=1.5, T=2.5 * bound, M=121, n=8, seed=110)
+    glued = glue_solve(model, config)
+    assert len(glued.piece_residuals) == 3
+    assert glued.grid.size == 122
+    assert glued.piece_breaks == [41, 81]
+    assert glued.grid[81] == pytest.approx(2.0 * config.T / 3.0)
+    assert glued.grid[-1] == pytest.approx(config.T)
 
 
 def test_glue_propagates_nonconvergence_with_piece_index():
