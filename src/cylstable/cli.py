@@ -36,7 +36,14 @@ from .experiments import (
 from .hilbert import HSMatrix, check_A2, check_A3, check_norm_continuity, heat_preset, parse_model_config
 from .integral import StepIntegrand, constant_integrand, integrate, refinement_experiment
 from .picard import NonConvergenceError, SolverConfig, binding_time_bound, glue_solve, solve
-from .reporting import format_value, write_csv, write_report, write_summary
+from .reporting import (
+    format_rows,
+    format_value,
+    header_lines,
+    write_csv,
+    write_report,
+    write_summary,
+)
 from .sampling import (
     generate_noise_path,
     noise_path_to_csv,
@@ -267,16 +274,12 @@ def _config_from(resolved: dict, model, horizon: float) -> SolverConfig:
 
 
 def _write_mild_path(path, out: Path, name: str, resolved: dict) -> None:
-    from .reporting import header_lines
-
     with open(out / name, "w", newline="\n") as fh:
         for line in header_lines(resolved):
             fh.write(f"# {line}\n")
         n = path.states.shape[1]
         fh.write("t," + ",".join(f"x_{j + 1}" for j in range(n)) + "\n")
-        for k in range(path.grid.size):
-            row = [format_value(path.grid[k])] + [format_value(x) for x in path.states[k]]
-            fh.write(",".join(row) + "\n")
+        fh.writelines(format_rows([path.grid, *path.states.T]))
         fh.write(
             f"# iteration_count={path.iteration_count} "
             f"gap={format_value(path.final_picard_gap)} "

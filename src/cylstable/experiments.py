@@ -19,7 +19,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.integrate import cumulative_trapezoid
 
 from .constants import chain_constants, levy_tail_mass
 from .hilbert import DiagonalModel, as_matrix
@@ -36,8 +35,8 @@ from .picard import (
     binding_time_bound,
     horizon_bounds,
 )
-from .rng import TAG_REPLICA, open_uniform, substream
-from .sampling import _isotropic_from_uniforms, generate_noise_path, sample_isotropic
+from .rng import TAG_REPLICA, open_uniform, stream_keys, substream
+from .sampling import _isotropic_from_uniforms, _noise_increments, sample_isotropic
 
 __all__ = [
     "HypothesisFailed",
@@ -356,17 +355,17 @@ def moment_experiment(
     return report
 
 
-def _replica_seed(seed: int, tag: int, index: int) -> int:
-    return int(np.random.SeedSequence([int(seed) & 0xFFFFFFFFFFFFFFFF, tag, index])
-               .generate_state(1, np.uint64)[0])
+def _replica_seed(seed: int, tag: int, index):
+    """Master seed of replica (tag, index): word 0 of the key of stream (seed, tag, index)."""
+    return stream_keys(seed, (tag,), index)[0]
 
 
 def _replica_driven(model: DiagonalModel, config: SolverConfig, seed: int, tag: int,
-                    index: int) -> np.ndarray:
-    """Driven increments of replica (tag, index): its own noise path on the config's grid."""
-    noise = generate_noise_path(config.alpha, config.noise_dim, config.grid(),
-                                _replica_seed(seed, tag, index))
-    return _driven_diagonal(model, noise.increments)
+                    chunk: range) -> np.ndarray:
+    """Driven increments (R, M, n) of replicas (tag, r), r in chunk: each its own noise path."""
+    seeds = _replica_seed(seed, tag, np.arange(chunk.start, chunk.stop))
+    return _driven_diagonal(model, _noise_increments(config.alpha, config.noise_dim,
+                                                     config.grid(), seeds))
 
 
 def picard_convergence_experiment(
@@ -389,7 +388,7 @@ def picard_convergence_experiment(
     flow = _semigroup_flow(model, grid, config.initial_state())
     all_diffs = np.empty((replicas, n_iters))
     for chunk in _replica_chunks(replicas, grid.size * model.n):
-        driven = np.stack([_replica_driven(model, config, seed, TAG_REPLICA, r) for r in chunk])
+        driven = _replica_driven(model, config, seed, TAG_REPLICA, chunk)
         flows = np.broadcast_to(flow, (len(chunk), *flow.shape))
         prev = flows
         for it in range(n_iters):
@@ -452,13 +451,11 @@ def uniqueness_experiment(
 
     rows = np.empty((replicas, 3))
     for chunk in _replica_chunks(replicas, 4 * (config.M + 1) * model.n):
-        driven = []
-        for r in chunk:
-            shared = _replica_driven(model, config, seed, TAG_REPLICA, r)
-            fresh = _replica_driven(model, config, seed, _TAG_ALT_NOISE, r)
-            driven += [shared, shared, shared, fresh]
-        paths = _solve_batch(model, config, np.tile(x0_quad, (len(chunk), 1)), np.stack(driven),
-                             np.tile(zero_seed_quad, len(chunk)))
+        shared = _replica_driven(model, config, seed, TAG_REPLICA, chunk)
+        fresh = _replica_driven(model, config, seed, _TAG_ALT_NOISE, chunk)
+        driven = np.stack([shared, shared, shared, fresh], axis=1).reshape(-1, *shared.shape[1:])
+        paths = _solve_batch(model, config, np.tile(x0_quad, (len(chunk), 1)), driven,
+                             np.tile(zero_seed_quad, len(chunk)), certify=False)
         for path in paths:
             _require_converged(path, config)
         states = np.stack([path.states for path in paths]).reshape(len(chunk), 4, config.M + 1, -1)
@@ -493,6 +490,15 @@ def uniqueness_experiment(
     return report
 
 
+def _cumulative_trapezoid(y: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """Running trapezoid integral of y over t, starting at 0.
+
+    The expression ``scipy.integrate.cumulative_trapezoid(y, t, initial=0.0)``
+    evaluates, so the result is bit-identical without importing scipy.integrate.
+    """
+    return np.concatenate([[0.0], np.cumsum(np.diff(t) * (y[1:] + y[:-1]) / 2.0)])
+
+
 def willet_wong_check(u, v, w, p: float, t=None, hyp_tol: float = 1e-8) -> dict:
     """Check the nonlinear integral-inequality bound on a uniform grid.
 
@@ -523,9 +529,7 @@ def willet_wong_check(u, v, w, p: float, t=None, hyp_tol: float = 1e-8) -> dict:
     if not np.allclose(dts, dts.mean(), rtol=1e-9, atol=1e-12 * abs(t[-1] - t[0])):
         raise ValueError("grid must be uniform")
 
-    hyp_rhs = cumulative_trapezoid(v * u, t, initial=0.0) + cumulative_trapezoid(
-        w * u**p, t, initial=0.0
-    )
+    hyp_rhs = _cumulative_trapezoid(v * u, t) + _cumulative_trapezoid(w * u**p, t)
     violation = float((u - hyp_rhs).max())
     if violation > hyp_tol:
         raise HypothesisFailed(
@@ -541,9 +545,9 @@ def willet_wong_check(u, v, w, p: float, t=None, hyp_tol: float = 1e-8) -> dict:
         }
 
     q = 1.0 - p
-    big_v = cumulative_trapezoid(v, t, initial=0.0)
+    big_v = _cumulative_trapezoid(v, t)
     lhs = u * np.exp(-big_v)
-    rhs = (q * cumulative_trapezoid(w * np.exp(-q * big_v), t, initial=0.0)) ** (1.0 / q)
+    rhs = (q * _cumulative_trapezoid(w * np.exp(-q * big_v), t)) ** (1.0 / q)
     margin = float((rhs - lhs).min())
     return {"holds": margin >= -1e-6, "margin": margin, "hypothesis_violation": violation,
             "lhs": lhs, "rhs": rhs, "t": t}
@@ -571,14 +575,12 @@ def random_hypothesis_triples(count: int, grid_points: int, seed: int, T: float 
         q = 1.0 - p
         v = rng.uniform(0.0, 2.0) * (1.0 + np.sin(rng.uniform(0, 6) * t + rng.uniform(0, 6))) / 2
         w = rng.uniform(0.2, 2.0) * (1.0 + np.cos(rng.uniform(0, 6) * t + rng.uniform(0, 6))) / 2
-        big_v = cumulative_trapezoid(v, t, initial=0.0)
+        big_v = _cumulative_trapezoid(v, t)
         equality = np.exp(big_v) * (
-            q * cumulative_trapezoid(w * np.exp(-q * big_v), t, initial=0.0)
+            q * _cumulative_trapezoid(w * np.exp(-q * big_v), t)
         ) ** (1.0 / q)
         u = float(rng.uniform(0.2, 0.8)) * equality
-        hyp_rhs = cumulative_trapezoid(v * u, t, initial=0.0) + cumulative_trapezoid(
-            w * u**p, t, initial=0.0
-        )
+        hyp_rhs = _cumulative_trapezoid(v * u, t) + _cumulative_trapezoid(w * u**p, t)
         if np.all(u <= hyp_rhs + 1e-8):
             out.append((t, u, v, w, p))
     return out

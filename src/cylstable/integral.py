@@ -17,7 +17,8 @@ from typing import Callable
 import numpy as np
 
 from .hilbert import as_matrix
-from .rng import TAG_REPLICA, open_uniform, substream
+from .picard import _replica_chunks, _row_norms
+from .rng import TAG_REPLICA, open_uniform_rows
 from .sampling import NoisePath, _isotropic_from_uniforms
 
 __all__ = [
@@ -142,6 +143,29 @@ def _binomial_se(p_hat: np.ndarray, n: int) -> np.ndarray:
     return np.sqrt(np.clip(p_hat * (1.0 - p_hat), 0.0, None) / n)
 
 
+def _refinement_diffs(weights: np.ndarray, entries: np.ndarray, alpha: float, dt: float,
+                      replicas: int, seed: int) -> np.ndarray:
+    """||I_k(T) - I_K(T)|| per coarse level k and replica, shape (levels - 1, replicas).
+
+    I_k(T) = sum_i weights[k, i] psi0 dL_i; only the projected increment
+    psi0 dL_i enters, so the m-dim noise is integrated once per replica.
+    Replica r draws open_uniform(substream(seed, TAG_REPLICA, r), (steps, 2 + m)),
+    for a chunk of replicas at once; every product is per replica.
+    """
+    levels, steps = weights.shape
+    m = entries.shape[1]
+    diffs = np.empty((levels - 1, replicas))
+    scale = dt ** (1.0 / alpha)
+    for chunk in _replica_chunks(replicas, steps * (2 + m)):
+        u = open_uniform_rows(seed, (TAG_REPLICA,), np.arange(chunk.start, chunk.stop),
+                              steps * (2 + m)).reshape(len(chunk), steps, 2 + m)
+        projected = scale * _isotropic_from_uniforms(alpha, u) @ entries.T  # (R, steps, n)
+        fine_total = weights[-1] @ projected
+        for k in range(levels - 1):
+            diffs[k, chunk] = _row_norms(weights[k] @ projected - fine_total)
+    return diffs
+
+
 def refinement_experiment(
     profile: Callable[[np.ndarray], np.ndarray],
     psi0,
@@ -165,7 +189,6 @@ def refinement_experiment(
     Monte-Carlo noise.
     """
     entries = as_matrix(psi0)
-    n, m = entries.shape
     if levels < 2:
         raise ValueError("need at least two refinement levels")
     fine_steps = coarse_steps * 2 ** (levels - 1)
@@ -179,19 +202,7 @@ def refinement_experiment(
         left_idx = (np.arange(fine_steps) // stride) * stride
         weights[k] = profile(fine_grid[left_idx])
 
-    # I_k(T) = sum_i w_k[i] * psi0 @ dL_i; only the projected increment
-    # psi0 @ dL_i enters, so integrate the m-dim noise once per replica.
-    rng_root = seed
-    diffs = np.empty((levels - 1, replicas))
-    scale = dt ** (1.0 / alpha)
-    for r in range(replicas):
-        rng = substream(rng_root, TAG_REPLICA, r)
-        u = open_uniform(rng, (fine_steps, 2 + m))
-        increments = scale * _isotropic_from_uniforms(alpha, u)
-        projected = increments @ entries.T  # (fine_steps, n)
-        fine_total = weights[-1] @ projected
-        for k in range(levels - 1):
-            diffs[k, r] = np.linalg.norm(weights[k] @ projected - fine_total)
+    diffs = _refinement_diffs(weights, entries, alpha, dt, replicas, seed)
 
     # L^alpha distance of each level to the target profile itself,
     # evaluated on a 16x refined grid (halves per level for smooth profiles)

@@ -153,13 +153,13 @@ def binding_time_bound(model: DiagonalModel, alpha: float, c_convention: float =
 
 
 def _driven_diagonal(model: DiagonalModel, increments: np.ndarray) -> np.ndarray:
-    """Noise increments aligned with the state coordinates (pad/truncate to n)."""
-    steps, m = increments.shape
+    """Noise increments (..., M, m) aligned with the state coordinates (pad/truncate to n)."""
+    m = increments.shape[-1]
     n = model.n
     if m >= n:
-        return increments[:, :n]
-    out = np.zeros((steps, n))
-    out[:, :m] = increments
+        return increments[..., :n]
+    out = np.zeros((*increments.shape[:-1], n))
+    out[..., :m] = increments
     return out
 
 
@@ -263,14 +263,17 @@ def _solve_batch(
     x0s: np.ndarray,
     driven: np.ndarray,
     zero_seed: np.ndarray,
+    certify: bool = True,
 ) -> list[MildPath]:
     """Iterate the Picard map for R replicas on the config's grid.
 
     Replica r starts from x0s[r] (shape (R, n)) with its driven increments
     driven[r] (shape (R, M, n)), seeded by the zero path where zero_seed[r]
     and by the semigroup flow elsewhere.  All still-active replicas share
-    each sweep; a replica is frozen at the first gap below tol.  Converged
-    replicas carry their residual certificate, the others residual inf.
+    each sweep; a replica is frozen at the first gap below tol.  With
+    certify, converged replicas carry their residual certificate and the
+    others residual inf; without it (a caller that reports no residual),
+    the O(M^2 n) certificate is skipped and every residual is nan.
     """
     grid = config.grid()
     dts = np.diff(grid)
@@ -288,8 +291,8 @@ def _solve_batch(
         if active.size == 0:
             break
     converged = np.array([g[-1] < config.tol for g in gaps])
-    residuals = np.full(x0s.shape[0], math.inf)
-    if converged.any():
+    residuals = np.full(x0s.shape[0], math.inf if certify else math.nan)
+    if certify and converged.any():
         residuals[converged] = _residuals(model, states[converged], driven[converged], grid,
                                           flow[converged])
     return [

@@ -29,12 +29,14 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import ndtri
 
+from .reporting import format_rows
 from .rng import (
     TAG_ISOTROPIC,
     TAG_NOISE_ROW,
     TAG_POSITIVE,
     TAG_SCALAR,
     open_uniform,
+    open_uniform_rows,
     substream,
 )
 
@@ -174,10 +176,14 @@ def _validate_grid(grid: np.ndarray) -> None:
         raise ValueError("grid must be strictly increasing")
 
 
-def _noise_increments(alpha: float, m: int, grid: np.ndarray, seed: int) -> np.ndarray:
-    """Row i: (dt_i)^(1/alpha) x isotropic, from its own (seed, row) stream."""
-    uniforms = np.stack([open_uniform(substream(seed, TAG_NOISE_ROW, i), 2 + m)
-                         for i in range(grid.size - 1)])
+def _noise_increments(alpha: float, m: int, grid: np.ndarray, seeds) -> np.ndarray:
+    """Row i: (dt_i)^(1/alpha) x isotropic, from its own (seed, row) stream.
+
+    A scalar seed gives one path, shape (M, m); an array of R seeds gives R
+    paths, shape (R, M, m), each equal to the path of its seed alone.
+    """
+    rows = np.arange(grid.size - 1)
+    uniforms = open_uniform_rows(np.expand_dims(seeds, -1), (TAG_NOISE_ROW,), rows, 2 + m)
     return np.diff(grid)[:, None] ** (1.0 / alpha) * _isotropic_from_uniforms(alpha, uniforms)
 
 
@@ -220,10 +226,10 @@ def noise_path_to_csv(path: NoisePath, extra_header: tuple[str, ...] = ()) -> st
         buf.write(f"# {line}\n")
     buf.write(f"# alpha={path.alpha!r}, m={path.m}, seed={path.seed}\n")
     buf.write("t_start,t_end,j,increment\n")
-    for i in range(path.steps):
-        t0, t1 = path.grid[i], path.grid[i + 1]
-        for j in range(path.m):
-            buf.write(f"{t0:.17g},{t1:.17g},{j + 1},{path.increments[i, j]:.17g}\n")
+    buf.writelines(format_rows([np.repeat(path.grid[:-1], path.m),
+                                np.repeat(path.grid[1:], path.m),
+                                np.tile(np.arange(1, path.m + 1), path.steps),
+                                path.increments.ravel()]))
     return buf.getvalue()
 
 

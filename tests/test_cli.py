@@ -1,8 +1,14 @@
 """CLI: exit-code contract, config precedence, byte-identical outputs."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import cylstable
 from cylstable.cli import main
 
 
@@ -204,3 +210,17 @@ def test_solve_rejects_non_finite_values(tmp_path, capsys, extra):
     assert code == 2
     assert "must be positive and finite" in capsys.readouterr().err
     assert not (tmp_path / "mild_path.csv").exists()
+
+
+def test_cli_import_loads_no_heavy_scipy_subpackages():
+    # start-up cost: the CLI needs scipy.special only
+    code = ("import sys, cylstable.cli; "
+            "print(sorted({'.'.join(m.split('.')[:2]) for m in sys.modules "
+            "if m.split('.')[:2] in (['scipy', 'integrate'], ['scipy', 'optimize'], "
+            "['scipy', 'sparse'])}))")
+    src = str(Path(cylstable.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                            timeout=120, check=True)
+    assert result.stdout.strip() == "[]"

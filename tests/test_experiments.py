@@ -22,7 +22,7 @@ from cylstable.experiments import (
 )
 from cylstable.hilbert import HSMatrix, heat_preset
 from cylstable.integral import constant_integrand
-from cylstable.experiments import _TAG_ALT_NOISE, _replica_seed
+from cylstable.experiments import _TAG_ALT_NOISE, _cumulative_trapezoid, _replica_seed
 from cylstable.picard import (
     SolverConfig,
     _driven_diagonal,
@@ -348,3 +348,30 @@ def test_experiment_tables_independent_of_batch_budget(monkeypatch):
     chunked = tables()
     for ours, reference in zip(batched, chunked, strict=True):
         assert np.array_equal(ours, reference)
+
+
+def test_uniqueness_skips_the_residual_certificate(monkeypatch):
+    # the report has no residual column, so the O(M^2 n) certificate must not run
+    model, _, uniq_cfg = _ensemble_setup()
+    expected = uniqueness_experiment(model, uniq_cfg, replicas=3, seed=21).tables["distances"]
+
+    def refuse(*args):
+        raise AssertionError("uniqueness_experiment evaluated a residual certificate")
+
+    monkeypatch.setattr(picard, "_residuals", refuse)
+    report = uniqueness_experiment(model, uniq_cfg, replicas=3, seed=21)
+    for name, column in expected.items():
+        assert np.array_equal(report.tables["distances"][name], column)
+
+
+def test_cumulative_trapezoid_equals_scipy_bit_for_bit():
+    from scipy.integrate import cumulative_trapezoid
+
+    rng = np.random.default_rng(22)
+    for size in (2, 3, 1001):
+        t = np.sort(rng.uniform(0.0, 3.0, size))
+        y = rng.standard_normal(size) * 10.0 ** rng.integers(-5, 5, size)
+        assert np.array_equal(_cumulative_trapezoid(y, t), cumulative_trapezoid(y, t, initial=0.0))
+    t = np.linspace(0.0, 1.0, 10_001)
+    assert np.array_equal(_cumulative_trapezoid(t**2 / 4.0, t),
+                          cumulative_trapezoid(t**2 / 4.0, t, initial=0.0))

@@ -6,15 +6,23 @@ import numpy as np
 import pytest
 from scipy.stats import ks_2samp
 
+from cylstable import picard
 from cylstable.integral import (
     AdaptednessError,
     StepIntegrand,
+    _refinement_diffs,
     constant_integrand,
     discretize_predictable,
     integrate,
     refinement_experiment,
 )
-from cylstable.sampling import AlphaParams, generate_noise_path, sample_scalar_sas
+from cylstable.rng import TAG_REPLICA, open_uniform, substream
+from cylstable.sampling import (
+    AlphaParams,
+    _isotropic_from_uniforms,
+    generate_noise_path,
+    sample_scalar_sas,
+)
 
 KS_COEFF_1PCT = math.sqrt(-math.log(0.005) / 2.0)
 
@@ -177,3 +185,27 @@ def test_alpha_scale_power_of_two_exact():
     base = StepIntegrand(grid, values)
     scaled = base.scaled(4.0)
     assert scaled.alpha_scale(1.5) == 4.0 * base.alpha_scale(1.5)
+
+
+def per_replica_refinement_diffs(weights, entries, alpha, dt, replicas, seed):
+    """Reference for _refinement_diffs: one substream and one 1-d norm per replica and level."""
+    levels, steps = weights.shape
+    diffs = np.empty((levels - 1, replicas))
+    for r in range(replicas):
+        u = open_uniform(substream(seed, TAG_REPLICA, r), (steps, 2 + entries.shape[1]))
+        projected = dt ** (1.0 / alpha) * _isotropic_from_uniforms(alpha, u) @ entries.T
+        fine_total = weights[-1] @ projected
+        for k in range(levels - 1):
+            diffs[k, r] = np.linalg.norm(weights[k] @ projected - fine_total)
+    return diffs
+
+
+@pytest.mark.parametrize("entries", [np.array([[1.0]]),
+                                     np.array([[1.0, 0.3, 0.0], [0.2, 0.5, -0.4]])])
+def test_refinement_diffs_equal_per_replica_reference(entries, monkeypatch):
+    weights = np.random.default_rng(3).uniform(0.0, 1.0, (4, 32))
+    reference = per_replica_refinement_diffs(weights, entries, 1.4, 1.0 / 32, 30, 93)
+    assert np.array_equal(_refinement_diffs(weights, entries, 1.4, 1.0 / 32, 30, 93), reference)
+    monkeypatch.setattr(picard, "_BATCH_ELEMENTS", 100)  # several replica chunks
+    assert len(picard._replica_chunks(30, 32 * (2 + entries.shape[1]))) > 1
+    assert np.array_equal(_refinement_diffs(weights, entries, 1.4, 1.0 / 32, 30, 93), reference)

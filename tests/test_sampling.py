@@ -7,8 +7,11 @@ import pytest
 from scipy.stats import ks_2samp, levy_stable
 
 from cylstable.experiments import char_function_test
+from cylstable.rng import TAG_NOISE_ROW, open_uniform, substream
 from cylstable.sampling import (
     AlphaParams,
+    _isotropic_from_uniforms,
+    _noise_increments,
     extend_dimension,
     generate_noise_path,
     noise_path_from_csv,
@@ -227,3 +230,28 @@ def test_positive_stable_finite_at_stream_extremes():
     for beta in (0.05, 0.5, 0.95):
         out = _positive_stable_transform(beta, u1, u2)
         assert np.all(np.isfinite(out)) and np.all(out > 0.0)
+
+
+def test_noise_rows_equal_per_row_substreams():
+    # row i is drawn from its own stream (seed, TAG_NOISE_ROW, i), seeds masked to 64 bits
+    grid = np.concatenate([[0.0], np.cumsum(np.linspace(0.01, 0.05, 23))])
+    for seed in (0, 17, 2**40 + 3, 2**64 + 17):
+        uniforms = np.stack([open_uniform(substream(seed, TAG_NOISE_ROW, i), 2 + 3)
+                             for i in range(grid.size - 1)])
+        reference = np.diff(grid)[:, None] ** (1.0 / 1.6) * _isotropic_from_uniforms(1.6, uniforms)
+        assert np.array_equal(generate_noise_path(1.6, 3, grid, seed).increments, reference)
+    seeds = np.array([5, 2**40 + 3], dtype=np.uint64)
+    batch = _noise_increments(1.6, 3, grid, seeds)
+    for path, seed in zip(batch, seeds, strict=True):
+        assert np.array_equal(path, generate_noise_path(1.6, 3, grid, int(seed)).increments)
+
+
+def test_noise_csv_equals_per_value_writer():
+    path = generate_noise_path(1.5, 3, np.linspace(0.0, 0.3, 8), seed=61)
+    lines = ["# note", f"# alpha={path.alpha!r}, m={path.m}, seed={path.seed}",
+             "t_start,t_end,j,increment"]
+    for i in range(path.steps):
+        for j in range(path.m):
+            lines.append(f"{path.grid[i]:.17g},{path.grid[i + 1]:.17g},{j + 1},"
+                         f"{path.increments[i, j]:.17g}")
+    assert noise_path_to_csv(path, ("note",)) == "\n".join(lines) + "\n"
