@@ -26,11 +26,11 @@ from .integral import StepIntegrand, _binomial_se
 from .picard import (
     SolverConfig,
     _driven_diagonal,
+    _iterate_batch,
     _replica_chunks,
     _require_converged,
     _row_norms,
     _semigroup_flow,
-    _solve_batch,
     _sweep,
     binding_time_bound,
     horizon_bounds,
@@ -454,8 +454,8 @@ def uniqueness_experiment(
         shared = _replica_driven(model, config, seed, TAG_REPLICA, chunk)
         fresh = _replica_driven(model, config, seed, _TAG_ALT_NOISE, chunk)
         driven = np.stack([shared, shared, shared, fresh], axis=1).reshape(-1, *shared.shape[1:])
-        paths = _solve_batch(model, config, np.tile(x0_quad, (len(chunk), 1)), driven,
-                             np.tile(zero_seed_quad, len(chunk)), certify=False)
+        paths = _iterate_batch(model, config, np.tile(x0_quad, (len(chunk), 1)), driven,
+                               np.tile(zero_seed_quad, len(chunk)))
         for path in paths:
             _require_converged(path, config)
         states = np.stack([path.states for path in paths]).reshape(len(chunk), 4, config.M + 1, -1)

@@ -257,23 +257,20 @@ def residual(model: DiagonalModel, path: MildPath, noise: NoisePath, x0: np.ndar
     return float(_residuals(model, path.states[None], driven[None], grid, flow[None])[0])
 
 
-def _solve_batch(
+def _iterate_batch(
     model: DiagonalModel,
     config: SolverConfig,
     x0s: np.ndarray,
     driven: np.ndarray,
     zero_seed: np.ndarray,
-    certify: bool = True,
 ) -> list[MildPath]:
     """Iterate the Picard map for R replicas on the config's grid.
 
     Replica r starts from x0s[r] (shape (R, n)) with its driven increments
     driven[r] (shape (R, M, n)), seeded by the zero path where zero_seed[r]
     and by the semigroup flow elsewhere.  All still-active replicas share
-    each sweep; a replica is frozen at the first gap below tol.  With
-    certify, converged replicas carry their residual certificate and the
-    others residual inf; without it (a caller that reports no residual),
-    the O(M^2 n) certificate is skipped and every residual is nan.
+    each sweep; a replica is frozen at the first gap below tol.  The paths
+    carry no certificate (residual nan): :func:`_solve_batch` adds it.
     """
     grid = config.grid()
     dts = np.diff(grid)
@@ -290,16 +287,33 @@ def _solve_batch(
         active = active[~(sweep_gaps < config.tol)]
         if active.size == 0:
             break
-    converged = np.array([g[-1] < config.tol for g in gaps])
-    residuals = np.full(x0s.shape[0], math.inf if certify else math.nan)
-    if certify and converged.any():
-        residuals[converged] = _residuals(model, states[converged], driven[converged], grid,
-                                          flow[converged])
     return [
         MildPath(grid=grid, states=states[r], iteration_count=len(g), final_picard_gap=g[-1],
-                 residual=float(residuals[r]), gaps=g)
+                 residual=math.nan, gaps=g)
         for r, g in enumerate(gaps)
     ]
+
+
+def _solve_batch(
+    model: DiagonalModel,
+    config: SolverConfig,
+    x0s: np.ndarray,
+    driven: np.ndarray,
+    zero_seed: np.ndarray,
+) -> list[MildPath]:
+    """:func:`_iterate_batch` with the residual certificate of each converged replica.
+
+    Replicas still above tol after N_max sweeps get residual inf.
+    """
+    paths = _iterate_batch(model, config, x0s, driven, zero_seed)
+    converged = np.array([path.final_picard_gap < config.tol for path in paths])
+    residuals = np.full(len(paths), math.inf)
+    if converged.any():
+        grid = config.grid()
+        states = np.stack([path.states for path in paths])[converged]
+        residuals[converged] = _residuals(model, states, driven[converged], grid,
+                                          _semigroup_flow(model, grid, x0s[converged]))
+    return [replace(path, residual=float(res)) for path, res in zip(paths, residuals)]
 
 
 def _require_converged(path: MildPath, config: SolverConfig) -> MildPath:

@@ -24,6 +24,7 @@ so the choice between the two never shows in an artifact.
 
 from __future__ import annotations
 
+import functools
 from typing import Sequence
 
 import numpy as np
@@ -47,7 +48,13 @@ _MASK64 = 0xFFFFFFFFFFFFFFFF
 _POOL_SIZE = 4
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
-_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_MIX_MULT_L, _MIX_MULT_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+
+# Shifts and masks as numpy scalars: a Python int operand costs each array
+# operation a conversion, a sizeable share of the port's small passes.
+_U32_16 = np.uint32(16)
+_U64_11, _U64_32 = np.uint64(11), np.uint64(32)
+_U64_LOW = np.uint64(_MASK32)
 
 # Philox4x64-10: round multipliers and the Weyl increments of the key.
 _PHILOX_M0, _PHILOX_M1 = 0xD2E7470EE14C6C93, 0xCA5A826395121157
@@ -57,9 +64,6 @@ _PHILOX_ROUNDS = 10
 # Philox blocks (4 uint64 each) computed per pass of the port: keeps each of
 # the pass's temporaries at 256 KiB whatever the number of rows.
 _PASS_BLOCKS = 1 << 14
-# Below this many streams, building each Generator is cheaper than the port's
-# fixed cost (measured crossover: about 16 rows of 1 to 4 blocks).
-_PORT_MIN_ROWS = 24
 
 
 def substream(seed: int, *tags: int) -> np.random.Generator:
@@ -107,10 +111,11 @@ def _int_words(value: int) -> list[int]:
 def _u64_words(values: np.ndarray, wide: bool) -> np.ndarray:
     """Coercion of uint64 values that all have one word (wide=False) or two (wide=True)."""
     if wide:
-        return np.stack([values & _MASK32, values >> 32]).astype(np.uint32)
+        return np.stack([values & _U64_LOW, values >> _U64_32]).astype(np.uint32)
     return values.astype(np.uint32)[None]
 
 
+@functools.lru_cache(maxsize=None)
 def _hash_consts(init: int, mult: int, count: int) -> np.ndarray:
     """The hash constant before each of ``count`` hashing steps, as a (count, 1) column."""
     consts = [init]
@@ -122,12 +127,12 @@ def _hash_consts(init: int, mult: int, count: int) -> np.ndarray:
 def _hash(values: np.ndarray, consts: np.ndarray) -> np.ndarray:
     """Steps i = 0, 1, ... of SeedSequence's hashmix on rows of values, constants consts[i:i+2]."""
     values = (values ^ consts[:-1]) * consts[1:]
-    return values ^ (values >> 16)
+    return values ^ (values >> _U32_16)
 
 
 def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     result = x * _MIX_MULT_L - y * _MIX_MULT_R
-    return result ^ (result >> 16)
+    return result ^ (result >> _U32_16)
 
 
 def _entropy_pool(words: np.ndarray) -> np.ndarray:
@@ -160,42 +165,56 @@ _STATE_CONSTS = _hash_consts(_INIT_B, _MULT_B, _POOL_SIZE)
 def _philox_key(pool: np.ndarray) -> np.ndarray:
     """``generate_state(2, np.uint64)`` of each pool column: Philox's key words, (2, rows)."""
     state = _hash(pool, _STATE_CONSTS).astype(np.uint64)
-    return state[0::2] | state[1::2] << 32
+    return state[0::2] | state[1::2] << _U64_32
+
+
+def _stream_rows(seeds, indices) -> tuple[np.ndarray, np.ndarray]:
+    """Masked uint64 seeds and checked uint64 indices, broadcast against each other."""
+    return np.broadcast_arrays(_masked_seeds(seeds), _stream_indices(indices))
 
 
 def stream_keys(seeds, tags: Sequence[int], indices) -> np.ndarray:
     """Philox keys, shape (2, ...), of the streams ``substream(seed, *tags, index)``.
 
     Seeds and indices broadcast.  Word 0 equals
-    ``SeedSequence(entropy).generate_state(1, np.uint64)[0]``.  SeedSequence
-    turns a value below 2**32 into one entropy word and a larger one into
-    two, so rows are hashed in groups of equal word count.
+    ``SeedSequence(entropy).generate_state(1, np.uint64)[0]``.
     """
-    seeds, indices = np.broadcast_arrays(_masked_seeds(seeds), _stream_indices(indices))
-    flat_seeds, flat_indices = seeds.ravel(), indices.ravel()
+    seeds, indices = _stream_rows(seeds, indices)
+    return _keys(seeds.ravel(), tags, indices.ravel()).reshape(2, *seeds.shape)
+
+
+def _keys(seeds: np.ndarray, tags: Sequence[int], indices: np.ndarray) -> np.ndarray:
+    """Philox keys (2, K) of 1-d uint64 seeds and indices.
+
+    SeedSequence turns a value below 2**32 into one entropy word and a
+    larger one into two, so rows are hashed in groups of equal word count;
+    the usual single group is hashed without gathering its rows.
+    """
     tag_words = np.array([w for tag in tags for w in _int_words(tag)], dtype=np.uint32)
-    group = 2 * (flat_seeds > _MASK32) + (flat_indices > _MASK32)
-    keys = np.empty((2, flat_seeds.size), dtype=np.uint64)
-    for g in np.unique(group):
-        rows = np.flatnonzero(group == g)
-        words = np.concatenate([_u64_words(flat_seeds[rows], g >= 2),
-                                np.repeat(tag_words[:, None], rows.size, axis=1),
-                                _u64_words(flat_indices[rows], g % 2 == 1)])
+    group = 2 * (seeds > _MASK32) + (indices > _MASK32)
+    groups = np.flatnonzero(np.bincount(group, minlength=4))
+    keys = np.empty((2, seeds.size), dtype=np.uint64)
+    for g in groups:
+        rows = slice(None) if groups.size == 1 else np.flatnonzero(group == g)
+        group_seeds, group_indices = seeds[rows], indices[rows]
+        words = np.concatenate([_u64_words(group_seeds, g >= 2),
+                                np.repeat(tag_words[:, None], group_seeds.size, axis=1),
+                                _u64_words(group_indices, g % 2 == 1)])
         keys[:, rows] = _philox_key(_entropy_pool(words))
-    return keys.reshape(2, *seeds.shape)
+    return keys
 
 
-def _mulhilo(a: np.ndarray, m_lo: np.ndarray, m_hi: np.ndarray,
-             m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Low and high words of the 128-bit products a * m, from 32-bit halves (m = m_hi:m_lo)."""
-    a_lo, a_hi = a & _MASK32, a >> 32
-    t = a_hi * m_lo + ((a_lo * m_lo) >> 32)
-    w = (t & _MASK32) + a_lo * m_hi
-    return a * m, a_hi * m_hi + (t >> 32) + (w >> 32)
+_PHILOX_M = np.array([_PHILOX_M0, _PHILOX_M1], dtype=np.uint64)[:, None, None]
+_PHILOX_M_LO, _PHILOX_M_HI = _PHILOX_M & _MASK32, _PHILOX_M >> 32
+_PHILOX_W = np.array([_PHILOX_W0, _PHILOX_W1], dtype=np.uint64)[:, None, None]
 
 
-_PHILOX_M = np.array([[_PHILOX_M0], [_PHILOX_M1]], dtype=np.uint64)
-_PHILOX_W = np.array([[_PHILOX_W0], [_PHILOX_W1]], dtype=np.uint64)
+def _mulhilo(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Low and high words of the 128-bit products a * _PHILOX_M, from 32-bit halves."""
+    a_lo, a_hi = a & _U64_LOW, a >> _U64_32
+    t = a_hi * _PHILOX_M_LO + ((a_lo * _PHILOX_M_LO) >> _U64_32)
+    w = (t & _U64_LOW) + a_lo * _PHILOX_M_HI
+    return a * _PHILOX_M, a_hi * _PHILOX_M_HI + (t >> _U64_32) + (w >> _U64_32)
 
 
 def _philox_blocks(keys: np.ndarray, blocks: int) -> np.ndarray:
@@ -204,49 +223,38 @@ def _philox_blocks(keys: np.ndarray, blocks: int) -> np.ndarray:
     numpy's Philox starts at counter 0 and increments before each block, so
     its first block is counter 1; the four words of a block are drawn in
     order.  The counter is held as its even words (c0, c2) and odd words
-    (c1, c3), so one product serves both multipliers of a round.
+    (c1, c3), each of shape (2, K, blocks), so one product serves both
+    multipliers of a round.
     """
-    size = keys.shape[1] * blocks
-    even = np.zeros((2, size), dtype=np.uint64)
-    even[0] = np.tile(np.arange(1, blocks + 1, dtype=np.uint64), keys.shape[1])
+    even = np.zeros((2, keys.shape[1], blocks), dtype=np.uint64)
+    even[0] = np.arange(1, blocks + 1, dtype=np.uint64)
     odd = np.zeros_like(even)
-    key = np.repeat(keys, blocks, axis=1)
-    m_lo, m_hi = _PHILOX_M & _MASK32, _PHILOX_M >> 32
+    key = keys[:, :, None]
     for rnd in range(_PHILOX_ROUNDS):
         if rnd:
             key = key + _PHILOX_W
-        lo, hi = _mulhilo(even, m_lo, m_hi, _PHILOX_M)
+        lo, hi = _mulhilo(even)
         even, odd = hi[::-1] ^ odd ^ key, lo[::-1]
     # block word order: c0, c1, c2, c3 = even[0], odd[0], even[1], odd[1]
-    return np.stack([even[0], odd[0], even[1], odd[1]], axis=1).reshape(keys.shape[1], 4 * blocks)
+    words = np.stack([even, odd], axis=-1).transpose(1, 2, 0, 3)
+    return words.reshape(keys.shape[1], 4 * blocks)
 
 
 def open_uniform_rows(seeds, tags: Sequence[int], indices, count: int) -> np.ndarray:
     """``open_uniform(substream(seed, *tags, index), count)`` for every broadcast (seed, index).
 
-    Returns shape ``broadcast(seeds, indices).shape + (count,)``.  Fewer than
-    ``_PORT_MIN_ROWS`` streams are built with :func:`substream`; more go
-    through the port in passes of a fixed block budget, whose fixed cost
-    (a few hundred array operations) the saved constructions then outweigh.
+    Returns shape ``broadcast(seeds, indices).shape + (count,)``.  Rows go
+    through the port in passes of a fixed block budget, so the temporaries
+    stay bounded whatever the number of rows.
     """
-    seeds, indices = np.broadcast_arrays(_masked_seeds(seeds), _stream_indices(indices))
+    seeds, indices = _stream_rows(seeds, indices)
     flat_seeds, flat_indices = seeds.ravel(), indices.ravel()
-    if flat_seeds.size < _PORT_MIN_ROWS:
-        out = np.array([substream(int(s), *tags, int(i)).random(count)
-                        for s, i in zip(flat_seeds, flat_indices)]).reshape(-1, count)
-    else:
-        out = _port_random(flat_seeds, tags, flat_indices, count)
-    return np.clip(out, _UNIFORM_LO, _UNIFORM_HI, out=out).reshape(*seeds.shape, count)
-
-
-def _port_random(seeds: np.ndarray, tags: Sequence[int], indices: np.ndarray,
-                 count: int) -> np.ndarray:
-    """``substream(seeds[r], *tags, indices[r]).random(count)`` for 1-d uint64 seeds and indices."""
     blocks = -(-count // 4)
-    out = np.empty((seeds.size, count))
+    out = np.empty((flat_seeds.size, count))
     step = max(1, _PASS_BLOCKS // blocks)
-    for start in range(0, seeds.size, step):
+    for start in range(0, flat_seeds.size, step):
         rows = slice(start, start + step)
-        raw = _philox_blocks(stream_keys(seeds[rows], tags, indices[rows]), blocks)[:, :count]
-        out[rows] = (raw >> 11) * (1.0 / 9007199254740992.0)  # Generator.random: 53 bits
-    return out
+        keys = _keys(flat_seeds[rows], tags, flat_indices[rows])
+        raw = _philox_blocks(keys, blocks)[:, :count]
+        out[rows] = (raw >> _U64_11) * (1.0 / 9007199254740992.0)  # Generator.random: 53 bits
+    return np.clip(out, _UNIFORM_LO, _UNIFORM_HI, out=out).reshape(*seeds.shape, count)

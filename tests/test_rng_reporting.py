@@ -1,7 +1,5 @@
 """Stream derivation and file conventions."""
 
-from unittest import mock
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -36,8 +34,7 @@ def test_substream_handles_wide_and_negative_seeds():
 @settings(max_examples=150, deadline=None)
 def test_open_uniform_rows_equal_substream_streams(seed, tags, indices, count):
     reference = np.stack([open_uniform(substream(seed, *tags, i), count) for i in indices])
-    with mock.patch.object(rng, "_PORT_MIN_ROWS", 0):  # every row through the port
-        rows = open_uniform_rows(seed, tags, np.array(indices, dtype=np.uint64), count)
+    rows = open_uniform_rows(seed, tags, np.array(indices, dtype=np.uint64), count)
     assert np.array_equal(rows, reference)
     keys = stream_keys(seed, tags, np.array(indices, dtype=np.uint64))[0]
     words = [np.random.SeedSequence([seed & (2**64 - 1), *tags, i]).generate_state(1, np.uint64)[0]
@@ -45,9 +42,7 @@ def test_open_uniform_rows_equal_substream_streams(seed, tags, indices, count):
     assert np.array_equal(keys, words)
 
 
-@pytest.mark.parametrize("port_min_rows", [0, rng._PORT_MIN_ROWS])
-def test_open_uniform_rows_broadcast_seeds_and_mask_like_substream(port_min_rows, monkeypatch):
-    monkeypatch.setattr(rng, "_PORT_MIN_ROWS", port_min_rows)
+def test_open_uniform_rows_broadcast_seeds_and_mask_like_substream():
     seeds = np.array([0, 7, 2**32, 2**64 - 1], dtype=np.uint64)
     rows = open_uniform_rows(seeds[:, None], (5,), np.arange(3), 6)
     assert rows.shape == (4, 3, 6)
@@ -63,9 +58,9 @@ def test_open_uniform_rows_broadcast_seeds_and_mask_like_substream(port_min_rows
         open_uniform_rows(1, (-2,), [0], 4)
 
 
-def test_open_uniform_rows_pass_budget_and_dispatch_do_not_change_rows(monkeypatch):
-    rows = rng._PORT_MIN_ROWS
-    whole = open_uniform_rows(11, (3,), np.arange(rows), 9)  # the port, one pass
+def test_open_uniform_rows_pass_budget_does_not_change_rows(monkeypatch):
+    rows = 24
+    whole = open_uniform_rows(11, (3,), np.arange(rows), 9)  # one pass
     assert np.array_equal(whole[:-1], open_uniform_rows(11, (3,), np.arange(rows - 1), 9))
     monkeypatch.setattr(rng, "_PASS_BLOCKS", 1)
     assert np.array_equal(open_uniform_rows(11, (3,), np.arange(rows), 9), whole)
