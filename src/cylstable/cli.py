@@ -3,12 +3,17 @@
 Subcommands: constants | sample | noise | integrate | solve | glue | tail
 | moment | picard | uniqueness | gronwall | check-model | gof.
 
+Each subcommand declares its options once, as ``key -> (caster, default)``;
+the flags (``--key-with-dashes``), the keys accepted by the optional flat
+key=value ``--config`` file and the keys of every artifact header all come
+from that table.  Flags override the config file, which overrides the
+defaults; unknown config keys and malformed values are usage errors.
+
 Exit codes: 0 all verdicts pass, 1 verdict failure (or non-convergence),
 2 usage error, 3 inconclusive (under-resolved) experiment; a failed
 verdict outranks an inconclusive one.  ``--seed`` is mandatory for every
-stochastic subcommand: there is no silent entropy.  Flags override the
-optional flat key=value config file; unknown config keys are rejected.
-Outputs are byte-identical across identical invocations.
+stochastic subcommand: there is no silent entropy.  Outputs are
+byte-identical across identical invocations.
 """
 
 from __future__ import annotations
@@ -16,7 +21,9 @@ from __future__ import annotations
 import argparse
 import sys
 import warnings
+from dataclasses import replace
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
@@ -37,16 +44,16 @@ from .hilbert import HSMatrix, check_A2, check_A3, check_norm_continuity, heat_p
 from .integral import StepIntegrand, constant_integrand, integrate, refinement_experiment
 from .picard import NonConvergenceError, SolverConfig, binding_time_bound, glue_solve, solve
 from .reporting import (
-    format_rows,
     format_value,
     header_lines,
+    parse_key_values,
     write_csv,
     write_report,
     write_summary,
 )
 from .sampling import (
     generate_noise_path,
-    noise_path_to_csv,
+    noise_csv_lines,
     sample_isotropic,
     sample_positive_stable,
     sample_scalar_sas,
@@ -58,44 +65,38 @@ EXIT_FAIL = 1
 EXIT_USAGE = 2
 EXIT_INCONCLUSIVE = 3
 
-STOCHASTIC = {"sample", "noise", "integrate", "solve", "glue", "tail", "moment",
-              "picard", "uniqueness", "gof"}
-
 
 class UsageError(Exception):
     pass
 
 
-def _read_config_file(path: str, known_keys: set[str]) -> dict[str, str]:
-    values: dict[str, str] = {}
-    for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if "=" not in line:
-            raise UsageError(f"{path}:{lineno}: expected key=value, got {raw!r}")
-        key, _, value = line.partition("=")
-        key = key.strip()
-        if key not in known_keys:
-            raise UsageError(f"{path}:{lineno}: unknown config key {key!r}")
-        values[key] = value.strip()
-    return values
+# subcommand name -> (handler, spec); the spec maps each option key to (caster, default)
+_COMMANDS: dict[str, tuple[Callable[[dict], int], dict[str, tuple]]] = {}
+
+
+def _command(name: str, spec: dict[str, tuple]):
+    def register(handler):
+        _COMMANDS[name] = (handler, spec)
+        return handler
+    return register
 
 
 def _resolve(args: argparse.Namespace, spec: dict[str, tuple]) -> dict:
-    """Layer resolution: built-in default < config file < explicit flag."""
-    file_values: dict[str, str] = {}
+    """Layer resolution: built-in default < config file < explicit flag, one caster for both."""
+    raw: dict[str, str] = {}
     if args.config is not None:
-        file_values = _read_config_file(args.config, set(spec))
+        raw = parse_key_values(Path(args.config).read_text(encoding="utf-8"), spec, "config")
+    flags = vars(args)
+    raw.update((key, flags[key]) for key in spec if flags[key] is not None)
     resolved = {}
     for key, (caster, default) in spec.items():
-        cli_value = getattr(args, key, None)
-        if cli_value is not None:
-            resolved[key] = caster(cli_value)
-        elif key in file_values:
-            resolved[key] = caster(file_values[key])
-        else:
+        if key not in raw:
             resolved[key] = default
+            continue
+        try:
+            resolved[key] = caster(raw[key])
+        except ValueError as exc:
+            raise UsageError(f"{key}={raw[key]!r}: {exc}") from None
     return resolved
 
 
@@ -106,16 +107,13 @@ def _require(resolved: dict, *keys: str) -> None:
 
 
 def _parse_floats(text: str) -> tuple[float, ...]:
-    return tuple(float(x) for x in str(text).split(",") if x != "")
+    return tuple(float(x) for x in text.split(",") if x != "")
 
 
-def _model_from(resolved: dict):
-    if resolved.get("model_config"):
-        return parse_model_config(Path(resolved["model_config"]).read_text(encoding="utf-8"))
-    preset = resolved.get("preset") or "heat"
-    if preset != "heat":
-        raise UsageError(f"unknown preset {preset!r}; available: heat")
-    return heat_preset(n=resolved["n"], m=resolved.get("m"))
+def _out_dir(resolved: dict) -> Path:
+    out = Path(resolved["out"])
+    out.mkdir(parents=True, exist_ok=True)
+    return out
 
 
 def _report_exit(report: ExperimentReport, out_dir: Path, resolved: dict) -> int:
@@ -137,17 +135,15 @@ def _r_grid(resolved: dict) -> np.ndarray:
 
 # ----------------------------------------------------------------- handlers
 
-def cmd_constants(args) -> int:
-    spec = {
-        "alpha": (float, None), "p": (float, None), "c_f": (float, 1.0), "c_g": (float, 1.0),
-        "n": (int, 1), "c_convention": (float, 1.0), "out": (str, "."), "seed": (int, 0),
-    }
-    resolved = _resolve(args, spec)
+@_command("constants", {
+    "alpha": (float, None), "p": (float, None), "c_f": (float, 1.0), "c_g": (float, 1.0),
+    "n": (int, 1), "c_convention": (float, 1.0), "out": (str, "."), "seed": (int, 0),
+})
+def cmd_constants(resolved: dict) -> int:
     _require(resolved, "alpha", "p")
     report = constants_report(resolved["alpha"], resolved["p"], resolved["c_f"],
                               resolved["c_g"], resolved["n"], resolved["c_convention"])
-    out = Path(resolved["out"])
-    out.mkdir(parents=True, exist_ok=True)
+    out = _out_dir(resolved)
     items = report.as_items()
     for key, value in items:
         print(f"{key}={format_value(value)}")
@@ -157,16 +153,14 @@ def cmd_constants(args) -> int:
     return EXIT_PASS
 
 
-def cmd_sample(args) -> int:
-    spec = {
-        "kind": (str, "sas"), "alpha": (float, None), "scale": (float, 1.0), "n": (int, 1),
-        "N": (int, 10000), "seed": (int, None), "out": (str, "."),
-    }
-    resolved = _resolve(args, spec)
+@_command("sample", {
+    "kind": (str, "sas"), "alpha": (float, None), "scale": (float, 1.0), "n": (int, 1),
+    "N": (int, 10000), "seed": (int, None), "out": (str, "."),
+})
+def cmd_sample(resolved: dict) -> int:
     _require(resolved, "alpha", "seed")
     kind = resolved["kind"]
-    out = Path(resolved["out"])
-    out.mkdir(parents=True, exist_ok=True)
+    out = _out_dir(resolved)
     if kind == "sas":
         draws = sample_scalar_sas(AlphaParams(resolved["alpha"], resolved["scale"]),
                                   resolved["seed"], size=resolved["N"])
@@ -186,39 +180,32 @@ def cmd_sample(args) -> int:
     return EXIT_PASS
 
 
-def cmd_noise(args) -> int:
-    spec = {
-        "alpha": (float, None), "m": (int, 1), "T": (float, 1.0), "M": (int, 100),
-        "seed": (int, None), "out": (str, "."),
-    }
-    resolved = _resolve(args, spec)
+@_command("noise", {
+    "alpha": (float, None), "m": (int, 1), "T": (float, 1.0), "M": (int, 100),
+    "seed": (int, None), "out": (str, "."),
+})
+def cmd_noise(resolved: dict) -> int:
     _require(resolved, "alpha", "seed")
     grid = np.linspace(0.0, resolved["T"], resolved["M"] + 1)
     path = generate_noise_path(resolved["alpha"], resolved["m"], grid, resolved["seed"])
-    out = Path(resolved["out"])
-    out.mkdir(parents=True, exist_ok=True)
-    header = [f"cylstable version={__version__}"] + [
-        f"{k}={format_value(v)}" for k, v in sorted(resolved.items())
-    ]
-    (out / "noise.csv").write_text(noise_path_to_csv(path, tuple(header)), encoding="utf-8",
-                                   newline="\n")
+    out = _out_dir(resolved)
+    with open(out / "noise.csv", "w", encoding="utf-8", newline="\n") as fh:
+        fh.writelines(noise_csv_lines(path, header_lines(resolved)))
     print(f"wrote {out / 'noise.csv'} ({path.steps} steps x {path.m} coordinates)")
     return EXIT_PASS
 
 
-def cmd_integrate(args) -> int:
-    spec = {
-        "alpha": (float, None), "gamma": (_parse_floats, (1.0,)), "profile": (str, "const"),
-        "T": (float, 1.0), "M": (int, 100), "seed": (int, None), "out": (str, "."),
-        "refinement_levels": (int, None), "replicas": (int, 2000), "epsilon": (float, 0.02),
-    }
-    resolved = _resolve(args, spec)
+@_command("integrate", {
+    "alpha": (float, None), "gamma": (_parse_floats, (1.0,)), "profile": (str, "const"),
+    "T": (float, 1.0), "M": (int, 100), "seed": (int, None), "out": (str, "."),
+    "refinement_levels": (int, None), "replicas": (int, 2000), "epsilon": (float, 0.02),
+})
+def cmd_integrate(resolved: dict) -> int:
     _require(resolved, "alpha", "seed")
     gamma = np.asarray(resolved["gamma"], dtype=float)
     grid = np.linspace(0.0, resolved["T"], resolved["M"] + 1)
     psi = HSMatrix.diagonal(gamma)
-    out = Path(resolved["out"])
-    out.mkdir(parents=True, exist_ok=True)
+    out = _out_dir(resolved)
 
     if resolved["refinement_levels"]:
         # refinement-convergence experiment for the selected profile
@@ -258,28 +245,48 @@ def cmd_integrate(args) -> int:
     return EXIT_PASS
 
 
+# the keys _model_from reads
+_MODEL_SPEC = {
+    "preset": (str, "heat"), "model_config": (str, None), "n": (int, 8), "m": (int, None),
+}
+# solver options shared by solve, glue, picard and uniqueness; each adds its horizon key
 _SOLVER_SPEC = {
-    "alpha": (float, 1.5), "preset": (str, "heat"), "model_config": (str, None),
-    "T": (float, None), "M": (int, 200), "n": (int, 8), "m": (int, None),
-    "N_max": (int, 64), "tol": (float, 1e-12), "seed": (int, None), "out": (str, "."),
-    "x0": (_parse_floats, None),
+    "alpha": (float, 1.5), **_MODEL_SPEC, "M": (int, 200), "N_max": (int, 64),
+    "tol": (float, 1e-12), "seed": (int, None), "out": (str, "."), "x0": (_parse_floats, None),
 }
 
 
+def _model_from(resolved: dict):
+    """The preset or model file; an explicit ``m`` overrides the file's noise dimension."""
+    if resolved["model_config"]:
+        model = parse_model_config(Path(resolved["model_config"]).read_text(encoding="utf-8"))
+        return model if resolved["m"] is None else replace(model, m=resolved["m"])
+    preset = resolved["preset"] or "heat"
+    if preset != "heat":
+        raise UsageError(f"unknown preset {preset!r}; available: heat")
+    return heat_preset(n=resolved["n"], m=resolved["m"])
+
+
 def _config_from(resolved: dict, model, horizon: float) -> SolverConfig:
-    x0 = np.asarray(resolved["x0"], float) if resolved.get("x0") else None
+    x0 = np.asarray(resolved["x0"], float) if resolved["x0"] else None
     return SolverConfig(alpha=resolved["alpha"], T=horizon, M=resolved["M"], n=model.n,
-                        m=resolved["m"], N_max=resolved["N_max"], tol=resolved["tol"],
+                        m=model.m, N_max=resolved["N_max"], tol=resolved["tol"],
                         seed=resolved["seed"], x0=x0)
 
 
-def _write_mild_path(path, out: Path, name: str, resolved: dict) -> None:
-    with open(out / name, "w", newline="\n") as fh:
-        for line in header_lines(resolved):
-            fh.write(f"# {line}\n")
-        n = path.states.shape[1]
-        fh.write("t," + ",".join(f"x_{j + 1}" for j in range(n)) + "\n")
-        fh.writelines(format_rows([path.grid, *path.states.T]))
+def _ensemble_setup(resolved: dict):
+    """Model and config of picard and uniqueness; the horizon defaults to 0.9 T_bound."""
+    _require(resolved, "seed")
+    model = _model_from(resolved)
+    if resolved["T"] is None:
+        resolved["T"] = 0.9 * binding_time_bound(model, resolved["alpha"])
+    return model, _config_from(resolved, model, resolved["T"])
+
+
+def _write_mild_path(path, file: Path, resolved: dict) -> None:
+    write_csv(file, {"t": path.grid, **{f"x_{j + 1}": x for j, x in enumerate(path.states.T)}},
+              resolved)
+    with open(file, "a", newline="\n") as fh:
         fh.write(
             f"# iteration_count={path.iteration_count} "
             f"gap={format_value(path.final_picard_gap)} "
@@ -287,23 +294,18 @@ def _write_mild_path(path, out: Path, name: str, resolved: dict) -> None:
         )
 
 
-def cmd_solve(args) -> int:
-    resolved = _resolve(args, _SOLVER_SPEC)
+@_command("solve", {**_SOLVER_SPEC, "T": (float, None)})
+def cmd_solve(resolved: dict) -> int:
     _require(resolved, "T", "seed")
     model = _model_from(resolved)
     config = _config_from(resolved, model, resolved["T"])
-    out = Path(resolved["out"])
-    out.mkdir(parents=True, exist_ok=True)
+    out = _out_dir(resolved)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        try:
-            path = solve(model, config)
-        except NonConvergenceError as exc:
-            print(f"FAIL: {exc}", file=sys.stderr)
-            return EXIT_FAIL
+        path = solve(model, config)
     for warning in caught:
         print(f"warning: {warning.message}", file=sys.stderr)
-    _write_mild_path(path, out, "mild_path.csv", resolved)
+    _write_mild_path(path, out / "mild_path.csv", resolved)
     write_summary(out / "mild_path.summary",
                   {"iteration_count": path.iteration_count,
                    "final_picard_gap": path.final_picard_gap,
@@ -315,21 +317,14 @@ def cmd_solve(args) -> int:
     return EXIT_PASS
 
 
-def cmd_glue(args) -> int:
-    spec = dict(_SOLVER_SPEC)
-    spec["T_total"] = (float, None)
-    resolved = _resolve(args, spec)
+@_command("glue", {**_SOLVER_SPEC, "T_total": (float, None)})
+def cmd_glue(resolved: dict) -> int:
     _require(resolved, "T_total", "seed")
     model = _model_from(resolved)
     config = _config_from(resolved, model, resolved["T_total"])
-    out = Path(resolved["out"])
-    out.mkdir(parents=True, exist_ok=True)
-    try:
-        path = glue_solve(model, config)
-    except NonConvergenceError as exc:
-        print(f"FAIL: {exc}", file=sys.stderr)
-        return EXIT_FAIL
-    _write_mild_path(path, out, "glued_path.csv", resolved)
+    out = _out_dir(resolved)
+    path = glue_solve(model, config)
+    _write_mild_path(path, out / "glued_path.csv", resolved)
     entries = {"pieces": len(path.piece_residuals), "residual": path.residual}
     for i, res in enumerate(path.piece_residuals):
         entries[f"piece_residual.{i}"] = res
@@ -338,16 +333,15 @@ def cmd_glue(args) -> int:
     return EXIT_PASS
 
 
-def cmd_tail(args) -> int:
-    spec = {
-        "alpha": (float, None), "t": (float, 1.0), "gamma": (_parse_floats, (1.0,)),
-        "N": (int, 100_000), "r_min": (float, 10.0), "r_max": (float, 100.0),
-        "r_count": (int, 13), "seed": (int, None), "out": (str, "."),
-        "integrand": (str, None), "M": (int, 16), "T": (float, 1.0),
-        "scale_factor": (float, 2.0), "flatness_max": (float, 1.5),
-        "level_frac": (float, 0.15), "slope_tol": (float, 0.1),
-    }
-    resolved = _resolve(args, spec)
+@_command("tail", {
+    "alpha": (float, None), "t": (float, 1.0), "gamma": (_parse_floats, (1.0,)),
+    "N": (int, 100_000), "r_min": (float, 10.0), "r_max": (float, 100.0),
+    "r_count": (int, 13), "seed": (int, None), "out": (str, "."),
+    "integrand": (str, None), "M": (int, 16), "T": (float, 1.0),
+    "scale_factor": (float, 2.0), "flatness_max": (float, 1.5),
+    "level_frac": (float, 0.15), "slope_tol": (float, 0.1),
+})
+def cmd_tail(resolved: dict) -> int:
     _require(resolved, "alpha", "seed")
     gamma = np.asarray(resolved["gamma"], dtype=float)
     if resolved["integrand"] == "const":
@@ -366,13 +360,12 @@ def cmd_tail(args) -> int:
     return _report_exit(report, Path(resolved["out"]), resolved)
 
 
-def cmd_moment(args) -> int:
-    spec = {
-        "alpha": (float, None), "p_list": (_parse_floats, None), "N": (int, 10_000),
-        "gamma": (_parse_floats, (1.0,)), "T": (float, 1.0), "M": (int, 16),
-        "seed": (int, None), "out": (str, "."), "scale_factor": (float, 2.0),
-    }
-    resolved = _resolve(args, spec)
+@_command("moment", {
+    "alpha": (float, None), "p_list": (_parse_floats, None), "N": (int, 10_000),
+    "gamma": (_parse_floats, (1.0,)), "T": (float, 1.0), "M": (int, 16),
+    "seed": (int, None), "out": (str, "."), "scale_factor": (float, 2.0),
+})
+def cmd_moment(resolved: dict) -> int:
     _require(resolved, "alpha", "seed")
     if resolved["p_list"] is None:
         resolved["p_list"] = (1.0, resolved["alpha"] - 0.3)
@@ -383,51 +376,34 @@ def cmd_moment(args) -> int:
     return _report_exit(report, Path(resolved["out"]), resolved)
 
 
-def cmd_picard(args) -> int:
-    spec = dict(_SOLVER_SPEC)
-    spec.update({"iters": (int, 8), "p": (float, 1.0), "replicas": (int, 200)})
-    resolved = _resolve(args, spec)
-    _require(resolved, "seed")
-    model = _model_from(resolved)
-    horizon = resolved["T"]
-    if horizon is None:
-        horizon = 0.9 * binding_time_bound(model, resolved["alpha"])
-        resolved["T"] = horizon
-    config = _config_from(resolved, model, horizon)
+@_command("picard", {**_SOLVER_SPEC, "T": (float, None), "iters": (int, 8), "p": (float, 1.0),
+                     "replicas": (int, 200)})
+def cmd_picard(resolved: dict) -> int:
+    model, config = _ensemble_setup(resolved)
     report = picard_convergence_experiment(model, config, n_iters=resolved["iters"],
                                            p=resolved["p"], replicas=resolved["replicas"],
                                            seed=resolved["seed"])
     return _report_exit(report, Path(resolved["out"]), resolved)
 
 
-def cmd_uniqueness(args) -> int:
-    spec = dict(_SOLVER_SPEC)
-    spec.update({"replicas": (int, 100)})
-    resolved = _resolve(args, spec)
-    _require(resolved, "seed")
-    model = _model_from(resolved)
-    horizon = resolved["T"]
-    if horizon is None:
-        horizon = 0.9 * binding_time_bound(model, resolved["alpha"])
-        resolved["T"] = horizon
-    config = _config_from(resolved, model, horizon)
+@_command("uniqueness", {**_SOLVER_SPEC, "T": (float, None), "replicas": (int, 100)})
+def cmd_uniqueness(resolved: dict) -> int:
+    model, config = _ensemble_setup(resolved)
     report = uniqueness_experiment(model, config, replicas=resolved["replicas"],
                                    seed=resolved["seed"])
     return _report_exit(report, Path(resolved["out"]), resolved)
 
 
-def cmd_gronwall(args) -> int:
-    spec = {
-        "case": (str, "near-equality"), "M": (int, 10_000), "count": (int, 100),
-        "p": (float, 0.5), "seed": (int, None), "out": (str, "."), "input": (str, None),
-    }
-    resolved = _resolve(args, spec)
+@_command("gronwall", {
+    "case": (str, "near-equality"), "M": (int, 10_000), "count": (int, 100),
+    "p": (float, 0.5), "seed": (int, None), "out": (str, "."), "input": (str, None),
+})
+def cmd_gronwall(resolved: dict) -> int:
     if resolved["case"] == "random" and not resolved["input"]:
         _require(resolved, "seed")
     if resolved["seed"] is None:
         resolved["seed"] = 0
-    out = Path(resolved["out"])
-    out.mkdir(parents=True, exist_ok=True)
+    out = _out_dir(resolved)
     report = ExperimentReport(name="gronwall", parameters={k: v for k, v in resolved.items()
                                                            if k not in ("out", "input")},
                               seed=resolved["seed"])
@@ -455,13 +431,11 @@ def cmd_gronwall(args) -> int:
     return _report_exit(report, out, resolved)
 
 
-def cmd_check_model(args) -> int:
-    spec = {
-        "preset": (str, "heat"), "model_config": (str, None), "n": (int, 8), "m": (int, None),
-        "deltas": (_parse_floats, (0.25, 0.5, 1.0)), "out": (str, "."), "seed": (int, 0),
-        "T": (float, 1.0),
-    }
-    resolved = _resolve(args, spec)
+@_command("check-model", {
+    **_MODEL_SPEC, "deltas": (_parse_floats, (0.25, 0.5, 1.0)), "out": (str, "."),
+    "seed": (int, 0), "T": (float, 1.0),
+})
+def cmd_check_model(resolved: dict) -> int:
     model = _model_from(resolved)
     report = ExperimentReport(name="check_model",
                               parameters={"model": model.name, "n": model.n,
@@ -489,12 +463,11 @@ def cmd_check_model(args) -> int:
     return _report_exit(report, Path(resolved["out"]), resolved)
 
 
-def cmd_gof(args) -> int:
-    spec = {
-        "alpha": (float, None), "n": (int, 3), "N": (int, 100_000), "count": (int, 10),
-        "seed": (int, None), "out": (str, "."),
-    }
-    resolved = _resolve(args, spec)
+@_command("gof", {
+    "alpha": (float, None), "n": (int, 3), "N": (int, 100_000), "count": (int, 10),
+    "seed": (int, None), "out": (str, "."),
+})
+def cmd_gof(resolved: dict) -> int:
     _require(resolved, "alpha", "seed")
     report = isotropic_gof_report(resolved["alpha"], resolved["n"], resolved["N"],
                                   resolved["seed"], count=resolved["count"])
@@ -503,70 +476,28 @@ def cmd_gof(args) -> int:
 
 # ------------------------------------------------------------------ parser
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--config", help="flat key=value config file")
-    parser.add_argument("--out", help="output directory (default: .)")
-    parser.add_argument("--seed", type=int, help="master 64-bit seed")
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="cylstable",
                                      description="alpha-stable cylindrical noise laboratory")
     parser.add_argument("--version", action="version", version=f"cylstable {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    specs: dict[str, tuple] = {
-        "constants": (cmd_constants, ["alpha:f", "p:f", "c-f:f", "c-g:f", "n:i",
-                                      "c-convention:f"]),
-        "sample": (cmd_sample, ["kind:s", "alpha:f", "scale:f", "n:i", "N:i"]),
-        "noise": (cmd_noise, ["alpha:f", "m:i", "T:f", "M:i"]),
-        "integrate": (cmd_integrate, ["alpha:f", "gamma:s", "profile:s", "T:f", "M:i",
-                                      "refinement-levels:i", "replicas:i", "epsilon:f"]),
-        "solve": (cmd_solve, ["alpha:f", "preset:s", "model-config:s", "T:f", "M:i", "n:i",
-                              "m:i", "N-max:i", "tol:f", "x0:s"]),
-        "glue": (cmd_glue, ["alpha:f", "preset:s", "model-config:s", "T-total:f", "M:i",
-                            "n:i", "m:i", "N-max:i", "tol:f", "x0:s"]),
-        "tail": (cmd_tail, ["alpha:f", "t:f", "gamma:s", "N:i", "r-min:f", "r-max:f",
-                            "r-count:i", "integrand:s", "M:i", "T:f", "scale-factor:f",
-                            "flatness-max:f", "level-frac:f", "slope-tol:f"]),
-        "moment": (cmd_moment, ["alpha:f", "p-list:s", "N:i", "gamma:s", "T:f", "M:i",
-                                "scale-factor:f"]),
-        "picard": (cmd_picard, ["alpha:f", "preset:s", "model-config:s", "T:f", "M:i", "n:i",
-                                "m:i", "N-max:i", "tol:f", "iters:i", "p:f", "replicas:i"]),
-        "uniqueness": (cmd_uniqueness, ["alpha:f", "preset:s", "model-config:s", "T:f", "M:i",
-                                        "n:i", "m:i", "N-max:i", "tol:f", "replicas:i"]),
-        "gronwall": (cmd_gronwall, ["case:s", "M:i", "count:i", "p:f", "input:s"]),
-        "check-model": (cmd_check_model, ["preset:s", "model-config:s", "n:i", "m:i",
-                                          "deltas:s", "T:f"]),
-        "gof": (cmd_gof, ["alpha:f", "n:i", "N:i", "count:i"]),
-    }
-    casters = {"f": float, "i": int, "s": str}
-    for name, (handler, options) in specs.items():
-        sp = sub.add_parser(name)
-        _add_common(sp)
-        for option in options:
-            opt_name, kind = option.split(":")
-            sp.add_argument(f"--{opt_name}", type=casters[kind],
-                            dest=opt_name.replace("-", "_"))
-        sp.set_defaults(handler=handler)
+    for name, (_, spec) in _COMMANDS.items():
+        sp = sub.add_parser(name, allow_abbrev=False)  # only the flags of the table
+        sp.add_argument("--config", help="flat key=value config file")
+        for key in spec:
+            sp.add_argument(f"--{key.replace('_', '-')}", dest=key)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    handler, spec = _COMMANDS[args.command]
     try:
-        return args.handler(args)
-    except UsageError as exc:
+        return handler(_resolve(args, spec))
+    except (UsageError, ValueError, FileNotFoundError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (ValueError, FileNotFoundError) as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except HypothesisFailed as exc:
-        print(f"FAIL: {exc}", file=sys.stderr)
-        return EXIT_FAIL
-    except NonConvergenceError as exc:
+    except (HypothesisFailed, NonConvergenceError) as exc:
         print(f"FAIL: {exc}", file=sys.stderr)
         return EXIT_FAIL
 

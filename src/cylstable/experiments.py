@@ -499,7 +499,10 @@ def _cumulative_trapezoid(y: np.ndarray, t: np.ndarray) -> np.ndarray:
     return np.concatenate([[0.0], np.cumsum(np.diff(t) * (y[1:] + y[:-1]) / 2.0)])
 
 
-def willet_wong_check(u, v, w, p: float, t=None, hyp_tol: float = 1e-8) -> dict:
+_WW_HYP_TOL = 1e-8  # largest tolerated violation of the hypothesis inequality
+
+
+def willet_wong_check(u, v, w, p: float, t=None) -> dict:
     """Check the nonlinear integral-inequality bound on a uniform grid.
 
     Hypothesis (validated first, trapezoidal quadrature):
@@ -531,9 +534,9 @@ def willet_wong_check(u, v, w, p: float, t=None, hyp_tol: float = 1e-8) -> dict:
 
     hyp_rhs = _cumulative_trapezoid(v * u, t) + _cumulative_trapezoid(w * u**p, t)
     violation = float((u - hyp_rhs).max())
-    if violation > hyp_tol:
+    if violation > _WW_HYP_TOL:
         raise HypothesisFailed(
-            f"hypothesis inequality violated by {violation:.3e} (tolerance {hyp_tol:.1e})"
+            f"hypothesis inequality violated by {violation:.3e} (tolerance {_WW_HYP_TOL:.1e})"
         )
 
     if p > 1.0:

@@ -22,6 +22,8 @@ from typing import Callable
 
 import numpy as np
 
+from .reporting import parse_key_values
+
 __all__ = [
     "HSMatrix",
     "as_matrix",
@@ -228,35 +230,17 @@ def heat_preset(n: int = 8, m: int | None = None) -> DiagonalModel:
     return make_model(n=n, m=m, name="heat")
 
 
-_MODEL_KEYS = {"n", "m", "lambda_rule", "delta", "kappa_rule", "f_rule", "shape", "name"}
+# model-file key -> caster; make_model supplies the default of every key a file omits
+_MODEL_KEYS = {"n": int, "m": int, "lambda_rule": str, "delta": float, "kappa_rule": str,
+               "f_rule": str, "shape": str, "name": str}
 
 
 def parse_model_config(text: str) -> DiagonalModel:
     """Parse a flat key=value model configuration (documented keys only)."""
-    values: dict[str, str] = {}
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if "=" not in line:
-            raise ValueError(f"line {lineno}: expected key=value, got {raw!r}")
-        key, _, val = line.partition("=")
-        key, val = key.strip(), val.strip()
-        if key not in _MODEL_KEYS:
-            raise ValueError(f"line {lineno}: unknown model key {key!r}")
-        values[key] = val
+    values = parse_key_values(text, _MODEL_KEYS, "model")
     if "n" not in values:
         raise ValueError("model config must set n")
-    return make_model(
-        n=int(values["n"]),
-        lambda_rule=values.get("lambda_rule", "dirichlet"),
-        delta=float(values.get("delta", "0.25")),
-        kappa_rule=values.get("kappa_rule", "power:1:1.5"),
-        f_rule=values.get("f_rule", "power:1:1.5"),
-        shape=values.get("shape", "tanh"),
-        m=int(values["m"]) if "m" in values else None,
-        name=values.get("name", "custom"),
-    )
+    return make_model(**{key: _MODEL_KEYS[key](value) for key, value in values.items()})
 
 
 def apply_semigroup(model: DiagonalModel, t: float, x: np.ndarray) -> np.ndarray:
@@ -359,18 +343,16 @@ def _a2_series_sup(model: DiagonalModel, t: float) -> float:
     return math.sqrt(max(float(np.sum(w * kap**2)), float(np.sum(w * f**2))))
 
 
-def check_A2(
-    model: DiagonalModel,
-    t_grid,
-    trial_points,
-    divergence_factor: float = 100.0,
-) -> dict:
+_A2_DIVERGENCE_FACTOR = 100.0  # envelope growth over the refining t-grid that flags divergence
+
+
+def check_A2(model: DiagonalModel, t_grid, trial_points) -> dict:
     """Estimate the fractional-domain uniform bound M0 and flag t->0 divergence.
 
     Reports the empirical maximum of the drift/diffusion fractional norms
     over ``t_grid x trial_points`` plus the rule-extended series envelope
     on a refining t-grid; flagged divergent when the envelope keeps growing
-    past ``divergence_factor`` times its value at the largest refining t.
+    past ``_A2_DIVERGENCE_FACTOR`` times its value at the largest refining t.
     """
     t_grid = np.asarray(t_grid, dtype=float)
     if np.any(t_grid <= 0.0):
@@ -384,7 +366,7 @@ def check_A2(
     t_refine = float(t_grid.min()) * 4.0 ** -np.arange(0, 12, dtype=float)
     envelope = np.array([_a2_series_sup(model, t) for t in t_refine])
     growing = bool(np.all(np.diff(envelope) > 0.0))
-    divergent = bool(growing and envelope[-1] > divergence_factor * envelope[0])
+    divergent = bool(growing and envelope[-1] > _A2_DIVERGENCE_FACTOR * envelope[0])
     if np.any(~np.isfinite(envelope)):
         divergent = True
     return {

@@ -141,15 +141,15 @@ class MildPath:
         return self.states[-1]
 
 
-def horizon_bounds(model: DiagonalModel, alpha: float, c_convention: float = 1.0) -> dict:
+def horizon_bounds(model: DiagonalModel, alpha: float) -> dict:
     """Admissible-horizon bounds (c3, T_uniq, T_picard, T_bound) for this model."""
     c_f, c_g = model.holder_constants()
-    return c3_and_Tmax(alpha, c_f, c_g, c_convention)
+    return c3_and_Tmax(alpha, c_f, c_g)
 
 
-def binding_time_bound(model: DiagonalModel, alpha: float, c_convention: float = 1.0) -> float:
+def binding_time_bound(model: DiagonalModel, alpha: float) -> float:
     """min of the uniqueness and iteration horizons for this model's constants."""
-    return horizon_bounds(model, alpha, c_convention)["T_bound"]
+    return horizon_bounds(model, alpha)["T_bound"]
 
 
 def _driven_diagonal(model: DiagonalModel, increments: np.ndarray) -> np.ndarray:
@@ -360,11 +360,7 @@ def solve(
     return _require_converged(path, config)
 
 
-def glue_solve(
-    model: DiagonalModel,
-    config: SolverConfig,
-    c_convention: float = 1.0,
-) -> MildPath:
+def glue_solve(model: DiagonalModel, config: SolverConfig) -> MildPath:
     """Solve on an arbitrary horizon by gluing admissible-length pieces.
 
     The horizon is split into equal pieces of length
@@ -379,7 +375,7 @@ def glue_solve(
     nilpotent) and could never report non-convergence.  Requests with
     more than M // 2 pieces raise ValueError before any noise is drawn.
     """
-    bound = binding_time_bound(model, config.alpha, c_convention)
+    bound = binding_time_bound(model, config.alpha)
     pieces = max(1, math.ceil(config.T / (GLUE_SAFETY * bound)))
     if pieces > config.M // 2:
         raise ValueError(

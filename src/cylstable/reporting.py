@@ -4,7 +4,8 @@ Reals use `.` decimals and 17 significant digits (round-trip exact for
 doubles), fields are comma-separated, line endings are LF, and every file
 begins with `# ` comment lines recording the resolved configuration and
 the artifact version.  Wall-clock runtimes never enter files: outputs of
-identical invocations are byte-identical.
+identical invocations are byte-identical.  Run and model configurations
+are read from the same flat ``key=value`` format.
 """
 
 from __future__ import annotations
@@ -16,8 +17,8 @@ import numpy as np
 
 from . import __version__
 
-__all__ = ["format_value", "format_rows", "header_lines", "write_csv", "write_summary",
-           "write_report"]
+__all__ = ["format_value", "format_rows", "header_lines", "parse_key_values", "write_csv",
+           "write_summary", "write_report"]
 
 _BLOCK_ROWS = 4096  # lines per block yielded by format_rows
 
@@ -64,6 +65,23 @@ def header_lines(config: Mapping) -> list[str]:
     for key in sorted(config):
         lines.append(f"{key}={format_value(config[key])}")
     return lines
+
+
+def parse_key_values(text: str, known_keys: Iterable[str], kind: str) -> dict[str, str]:
+    """Flat ``key=value`` lines; blank and ``#`` lines are skipped, unknown keys refused."""
+    values: dict[str, str] = {}
+    for lineno, raw in enumerate(text.splitlines(), 1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        key, sep, value = line.partition("=")
+        if not sep:
+            raise ValueError(f"line {lineno}: expected key=value, got {raw!r}")
+        key = key.strip()
+        if key not in known_keys:
+            raise ValueError(f"line {lineno}: unknown {kind} key {key!r}")
+        values[key] = value.strip()
+    return values
 
 
 def write_csv(path: Path, columns: Mapping[str, Iterable], config: Mapping) -> None:

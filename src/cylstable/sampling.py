@@ -23,8 +23,8 @@ every row bit for bit.
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass
+from typing import Iterable, Iterator
 
 import numpy as np
 from scipy.special import ndtri
@@ -48,6 +48,7 @@ __all__ = [
     "sample_isotropic",
     "generate_noise_path",
     "extend_dimension",
+    "noise_csv_lines",
     "noise_path_to_csv",
     "noise_path_from_csv",
 ]
@@ -219,18 +220,21 @@ def extend_dimension(path: NoisePath, m_new: int) -> NoisePath:
     )
 
 
-def noise_path_to_csv(path: NoisePath, extra_header: tuple[str, ...] = ()) -> str:
-    """Serialize: metadata comment, then one `t_start,t_end,j,increment` row per cell."""
-    buf = io.StringIO()
+def noise_csv_lines(path: NoisePath, extra_header: Iterable[str] = ()) -> Iterator[str]:
+    """Metadata comments, then one `t_start,t_end,j,increment` row per cell, in blocks."""
     for line in extra_header:
-        buf.write(f"# {line}\n")
-    buf.write(f"# alpha={path.alpha!r}, m={path.m}, seed={path.seed}\n")
-    buf.write("t_start,t_end,j,increment\n")
-    buf.writelines(format_rows([np.repeat(path.grid[:-1], path.m),
-                                np.repeat(path.grid[1:], path.m),
-                                np.tile(np.arange(1, path.m + 1), path.steps),
-                                path.increments.ravel()]))
-    return buf.getvalue()
+        yield f"# {line}\n"
+    yield f"# alpha={path.alpha!r}, m={path.m}, seed={path.seed}\n"
+    yield "t_start,t_end,j,increment\n"
+    yield from format_rows([np.repeat(path.grid[:-1], path.m),
+                            np.repeat(path.grid[1:], path.m),
+                            np.tile(np.arange(1, path.m + 1), path.steps),
+                            path.increments.ravel()])
+
+
+def noise_path_to_csv(path: NoisePath, extra_header: tuple[str, ...] = ()) -> str:
+    """Serialize: the lines of :func:`noise_csv_lines` as one string."""
+    return "".join(noise_csv_lines(path, extra_header))
 
 
 def noise_path_from_csv(text: str) -> NoisePath:

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import cylstable
+from cylstable import cli
 from cylstable.cli import main
 
 
@@ -65,16 +66,51 @@ def test_glue_subcommand(tmp_path):
     assert "pieces=3" in summary or "pieces=4" in summary
 
 
-def test_tail_byte_identical_reruns(tmp_path):
-    args = ["tail", "--alpha", "1.5", "--gamma", "1", "--N", "40000",
-            "--r-min", "10", "--r-max", "40", "--r-count", "5", "--seed", "7",
-            "--out", str(tmp_path)]
-    assert main(args) == 0
-    first = {name: (tmp_path / name).read_bytes()
-             for name in ("tail_radonified.csv", "tail_radonified.summary")}
-    assert main(args) == 0
-    for name, data in first.items():
-        assert (tmp_path / name).read_bytes() == data
+# tiny passing arguments of every command whose seed has no default
+TINY_STOCHASTIC = {
+    "sample": ["--kind", "isotropic", "--alpha", "1.5", "--n", "2", "--N", "200"],
+    "noise": ["--alpha", "1.5", "--m", "2", "--M", "8"],
+    "integrate": ["--alpha", "1.5", "--gamma", "1,0.5", "--M", "8"],
+    "solve": ["--n", "3", "--T", "0.01", "--M", "20"],
+    "glue": ["--n", "3", "--T-total", "0.15", "--M", "24"],
+    "tail": ["--alpha", "1.5", "--gamma", "1", "--N", "40000", "--r-min", "10",
+             "--r-max", "40", "--r-count", "5"],
+    "moment": ["--alpha", "1.5", "--N", "500", "--M", "4"],
+    "picard": ["--n", "3", "--M", "20", "--replicas", "3", "--iters", "3"],
+    "uniqueness": ["--n", "3", "--M", "20", "--replicas", "2"],
+    "gronwall": ["--case", "random", "--count", "3", "--M", "200"],
+    "gof": ["--alpha", "1.5", "--n", "2", "--N", "500", "--count", "3"],
+}
+
+
+def test_tiny_arguments_cover_every_stochastic_command():
+    stochastic = {name for name, (_, spec) in cli._COMMANDS.items() if spec["seed"][1] is None}
+    assert stochastic == set(TINY_STOCHASTIC)
+
+
+def _snapshot(directory):
+    return {p.name: p.read_bytes() for p in directory.iterdir()}
+
+
+@pytest.mark.parametrize("command", sorted(TINY_STOCHASTIC))
+def test_stochastic_command_byte_identical_reruns(tmp_path, command):
+    argv = [command, *TINY_STOCHASTIC[command], "--seed", "7", "--out", str(tmp_path)]
+    assert main(argv) == 0
+    first = _snapshot(tmp_path)
+    assert first
+    assert main(argv) == 0
+    assert _snapshot(tmp_path) == first
+
+
+@pytest.mark.parametrize("argv", [
+    ["noise", "--alpha", "1.5", "--M", "abc", "--seed", "1"],
+    ["tail", "--alpha", "1.5", "--gamma", "1,x", "--seed", "1"],
+    ["noise", "--alpha", "1.5", "--seed", "1.5"],
+])
+def test_malformed_values_are_usage_errors(tmp_path, capsys, argv):
+    assert main([*argv, "--out", str(tmp_path)]) == 2
+    assert "usage error:" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
 
 
 def test_tail_inconclusive_exit_code(tmp_path):
@@ -133,6 +169,58 @@ def test_check_model_subcommand(tmp_path):
 def test_gof_subcommand(tmp_path):
     assert main(["gof", "--alpha", "1.5", "--n", "3", "--N", "30000",
                  "--seed", "9", "--out", str(tmp_path)]) == 0
+
+
+def test_glue_config_file_rejects_T(tmp_path, capsys):
+    config = tmp_path / "glue.cfg"
+    config.write_text("T=0.1\n")
+    code = main(["glue", "--config", str(config), "--T-total", "0.15", "--M", "120",
+                 "--seed", "7", "--out", str(tmp_path)])
+    assert code == 2
+    assert "unknown config key 'T'" in capsys.readouterr().err
+
+
+def test_flags_are_not_abbreviated(tmp_path):
+    # glue has no T: --T must not silently set --T-total
+    with pytest.raises(SystemExit) as exc:
+        main(["glue", "--T", "0.15", "--M", "120", "--seed", "7", "--out", str(tmp_path)])
+    assert exc.value.code == 2
+
+
+def _data_rows(path):
+    return [line for line in path.read_text().splitlines() if not line.startswith("#")]
+
+
+@pytest.mark.parametrize("command, table", [("picard", "picard_convergence.csv"),
+                                            ("uniqueness", "uniqueness.csv")])
+def test_ensemble_commands_accept_x0(tmp_path, command, table):
+    args = [command, "--n", "3", "--M", "20", "--replicas", "3", "--seed", "5"]
+    assert main([*args, "--out", str(tmp_path / "default")]) == 0
+    assert main([*args, "--x0", "1,0,0", "--out", str(tmp_path / "x0")]) == 0
+    text = (tmp_path / "x0" / table).read_text()
+    assert "# x0=1,0,0\n" in text
+    assert _data_rows(tmp_path / "x0" / table) != _data_rows(tmp_path / "default" / table)
+
+
+def _solve_states(tmp_path, name, model_text, *extra):
+    model_file = tmp_path / f"{name}.cfg"
+    model_file.write_text(model_text)
+    out = tmp_path / name
+    assert main(["solve", "--model-config", str(model_file), "--T", "0.01", "--M", "40",
+                 "--seed", "1", "--out", str(out), *extra]) == 0
+    return _data_rows(out / "mild_path.csv")
+
+
+def test_model_file_noise_dimension_is_used(tmp_path):
+    from_file = _solve_states(tmp_path, "file", "n=4\nm=2\n")
+    assert from_file == _solve_states(tmp_path, "flag", "n=4\nm=2\n", "--m", "2")
+    assert from_file != _solve_states(tmp_path, "none", "n=4\n")
+
+
+def test_m_flag_overrides_model_file(tmp_path):
+    overridden = _solve_states(tmp_path, "file", "n=4\nm=2\n", "--m", "3")
+    assert overridden == _solve_states(tmp_path, "flag", "n=4\n", "--m", "3")
+    assert overridden != _solve_states(tmp_path, "plain", "n=4\nm=2\n")
 
 
 def test_model_config_file(tmp_path):
