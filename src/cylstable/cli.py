@@ -207,7 +207,7 @@ def cmd_integrate(resolved: dict) -> int:
     psi = HSMatrix.diagonal(gamma)
     out = _out_dir(resolved)
 
-    if resolved["refinement_levels"]:
+    if resolved["refinement_levels"] is not None:
         # refinement-convergence experiment for the selected profile
         profile = {"const": lambda s: np.ones_like(s), "linear": lambda s: s}.get(
             resolved["profile"]
@@ -257,14 +257,22 @@ _SOLVER_SPEC = {
 
 
 def _model_from(resolved: dict):
-    """The preset or model file; an explicit ``m`` overrides the file's noise dimension."""
+    """The preset or model file; an explicit ``m`` overrides the file's noise dimension.
+
+    ``n`` and ``m`` of ``resolved`` become the dimensions solved, so every
+    artifact header records them.
+    """
     if resolved["model_config"]:
         model = parse_model_config(Path(resolved["model_config"]).read_text(encoding="utf-8"))
-        return model if resolved["m"] is None else replace(model, m=resolved["m"])
-    preset = resolved["preset"] or "heat"
-    if preset != "heat":
-        raise UsageError(f"unknown preset {preset!r}; available: heat")
-    return heat_preset(n=resolved["n"], m=resolved["m"])
+        if resolved["m"] is not None:
+            model = replace(model, m=resolved["m"])
+    else:
+        preset = resolved["preset"] or "heat"
+        if preset != "heat":
+            raise UsageError(f"unknown preset {preset!r}; available: heat")
+        model = heat_preset(n=resolved["n"], m=resolved["m"])
+    resolved["n"], resolved["m"] = model.n, model.noise_dim
+    return model
 
 
 def _config_from(resolved: dict, model, horizon: float) -> SolverConfig:

@@ -14,7 +14,7 @@ c-free quantities (ratios, the limit identity, homogeneity).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 
 import numpy as np
 from scipy.special import gammaln, roots_legendre
@@ -248,28 +248,10 @@ class ConstantsReport:
     T_uniq: float
     T_picard: float
     T_bound: float
-    extras: dict[str, float] = field(default_factory=dict)
 
     def as_items(self) -> list[tuple[str, float]]:
-        items = [
-            ("alpha", self.alpha),
-            ("p", self.p),
-            ("c_convention", self.c_convention),
-            ("c_alpha", self.c_alpha),
-            ("lambda_mass_n", self.lambda_mass_n),
-            ("lambda_total_mass", self.lambda_total_mass),
-            ("c1", self.c1),
-            ("c2", self.c2),
-            ("C", self.C),
-            ("c_F", self.c_F),
-            ("c_G", self.c_G),
-            ("c3", self.c3),
-            ("T_uniq", self.T_uniq),
-            ("T_picard", self.T_picard),
-            ("T_bound", self.T_bound),
-        ]
-        items.extend(sorted(self.extras.items()))
-        return items
+        """(name, value) of every field, in declaration order."""
+        return [(f.name, getattr(self, f.name)) for f in fields(self)]
 
 
 def constants_report(

@@ -291,6 +291,8 @@ def moment_experiment(
     (no pass threshold: the universal constant is not computable).
     """
     start = time.perf_counter()
+    if n_samples < 1:
+        raise ValueError(f"N must be >= 1, got {n_samples}")
     p_list = [float(p) for p in p_list]
     if any(p <= 0.0 or p >= alpha for p in p_list):
         raise ValueError(f"all p must lie in (0, alpha)=(0, {alpha})")
@@ -378,6 +380,10 @@ def picard_convergence_experiment(
 ) -> ExperimentReport:
     """Decay of E||X_n(T) - X_{n-1}(T)||^p across independent noise replicas."""
     start = time.perf_counter()
+    if replicas < 2:
+        raise ValueError(f"replicas must be >= 2 for a standard error, got {replicas}")
+    if n_iters < 1:
+        raise ValueError(f"iters must be >= 1, got {n_iters}")
     bound = horizon_bounds(model, config.alpha)["T_picard"]
     if config.T > bound:
         raise ValueError(
@@ -438,6 +444,8 @@ def uniqueness_experiment(
     (sanity anti-test).
     """
     start = time.perf_counter()
+    if replicas < 1:
+        raise ValueError(f"replicas must be >= 1, got {replicas}")
     bound = binding_time_bound(model, config.alpha)
     if config.T > bound:
         raise ValueError(f"T={config.T} exceeds the admissible uniqueness bound {bound:.6g}")
@@ -632,6 +640,8 @@ def isotropic_gof_report(alpha: float, n: int, n_samples: int, seed: int,
                          count: int = 10) -> ExperimentReport:
     """Characteristic-function goodness of fit for the isotropic sampler."""
     start = time.perf_counter()
+    if n_samples < 1:
+        raise ValueError(f"N must be >= 1, got {n_samples}")
     samples = sample_isotropic(alpha, n, seed, size=n_samples)
     grid = gof_test_vectors(n, count)
     result = char_function_test(samples, lambda u: math.exp(-np.linalg.norm(u) ** alpha), grid)

@@ -45,7 +45,6 @@ class StepIntegrand:
 
     grid: np.ndarray
     values: np.ndarray
-    adapted: bool = True
 
     def __post_init__(self):
         grid = np.asarray(self.grid, dtype=float)
@@ -61,8 +60,6 @@ class StepIntegrand:
             )
         if not np.all(np.isfinite(values)):
             raise ValueError("integrand matrices must have finite entries")
-        if not self.adapted:
-            raise AdaptednessError("integrand failed the adaptedness guard")
 
     @property
     def steps(self) -> int:
@@ -191,6 +188,8 @@ def refinement_experiment(
     entries = as_matrix(psi0)
     if levels < 2:
         raise ValueError("need at least two refinement levels")
+    if replicas < 1:
+        raise ValueError(f"replicas must be >= 1, got {replicas}")
     fine_steps = coarse_steps * 2 ** (levels - 1)
     fine_grid = np.linspace(0.0, T, fine_steps + 1)
     dt = T / fine_steps

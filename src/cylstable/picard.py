@@ -18,11 +18,17 @@ whole-array operations first; the time loop then keeps only the exact
 one-step recurrence C_{k+1} = e^{-lambda dt_k} (C_k + b_k) on (R, n) rows.
 Each replica carries its own convergence mask entry: it is frozen, with its
 own gap history and iteration count, at its first gap below tol, while the
-others keep sweeping.  The residual certificate re-evaluates the defining
-double sum directly, each row's (n, k) matrix of exponentials shared by
-the batch.  Per element, a replica's arithmetic is the same in any batch,
-so results do not depend on how replicas are batched; :func:`picard_step`,
-:func:`solve` and :func:`residual` are the batch of one.
+others keep sweeping.  Per element, a replica's arithmetic is the same in
+any batch, so results do not depend on how replicas are batched;
+:func:`picard_step` and :func:`solve` are the batch of one.
+
+The residual certificate of :func:`solve` (and of every glued piece) is
+:func:`residual`.  It accepts only the uniform grids the solver builds,
+np.linspace(0, T, M+1), on which the lagged exponentials
+exp(-lambda (t_k - t_i)) depend on k - i alone: the double sum is then a
+causal convolution along time per coordinate, evaluated by FFT in
+O(M log M) per coordinate.  It never uses the sweep's recurrence, so it
+stays an independent check of the fixed point.
 
 Given a fixed noise realisation the iteration map is strictly causal in
 time, hence nilpotent: the discrete fixed point exists, is unique, and is
@@ -187,8 +193,8 @@ def _row_norms(rows: np.ndarray) -> np.ndarray:
 
 def _loads(model: DiagonalModel, states: np.ndarray, driven: np.ndarray,
            dts: np.ndarray) -> np.ndarray:
-    """Left-endpoint loads F(X(t_k)) dt_k + G(X(t_k)) dL_k, shape (R, M, n)."""
-    x = states[:, :-1]
+    """Left-endpoint loads F(X(t_k)) dt_k + G(X(t_k)) dL_k, shape (..., M, n)."""
+    x = states[..., :-1, :]
     return model.drift(x) * dts[:, None] + model.diffusion_diagonal(x) * driven
 
 
@@ -203,22 +209,6 @@ def _sweep(model: DiagonalModel, prev: np.ndarray, driven: np.ndarray, dts: np.n
         conv = decays[k] * (conv + loads[:, k])
         new[:, k + 1] += conv
     return new
-
-
-def _residuals(model: DiagonalModel, states: np.ndarray, driven: np.ndarray,
-               grid: np.ndarray, flow: np.ndarray) -> np.ndarray:
-    """Fixed-point certificate of each replica: sup_k |X(t_k) - its defining sum|.
-
-    Row k of the double sum weighs the loads at t_i, i < k, by the exact
-    exponentials exp(-lambda (t_k - t_i)); the (n, k) weight matrix is
-    built once per row and shared by the batch.
-    """
-    loads = _loads(model, states, driven, np.diff(grid)).transpose(0, 2, 1)  # (R, n, M)
-    gaps = np.empty_like(states)
-    for k in range(grid.size):
-        weights = np.exp(-np.outer(model.lambdas, grid[k] - grid[:k]))  # (n, k)
-        gaps[:, k] = states[:, k] - (flow[:, k] + (weights * loads[:, :, :k]).sum(axis=2))
-    return _row_norms(gaps).max(axis=1)
 
 
 def picard_step(
@@ -246,15 +236,25 @@ def picard_step(
 def residual(model: DiagonalModel, path: MildPath, noise: NoisePath, x0: np.ndarray) -> float:
     """Fixed-point certificate: sup_k distance of X(t_k) from its defining sum.
 
-    Evaluated through the direct double sum (matrix of exact exponentials),
-    independent of the recurrence used inside :func:`picard_step`.
+    The grid must be the solver's np.linspace(0, T, M + 1); any other grid
+    raises ValueError.  With dt = T / M, the sum at t_k is the causal
+    convolution sum_{j=1..k} exp(-lambda j dt) b_{k-j} of the left-endpoint
+    loads b_i, evaluated per coordinate by a real FFT of length 2M, so no
+    wrap-around reaches the M lags kept.
     """
     grid = noise.grid
     if not np.array_equal(grid, path.grid):
         raise ValueError("path and noise must share a grid")
-    driven = _driven_diagonal(model, noise.increments)
-    flow = _semigroup_flow(model, grid, x0)
-    return float(_residuals(model, path.states[None], driven[None], grid, flow[None])[0])
+    M = grid.size - 1
+    if not np.array_equal(grid, np.linspace(0.0, grid[-1], M + 1)):
+        raise ValueError("the residual certificate needs the solver's grid "
+                         "np.linspace(0, T, M + 1)")
+    loads = _loads(model, path.states, _driven_diagonal(model, noise.increments), np.diff(grid))
+    kernel = np.exp(-np.outer(np.arange(1, M + 1) * (grid[-1] / M), model.lambdas))
+    spectrum = np.fft.rfft(loads, 2 * M, axis=0) * np.fft.rfft(kernel, 2 * M, axis=0)
+    gaps = path.states - _semigroup_flow(model, grid, x0)
+    gaps[1:] -= np.fft.irfft(spectrum, 2 * M, axis=0)[:M]
+    return float(np.linalg.norm(gaps, axis=1).max())
 
 
 def _iterate_batch(
@@ -270,7 +270,7 @@ def _iterate_batch(
     driven[r] (shape (R, M, n)), seeded by the zero path where zero_seed[r]
     and by the semigroup flow elsewhere.  All still-active replicas share
     each sweep; a replica is frozen at the first gap below tol.  The paths
-    carry no certificate (residual nan): :func:`_solve_batch` adds it.
+    carry no certificate (residual nan): :func:`solve` adds it.
     """
     grid = config.grid()
     dts = np.diff(grid)
@@ -292,28 +292,6 @@ def _iterate_batch(
                  residual=math.nan, gaps=g)
         for r, g in enumerate(gaps)
     ]
-
-
-def _solve_batch(
-    model: DiagonalModel,
-    config: SolverConfig,
-    x0s: np.ndarray,
-    driven: np.ndarray,
-    zero_seed: np.ndarray,
-) -> list[MildPath]:
-    """:func:`_iterate_batch` with the residual certificate of each converged replica.
-
-    Replicas still above tol after N_max sweeps get residual inf.
-    """
-    paths = _iterate_batch(model, config, x0s, driven, zero_seed)
-    converged = np.array([path.final_picard_gap < config.tol for path in paths])
-    residuals = np.full(len(paths), math.inf)
-    if converged.any():
-        grid = config.grid()
-        states = np.stack([path.states for path in paths])[converged]
-        residuals[converged] = _residuals(model, states, driven[converged], grid,
-                                          _semigroup_flow(model, grid, x0s[converged]))
-    return [replace(path, residual=float(res)) for path, res in zip(paths, residuals)]
 
 
 def _require_converged(path: MildPath, config: SolverConfig) -> MildPath:
@@ -356,8 +334,9 @@ def solve(
             )
     x0 = config.initial_state()
     driven = _driven_diagonal(model, noise.increments)
-    (path,) = _solve_batch(model, config, x0[None], driven[None], np.array([zero_seed_path]))
-    return _require_converged(path, config)
+    (path,) = _iterate_batch(model, config, x0[None], driven[None], np.array([zero_seed_path]))
+    certified = residual(model, path, noise, x0) if path.final_picard_gap < config.tol else math.inf
+    return _require_converged(replace(path, residual=certified), config)
 
 
 def glue_solve(model: DiagonalModel, config: SolverConfig) -> MildPath:

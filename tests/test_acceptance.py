@@ -27,6 +27,7 @@ from cylstable.integral import constant_integrand, refinement_experiment
 from cylstable.picard import SolverConfig, binding_time_bound, glue_solve, solve, _piece_seed
 from cylstable.sampling import (
     AlphaParams,
+    _noise_increments,
     extend_dimension,
     generate_noise_path,
     sample_scalar_sas,
@@ -95,10 +96,9 @@ def test_criterion_03_characteristic_function_gof():
 def test_criterion_04_self_similarity_and_projective_consistency():
     alpha, t_long, steps, n_rep = 1.5, 2.0, 8, 10_000
     grid = np.linspace(0.0, t_long, steps + 1)
-    totals = np.empty(n_rep)
-    for r in range(n_rep):
-        path = generate_noise_path(alpha, 1, grid, seed=SEED + 30_000 + r)
-        totals[r] = path.increments[:, 0].sum()
+    # one pass draws every path; row r equals generate_noise_path(..., seed=SEED + 30_000 + r)
+    seeds = SEED + 30_000 + np.arange(n_rep)
+    totals = _noise_increments(alpha, 1, grid, seeds)[:, :, 0].sum(axis=1)
     rescaled = totals * t_long ** (-1.0 / alpha)
     reference = sample_scalar_sas(AlphaParams(alpha), seed=SEED + 31, size=n_rep)
     stat = ks_2samp(rescaled, reference).statistic

@@ -3,6 +3,7 @@
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -113,6 +114,28 @@ def test_malformed_values_are_usage_errors(tmp_path, capsys, argv):
     assert not any(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("command, extra", [
+    ("picard", ["--replicas", "0"]),
+    ("picard", ["--replicas", "1"]),
+    ("picard", ["--iters", "0"]),
+    ("uniqueness", ["--replicas", "0"]),
+    ("integrate", ["--refinement-levels", "0"]),
+    ("integrate", ["--refinement-levels", "3", "--replicas", "0"]),
+    ("moment", ["--N", "0"]),
+    ("gof", ["--N", "0"]),
+])
+def test_counts_below_their_minimum_are_usage_errors(tmp_path, capsys, command, extra):
+    out = tmp_path / "out"
+    argv = [command, *TINY_STOCHASTIC[command], *extra, "--seed", "1", "--out", str(out)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # refused before any numpy reduction warns
+        assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "usage error:" in err
+    assert "Traceback" not in err
+    assert not any(out.rglob("*"))
+
+
 def test_tail_inconclusive_exit_code(tmp_path):
     code = main(["tail", "--alpha", "1.5", "--gamma", "1", "--N", "2000",
                  "--r-min", "100", "--r-max", "500", "--r-count", "4",
@@ -221,6 +244,20 @@ def test_m_flag_overrides_model_file(tmp_path):
     overridden = _solve_states(tmp_path, "file", "n=4\nm=2\n", "--m", "3")
     assert overridden == _solve_states(tmp_path, "flag", "n=4\n", "--m", "3")
     assert overridden != _solve_states(tmp_path, "plain", "n=4\nm=2\n")
+
+
+def test_headers_record_the_dimensions_solved(tmp_path):
+    model_file = tmp_path / "model.cfg"
+    model_file.write_text("n=4\nm=2\n")
+    assert main(["solve", "--model-config", str(model_file), "--T", "0.01", "--M", "20",
+                 "--seed", "1", "--out", str(tmp_path / "file")]) == 0
+    assert main(["solve", "--n", "3", "--T", "0.01", "--M", "20", "--seed", "1",
+                 "--out", str(tmp_path / "preset")]) == 0
+    for name, n, m in [("file", 4, 2), ("preset", 3, 3)]:
+        for artifact in ["mild_path.csv", "mild_path.summary"]:
+            text = (tmp_path / name / artifact).read_text()
+            assert f"# n={n}\n" in text
+            assert f"# m={m}\n" in text
 
 
 def test_model_config_file(tmp_path):

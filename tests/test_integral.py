@@ -19,7 +19,9 @@ from cylstable.integral import (
 from cylstable.rng import TAG_REPLICA, open_uniform, substream
 from cylstable.sampling import (
     AlphaParams,
+    NoisePath,
     _isotropic_from_uniforms,
+    _noise_increments,
     generate_noise_path,
     sample_scalar_sas,
 )
@@ -56,8 +58,11 @@ def test_integrate_constant_rank_one_couples_to_scalar():
     psi[0, 0] = 1.0
     integrand = constant_integrand(psi, grid)
     totals = np.empty(n_rep)
+    seeds = 9_000 + np.arange(n_rep)
+    # one pass draws every path; row r equals generate_noise_path(..., seed=seeds[r])
+    increments = _noise_increments(alpha, 2, grid, seeds)
     for r in range(n_rep):
-        noise = generate_noise_path(alpha, 2, grid, seed=9_000 + r)
+        noise = NoisePath(alpha, 2, grid, increments[r], int(seeds[r]))
         path = integrate(integrand, noise)
         assert path[-1, 1] == 0.0
         assert path[-1, 0] == np.cumsum(noise.increments[:, 0])[-1]

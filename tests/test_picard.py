@@ -2,9 +2,12 @@
 
 import math
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cylstable.hilbert import heat_preset, make_model
 from cylstable.picard import (
@@ -16,6 +19,7 @@ from cylstable.picard import (
     picard_step,
     residual,
     solve,
+    _driven_diagonal,
     _piece_seed,
     _row_norms,
     _semigroup_flow,
@@ -102,7 +106,7 @@ def full_lag_residual(model, path, noise, x0):
     """Reference certificate: the double sum over the full (M+1, M) lag matrix."""
     grid, states = noise.grid, path.states
     loads = (model.drift(states[:-1]) * noise.dts[:, None]
-             + model.diffusion_diagonal(states[:-1]) * noise.increments[:, :model.n])
+             + model.diffusion_diagonal(states[:-1]) * _driven_diagonal(model, noise.increments))
     lags = grid[:, None] - grid[None, :-1]
     flow = _semigroup_flow(model, grid, x0)
     worst = 0.0
@@ -113,7 +117,7 @@ def full_lag_residual(model, path, noise, x0):
     return worst
 
 
-def test_sweep_and_residual_equal_per_step_references_bit_for_bit():
+def test_sweep_equals_per_step_reference_and_residual_equals_direct_sum():
     model = heat_preset(8)
     config = SolverConfig(alpha=1.5, T=0.05, M=200, n=8, seed=7)
     noise = generate_noise_path(1.5, 8, config.grid(), config.seed)
@@ -124,7 +128,8 @@ def test_sweep_and_residual_equal_per_step_references_bit_for_bit():
         assert np.array_equal(new, per_step_picard_step(model, prev, noise, x0))
         prev = new
     path = solve(model, config, noise=noise, warn_beyond_bound=False)
-    assert path.residual == full_lag_residual(model, path, noise, x0)
+    # the certificate's FFT convolution sums in another order than the direct double sum
+    assert abs(path.residual - full_lag_residual(model, path, noise, x0)) <= 1e-14
 
 
 def test_solve_matches_exponential_euler_oracle():
@@ -212,6 +217,40 @@ def test_residual_detects_perturbation():
     )
     perturbed.states[30, 0] += 1e-3
     assert residual(model, perturbed, noise, x0) >= 0.9e-3
+
+
+@given(M=st.integers(1, 400), n=st.integers(1, 8), m=st.integers(1, 8),
+       alpha=st.floats(1.01, 1.99), seed=st.integers(0, 2**32 - 1), data=st.data())
+@settings(max_examples=100, deadline=None)
+def test_fft_residual_equals_direct_sum_and_reads_a_perturbation(M, n, m, alpha, seed, data):
+    # alpha stays 0.01 inside (1, 2): c3_and_Tmax's p-grid is empty at 1 + 1e-12
+    model = heat_preset(n, m)
+    config = SolverConfig(alpha=alpha, T=0.9 * binding_time_bound(model, alpha), M=M, n=n, m=m,
+                          seed=seed)
+    noise = generate_noise_path(alpha, m, config.grid(), seed)
+    path = solve(model, config, noise=noise, warn_beyond_bound=False)
+    x0 = config.initial_state()
+    scale = max(1.0, float(np.abs(path.states).max()))
+    assert abs(path.residual - full_lag_residual(model, path, noise, x0)) <= 1e-14 * scale
+
+    delta = 1e-9
+    perturbed = replace(path, states=path.states.copy())
+    perturbed.states[data.draw(st.integers(1, M)), data.draw(st.integers(0, n - 1))] += delta
+    reading = residual(model, perturbed, noise, x0)
+    # the perturbed row reads delta; its load moves too, so a later row may read more
+    assert reading >= 0.99 * delta
+    assert abs(reading - full_lag_residual(model, perturbed, noise, x0)) <= 0.01 * delta
+
+
+def test_residual_refuses_grids_other_than_the_solver_linspace():
+    model = heat_preset(3)
+    grid = np.linspace(0.0, 0.02, 21)
+    grid[7] += 1e-4
+    noise = generate_noise_path(1.5, 3, grid, seed=114)
+    path = MildPath(grid=grid, states=np.zeros((21, 3)), iteration_count=1,
+                    final_picard_gap=0.0, residual=0.0)
+    with pytest.raises(ValueError, match=r"np\.linspace\(0, T, M \+ 1\)"):
+        residual(model, path, noise, np.zeros(3))
 
 
 def test_solve_deterministic_and_warns_beyond_bound():
