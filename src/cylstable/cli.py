@@ -19,6 +19,7 @@ byte-identical across identical invocations.
 from __future__ import annotations
 
 import argparse
+import hashlib
 import sys
 import warnings
 from dataclasses import replace
@@ -259,11 +260,14 @@ _SOLVER_SPEC = {
 def _model_from(resolved: dict):
     """The preset or model file; an explicit ``m`` overrides the file's noise dimension.
 
-    ``n`` and ``m`` of ``resolved`` become the dimensions solved, so every
-    artifact header records them.
+    ``n`` and ``m`` of ``resolved`` become the dimensions solved, and a model
+    file's content is recorded as ``model_sha256``, so every artifact header
+    pins the problem solved, not only the file's path.
     """
     if resolved["model_config"]:
-        model = parse_model_config(Path(resolved["model_config"]).read_text(encoding="utf-8"))
+        content = Path(resolved["model_config"]).read_bytes()
+        resolved["model_sha256"] = hashlib.sha256(content).hexdigest()
+        model = parse_model_config(content.decode("utf-8"))
         if resolved["m"] is not None:
             model = replace(model, m=resolved["m"])
     else:

@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass, fields
 
 import numpy as np
-from scipy.special import gammaln, roots_legendre
+from numpy.polynomial.legendre import leggauss
 
 from .rng import substream
 
@@ -74,7 +74,10 @@ def sphere_total_mass(n: int, alpha: float) -> float:
     if n < 1:
         raise ValueError(f"dimension n must be >= 1, got {n}")
     return math.exp(
-        gammaln(0.5) + gammaln((n + alpha) / 2.0) - gammaln(n / 2.0) - gammaln((1.0 + alpha) / 2.0)
+        math.lgamma(0.5)
+        + math.lgamma((n + alpha) / 2.0)
+        - math.lgamma(n / 2.0)
+        - math.lgamma((1.0 + alpha) / 2.0)
     )
 
 
@@ -136,6 +139,11 @@ def c3_and_Tmax(
     offsets = 10.0 ** -np.arange(5, 14, dtype=float) * (alpha - 1.0)
     p_grid = np.unique(np.concatenate([inner, 1.0 + offsets, alpha - offsets]))
     p_grid = p_grid[(p_grid > 1.0) & (p_grid < alpha)]
+    if p_grid.size == 0:
+        raise ValueError(
+            f"alpha={alpha!r} is too close to 1 for the contraction constants: "
+            "every point of the p-grid of c3 rounds to an endpoint of (1, alpha)"
+        )
     c3 = float(_c3_objective(p_grid, alpha, c2, c_f, c_g).max())
 
     t_uniq = min(1.0, 1.0 / (alpha * c2 * max(c3**alpha, c3)))
@@ -161,7 +169,7 @@ def _sphere_average(gamma: np.ndarray, alpha: float, nodes: int) -> float:
         )
         return float(vals.mean())
     # n == 3: Gauss-Legendre in cos(phi), periodic trapezoid in theta
-    u, w_u = roots_legendre(nodes)
+    u, w_u = leggauss(nodes)
     theta = (np.arange(2 * nodes) + 0.5) * math.pi / nodes
     sin_phi_sq = 1.0 - u**2
     vals = (

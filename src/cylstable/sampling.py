@@ -18,7 +18,10 @@ existing ones (bit-exact).
 Draw streams are counter-based per row with a fixed uniform-consumption
 layout (2 uniforms for the subordinator, then one per Gaussian coordinate
 through the inverse normal CDF), so a rerun with the same seed reproduces
-every row bit for bit.
+every row bit for bit.  The inverse normal CDF is :func:`_ndtri`, a numpy
+port of the Cephes rational approximation (S. L. Moshier, *Methods and
+Programs for Mathematical Functions*, 1989), the same one that
+``scipy.special.ndtri`` evaluates; the package runs on numpy alone.
 """
 
 from __future__ import annotations
@@ -27,7 +30,6 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 import numpy as np
-from scipy.special import ndtri
 
 from .reporting import format_rows
 from .rng import (
@@ -114,10 +116,100 @@ def sample_positive_stable(alpha_half: float, seed: int, size: int = 1) -> np.nd
     return _positive_stable_transform(alpha_half, u[0], u[1])
 
 
+# Cephes ndtri.c: P0/Q0 on the centre |u - 1/2| < 1/2 - exp(-2), P1/Q1 on the tails
+# with sqrt(-2 log y) < 8, P2/Q2 beyond (y < exp(-32)).
+_S2PI = 2.50662827463100050242E0
+_EXP_M2 = 0.13533528323661269189
+_P0 = (-5.99633501014107895267E1, 9.80010754185999661536E1, -5.66762857469070293439E1,
+       1.39312609387279679503E1, -1.23916583867381258016E0)
+_Q0 = (1.95448858338141759834E0, 4.67627912898881538453E0, 8.63602421390890590575E1,
+       -2.25462687854119370527E2, 2.00260212380060660359E2, -8.20372256168333339912E1,
+       1.59056225126211695515E1, -1.18331621121330003142E0)
+_P1 = (4.05544892305962419923E0, 3.15251094599893866154E1, 5.71628192246421288162E1,
+       4.40805073893200834700E1, 1.46849561928858024014E1, 2.18663306850790267539E0,
+       -1.40256079171354495875E-1, -3.50424626827848203418E-2, -8.57456785154685413611E-4)
+_Q1 = (1.57799883256466749731E1, 4.53907635128879210584E1, 4.13172038254672030440E1,
+       1.50425385692907503408E1, 2.50464946208309415979E0, -1.42182922854787788574E-1,
+       -3.80806407691578277194E-2, -9.33259480895457427372E-4)
+_P2 = (3.23774891776946035970E0, 6.91522889068984211695E0, 3.93881025292474443415E0,
+       1.33303460815807542389E0, 2.01485389549179081538E-1, 1.23716634817820021358E-2,
+       3.01581553508235416007E-4, 2.65806974686737550832E-6, 6.23974539184983293730E-9)
+_Q2 = (6.02427039364742014255E0, 3.67983563856160859403E0, 1.37702099489081330271E0,
+       2.16236993594496635890E-1, 1.34204006088543189037E-2, 3.28014464682127739104E-4,
+       2.89247864745380683936E-6, 6.79019408009981274425E-9)
+# elements per pass of _ndtri: keeps each temporary at 128 KiB whatever the draw count
+_NDTRI_BLOCK = 1 << 14
+_log = np.log
+
+
+def _ratio(x: np.ndarray, p: tuple, q: tuple) -> np.ndarray:
+    """(x * polevl(x, p)) / p1evl(x, q), in C's left-to-right order.
+
+    ``polevl`` is Horner's scheme from ``p[0]``; ``p1evl`` has an implicit
+    leading coefficient 1.
+    """
+    num = x * p[0]
+    num += p[1]
+    for c in p[2:]:
+        num *= x
+        num += c
+    den = x + q[0]
+    for c in q[1:]:
+        den *= x
+        den += c
+    num *= x
+    num /= den
+    return num
+
+
+def _ndtri_block(u: np.ndarray) -> np.ndarray:
+    """Both Cephes branches on the whole block, then the centre is selected.
+
+    Selecting beats gathering the tails: the branch masks of uniform draws
+    are random, and boolean indexing on them costs more than the arithmetic.
+    """
+    c = u - 0.5
+    centre = _ratio(c * c, _P0, _Q0)
+    centre *= c
+    centre += c
+    centre *= _S2PI
+    # tails: y = u below exp(-2) (result negated), y = 1 - u above 1 - exp(-2)
+    x = _log(np.minimum(u, 1.0 - u))
+    x *= -2.0
+    np.sqrt(x, out=x)
+    z = 1.0 / x
+    x1 = _ratio(z, _P1, _Q1)
+    far = x >= 8.0
+    if far.any():
+        x1[far] = _ratio(z[far], _P2, _Q2)
+    x -= _log(x) / x
+    x -= x1
+    np.copysign(x, c, out=x)
+    np.copyto(x, centre, where=(u > _EXP_M2) & (u <= 1.0 - _EXP_M2))
+    return x
+
+
+def _ndtri(u: np.ndarray) -> np.ndarray:
+    """Inverse standard normal CDF of open uniforms ``u`` in (0, 1), any shape.
+
+    Cephes ``ndtri`` operation for operation, so it equals
+    ``scipy.special.ndtri`` bit for bit wherever ``_log`` equals libm's
+    ``log`` (numpy's SIMD ``log`` may differ from it by an ulp).  Only open
+    uniforms are valid inputs: 0 and 1 are not mapped to infinities.
+    """
+    u = np.asarray(u, dtype=float)
+    flat = u.ravel()
+    out = np.empty(flat.size)
+    for start in range(0, flat.size, _NDTRI_BLOCK):
+        block = slice(start, start + _NDTRI_BLOCK)
+        out[block] = _ndtri_block(flat[block])
+    return out.reshape(u.shape)
+
+
 def _isotropic_from_uniforms(alpha: float, u: np.ndarray) -> np.ndarray:
     """Isotropic draws from a (..., 2+n) uniform block: 2 subordinator + n Gaussian."""
     a = _positive_stable_transform(alpha / 2.0, u[..., 0], u[..., 1])
-    z = ndtri(u[..., 2:])
+    z = _ndtri(u[..., 2:])
     return np.sqrt(2.0 * a)[..., None] * z
 
 

@@ -128,6 +128,14 @@ def test_c3_grid_refinement_oracle():
     assert abs(coarse - fine) < 1e-6
 
 
+def test_c3_refuses_alpha_whose_p_grid_rounds_away():
+    # every grid point of (1, alpha) rounds to 1 or alpha: refused by name, not a numpy error
+    with pytest.raises(ValueError, match=r"alpha=1\.000000000001 is too close to 1"):
+        c3_and_Tmax(1.000000000001, 1.0, 1.0)
+    near = c3_and_Tmax(1.0 + 1e-9, 1.0, 1.0)
+    assert 0.0 < near["T_bound"] <= 1.0 and math.isfinite(near["c3"])
+
+
 def test_levy_tail_mass_zero_gamma():
     value, se = levy_tail_mass([0.0, 0.0], 1.5)
     assert value == 0.0 and se == 0.0

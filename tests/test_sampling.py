@@ -4,8 +4,10 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import ndtri
 from scipy.stats import ks_2samp, levy_stable
 
+from cylstable import sampling
 from cylstable.experiments import char_function_test
 from cylstable.rng import TAG_NOISE_ROW, open_uniform, substream
 from cylstable.sampling import (
@@ -253,3 +255,31 @@ def test_noise_csv_equals_per_value_writer():
             lines.append(f"{path.grid[i]:.17g},{path.grid[i + 1]:.17g},{j + 1},"
                          f"{path.increments[i, j]:.17g}")
     assert noise_path_to_csv(path, ("note",)) == "\n".join(lines) + "\n"
+
+
+def _ndtri_edges() -> np.ndarray:
+    """Smallest doubles of every binade, 1 - 2^-k, 1/2 and the Cephes split points."""
+    splits = np.array([math.exp(-2.0), 1.0 - math.exp(-2.0)])
+    return np.concatenate([
+        2.0 ** -np.arange(1, 1075.0), 1.0 - 2.0 ** -np.arange(1, 54.0), [0.5],
+        splits, np.nextafter(splits, 0.0), np.nextafter(splits, 1.0),
+    ])
+
+
+def test_ndtri_with_libm_log_equals_scipy_bit_for_bit(monkeypatch):
+    # the port is Cephes ndtri operation for operation; libm's log makes it scipy's
+    monkeypatch.setattr(sampling, "_log", lambda x: np.array([math.log(v) for v in x]))
+    u = np.concatenate([open_uniform(substream(80), 100_000), _ndtri_edges()])
+    assert np.all((u > 0.0) & (u < 1.0))
+    assert np.array_equal(sampling._ndtri(u).view(np.int64), ndtri(u).view(np.int64))
+
+
+def test_ndtri_with_numpy_log_is_within_8_ulp_of_scipy():
+    # numpy's SIMD log may differ from libm's by an ulp, moving a few draws slightly
+    u = open_uniform(substream(81), (1000, 1000))
+    ours, ref = sampling._ndtri(u), ndtri(u)
+    assert ours.shape == u.shape
+    assert np.array_equal(np.signbit(ours), np.signbit(ref))
+    ulps = np.abs(ours.view(np.int64) - ref.view(np.int64))
+    assert np.count_nonzero(ulps) < 1e-3 * u.size
+    assert ulps.max() <= 8
