@@ -8,7 +8,7 @@ homogeneity, contraction, pathwise uniqueness) by reproducible
 Monte-Carlo experiments.
 """
 
-__version__ = "0.2.0"
+__version__ = "0.3.0"
 
 from .constants import (
     ConstantsReport,

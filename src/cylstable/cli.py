@@ -12,8 +12,10 @@ defaults; unknown config keys and malformed values are usage errors.
 Exit codes: 0 all verdicts pass, 1 verdict failure (or non-convergence),
 2 usage error, 3 inconclusive (under-resolved) experiment; a failed
 verdict outranks an inconclusive one.  ``--seed`` is mandatory for every
-stochastic subcommand: there is no silent entropy.  Outputs are
-byte-identical across identical invocations.
+stochastic subcommand: there is no silent entropy.  A seed is an integer in
+[0, 2**32), the first word of every stream name (see :mod:`cylstable.rng`);
+any other value is a usage error.  Outputs are byte-identical across
+identical invocations.
 """
 
 from __future__ import annotations
@@ -52,6 +54,7 @@ from .reporting import (
     write_report,
     write_summary,
 )
+from .rng import stream_word, substream
 from .sampling import (
     generate_noise_path,
     noise_csv_lines,
@@ -107,6 +110,11 @@ def _require(resolved: dict, *keys: str) -> None:
             raise UsageError(f"--{key.replace('_', '-')} is required for this subcommand")
 
 
+def _seed(text: str) -> int:
+    """A master seed: the first word of every stream name, an integer in [0, 2**32)."""
+    return stream_word(int(text))
+
+
 def _parse_floats(text: str) -> tuple[float, ...]:
     return tuple(float(x) for x in text.split(",") if x != "")
 
@@ -138,7 +146,7 @@ def _r_grid(resolved: dict) -> np.ndarray:
 
 @_command("constants", {
     "alpha": (float, None), "p": (float, None), "c_f": (float, 1.0), "c_g": (float, 1.0),
-    "n": (int, 1), "c_convention": (float, 1.0), "out": (str, "."), "seed": (int, 0),
+    "n": (int, 1), "c_convention": (float, 1.0), "out": (str, "."), "seed": (_seed, 0),
 })
 def cmd_constants(resolved: dict) -> int:
     _require(resolved, "alpha", "p")
@@ -156,7 +164,7 @@ def cmd_constants(resolved: dict) -> int:
 
 @_command("sample", {
     "kind": (str, "sas"), "alpha": (float, None), "scale": (float, 1.0), "n": (int, 1),
-    "N": (int, 10000), "seed": (int, None), "out": (str, "."),
+    "N": (int, 10000), "seed": (_seed, None), "out": (str, "."),
 })
 def cmd_sample(resolved: dict) -> int:
     _require(resolved, "alpha", "seed")
@@ -183,7 +191,7 @@ def cmd_sample(resolved: dict) -> int:
 
 @_command("noise", {
     "alpha": (float, None), "m": (int, 1), "T": (float, 1.0), "M": (int, 100),
-    "seed": (int, None), "out": (str, "."),
+    "seed": (_seed, None), "out": (str, "."),
 })
 def cmd_noise(resolved: dict) -> int:
     _require(resolved, "alpha", "seed")
@@ -198,7 +206,7 @@ def cmd_noise(resolved: dict) -> int:
 
 @_command("integrate", {
     "alpha": (float, None), "gamma": (_parse_floats, (1.0,)), "profile": (str, "const"),
-    "T": (float, 1.0), "M": (int, 100), "seed": (int, None), "out": (str, "."),
+    "T": (float, 1.0), "M": (int, 100), "seed": (_seed, None), "out": (str, "."),
     "refinement_levels": (int, None), "replicas": (int, 2000), "epsilon": (float, 0.02),
 })
 def cmd_integrate(resolved: dict) -> int:
@@ -253,7 +261,7 @@ _MODEL_SPEC = {
 # solver options shared by solve, glue, picard and uniqueness; each adds its horizon key
 _SOLVER_SPEC = {
     "alpha": (float, 1.5), **_MODEL_SPEC, "M": (int, 200), "N_max": (int, 64),
-    "tol": (float, 1e-12), "seed": (int, None), "out": (str, "."), "x0": (_parse_floats, None),
+    "tol": (float, 1e-12), "seed": (_seed, None), "out": (str, "."), "x0": (_parse_floats, None),
 }
 
 
@@ -348,7 +356,7 @@ def cmd_glue(resolved: dict) -> int:
 @_command("tail", {
     "alpha": (float, None), "t": (float, 1.0), "gamma": (_parse_floats, (1.0,)),
     "N": (int, 100_000), "r_min": (float, 10.0), "r_max": (float, 100.0),
-    "r_count": (int, 13), "seed": (int, None), "out": (str, "."),
+    "r_count": (int, 13), "seed": (_seed, None), "out": (str, "."),
     "integrand": (str, None), "M": (int, 16), "T": (float, 1.0),
     "scale_factor": (float, 2.0), "flatness_max": (float, 1.5),
     "level_frac": (float, 0.15), "slope_tol": (float, 0.1),
@@ -375,7 +383,7 @@ def cmd_tail(resolved: dict) -> int:
 @_command("moment", {
     "alpha": (float, None), "p_list": (_parse_floats, None), "N": (int, 10_000),
     "gamma": (_parse_floats, (1.0,)), "T": (float, 1.0), "M": (int, 16),
-    "seed": (int, None), "out": (str, "."), "scale_factor": (float, 2.0),
+    "seed": (_seed, None), "out": (str, "."), "scale_factor": (float, 2.0),
 })
 def cmd_moment(resolved: dict) -> int:
     _require(resolved, "alpha", "seed")
@@ -408,7 +416,7 @@ def cmd_uniqueness(resolved: dict) -> int:
 
 @_command("gronwall", {
     "case": (str, "near-equality"), "M": (int, 10_000), "count": (int, 100),
-    "p": (float, 0.5), "seed": (int, None), "out": (str, "."), "input": (str, None),
+    "p": (float, 0.5), "seed": (_seed, None), "out": (str, "."), "input": (str, None),
 })
 def cmd_gronwall(resolved: dict) -> int:
     if resolved["case"] == "random" and not resolved["input"]:
@@ -445,7 +453,7 @@ def cmd_gronwall(resolved: dict) -> int:
 
 @_command("check-model", {
     **_MODEL_SPEC, "deltas": (_parse_floats, (0.25, 0.5, 1.0)), "out": (str, "."),
-    "seed": (int, 0), "T": (float, 1.0),
+    "seed": (_seed, 0), "T": (float, 1.0),
 })
 def cmd_check_model(resolved: dict) -> int:
     model = _model_from(resolved)
@@ -459,7 +467,7 @@ def cmd_check_model(resolved: dict) -> int:
         report.add_verdict(f"norm_continuity_delta={delta:g}",
                            result["worst_ratio"] <= 1.0 + 1e-6,
                            "worst ratio <= 1 + 1e-6", f"{result['worst_ratio']:.12f}")
-    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(resolved["seed"])))
+    rng = substream(resolved["seed"])
     trials = [rng.standard_normal(model.n) for _ in range(8)] + [np.zeros(model.n)]
     a2 = check_A2(model, np.geomspace(1e-4, resolved["T"], 12), trials)
     report.add_verdict("A2_bounded", not a2["divergent"],
@@ -477,7 +485,7 @@ def cmd_check_model(resolved: dict) -> int:
 
 @_command("gof", {
     "alpha": (float, None), "n": (int, 3), "N": (int, 100_000), "count": (int, 10),
-    "seed": (int, None), "out": (str, "."),
+    "seed": (_seed, None), "out": (str, "."),
 })
 def cmd_gof(resolved: dict) -> int:
     _require(resolved, "alpha", "seed")

@@ -19,9 +19,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from .rng import substream
-
-_TAG_SPHERE_MC = 0x59EE
+from .rng import TAG_SPHERE_MC, substream
 
 __all__ = [
     "c_alpha",
@@ -212,7 +210,7 @@ def levy_tail_mass(
     if method != "monte_carlo":
         raise ValueError(f"unknown method {method!r}")
 
-    rng = substream(seed, _TAG_SPHERE_MC, n)
+    rng = substream(seed, TAG_SPHERE_MC, n)
     z = rng.standard_normal((mc_points, n))
     x = z / np.linalg.norm(z, axis=1, keepdims=True)
     f = ((x**2) @ (gamma**2)) ** (alpha / 2.0)

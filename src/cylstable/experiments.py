@@ -35,7 +35,8 @@ from .picard import (
     binding_time_bound,
     horizon_bounds,
 )
-from .rng import TAG_REPLICA, open_uniform, stream_keys, substream
+from .rng import (TAG_ALT_NOISE, TAG_BOOTSTRAP, TAG_GOF, TAG_REPLICA, TAG_SCALED, TAG_TRIPLES,
+                  open_uniform, substream)
 from .sampling import _isotropic_from_uniforms, _noise_increments, sample_isotropic
 
 __all__ = [
@@ -56,9 +57,6 @@ __all__ = [
 _CHUNK = 1 << 16
 _MIN_EXCEEDANCES = 50  # a radius with fewer is not judged
 _MIN_RADII = 3  # fewer judged radii make the tail experiment inconclusive
-_TAG_GOF = 0x60F
-_TAG_SCALED = 0x5CA1ED
-_TAG_ALT_NOISE = 0xA17
 
 
 class HypothesisFailed(Exception):
@@ -112,15 +110,15 @@ def _radonified_norms(entries: np.ndarray, alpha: float, t: float, n_samples: in
 
 
 def _sup_integral_norms(
-    integrand: StepIntegrand, alpha: float, m: int, n_samples: int, seed: int
+    integrand: StepIntegrand, alpha: float, m: int, n_samples: int, *name: int
 ) -> np.ndarray:
-    """sup_k ||I(t_k)|| over n_samples independent noise paths."""
+    """sup_k ||I(t_k)|| over n_samples independent noise paths, chunk k from (*name, k)."""
     dts = np.diff(integrand.grid)
     steps = integrand.steps
     scale = dts[:, None] ** (1.0 / alpha)
     sups = []
     for index, size in enumerate(_chunk_sizes(n_samples)):
-        u = open_uniform(substream(seed, TAG_REPLICA, index), (size, steps, 2 + m))
+        u = open_uniform(substream(*name, index), (size, steps, 2 + m))
         increments = scale[None] * _isotropic_from_uniforms(alpha, u)
         terms = np.einsum("knm,rkm->rkn", integrand.values, increments)
         paths = np.cumsum(terms, axis=1)
@@ -226,7 +224,7 @@ def tail_experiment(
     )
     if is_integrand:
         m = psi.values.shape[2]
-        norms = _sup_integral_norms(psi, alpha, m, n_samples, seed)
+        norms = _sup_integral_norms(psi, alpha, m, n_samples, seed, TAG_REPLICA)
         table = _tail_table(norms, alpha, r_grid)
         report.tables["tail"] = table
         top = _tail_verdicts(report, table, alpha, n_samples, target=None, target_se=0.0,
@@ -234,9 +232,7 @@ def tail_experiment(
                              slope_tol=slope_tol)
         if top is not None:
             scaled = psi.scaled(scale_factor)
-            norms_scaled = _sup_integral_norms(
-                scaled, alpha, m, n_samples, (seed << 1) ^ _TAG_SCALED
-            )
+            norms_scaled = _sup_integral_norms(scaled, alpha, m, n_samples, seed, TAG_SCALED)
             table_s = _tail_table(norms_scaled, alpha, r_grid * scale_factor)
             report.tables["tail_scaled"] = table_s
             base_level = float(table["plateau"][top].mean())
@@ -309,10 +305,10 @@ def moment_experiment(
             report.notes.append(f"p={p} is close to alpha; expect slow Monte-Carlo convergence")
 
     m = integrand.values.shape[2]
-    sups = _sup_integral_norms(integrand, alpha, m, 2 * n_samples, seed)
+    sups = _sup_integral_norms(integrand, alpha, m, 2 * n_samples, seed, TAG_REPLICA)
     denom = integrand.alpha_scale(alpha)
 
-    rng_boot = substream(seed, TAG_REPLICA, 0xB007)
+    rng_boot = substream(seed, TAG_REPLICA, TAG_BOOTSTRAP)
     rows = {"p": [], "moment_N": [], "moment_2N": [], "ci_lo": [], "ci_hi": [], "ratio": [],
             "C_alpha_p": []}
     for p in p_list:
@@ -339,7 +335,7 @@ def moment_experiment(
 
     # exact homogeneity: same seed, scaled integrand
     scaled = integrand.scaled(scale_factor)
-    sups_scaled = _sup_integral_norms(scaled, alpha, m, 2 * n_samples, seed)
+    sups_scaled = _sup_integral_norms(scaled, alpha, m, 2 * n_samples, seed, TAG_REPLICA)
     sup_exact = bool(np.array_equal(sups_scaled, scale_factor * sups))
     report.add_verdict("sup_homogeneity_bitexact", sup_exact,
                        "sup(c*Psi) == c*sup(Psi) bitwise", str(sup_exact))
@@ -357,17 +353,12 @@ def moment_experiment(
     return report
 
 
-def _replica_seed(seed: int, tag: int, index):
-    """Master seed of replica (tag, index): word 0 of the key of stream (seed, tag, index)."""
-    return stream_keys(seed, (tag,), index)[0]
-
-
 def _replica_driven(model: DiagonalModel, config: SolverConfig, seed: int, tag: int,
                     chunk: range) -> np.ndarray:
-    """Driven increments (R, M, n) of replicas (tag, r), r in chunk: each its own noise path."""
-    seeds = _replica_seed(seed, tag, np.arange(chunk.start, chunk.stop))
+    """Driven increments (R, M, n) of replicas r in chunk; rows (seed, tag, r, TAG_NOISE_ROW, i)."""
+    replicas = np.arange(chunk.start, chunk.stop)
     return _driven_diagonal(model, _noise_increments(config.alpha, config.noise_dim,
-                                                     config.grid(), seeds))
+                                                     config.grid(), seed, tag, replicas))
 
 
 def picard_convergence_experiment(
@@ -460,7 +451,7 @@ def uniqueness_experiment(
     rows = np.empty((replicas, 3))
     for chunk in _replica_chunks(replicas, 4 * (config.M + 1) * model.n):
         shared = _replica_driven(model, config, seed, TAG_REPLICA, chunk)
-        fresh = _replica_driven(model, config, seed, _TAG_ALT_NOISE, chunk)
+        fresh = _replica_driven(model, config, seed, TAG_ALT_NOISE, chunk)
         driven = np.stack([shared, shared, shared, fresh], axis=1).reshape(-1, *shared.shape[1:])
         paths = _iterate_batch(model, config, np.tile(x0_quad, (len(chunk), 1)), driven,
                                np.tile(zero_seed_quad, len(chunk)))
@@ -574,7 +565,9 @@ def random_hypothesis_triples(count: int, grid_points: int, seed: int, T: float 
     exceed the analytic slack, so candidates are rejection-filtered rather
     than trusted.
     """
-    rng = substream(seed, 0x77, grid_points)
+    if count < 1:
+        raise ValueError(f"count must be >= 1, got {count}")
+    rng = substream(seed, TAG_TRIPLES, grid_points)
     t = np.linspace(0.0, T, grid_points + 1)
     out = []
     attempts = 0
@@ -599,7 +592,7 @@ def random_hypothesis_triples(count: int, grid_points: int, seed: int, T: float 
 
 def gof_test_vectors(n: int, count: int = 10) -> np.ndarray:
     """Deterministic test directions with norms spread over [0.4, 1.4]."""
-    rng = substream(0, _TAG_GOF, n, count)
+    rng = substream(0, TAG_GOF, n, count)
     raw = rng.standard_normal((count, n))
     unit = raw / np.linalg.norm(raw, axis=1, keepdims=True)
     radii = np.linspace(0.4, 1.4, count)

@@ -154,7 +154,7 @@ def _refinement_diffs(weights: np.ndarray, entries: np.ndarray, alpha: float, dt
     diffs = np.empty((levels - 1, replicas))
     scale = dt ** (1.0 / alpha)
     for chunk in _replica_chunks(replicas, steps * (2 + m)):
-        u = open_uniform_rows(seed, (TAG_REPLICA,), np.arange(chunk.start, chunk.stop),
+        u = open_uniform_rows([seed, TAG_REPLICA, np.arange(chunk.start, chunk.stop)],
                               steps * (2 + m)).reshape(len(chunk), steps, 2 + m)
         projected = scale * _isotropic_from_uniforms(alpha, u) @ entries.T  # (R, steps, n)
         fine_total = weights[-1] @ projected

@@ -47,7 +47,7 @@ import numpy as np
 from .constants import c3_and_Tmax
 from .hilbert import DiagonalModel
 from .rng import TAG_PIECE
-from .sampling import NoisePath, generate_noise_path
+from .sampling import NoisePath, _noise_increments, generate_noise_path
 
 __all__ = [
     "NonConvergenceError",
@@ -345,10 +345,10 @@ def glue_solve(model: DiagonalModel, config: SolverConfig) -> MildPath:
     The horizon is split into equal pieces of length
     T/ceil(T/(0.99 * T_bound)); each piece is solved with the previous
     terminal state as initial condition (bit-exact handoff) and its own
-    noise stream derived from (seed, piece index).  The M steps are dealt
-    out as evenly as possible, the first M % pieces pieces getting one step
-    more, so the glued grid has exactly M + 1 points and piece_breaks are
-    the cumulative step counts.  Every piece must get at
+    noise: row i of piece p from the stream (seed, TAG_PIECE, p, TAG_NOISE_ROW,
+    i).  The M steps are dealt out as evenly as possible, the first M % pieces
+    pieces getting one step more, so the glued grid has exactly M + 1 points
+    and piece_breaks are the cumulative step counts.  Every piece must get at
     least 2 of the M steps, so the work stays bounded by M: a one-step
     piece is solved exactly by 2 sweeps (the causal Picard map is
     nilpotent) and could never report non-convergence.  Requests with
@@ -374,9 +374,10 @@ def glue_solve(model: DiagonalModel, config: SolverConfig) -> MildPath:
     x0 = config.initial_state()
     for piece in range(pieces):
         sub = replace(config, T=piece_T, M=steps[piece], x0=x0)
-        noise = generate_noise_path(
-            config.alpha, config.noise_dim, sub.grid(), _piece_seed(config.seed, piece)
-        )
+        grid = sub.grid()
+        increments = _noise_increments(config.alpha, config.noise_dim, grid,
+                                       config.seed, TAG_PIECE, piece)
+        noise = NoisePath(config.alpha, config.noise_dim, grid, increments, config.seed)
         try:
             part = solve(model, sub, noise=noise, warn_beyond_bound=False)
         except NonConvergenceError as exc:
@@ -405,8 +406,3 @@ def glue_solve(model: DiagonalModel, config: SolverConfig) -> MildPath:
         piece_breaks=list(itertools.accumulate(steps[:-1])),
         piece_residuals=piece_residuals,
     )
-
-
-def _piece_seed(seed: int, piece: int) -> int:
-    # distinct noise per piece, derived deterministically from the master seed
-    return (int(seed) << 8) ^ (TAG_PIECE + piece)

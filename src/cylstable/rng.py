@@ -1,48 +1,73 @@
-"""Deterministic seeding.
+"""Deterministic seeding: every random stream is named by a list of 32-bit words.
 
-All randomness in the package comes from counter-based Philox streams, each
-named by a master 64-bit seed plus an integer tag path hashed through
-``SeedSequence``.  Streams depend only on ``(seed, *tags)``, never on draw
-order elsewhere, so every row, chunk or replica draws the same numbers on
-every rerun.  A stream can be drawn in two equal ways:
+All randomness comes from counter-based Philox streams (Salmon et al.,
+"Parallel random numbers: as easy as 1, 2, 3", SC'11), and a stream is fully
+determined by its name: the master seed, then tags and indices, each an
+integer in [0, 2**32).  The name is the stream's ``SeedSequence`` entropy,
+so every row, chunk or replica draws the same numbers on every rerun.
 
-* :func:`substream` builds numpy's ``Generator(Philox(SeedSequence(...)))``.
-  It serves the few long streams (sampler and Monte-Carlo chunks of 10^5 and
-  more values), where numpy's C generator is fastest and the 13 us of
-  building it do not count.
-* :func:`open_uniform_rows` draws the first ``count`` uniforms of many short
-  streams at once: an integer-exact numpy port of ``SeedSequence``'s entropy
-  hashing, of Philox4x64-10 (Salmon et al., "Parallel random numbers: as
-  easy as 1, 2, 3", SC'11) and of ``Generator.random``.  It serves the
-  thousands of per-row and per-replica streams of a noise path or an
-  ensemble, which would otherwise cost one generator construction each.
+Each entry must be exactly one ``SeedSequence`` word: a larger integer is
+split into its 32-bit words, so ``[5 + 7 * 2**32, 9]`` would hash like
+``[5, 7, 9]``.  Both :func:`substream` and :func:`open_uniform_rows` refuse
+any entry outside [0, 2**32) with ``ValueError``.  ``SeedSequence`` also pads
+a name shorter than 4 words with zeros (``[5, 1]`` hashes like ``[5, 1, 0]``),
+so within one namespace, the word after the seed, all names have one length,
+and no tag is 0.  The names (r a replica, k a chunk, i a noise row, p a glue
+piece):
 
-Row r of ``open_uniform_rows(seeds, tags, indices, count)`` equals
-``open_uniform(substream(seeds[r], *tags, indices[r]), count)`` bit for bit,
-so the choice between the two never shows in an artifact.
+    (seed, TAG_SCALAR), (seed, TAG_POSITIVE)    scalar and positive stable draws
+    (seed, TAG_ISOTROPIC, n)                    isotropic draws in R^n
+    (seed, TAG_NOISE_ROW, i)                    generate_noise_path
+    (seed, TAG_PIECE, p, TAG_NOISE_ROW, i)      glue piece p
+    (seed, TAG_REPLICA, r, TAG_NOISE_ROW, i)    picard and uniqueness replica r
+    (seed, TAG_ALT_NOISE, r, TAG_NOISE_ROW, i)  uniqueness fresh noise, replica r
+    (seed, TAG_REPLICA, k)                      tail/moment chunk k, refinement replica k
+    (seed, TAG_REPLICA, TAG_BOOTSTRAP)          moment bootstrap
+    (seed, TAG_SCALED, k)                       tail integrand, scaled run, chunk k
+    (seed, TAG_SPHERE_MC, n)                    Monte-Carlo Levy tail mass
+    (seed, TAG_TRIPLES, M)                      random hypothesis triples
+    (0, TAG_GOF, n, count)                      goodness-of-fit test directions
+
+A stream can be drawn in two equal ways.  :func:`substream` builds numpy's
+``Generator(Philox(SeedSequence(name)))``, for the few long streams
+(sampler and Monte-Carlo chunks of 10^5 values and more).
+:func:`open_uniform_rows` draws the first ``count`` uniforms of many short
+streams at once, without importing ``numpy.random``: an integer-exact numpy
+port of ``SeedSequence``'s entropy hashing, of Philox4x64-10 and of
+``Generator.random``, for the thousands of per-row and per-replica streams
+of a noise path or an ensemble.  Its rows equal
+``open_uniform(substream(*name), count)`` bit for bit, so the choice never
+shows in an artifact.
 """
 
 from __future__ import annotations
 
 import functools
+import operator
 from typing import Sequence
 
 import numpy as np
 
-# Tag namespaces for derived streams.  Values are arbitrary but frozen:
-# changing them changes every sampled path.
+# Tags: arbitrary, pairwise distinct, non-zero and frozen; changing one
+# changes every stream named with it.
 TAG_SCALAR = 0x5CA1A
 TAG_POSITIVE = 0x9051
 TAG_ISOTROPIC = 0x150
 TAG_NOISE_ROW = 0x4E0153
-TAG_REPLICA = 0x4E9
 TAG_PIECE = 0x91ECE
+TAG_REPLICA = 0x4E9
+TAG_ALT_NOISE = 0xA17
+TAG_SCALED = 0x5CA1ED
+TAG_SPHERE_MC = 0x59EE
+TAG_TRIPLES = 0x77
+TAG_GOF = 0x60F
+TAG_BOOTSTRAP = 0xB007
 
 _UNIFORM_LO = 1e-16
 _UNIFORM_HI = 1.0 - 1e-16
 
 _MASK32 = 0xFFFFFFFF
-_MASK64 = 0xFFFFFFFFFFFFFFFF
+_WORD_RANGE = "stream name entries must be integers in [0, 2**32)"
 
 # SeedSequence's hash constants and pool size (numpy.random.bit_generator).
 _POOL_SIZE = 4
@@ -66,10 +91,18 @@ _PHILOX_ROUNDS = 10
 _PASS_BLOCKS = 1 << 14
 
 
+def stream_word(value) -> int:
+    """One entry of a stream name as an int; ValueError unless it is an integer in [0, 2**32)."""
+    word = operator.index(value)
+    if not 0 <= word <= _MASK32:
+        raise ValueError(f"{_WORD_RANGE}, got {word}")
+    return word
+
+
 def substream(seed: int, *tags: int) -> np.random.Generator:
-    """Derive an independent Philox stream from a master seed and a tag path."""
-    entropy = [int(seed) & _MASK64, *[int(t) for t in tags]]
-    return np.random.Generator(np.random.Philox(np.random.SeedSequence(entropy)))
+    """The Philox stream named by ``(seed, *tags)``."""
+    name = [stream_word(word) for word in (seed, *tags)]
+    return np.random.Generator(np.random.Philox(np.random.SeedSequence(name)))
 
 
 def open_uniform(rng: np.random.Generator, shape) -> np.ndarray:
@@ -81,38 +114,18 @@ def open_uniform(rng: np.random.Generator, shape) -> np.ndarray:
     return np.clip(rng.random(shape), _UNIFORM_LO, _UNIFORM_HI)
 
 
-def _masked_seeds(seeds) -> np.ndarray:
-    """Seeds reduced to 64 bits as :func:`substream` does (``int(seed) & (2**64 - 1)``)."""
-    seeds = np.asarray(seeds)
-    if seeds.dtype.kind in "iu":
-        return seeds.astype(np.uint64)  # two's complement: negatives wrap like the mask
-    return np.vectorize(lambda s: int(s) & _MASK64, otypes=[np.uint64])(seeds)
-
-
-def _stream_indices(indices) -> np.ndarray:
-    indices = np.asarray(indices)
-    if indices.dtype.kind not in "iu" or (indices.dtype.kind == "i" and np.any(indices < 0)):
-        raise ValueError("stream indices must be integers in [0, 2**64)")
-    return indices.astype(np.uint64)
-
-
-def _int_words(value: int) -> list[int]:
-    """SeedSequence's coercion of one non-negative integer: little-endian uint32 words."""
-    value = int(value)
-    if value < 0:
-        raise ValueError(f"stream tags must be non-negative, got {value}")
-    words = [value & _MASK32]
-    while value > _MASK32:
-        value >>= 32
-        words.append(value & _MASK32)
-    return words
-
-
-def _u64_words(values: np.ndarray, wide: bool) -> np.ndarray:
-    """Coercion of uint64 values that all have one word (wide=False) or two (wide=True)."""
-    if wide:
-        return np.stack([values & _U64_LOW, values >> _U64_32]).astype(np.uint32)
-    return values.astype(np.uint32)[None]
+def _name_words(words: Sequence) -> np.ndarray:
+    """Entries (ints or int arrays) broadcast to the row shape: uint32 words (L, *rows)."""
+    entries = [np.asarray(word) for word in words]
+    for entry in entries:
+        if entry.size and not (entry.dtype.kind in "iu" and entry.min() >= 0
+                               and entry.max() <= _MASK32):
+            raise ValueError(f"{_WORD_RANGE}, got values from {entry.min()} to {entry.max()}")
+    names = np.empty((len(entries), *np.broadcast_shapes(*(e.shape for e in entries))),
+                     dtype=np.uint32)
+    for k, entry in enumerate(entries):
+        names[k] = entry
+    return names
 
 
 @functools.lru_cache(maxsize=None)
@@ -168,42 +181,6 @@ def _philox_key(pool: np.ndarray) -> np.ndarray:
     return state[0::2] | state[1::2] << _U64_32
 
 
-def _stream_rows(seeds, indices) -> tuple[np.ndarray, np.ndarray]:
-    """Masked uint64 seeds and checked uint64 indices, broadcast against each other."""
-    return np.broadcast_arrays(_masked_seeds(seeds), _stream_indices(indices))
-
-
-def stream_keys(seeds, tags: Sequence[int], indices) -> np.ndarray:
-    """Philox keys, shape (2, ...), of the streams ``substream(seed, *tags, index)``.
-
-    Seeds and indices broadcast.  Word 0 equals
-    ``SeedSequence(entropy).generate_state(1, np.uint64)[0]``.
-    """
-    seeds, indices = _stream_rows(seeds, indices)
-    return _keys(seeds.ravel(), tags, indices.ravel()).reshape(2, *seeds.shape)
-
-
-def _keys(seeds: np.ndarray, tags: Sequence[int], indices: np.ndarray) -> np.ndarray:
-    """Philox keys (2, K) of 1-d uint64 seeds and indices.
-
-    SeedSequence turns a value below 2**32 into one entropy word and a
-    larger one into two, so rows are hashed in groups of equal word count;
-    the usual single group is hashed without gathering its rows.
-    """
-    tag_words = np.array([w for tag in tags for w in _int_words(tag)], dtype=np.uint32)
-    group = 2 * (seeds > _MASK32) + (indices > _MASK32)
-    groups = np.flatnonzero(np.bincount(group, minlength=4))
-    keys = np.empty((2, seeds.size), dtype=np.uint64)
-    for g in groups:
-        rows = slice(None) if groups.size == 1 else np.flatnonzero(group == g)
-        group_seeds, group_indices = seeds[rows], indices[rows]
-        words = np.concatenate([_u64_words(group_seeds, g >= 2),
-                                np.repeat(tag_words[:, None], group_seeds.size, axis=1),
-                                _u64_words(group_indices, g % 2 == 1)])
-        keys[:, rows] = _philox_key(_entropy_pool(words))
-    return keys
-
-
 _PHILOX_M = np.array([_PHILOX_M0, _PHILOX_M1], dtype=np.uint64)[:, None, None]
 _PHILOX_M_LO, _PHILOX_M_HI = _PHILOX_M & _MASK32, _PHILOX_M >> 32
 _PHILOX_W = np.array([_PHILOX_W0, _PHILOX_W1], dtype=np.uint64)[:, None, None]
@@ -240,21 +217,24 @@ def _philox_blocks(keys: np.ndarray, blocks: int) -> np.ndarray:
     return words.reshape(keys.shape[1], 4 * blocks)
 
 
-def open_uniform_rows(seeds, tags: Sequence[int], indices, count: int) -> np.ndarray:
-    """``open_uniform(substream(seed, *tags, index), count)`` for every broadcast (seed, index).
+def open_uniform_rows(words: Sequence, count: int) -> np.ndarray:
+    """``open_uniform(substream(*name), count)`` for every name the entries of ``words`` form.
 
-    Returns shape ``broadcast(seeds, indices).shape + (count,)``.  Rows go
-    through the port in passes of a fixed block budget, so the temporaries
-    stay bounded whatever the number of rows.
+    Each entry is an int or an int array, and the entries broadcast to the
+    row shape: row ``idx`` is the stream named by ``[w[idx] for w in words]``.
+    Returns shape ``rows + (count,)``.  Rows go through the port in passes of
+    a fixed block budget, so the temporaries stay bounded whatever the
+    number of rows.
     """
-    seeds, indices = _stream_rows(seeds, indices)
-    flat_seeds, flat_indices = seeds.ravel(), indices.ravel()
+    names = _name_words(words)
+    shape = names.shape[1:]
+    names = names.reshape(names.shape[0], -1)
     blocks = -(-count // 4)
-    out = np.empty((flat_seeds.size, count))
+    out = np.empty((names.shape[1], count))
     step = max(1, _PASS_BLOCKS // blocks)
-    for start in range(0, flat_seeds.size, step):
+    for start in range(0, names.shape[1], step):
         rows = slice(start, start + step)
-        keys = _keys(flat_seeds[rows], tags, flat_indices[rows])
+        keys = _philox_key(_entropy_pool(names[:, rows]))
         raw = _philox_blocks(keys, blocks)[:, :count]
         out[rows] = (raw >> _U64_11) * (1.0 / 9007199254740992.0)  # Generator.random: 53 bits
-    return np.clip(out, _UNIFORM_LO, _UNIFORM_HI, out=out).reshape(*seeds.shape, count)
+    return np.clip(out, _UNIFORM_LO, _UNIFORM_HI, out=out).reshape(*shape, count)

@@ -269,22 +269,24 @@ def _validate_grid(grid: np.ndarray) -> None:
         raise ValueError("grid must be strictly increasing")
 
 
-def _noise_increments(alpha: float, m: int, grid: np.ndarray, seeds) -> np.ndarray:
-    """Row i: (dt_i)^(1/alpha) x isotropic, from its own (seed, row) stream.
+def _noise_increments(alpha: float, m: int, grid: np.ndarray, *name) -> np.ndarray:
+    """Row i: (dt_i)^(1/alpha) x isotropic, from its own stream (*name, TAG_NOISE_ROW, i).
 
-    A scalar seed gives one path, shape (M, m); an array of R seeds gives R
-    paths, shape (R, M, m), each equal to the path of its seed alone.
+    Scalar entries of ``name`` give one path, shape (M, m); array entries of
+    shape S give a batch of paths, shape S + (M, m), each equal to the path
+    named by its own entries.
     """
     rows = np.arange(grid.size - 1)
-    uniforms = open_uniform_rows(np.expand_dims(seeds, -1), (TAG_NOISE_ROW,), rows, 2 + m)
+    words = [np.expand_dims(word, -1) for word in name]
+    uniforms = open_uniform_rows([*words, TAG_NOISE_ROW, rows], 2 + m)
     return np.diff(grid)[:, None] ** (1.0 / alpha) * _isotropic_from_uniforms(alpha, uniforms)
 
 
 def generate_noise_path(alpha: float, m: int, grid, seed: int) -> NoisePath:
     """Sample a NoisePath: independent rows, row i ~ (dt_i)^(1/alpha) x isotropic.
 
-    Row i is generated from its own counter-based stream derived from
-    (seed, row index), so a rerun with the same seed reproduces the path.
+    Row i is generated from its own counter-based stream, named
+    (seed, TAG_NOISE_ROW, i), so a rerun with the same seed reproduces the path.
     """
     AlphaParams(alpha)
     if m < 1:

@@ -24,9 +24,11 @@ from cylstable.experiments import (
 )
 from cylstable.hilbert import HSMatrix, check_norm_continuity, heat_preset, make_model
 from cylstable.integral import constant_integrand, refinement_experiment
-from cylstable.picard import SolverConfig, binding_time_bound, glue_solve, solve, _piece_seed
+from cylstable.picard import SolverConfig, binding_time_bound, glue_solve, solve
+from cylstable.rng import TAG_PIECE
 from cylstable.sampling import (
     AlphaParams,
+    NoisePath,
     _noise_increments,
     extend_dimension,
     generate_noise_path,
@@ -231,7 +233,8 @@ def test_criterion_10_gluing():
     piece_T = config.T / pieces
     steps = math.ceil(config.M / pieces)
     sub = SolverConfig(alpha=1.5, T=piece_T, M=steps, n=8, seed=config.seed)
-    noise0 = generate_noise_path(1.5, 8, sub.grid(), _piece_seed(config.seed, 0))
+    rows0 = _noise_increments(1.5, 8, sub.grid(), config.seed, TAG_PIECE, 0)
+    noise0 = NoisePath(1.5, 8, sub.grid(), rows0, config.seed)
     piece0 = solve(model, sub, noise=noise0, warn_beyond_bound=False)
     junction_exact = np.array_equal(glued.states[glued.piece_breaks[0]], piece0.terminal)
     _report(10, pieces == 4 and residuals_ok and junction_exact,

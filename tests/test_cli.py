@@ -116,6 +116,15 @@ def test_malformed_values_are_usage_errors(tmp_path, capsys, argv):
     assert not any(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("seed", ["-1", "4294967296"])
+@pytest.mark.parametrize("command", sorted(TINY_STOCHASTIC))
+def test_seeds_outside_32_bits_are_usage_errors(tmp_path, capsys, command, seed):
+    out = tmp_path / "out"
+    assert main([command, *TINY_STOCHASTIC[command], "--seed", seed, "--out", str(out)]) == 2
+    assert "usage error:" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command, extra", [
     ("picard", ["--replicas", "0"]),
     ("picard", ["--replicas", "1"]),
@@ -125,6 +134,8 @@ def test_malformed_values_are_usage_errors(tmp_path, capsys, argv):
     ("integrate", ["--refinement-levels", "3", "--replicas", "0"]),
     ("moment", ["--N", "0"]),
     ("gof", ["--N", "0"]),
+    ("gronwall", ["--count", "0"]),
+    ("gronwall", ["--count", "-3"]),
 ])
 def test_counts_below_their_minimum_are_usage_errors(tmp_path, capsys, command, extra):
     out = tmp_path / "out"
@@ -390,6 +401,26 @@ def test_cli_import_loads_no_scipy():
                          "print(sorted(m for m in sys.modules if m.startswith('scipy')))")
     assert result.returncode == 0, result.stderr
     assert result.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize("argv", [
+    ["noise", *TINY_STOCHASTIC["noise"]],
+    ["solve", *TINY_STOCHASTIC["solve"]],
+    ["glue", *TINY_STOCHASTIC["glue"]],
+    ["picard", *TINY_STOCHASTIC["picard"]],
+    ["uniqueness", *TINY_STOCHASTIC["uniqueness"]],
+    ["integrate", *TINY_STOCHASTIC["integrate"]],
+    ["integrate", "--alpha", "1.5", "--M", "8", "--refinement-levels", "2", "--replicas", "20"],
+], ids=lambda argv: " ".join(argv[:1] + argv[-2:]))
+def test_noise_commands_never_import_numpy_random(tmp_path, argv):
+    # their streams come from the port, which keeps numpy.random's memory out of these runs
+    code = ("import json, sys\n"
+            "from cylstable.cli import main\n"
+            "code = main(json.loads(sys.argv[1]))\n"
+            "print(json.dumps([code, 'numpy.random' in sys.modules]))\n")
+    result = _run_python(code, json.dumps([*argv, "--seed", "7", "--out", str(tmp_path)]))
+    assert result.returncode == 0, result.stderr
+    assert json.loads(result.stdout.splitlines()[-1]) == [0, False]
 
 
 def test_every_command_runs_with_scipy_blocked(tmp_path):

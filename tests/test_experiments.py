@@ -6,7 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from cylstable import picard
+from cylstable import constants, experiments, integral, picard, rng, sampling
 from cylstable.constants import c_alpha
 from cylstable.experiments import (
     HypothesisFailed,
@@ -22,7 +22,7 @@ from cylstable.experiments import (
 )
 from cylstable.hilbert import HSMatrix, heat_preset
 from cylstable.integral import constant_integrand
-from cylstable.experiments import _TAG_ALT_NOISE, _cumulative_trapezoid, _replica_seed
+from cylstable.experiments import _cumulative_trapezoid
 from cylstable.picard import (
     SolverConfig,
     _driven_diagonal,
@@ -33,8 +33,8 @@ from cylstable.picard import (
     picard_step,
     solve,
 )
-from cylstable.rng import TAG_REPLICA
-from cylstable.sampling import generate_noise_path, sample_isotropic
+from cylstable.rng import TAG_ALT_NOISE, TAG_REPLICA
+from cylstable.sampling import NoisePath, _noise_increments, sample_isotropic
 
 
 def test_tail_zero_operator():
@@ -78,6 +78,71 @@ def test_tail_integrand_plateau_and_scaling():
                              r_grid=np.geomspace(10, 60, 9), seed=5)
     assert report.passed, [(v.name, v.observed, v.threshold) for v in report.verdicts]
     assert "plateau_scaling" in {v.name for v in report.verdicts}
+
+
+def _tiny_tail_integrand(seed):
+    integrand = constant_integrand(np.eye(1), np.linspace(0.0, 1.0, 5))
+    return tail_experiment(integrand, 1.5, n_samples=4_000, r_grid=np.geomspace(1.0, 8.0, 13),
+                           seed=seed)
+
+
+def test_tail_scaled_run_does_not_alias_another_seeds_base_run():
+    # the scaled run was once reseeded with (seed << 1) ^ 0x5CA1ED; since c = 2 scales every
+    # sup norm bit-exactly, seed 3's scaled table then equalled seed 0x5CA1EB's base table
+    scaled = _tiny_tail_integrand(3).tables["tail_scaled"]
+    base = _tiny_tail_integrand((3 << 1) ^ 0x5CA1ED).tables["tail"]
+    assert not np.array_equal(scaled["p_hat"], base["p_hat"])
+
+
+def _record_stream_names(monkeypatch) -> list[tuple[int, ...]]:
+    """Make every module that draws streams record the name of each stream it draws."""
+    names = []
+
+    def rows(words, count):
+        entries = np.broadcast_arrays(*(np.asarray(word) for word in words))
+        names.extend(zip(*(entry.ravel().tolist() for entry in entries)))
+        return rng.open_uniform_rows(words, count)
+
+    def stream(*name):
+        names.append(tuple(int(word) for word in name))
+        return rng.substream(*name)
+
+    for module in (constants, experiments, integral, sampling):
+        for attr, recorder in (("substream", stream), ("open_uniform_rows", rows)):
+            if hasattr(module, attr):
+                monkeypatch.setattr(module, attr, recorder)
+    return names
+
+
+def _tiny_runs():
+    model = heat_preset(4)
+    bound = binding_time_bound(model, 1.5)
+    grid = np.linspace(0.0, 1.0, 5)
+    return {
+        # 3 replicas x 20 rows, shared and fresh noise
+        "uniqueness": (120, lambda: uniqueness_experiment(
+            model, SolverConfig(alpha=1.5, T=0.8 * bound, M=20, n=4, seed=23), replicas=3,
+            seed=23)),
+        # 40 rows over 3 pieces
+        "glue": (40, lambda: picard.glue_solve(
+            model, SolverConfig(alpha=1.5, T=2.5 * bound, M=40, n=4, seed=23))),
+        # one chunk (drawn again for the scaled integrand) and the bootstrap
+        "moment": (2, lambda: moment_experiment(constant_integrand(np.eye(1), grid), 1.5,
+                                                [1.0], 500, seed=23)),
+        # the base and the scaled run, one chunk each
+        "tail_integrand": (2, lambda: _tiny_tail_integrand(23)),
+    }
+
+
+@pytest.mark.parametrize("run", sorted(_tiny_runs()))
+def test_streams_of_one_run_have_distinct_keys(monkeypatch, run):
+    expected, draw = _tiny_runs()[run]
+    names = _record_stream_names(monkeypatch)
+    draw()
+    distinct = set(names)
+    keys = {tuple(np.random.SeedSequence(list(name)).generate_state(2, np.uint64))
+            for name in distinct}
+    assert len(keys) == len(distinct) == expected
 
 
 def test_moment_zero_integrand():
@@ -244,14 +309,20 @@ def test_picard_experiment_additive_zero_from_n2():
     assert np.array_equal(moments[1:], np.zeros(3))
 
 
+def replica_noise(config, seed, tag, replica):
+    """Noise of one replica, its rows named (seed, tag, replica, TAG_NOISE_ROW, i)."""
+    grid = config.grid()
+    rows = _noise_increments(config.alpha, config.noise_dim, grid, seed, tag, replica)
+    return NoisePath(config.alpha, config.noise_dim, grid, rows, seed)
+
+
 def per_replica_picard_decay(model, config, n_iters, p, replicas, seed):
     """Reference for picard_convergence_experiment: one public picard_step per replica."""
     x0 = config.initial_state()
     grid = config.grid()
     diffs = np.empty((replicas, n_iters))
     for r in range(replicas):
-        noise = generate_noise_path(config.alpha, config.noise_dim, grid,
-                                    _replica_seed(seed, TAG_REPLICA, r))
+        noise = replica_noise(config, seed, TAG_REPLICA, r)
         prev = _semigroup_flow(model, grid, x0)
         for it in range(n_iters):
             new = picard_step(model, prev, noise, x0)
@@ -267,16 +338,13 @@ def per_replica_uniqueness_paths(model, config, replicas, seed):
     Returns the distance columns and the solved paths, replica-major in the
     order semigroup seed, zero seed, perturbed x0, fresh noise.
     """
-    grid = config.grid()
     x0 = config.initial_state()
     x0_alt = x0.copy()
     x0_alt[0] += 0.1
     paths, noises, rows = [], [], np.empty((replicas, 3))
     for r in range(replicas):
-        noise = generate_noise_path(config.alpha, config.noise_dim, grid,
-                                    _replica_seed(seed, TAG_REPLICA, r))
-        alt_noise = generate_noise_path(config.alpha, config.noise_dim, grid,
-                                        _replica_seed(seed, _TAG_ALT_NOISE, r))
+        noise = replica_noise(config, seed, TAG_REPLICA, r)
+        alt_noise = replica_noise(config, seed, TAG_ALT_NOISE, r)
         cfg = replace(config, x0=x0)
         quad = [
             solve(model, cfg, noise=noise, warn_beyond_bound=False),

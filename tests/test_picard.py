@@ -9,8 +9,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cylstable import picard
 from cylstable.hilbert import heat_preset, make_model
 from cylstable.picard import (
+    GLUE_SAFETY,
     MildPath,
     NonConvergenceError,
     SolverConfig,
@@ -20,11 +22,11 @@ from cylstable.picard import (
     residual,
     solve,
     _driven_diagonal,
-    _piece_seed,
     _row_norms,
     _semigroup_flow,
 )
-from cylstable.sampling import generate_noise_path
+from cylstable.rng import TAG_PIECE
+from cylstable.sampling import NoisePath, _noise_increments, generate_noise_path
 
 
 def drift_convolution(model, states, grid):
@@ -293,15 +295,43 @@ def test_nonconvergence_is_reported():
     assert info.value.path.iteration_count == 3
 
 
+def piece_noise(config, piece):
+    """Noise of glue piece ``piece`` on the grid of ``config``, named (seed, TAG_PIECE, piece)."""
+    grid = config.grid()
+    rows = _noise_increments(config.alpha, config.noise_dim, grid, config.seed, TAG_PIECE, piece)
+    return NoisePath(config.alpha, config.noise_dim, grid, rows, config.seed)
+
+
 def test_glue_single_piece_matches_solve():
     model = heat_preset(8)
     bound = binding_time_bound(model, 1.5)
     config = SolverConfig(alpha=1.5, T=0.5 * bound, M=40, n=8, seed=108)
     glued = glue_solve(model, config)
     assert len(glued.piece_residuals) == 1
-    noise = generate_noise_path(1.5, 8, config.grid(), _piece_seed(config.seed, 0))
+    noise = piece_noise(config, 0)
     direct = solve(model, config, noise=noise, warn_beyond_bound=False)
     assert np.array_equal(glued.states, direct.states)
+
+
+def test_glue_piece_noise_does_not_alias_other_seeds(monkeypatch):
+    # pieces were once seeded by (seed << 8) ^ (TAG_PIECE + piece), so piece 0 of seed 7
+    # drew exactly the noise of piece 256 of seed 6
+    drawn = []
+
+    def recording_solve(model, config, noise=None, **kwargs):
+        drawn.append(noise)
+        return solve(model, config, noise=noise, **kwargs)
+
+    monkeypatch.setattr(picard, "solve", recording_solve)
+    model = heat_preset(3)
+    pieces = 257
+    six = SolverConfig(alpha=1.5, T=(pieces - 0.5) * GLUE_SAFETY * binding_time_bound(model, 1.5),
+                       M=2 * pieces, n=3, seed=6)
+    assert len(glue_solve(model, six).piece_residuals) == pieces
+    assert len(glue_solve(model, replace(six, T=six.T / pieces, M=2, seed=7)).piece_residuals) == 1
+    piece_256_of_6, piece_0_of_7 = drawn[pieces - 1], drawn[pieces]
+    assert np.array_equal(piece_256_of_6.grid, piece_0_of_7.grid)
+    assert not np.any(piece_256_of_6.increments == piece_0_of_7.increments)
 
 
 def test_glue_three_times_bound_gives_four_pieces():
@@ -330,7 +360,7 @@ def test_glue_junctions_bit_exact():
     piece_T = config.T / pieces
     steps = math.ceil(config.M / pieces)
     sub = SolverConfig(alpha=1.5, T=piece_T, M=steps, n=4, seed=config.seed)
-    noise0 = generate_noise_path(1.5, 4, sub.grid(), _piece_seed(config.seed, 0))
+    noise0 = piece_noise(sub, 0)
     piece0 = solve(model, sub, noise=noise0, warn_beyond_bound=False)
     junction = glued.piece_breaks[0]
     assert np.array_equal(glued.states[junction], piece0.terminal)

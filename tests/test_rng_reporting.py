@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from cylstable import reporting, rng
 from cylstable.reporting import format_rows, format_value, write_csv, write_summary
-from cylstable.rng import open_uniform, open_uniform_rows, stream_keys, substream
+from cylstable.rng import open_uniform, open_uniform_rows, substream
 
 
 def test_substream_determinism_and_independence():
@@ -19,51 +19,68 @@ def test_substream_determinism_and_independence():
     assert not np.array_equal(a, substream(43, 1, 2).random(8))
 
 
-def test_substream_handles_wide_and_negative_seeds():
-    assert substream(2**66 + 5).random(1).size == 1
-    assert substream(-7).random(1).size == 1
-
-
 @given(
-    seed=st.one_of(st.integers(0, 2**64 - 1), st.integers(2**64, 2**80)),
-    tags=st.lists(st.integers(0, 2**40), min_size=1, max_size=3),
-    indices=st.lists(st.one_of(st.just(0), st.integers(0, 2**32 - 1),
-                               st.integers(2**32, 2**64 - 1)), min_size=1, max_size=4),
+    seed=st.integers(0, 2**32 - 1),
+    tags=st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=3),
+    replicas=st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=3),
+    indices=st.lists(st.one_of(st.just(0), st.just(2**32 - 1), st.integers(0, 2**32 - 1)),
+                     min_size=1, max_size=4),
     count=st.integers(1, 40),
 )
 @settings(max_examples=150, deadline=None)
-def test_open_uniform_rows_equal_substream_streams(seed, tags, indices, count):
-    reference = np.stack([open_uniform(substream(seed, *tags, i), count) for i in indices])
-    rows = open_uniform_rows(seed, tags, np.array(indices, dtype=np.uint64), count)
+def test_open_uniform_rows_equal_substream_streams(seed, tags, replicas, indices, count):
+    # array entries in two positions of the name: replica x row
+    rows = open_uniform_rows([seed, *tags, np.array(replicas)[:, None], tags[0],
+                              np.array(indices, dtype=np.uint64)], count)
+    reference = np.stack([[open_uniform(substream(seed, *tags, r, tags[0], i), count)
+                           for i in indices] for r in replicas])
     assert np.array_equal(rows, reference)
-    keys = stream_keys(seed, tags, np.array(indices, dtype=np.uint64))[0]
-    words = [np.random.SeedSequence([seed & (2**64 - 1), *tags, i]).generate_state(1, np.uint64)[0]
-             for i in indices]
-    assert np.array_equal(keys, words)
 
 
-def test_open_uniform_rows_broadcast_seeds_and_mask_like_substream():
-    seeds = np.array([0, 7, 2**32, 2**64 - 1], dtype=np.uint64)
-    rows = open_uniform_rows(seeds[:, None], (5,), np.arange(3), 6)
-    assert rows.shape == (4, 3, 6)
+def test_open_uniform_rows_broadcast_array_words_like_substream():
+    seeds = np.array([0, 7, 2**32 - 1], dtype=np.uint64)
+    rows = open_uniform_rows([seeds[:, None], 5, np.arange(3)], 6)
+    assert rows.shape == (3, 3, 6)
     for s, seed in enumerate(seeds):
         for i in range(3):
             assert np.array_equal(rows[s, i], open_uniform(substream(int(seed), 5, i), 6))
-    for seed in (-1, -(2**70), 2**64 + 5):
-        assert np.array_equal(open_uniform_rows(seed, (5,), [0, 1], 3),
-                              np.stack([open_uniform(substream(seed, 5, i), 3) for i in (0, 1)]))
+    assert np.array_equal(open_uniform_rows([9], 4), open_uniform(substream(9), 4))
+    assert open_uniform_rows([1, np.arange(0)], 4).shape == (0, 4)
+
+
+@pytest.mark.parametrize("word", [-1, 2**32, 2**64 + 5])
+def test_stream_names_refuse_words_outside_32_bits(word):
+    for draw in (lambda: substream(word), lambda: substream(1, 2, word),
+                 lambda: open_uniform_rows([word], 3),
+                 lambda: open_uniform_rows([1, np.array([0, word])], 3)):
+        with pytest.raises(ValueError, match=r"\[0, 2\*\*32\)"):
+            draw()
+
+
+def test_multiword_entries_are_refused_not_split():
+    # SeedSequence splits an entry into 32-bit words, so this name would alias (5, 7, 9)
+    aliased = [np.random.SeedSequence(name).generate_state(2, np.uint64)
+               for name in ([5 + 7 * 2**32, 9], [5, 7, 9])]
+    assert np.array_equal(*aliased)
     with pytest.raises(ValueError):
-        open_uniform_rows(1, (2,), [-1], 4)
-    with pytest.raises(ValueError):
-        open_uniform_rows(1, (-2,), [0], 4)
+        substream(5 + 7 * 2**32, 9)
+    assert not np.array_equal(substream(5, 7, 9).random(4), substream(5, 9).random(4))
+
+
+def test_tags_are_distinct_nonzero_words():
+    # SeedSequence pads short names with zeros, so a zero tag could alias a shorter name
+    tags = {name: value for name, value in vars(rng).items() if name.startswith("TAG_")}
+    assert len(tags) >= 12
+    assert len(set(tags.values())) == len(tags)
+    assert all(0 < value < 2**32 for value in tags.values())
 
 
 def test_open_uniform_rows_pass_budget_does_not_change_rows(monkeypatch):
     rows = 24
-    whole = open_uniform_rows(11, (3,), np.arange(rows), 9)  # one pass
-    assert np.array_equal(whole[:-1], open_uniform_rows(11, (3,), np.arange(rows - 1), 9))
+    whole = open_uniform_rows([11, 3, np.arange(rows)], 9)  # one pass
+    assert np.array_equal(whole[:-1], open_uniform_rows([11, 3, np.arange(rows - 1)], 9))
     monkeypatch.setattr(rng, "_PASS_BLOCKS", 1)
-    assert np.array_equal(open_uniform_rows(11, (3,), np.arange(rows), 9), whole)
+    assert np.array_equal(open_uniform_rows([11, 3, np.arange(rows)], 9), whole)
 
 
 def test_format_rows_equals_format_value_per_cell(monkeypatch):

@@ -9,7 +9,7 @@ from scipy.stats import ks_2samp, levy_stable
 
 from cylstable import sampling
 from cylstable.experiments import char_function_test
-from cylstable.rng import TAG_NOISE_ROW, open_uniform, substream
+from cylstable.rng import TAG_NOISE_ROW, TAG_PIECE, open_uniform, substream
 from cylstable.sampling import (
     AlphaParams,
     _isotropic_from_uniforms,
@@ -233,17 +233,22 @@ def test_positive_stable_finite_at_stream_extremes():
 
 
 def test_noise_rows_equal_per_row_substreams():
-    # row i is drawn from its own stream (seed, TAG_NOISE_ROW, i), seeds masked to 64 bits
+    # row i is drawn from its own stream (seed, TAG_NOISE_ROW, i)
     grid = np.concatenate([[0.0], np.cumsum(np.linspace(0.01, 0.05, 23))])
-    for seed in (0, 17, 2**40 + 3, 2**64 + 17):
+    for seed in (0, 17, 2**32 - 1):
         uniforms = np.stack([open_uniform(substream(seed, TAG_NOISE_ROW, i), 2 + 3)
                              for i in range(grid.size - 1)])
         reference = np.diff(grid)[:, None] ** (1.0 / 1.6) * _isotropic_from_uniforms(1.6, uniforms)
         assert np.array_equal(generate_noise_path(1.6, 3, grid, seed).increments, reference)
-    seeds = np.array([5, 2**40 + 3], dtype=np.uint64)
+    seeds = np.array([5, 2**32 - 1], dtype=np.uint64)
     batch = _noise_increments(1.6, 3, grid, seeds)
     for path, seed in zip(batch, seeds, strict=True):
         assert np.array_equal(path, generate_noise_path(1.6, 3, grid, int(seed)).increments)
+    # a longer name: row i from (*name, TAG_NOISE_ROW, i)
+    uniforms = np.stack([open_uniform(substream(9, TAG_PIECE, 2, TAG_NOISE_ROW, i), 2 + 3)
+                         for i in range(grid.size - 1)])
+    reference = np.diff(grid)[:, None] ** (1.0 / 1.6) * _isotropic_from_uniforms(1.6, uniforms)
+    assert np.array_equal(_noise_increments(1.6, 3, grid, 9, TAG_PIECE, 2), reference)
 
 
 def test_noise_csv_equals_per_value_writer():
