@@ -8,6 +8,7 @@ the flags (``--key-with-dashes``), the keys accepted by the optional flat
 key=value ``--config`` file and the keys of every artifact header all come
 from that table.  Flags override the config file, which overrides the
 defaults; unknown config keys and malformed values are usage errors.
+Each handler imports the modules it calls, so a command loads only those.
 
 Exit codes: 0 all verdicts pass, 1 verdict failure (or non-convergence),
 2 usage error, 3 inconclusive (under-resolved) experiment; a failed
@@ -26,27 +27,13 @@ import sys
 import warnings
 from dataclasses import replace
 from pathlib import Path
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 
 from . import __version__
-from .constants import constants_report
-from .experiments import (
-    ExperimentReport,
-    HypothesisFailed,
-    isotropic_gof_report,
-    moment_experiment,
-    picard_convergence_experiment,
-    random_hypothesis_triples,
-    tail_experiment,
-    uniqueness_experiment,
-    willet_wong_check,
-)
-from .hilbert import HSMatrix, check_A2, check_A3, check_norm_continuity, heat_preset, parse_model_config
-from .integral import StepIntegrand, constant_integrand, integrate, refinement_experiment
-from .picard import NonConvergenceError, SolverConfig, binding_time_bound, glue_solve, solve
 from .reporting import (
+    RunFailed,
     format_value,
     header_lines,
     parse_key_values,
@@ -55,14 +42,10 @@ from .reporting import (
     write_summary,
 )
 from .rng import stream_word, substream
-from .sampling import (
-    generate_noise_path,
-    noise_csv_lines,
-    sample_isotropic,
-    sample_positive_stable,
-    sample_scalar_sas,
-    AlphaParams,
-)
+
+if TYPE_CHECKING:  # annotations only; the handlers import what they call
+    from .experiments import ExperimentReport
+    from .picard import SolverConfig
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
@@ -149,6 +132,8 @@ def _r_grid(resolved: dict) -> np.ndarray:
     "n": (int, 1), "c_convention": (float, 1.0), "out": (str, "."), "seed": (_seed, 0),
 })
 def cmd_constants(resolved: dict) -> int:
+    from .constants import constants_report
+
     _require(resolved, "alpha", "p")
     report = constants_report(resolved["alpha"], resolved["p"], resolved["c_f"],
                               resolved["c_g"], resolved["n"], resolved["c_convention"])
@@ -167,6 +152,8 @@ def cmd_constants(resolved: dict) -> int:
     "N": (int, 10000), "seed": (_seed, None), "out": (str, "."),
 })
 def cmd_sample(resolved: dict) -> int:
+    from .sampling import AlphaParams, sample_isotropic, sample_positive_stable, sample_scalar_sas
+
     _require(resolved, "alpha", "seed")
     kind = resolved["kind"]
     out = _out_dir(resolved)
@@ -194,6 +181,8 @@ def cmd_sample(resolved: dict) -> int:
     "seed": (_seed, None), "out": (str, "."),
 })
 def cmd_noise(resolved: dict) -> int:
+    from .sampling import generate_noise_path, noise_csv_lines
+
     _require(resolved, "alpha", "seed")
     grid = np.linspace(0.0, resolved["T"], resolved["M"] + 1)
     path = generate_noise_path(resolved["alpha"], resolved["m"], grid, resolved["seed"])
@@ -204,13 +193,24 @@ def cmd_noise(resolved: dict) -> int:
     return EXIT_PASS
 
 
+# integrate's time profiles: the integrand is Psi(s) = profile(s) * diag(gamma)
+_PROFILES = {"const": np.ones_like, "linear": lambda s: s}
+
+
 @_command("integrate", {
     "alpha": (float, None), "gamma": (_parse_floats, (1.0,)), "profile": (str, "const"),
     "T": (float, 1.0), "M": (int, 100), "seed": (_seed, None), "out": (str, "."),
     "refinement_levels": (int, None), "replicas": (int, 2000), "epsilon": (float, 0.02),
 })
 def cmd_integrate(resolved: dict) -> int:
+    from .hilbert import HSMatrix
+    from .integral import StepIntegrand, integrate, refinement_experiment
+    from .sampling import generate_noise_path
+
     _require(resolved, "alpha", "seed")
+    profile = _PROFILES.get(resolved["profile"])
+    if profile is None:
+        raise UsageError(f"unknown profile {resolved['profile']!r} (const | linear)")
     gamma = np.asarray(resolved["gamma"], dtype=float)
     grid = np.linspace(0.0, resolved["T"], resolved["M"] + 1)
     psi = HSMatrix.diagonal(gamma)
@@ -218,11 +218,6 @@ def cmd_integrate(resolved: dict) -> int:
 
     if resolved["refinement_levels"] is not None:
         # refinement-convergence experiment for the selected profile
-        profile = {"const": lambda s: np.ones_like(s), "linear": lambda s: s}.get(
-            resolved["profile"]
-        )
-        if profile is None:
-            raise UsageError(f"unknown profile {resolved['profile']!r} (const | linear)")
         result = refinement_experiment(
             profile, psi, resolved["alpha"], resolved["T"], resolved["M"],
             resolved["refinement_levels"], resolved["replicas"], resolved["epsilon"],
@@ -238,13 +233,7 @@ def cmd_integrate(resolved: dict) -> int:
         print(f"wrote {out / 'refinement.csv'} (monotone={result['monotone']})")
         return EXIT_PASS if result["monotone"] else EXIT_FAIL
 
-    if resolved["profile"] == "const":
-        integrand = constant_integrand(psi, grid)
-    elif resolved["profile"] == "linear":
-        values = grid[:-1, None, None] * psi.entries[None]
-        integrand = StepIntegrand(grid, values)
-    else:
-        raise UsageError(f"unknown profile {resolved['profile']!r} (const | linear)")
+    integrand = StepIntegrand(grid, profile(grid[:-1])[:, None, None] * psi.entries)
     noise = generate_noise_path(resolved["alpha"], gamma.size, grid, resolved["seed"])
     path = integrate(integrand, noise)
     cols = {"t": grid}
@@ -272,6 +261,8 @@ def _model_from(resolved: dict):
     file's content is recorded as ``model_sha256``, so every artifact header
     pins the problem solved, not only the file's path.
     """
+    from .hilbert import heat_preset, parse_model_config
+
     if resolved["model_config"]:
         content = Path(resolved["model_config"]).read_bytes()
         resolved["model_sha256"] = hashlib.sha256(content).hexdigest()
@@ -288,6 +279,8 @@ def _model_from(resolved: dict):
 
 
 def _config_from(resolved: dict, model, horizon: float) -> SolverConfig:
+    from .picard import SolverConfig
+
     x0 = np.asarray(resolved["x0"], float) if resolved["x0"] else None
     return SolverConfig(alpha=resolved["alpha"], T=horizon, M=resolved["M"], n=model.n,
                         m=model.m, N_max=resolved["N_max"], tol=resolved["tol"],
@@ -296,6 +289,8 @@ def _config_from(resolved: dict, model, horizon: float) -> SolverConfig:
 
 def _ensemble_setup(resolved: dict):
     """Model and config of picard and uniqueness; the horizon defaults to 0.9 T_bound."""
+    from .picard import binding_time_bound
+
     _require(resolved, "seed")
     model = _model_from(resolved)
     if resolved["T"] is None:
@@ -316,6 +311,8 @@ def _write_mild_path(path, file: Path, resolved: dict) -> None:
 
 @_command("solve", {**_SOLVER_SPEC, "T": (float, None)})
 def cmd_solve(resolved: dict) -> int:
+    from .picard import binding_time_bound, solve
+
     _require(resolved, "T", "seed")
     model = _model_from(resolved)
     config = _config_from(resolved, model, resolved["T"])
@@ -339,6 +336,8 @@ def cmd_solve(resolved: dict) -> int:
 
 @_command("glue", {**_SOLVER_SPEC, "T_total": (float, None)})
 def cmd_glue(resolved: dict) -> int:
+    from .picard import glue_solve
+
     _require(resolved, "T_total", "seed")
     model = _model_from(resolved)
     config = _config_from(resolved, model, resolved["T_total"])
@@ -362,6 +361,10 @@ def cmd_glue(resolved: dict) -> int:
     "level_frac": (float, 0.15), "slope_tol": (float, 0.1),
 })
 def cmd_tail(resolved: dict) -> int:
+    from .experiments import tail_experiment
+    from .hilbert import HSMatrix
+    from .integral import constant_integrand
+
     _require(resolved, "alpha", "seed")
     gamma = np.asarray(resolved["gamma"], dtype=float)
     if resolved["integrand"] == "const":
@@ -386,6 +389,10 @@ def cmd_tail(resolved: dict) -> int:
     "seed": (_seed, None), "out": (str, "."), "scale_factor": (float, 2.0),
 })
 def cmd_moment(resolved: dict) -> int:
+    from .experiments import moment_experiment
+    from .hilbert import HSMatrix
+    from .integral import constant_integrand
+
     _require(resolved, "alpha", "seed")
     if resolved["p_list"] is None:
         resolved["p_list"] = (1.0, resolved["alpha"] - 0.3)
@@ -399,6 +406,8 @@ def cmd_moment(resolved: dict) -> int:
 @_command("picard", {**_SOLVER_SPEC, "T": (float, None), "iters": (int, 8), "p": (float, 1.0),
                      "replicas": (int, 200)})
 def cmd_picard(resolved: dict) -> int:
+    from .experiments import picard_convergence_experiment
+
     model, config = _ensemble_setup(resolved)
     report = picard_convergence_experiment(model, config, n_iters=resolved["iters"],
                                            p=resolved["p"], replicas=resolved["replicas"],
@@ -408,6 +417,8 @@ def cmd_picard(resolved: dict) -> int:
 
 @_command("uniqueness", {**_SOLVER_SPEC, "T": (float, None), "replicas": (int, 100)})
 def cmd_uniqueness(resolved: dict) -> int:
+    from .experiments import uniqueness_experiment
+
     model, config = _ensemble_setup(resolved)
     report = uniqueness_experiment(model, config, replicas=resolved["replicas"],
                                    seed=resolved["seed"])
@@ -419,6 +430,8 @@ def cmd_uniqueness(resolved: dict) -> int:
     "p": (float, 0.5), "seed": (_seed, None), "out": (str, "."), "input": (str, None),
 })
 def cmd_gronwall(resolved: dict) -> int:
+    from .experiments import ExperimentReport, random_hypothesis_triples, willet_wong_check
+
     if resolved["case"] == "random" and not resolved["input"]:
         _require(resolved, "seed")
     if resolved["seed"] is None:
@@ -456,6 +469,9 @@ def cmd_gronwall(resolved: dict) -> int:
     "seed": (_seed, 0), "T": (float, 1.0),
 })
 def cmd_check_model(resolved: dict) -> int:
+    from .experiments import ExperimentReport
+    from .hilbert import check_A2, check_A3, check_norm_continuity
+
     model = _model_from(resolved)
     report = ExperimentReport(name="check_model",
                               parameters={"model": model.name, "n": model.n,
@@ -488,6 +504,8 @@ def cmd_check_model(resolved: dict) -> int:
     "seed": (_seed, None), "out": (str, "."),
 })
 def cmd_gof(resolved: dict) -> int:
+    from .experiments import isotropic_gof_report
+
     _require(resolved, "alpha", "seed")
     report = isotropic_gof_report(resolved["alpha"], resolved["n"], resolved["N"],
                                   resolved["seed"], count=resolved["count"])
@@ -517,7 +535,7 @@ def main(argv=None) -> int:
     except (UsageError, ValueError, FileNotFoundError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (HypothesisFailed, NonConvergenceError) as exc:
+    except RunFailed as exc:
         print(f"FAIL: {exc}", file=sys.stderr)
         return EXIT_FAIL
 

@@ -27,17 +27,17 @@ from .picard import (
     SolverConfig,
     _driven_diagonal,
     _iterate_batch,
-    _replica_chunks,
     _require_converged,
-    _row_norms,
     _semigroup_flow,
     _sweep,
     binding_time_bound,
     horizon_bounds,
 )
+from .reporting import RunFailed
 from .rng import (TAG_ALT_NOISE, TAG_BOOTSTRAP, TAG_GOF, TAG_REPLICA, TAG_SCALED, TAG_TRIPLES,
                   open_uniform, substream)
-from .sampling import _isotropic_from_uniforms, _noise_increments, sample_isotropic
+from .sampling import (_isotropic_from_uniforms, _noise_increments, _replica_chunks, _row_norms,
+                       sample_isotropic)
 
 __all__ = [
     "HypothesisFailed",
@@ -59,7 +59,7 @@ _MIN_EXCEEDANCES = 50  # a radius with fewer is not judged
 _MIN_RADII = 3  # fewer judged radii make the tail experiment inconclusive
 
 
-class HypothesisFailed(Exception):
+class HypothesisFailed(RunFailed):
     """The input triple violates the integral-inequality hypothesis."""
 
 
@@ -95,18 +95,6 @@ class ExperimentReport:
 def _chunk_sizes(total: int) -> list[int]:
     full, rest = divmod(total, _CHUNK)
     return [_CHUNK] * full + ([rest] if rest else [])
-
-
-def _radonified_norms(entries: np.ndarray, alpha: float, t: float, n_samples: int, seed: int) -> np.ndarray:
-    """||psi(L(t))|| over n_samples draws, chunked with fixed per-chunk streams."""
-    m = entries.shape[1]
-    scale = t ** (1.0 / alpha)
-    norms = []
-    for index, size in enumerate(_chunk_sizes(n_samples)):
-        u = open_uniform(substream(seed, TAG_REPLICA, index), (size, 2 + m))
-        draws = scale * _isotropic_from_uniforms(alpha, u)
-        norms.append(np.linalg.norm(draws @ entries.T, axis=1))
-    return np.concatenate(norms)
 
 
 def _sup_integral_norms(
@@ -248,8 +236,12 @@ def tail_experiment(
                 f"scaled={scaled_level:.6g} expected={expected:.6g}",
             )
     else:
+        if not 0.0 < t < math.inf:
+            raise ValueError(f"t must be positive and finite, got {t}")
         entries = as_matrix(psi)
-        norms = _radonified_norms(entries, alpha, t, n_samples, seed)
+        # psi(L(t)) is the one-cell integral of psi on [0, t]: its sup is its norm
+        norms = _sup_integral_norms(StepIntegrand(np.array([0.0, t]), entries[None]), alpha,
+                                    entries.shape[1], n_samples, seed, TAG_REPLICA)
         singular = np.linalg.svd(entries, compute_uv=False)
         if singular.size <= 3:
             mass, mass_se = levy_tail_mass(singular, alpha)

@@ -32,8 +32,6 @@ __all__ = [
     "make_model",
     "heat_preset",
     "parse_model_config",
-    "apply_semigroup",
-    "fractional_norm",
     "norm_continuity_constant",
     "check_norm_continuity",
     "check_A2",
@@ -241,22 +239,6 @@ def parse_model_config(text: str) -> DiagonalModel:
     if "n" not in values:
         raise ValueError("model config must set n")
     return make_model(**{key: _MODEL_KEYS[key](value) for key, value in values.items()})
-
-
-def apply_semigroup(model: DiagonalModel, t: float, x: np.ndarray) -> np.ndarray:
-    """S(t)x: coordinate k multiplied by exp(-lambda_k t).  Contraction for t >= 0."""
-    if t < 0.0:
-        raise ValueError(f"semigroup time must be >= 0, got {t}")
-    x = np.asarray(x, dtype=float)
-    return np.exp(-model.lambdas * t) * x
-
-
-def fractional_norm(model: DiagonalModel, delta: float, x: np.ndarray) -> float:
-    """Norm of the fractional domain: sqrt(sum lambda_k^(2 delta) x_k^2)."""
-    if delta < 0.0:
-        raise ValueError(f"delta must be >= 0, got {delta}")
-    x = np.asarray(x, dtype=float)
-    return float(np.sqrt(np.sum(model.lambdas ** (2.0 * delta) * x**2)))
 
 
 def norm_continuity_constant(delta: float) -> float:

@@ -17,9 +17,8 @@ from typing import Callable
 import numpy as np
 
 from .hilbert import as_matrix
-from .picard import _replica_chunks, _row_norms
 from .rng import TAG_REPLICA, open_uniform_rows
-from .sampling import NoisePath, _isotropic_from_uniforms
+from .sampling import NoisePath, _isotropic_from_uniforms, _replica_chunks, _row_norms
 
 __all__ = [
     "AdaptednessError",
@@ -67,14 +66,6 @@ class StepIntegrand:
 
     def scaled(self, factor: float) -> "StepIntegrand":
         return StepIntegrand(self.grid, factor * self.values)
-
-    def stopped(self, tau: float) -> "StepIntegrand":
-        """Integrand times 1_[0, tau] for a grid time tau (cells beyond zeroed)."""
-        if tau not in self.grid:
-            raise ValueError(f"tau={tau} is not a grid time")
-        values = self.values.copy()
-        values[self.grid[1:] > tau] = 0.0
-        return StepIntegrand(self.grid, values)
 
     def alpha_scale(self, alpha: float) -> float:
         """(sum_i ||Psi_i||_HS^alpha dt_i)^(1/alpha), max-factored.

@@ -46,6 +46,7 @@ import numpy as np
 
 from .constants import c3_and_Tmax
 from .hilbert import DiagonalModel
+from .reporting import RunFailed
 from .rng import TAG_PIECE
 from .sampling import NoisePath, _noise_increments, generate_noise_path
 
@@ -61,14 +62,9 @@ __all__ = [
 ]
 
 GLUE_SAFETY = 0.99
-# Cap on the elements (replicas x grid points x n) of one batch array: 128 KiB
-# of float64.  Replicas beyond it go to further chunks, so batching leaves the
-# peak memory of an experiment where the one-replica loop had it (measured on
-# the picard and uniqueness CLI runs at M=200); a single replica is never split.
-_BATCH_ELEMENTS = 1 << 14
 
 
-class NonConvergenceError(Exception):
+class NonConvergenceError(RunFailed):
     """Picard gap above tolerance at the iteration cap."""
 
     def __init__(self, message: str, path: "MildPath | None" = None):
@@ -172,23 +168,6 @@ def _driven_diagonal(model: DiagonalModel, increments: np.ndarray) -> np.ndarray
 def _semigroup_flow(model: DiagonalModel, grid: np.ndarray, x0: np.ndarray) -> np.ndarray:
     """S(t_k) x0 on the grid: shape (M+1, n) for x0 of shape (n,), (R, M+1, n) for (R, n)."""
     return np.exp(-np.outer(grid, model.lambdas)) * x0[..., None, :]
-
-
-def _replica_chunks(count: int, elements_per_replica: int) -> list[range]:
-    """Consecutive replica index ranges whose batch arrays stay within the element budget."""
-    size = max(1, _BATCH_ELEMENTS // elements_per_replica)
-    return [range(start, min(start + size, count)) for start in range(0, count, size)]
-
-
-def _row_norms(rows: np.ndarray) -> np.ndarray:
-    """Euclidean norm over the last axis, bit-identical to 1-d ``np.linalg.norm``.
-
-    The 1-d norm is sqrt(x.dot(x)), a BLAS dot whose rounding an
-    ``axis=-1`` reduction does not reproduce, so each row is dotted alone;
-    rows are made contiguous first, because a strided dot rounds differently.
-    """
-    flat = np.ascontiguousarray(rows).reshape(-1, rows.shape[-1])
-    return np.sqrt([row.dot(row) for row in flat]).reshape(rows.shape[:-1])
 
 
 def _loads(model: DiagonalModel, states: np.ndarray, driven: np.ndarray,

@@ -17,10 +17,14 @@ import numpy as np
 
 from . import __version__
 
-__all__ = ["format_value", "format_rows", "header_lines", "parse_key_values", "write_csv",
-           "write_summary", "write_report"]
+__all__ = ["RunFailed", "format_value", "format_rows", "header_lines", "parse_key_values",
+           "write_csv", "write_summary", "write_report"]
 
 _BLOCK_ROWS = 4096  # lines per block yielded by format_rows
+
+
+class RunFailed(Exception):
+    """A run that fails outright (exit 1): a violated hypothesis or a non-converged solve."""
 
 
 def format_value(value) -> str:

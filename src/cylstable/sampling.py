@@ -31,7 +31,7 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from .reporting import format_rows
+from .reporting import _BLOCK_ROWS
 from .rng import (
     TAG_ISOTROPIC,
     TAG_NOISE_ROW,
@@ -52,7 +52,6 @@ __all__ = [
     "extend_dimension",
     "noise_csv_lines",
     "noise_path_to_csv",
-    "noise_path_from_csv",
 ]
 
 
@@ -282,6 +281,30 @@ def _noise_increments(alpha: float, m: int, grid: np.ndarray, *name) -> np.ndarr
     return np.diff(grid)[:, None] ** (1.0 / alpha) * _isotropic_from_uniforms(alpha, uniforms)
 
 
+# Cap on the elements (replicas x grid points x n) of one batch array: 128 KiB
+# of float64.  Replicas beyond it go to further chunks, so batching leaves the
+# peak memory of an experiment where the one-replica loop had it (measured on
+# the picard and uniqueness CLI runs at M=200); a single replica is never split.
+_BATCH_ELEMENTS = 1 << 14
+
+
+def _replica_chunks(count: int, elements_per_replica: int) -> list[range]:
+    """Consecutive replica index ranges whose batch arrays stay within the element budget."""
+    size = max(1, _BATCH_ELEMENTS // elements_per_replica)
+    return [range(start, min(start + size, count)) for start in range(0, count, size)]
+
+
+def _row_norms(rows: np.ndarray) -> np.ndarray:
+    """Euclidean norm over the last axis, bit-identical to 1-d ``np.linalg.norm``.
+
+    The 1-d norm is sqrt(x.dot(x)), a BLAS dot whose rounding an
+    ``axis=-1`` reduction does not reproduce, so each row is dotted alone;
+    rows are made contiguous first, because a strided dot rounds differently.
+    """
+    flat = np.ascontiguousarray(rows).reshape(-1, rows.shape[-1])
+    return np.sqrt([row.dot(row) for row in flat]).reshape(rows.shape[:-1])
+
+
 def generate_noise_path(alpha: float, m: int, grid, seed: int) -> NoisePath:
     """Sample a NoisePath: independent rows, row i ~ (dt_i)^(1/alpha) x isotropic.
 
@@ -315,49 +338,27 @@ def extend_dimension(path: NoisePath, m_new: int) -> NoisePath:
 
 
 def noise_csv_lines(path: NoisePath, extra_header: Iterable[str] = ()) -> Iterator[str]:
-    """Metadata comments, then one `t_start,t_end,j,increment` row per cell, in blocks."""
+    """Metadata comments, then one `t_start,t_end,j,increment` row per cell, in blocks.
+
+    Cells use the ``%.17g`` of ``reporting.format_rows``, but each grid time
+    is formatted once, not once per coordinate: a step's m lines come from
+    one template, filled with its two times and then its m increments.
+    """
     for line in extra_header:
         yield f"# {line}\n"
     yield f"# alpha={path.alpha!r}, m={path.m}, seed={path.seed}\n"
     yield "t_start,t_end,j,increment\n"
-    yield from format_rows([np.repeat(path.grid[:-1], path.m),
-                            np.repeat(path.grid[1:], path.m),
-                            np.tile(np.arange(1, path.m + 1), path.steps),
-                            path.increments.ravel()])
+    times = ["%.17g" % t for t in path.grid.tolist()]
+    step_lines = "".join(f"{{0}},{j},%.17g\n" for j in range(1, path.m + 1))
+    per_block = max(1, _BLOCK_ROWS // path.m)
+    for start in range(0, path.steps, per_block):
+        ts = times[start:start + per_block + 1]
+        rows = path.increments[start:start + per_block].tolist()
+        yield "".join(step_lines.format(f"{t0},{t1}") % tuple(row)
+                      for t0, t1, row in zip(ts, ts[1:], rows))
 
 
 def noise_path_to_csv(path: NoisePath, extra_header: tuple[str, ...] = ()) -> str:
     """Serialize: the lines of :func:`noise_csv_lines` as one string."""
     return "".join(noise_csv_lines(path, extra_header))
 
-
-def noise_path_from_csv(text: str) -> NoisePath:
-    """Inverse of :func:`noise_path_to_csv`."""
-    alpha = m = seed = None
-    rows: list[tuple[float, float, int, float]] = []
-    for line in text.splitlines():
-        line = line.strip()
-        if not line:
-            continue
-        if line.startswith("#"):
-            if "alpha=" in line and "m=" in line and "seed=" in line:
-                parts = dict(
-                    kv.strip().split("=", 1) for kv in line.lstrip("# ").split(",")
-                )
-                alpha = float(parts["alpha"])
-                m = int(parts["m"])
-                seed = int(parts["seed"])
-            continue
-        if line.startswith("t_start"):
-            continue
-        t0, t1, j, inc = line.split(",")
-        rows.append((float(t0), float(t1), int(j), float(inc)))
-    if alpha is None or m is None or seed is None:
-        raise ValueError("missing metadata line '# alpha=..., m=..., seed=...'")
-    starts = sorted({r[0] for r in rows})
-    grid = np.array(starts + [max(r[1] for r in rows)])
-    increments = np.zeros((grid.size - 1, m))
-    index = {t: i for i, t in enumerate(starts)}
-    for t0, _t1, j, inc in rows:
-        increments[index[t0], j - 1] = inc
-    return NoisePath(alpha=alpha, m=m, grid=grid, increments=increments, seed=seed)

@@ -109,6 +109,7 @@ def test_stochastic_command_byte_identical_reruns(tmp_path, command):
     ["noise", "--alpha", "1.5", "--M", "abc", "--seed", "1"],
     ["tail", "--alpha", "1.5", "--gamma", "1,x", "--seed", "1"],
     ["noise", "--alpha", "1.5", "--seed", "1.5"],
+    ["tail", "--alpha", "1.5", "--t", "0", "--seed", "1"],
 ])
 def test_malformed_values_are_usage_errors(tmp_path, capsys, argv):
     assert main([*argv, "--out", str(tmp_path)]) == 2
@@ -343,9 +344,11 @@ def test_integrate_subcommand(tmp_path):
 
 
 def test_usage_error_unknown_kind(tmp_path, capsys):
-    code = main(["sample", "--kind", "bogus", "--alpha", "1.5", "--seed", "1",
-                 "--out", str(tmp_path)])
-    assert code == 2
+    for argv in (["sample", "--kind", "bogus"], ["integrate", "--profile", "bogus"],
+                 ["integrate", "--profile", "bogus", "--refinement-levels", "2"]):
+        assert main([*argv, "--alpha", "1.5", "--seed", "1", "--out", str(tmp_path)]) == 2
+    # both integrate modes read the one profile table
+    assert capsys.readouterr().err.count("unknown profile 'bogus' (const | linear)") == 2
 
 
 def test_integrate_refinement_mode(tmp_path):
@@ -396,11 +399,23 @@ def _run_python(code: str, *args: str) -> subprocess.CompletedProcess:
 
 
 def test_cli_import_loads_no_scipy():
-    # the runtime is numpy alone; scipy is a test-only oracle
-    result = _run_python("import sys, cylstable.cli; "
-                         "print(sorted(m for m in sys.modules if m.startswith('scipy')))")
+    # the runtime is numpy alone; scipy is a test-only oracle.  The package
+    # itself loads none of its modules: each command imports the ones it calls
+    result = _run_python("import sys, cylstable\n"
+                         "print(sorted(m for m in sys.modules if m.startswith('cylstable.')))\n"
+                         "import cylstable.cli\n"
+                         "print(sorted(m for m in sys.modules if m.startswith('scipy')))\n")
     assert result.returncode == 0, result.stderr
-    assert result.stdout.strip() == "[]"
+    assert result.stdout.splitlines() == ["[]", "[]"]
+
+
+# modules of the package that a command must leave unloaded
+NOT_LOADED = {
+    "noise": ("picard", "experiments", "integral", "constants", "hilbert"),
+    "solve": ("experiments", "integral"),
+    "glue": ("experiments", "integral"),
+    "integrate": ("picard", "experiments"),
+}
 
 
 @pytest.mark.parametrize("argv", [
@@ -417,10 +432,13 @@ def test_noise_commands_never_import_numpy_random(tmp_path, argv):
     code = ("import json, sys\n"
             "from cylstable.cli import main\n"
             "code = main(json.loads(sys.argv[1]))\n"
-            "print(json.dumps([code, 'numpy.random' in sys.modules]))\n")
+            "loaded = [m for m in sys.modules if m.startswith('cylstable.')]\n"
+            "print(json.dumps([code, 'numpy.random' in sys.modules, loaded]))\n")
     result = _run_python(code, json.dumps([*argv, "--seed", "7", "--out", str(tmp_path)]))
     assert result.returncode == 0, result.stderr
-    assert json.loads(result.stdout.splitlines()[-1]) == [0, False]
+    code, numpy_random, loaded = json.loads(result.stdout.splitlines()[-1])
+    assert [code, numpy_random] == [0, False]
+    assert not {f"cylstable.{name}" for name in NOT_LOADED.get(argv[0], ())} & set(loaded)
 
 
 def test_every_command_runs_with_scipy_blocked(tmp_path):

@@ -408,10 +408,10 @@ def test_experiment_tables_independent_of_batch_budget(monkeypatch):
         return [decay["moment"], decay["stderr"], dists["picard_seed"], dists["x0_perturbed"],
                 dists["fresh_noise"]]
 
-    assert len(picard._replica_chunks(6, 4 * 51 * 8)) == 1
+    assert len(sampling._replica_chunks(6, 4 * 51 * 8)) == 1
     batched = tables()
-    monkeypatch.setattr(picard, "_BATCH_ELEMENTS", 1)
-    assert len(picard._replica_chunks(6, 4 * 51 * 8)) == 6
+    monkeypatch.setattr(sampling, "_BATCH_ELEMENTS", 1)
+    assert len(sampling._replica_chunks(6, 4 * 51 * 8)) == 6
     chunked = tables()
     for ours, reference in zip(batched, chunked, strict=True):
         assert np.array_equal(ours, reference)

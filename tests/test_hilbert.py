@@ -1,4 +1,4 @@
-"""Semigroup, fractional norms and the assumption certifiers."""
+"""Semigroup and the assumption certifiers."""
 
 import math
 
@@ -10,16 +10,15 @@ from hypothesis import strategies as st
 from cylstable.hilbert import (
     DiagonalModel,
     HSMatrix,
-    apply_semigroup,
     check_A2,
     check_A3,
     check_norm_continuity,
-    fractional_norm,
     heat_preset,
     make_model,
     norm_continuity_constant,
     parse_model_config,
 )
+from cylstable.picard import _semigroup_flow
 
 
 def two_mode_model(lambdas=(1.0, 4.0)):
@@ -39,21 +38,21 @@ def test_hsmatrix_norm_and_diagonal():
     assert diag.entries[1, 1] == 2.0 and diag.entries[2, :].sum() == 0.0
 
 
+def semigroup(model, t, x):
+    """S(t)x as the solver applies it: its flow on the one-point grid [t]."""
+    return _semigroup_flow(model, np.array([t]), x)[0]
+
+
 def test_semigroup_identity_at_zero():
     model = two_mode_model()
     x = np.array([0.3, -0.7])
-    assert np.array_equal(apply_semigroup(model, 0.0, x), x)
+    assert np.array_equal(semigroup(model, 0.0, x), x)
 
 
 def test_semigroup_hand_example():
     model = two_mode_model((1.0, 4.0))
-    out = apply_semigroup(model, math.log(2.0), np.array([1.0, 1.0]))
+    out = semigroup(model, math.log(2.0), np.array([1.0, 1.0]))
     assert out == pytest.approx([0.5, 1.0 / 16.0], rel=1e-14)
-
-
-def test_semigroup_rejects_negative_time():
-    with pytest.raises(ValueError):
-        apply_semigroup(two_mode_model(), -0.1, np.zeros(2))
 
 
 @given(
@@ -65,37 +64,14 @@ def test_semigroup_rejects_negative_time():
 def test_semigroup_contraction_and_law(t, s, coords):
     model = two_mode_model((0.5, 3.0))
     x = np.asarray(coords)
-    once = apply_semigroup(model, t, x)
+    once = semigroup(model, t, x)
     assert np.linalg.norm(once) <= np.linalg.norm(x) * (1 + 1e-12)
-    twice = apply_semigroup(model, s, once)
-    direct = apply_semigroup(model, s + t, x)
+    twice = semigroup(model, s, once)
+    direct = semigroup(model, s + t, x)
     eps = np.finfo(float).eps
     # the rounding unit of exp(-lambda t) scales with the exponent argument
     unit = eps * (1.0 + model.lambdas * (s + t))
     assert np.all(np.abs(twice - direct) <= 4 * unit * (np.abs(direct) + 1e-300))
-
-
-def test_fractional_norm_delta_zero_is_plain_norm():
-    model = two_mode_model()
-    x = np.array([3.0, 4.0])
-    assert fractional_norm(model, 0.0, x) == pytest.approx(5.0)
-
-
-def test_fractional_norm_hand_examples():
-    model = two_mode_model((1.0, 4.0))
-    assert fractional_norm(model, 0.5, np.array([1.0, 1.0])) == pytest.approx(math.sqrt(5.0))
-    heat = two_mode_model((math.pi**2, 4 * math.pi**2))
-    # lambda_1^(2*0.25) = pi: norm of (1, 0) is sqrt(pi)
-    assert fractional_norm(heat, 0.25, np.array([1.0, 0.0])) == pytest.approx(math.pi**0.5)
-
-
-@given(d1=st.floats(0.0, 1.0), d2=st.floats(0.0, 1.0))
-@settings(max_examples=50, deadline=None)
-def test_fractional_norm_monotone_in_delta_when_lambdas_ge_one(d1, d2):
-    model = two_mode_model((1.0, 4.0))
-    x = np.array([0.7, -0.2])
-    lo, hi = sorted((d1, d2))
-    assert fractional_norm(model, lo, x) <= fractional_norm(model, hi, x) + 1e-12
 
 
 def test_norm_continuity_constant_delta_one():

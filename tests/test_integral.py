@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy.stats import ks_2samp
 
-from cylstable import picard
+from cylstable import sampling
 from cylstable.integral import (
     AdaptednessError,
     StepIntegrand,
@@ -96,9 +96,10 @@ def test_stopping_consistency_bit_exact():
     grid = np.linspace(0.0, 1.0, 11)
     noise = generate_noise_path(1.5, 2, grid, seed=85)
     integrand = StepIntegrand(grid, np.random.default_rng(3).standard_normal((10, 2, 2)))
-    tau = grid[6]
+    values = integrand.values.copy()
+    values[6:] = 0.0  # times 1_[0, tau] for tau = grid[6]
     full = integrate(integrand, noise)
-    stopped = integrate(integrand.stopped(tau), noise)
+    stopped = integrate(StepIntegrand(grid, values), noise)
     assert np.array_equal(stopped[-1], full[6])
     assert np.array_equal(stopped[6:], np.broadcast_to(full[6], stopped[6:].shape))
 
@@ -211,6 +212,6 @@ def test_refinement_diffs_equal_per_replica_reference(entries, monkeypatch):
     weights = np.random.default_rng(3).uniform(0.0, 1.0, (4, 32))
     reference = per_replica_refinement_diffs(weights, entries, 1.4, 1.0 / 32, 30, 93)
     assert np.array_equal(_refinement_diffs(weights, entries, 1.4, 1.0 / 32, 30, 93), reference)
-    monkeypatch.setattr(picard, "_BATCH_ELEMENTS", 100)  # several replica chunks
-    assert len(picard._replica_chunks(30, 32 * (2 + entries.shape[1]))) > 1
+    monkeypatch.setattr(sampling, "_BATCH_ELEMENTS", 100)  # several replica chunks
+    assert len(sampling._replica_chunks(30, 32 * (2 + entries.shape[1]))) > 1
     assert np.array_equal(_refinement_diffs(weights, entries, 1.4, 1.0 / 32, 30, 93), reference)

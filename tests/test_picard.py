@@ -22,11 +22,10 @@ from cylstable.picard import (
     residual,
     solve,
     _driven_diagonal,
-    _row_norms,
     _semigroup_flow,
 )
 from cylstable.rng import TAG_PIECE
-from cylstable.sampling import NoisePath, _noise_increments, generate_noise_path
+from cylstable.sampling import NoisePath, _noise_increments, _row_norms, generate_noise_path
 
 
 def drift_convolution(model, states, grid):

@@ -1,5 +1,6 @@
 """Samplers: distributional oracles, projective consistency, determinism."""
 
+import io
 import math
 
 import numpy as np
@@ -16,7 +17,6 @@ from cylstable.sampling import (
     _noise_increments,
     extend_dimension,
     generate_noise_path,
-    noise_path_from_csv,
     noise_path_to_csv,
     sample_isotropic,
     sample_positive_stable,
@@ -213,12 +213,13 @@ def test_determinism_across_runs_and_schedules():
 def test_noise_csv_round_trip():
     path = generate_noise_path(1.5, 2, np.linspace(0, 0.5, 6), seed=70)
     text = noise_path_to_csv(path)
-    assert text.splitlines()[0].startswith("# alpha=")
+    assert text.splitlines()[0] == f"# alpha={path.alpha!r}, m={path.m}, seed={path.seed}"
     assert text.splitlines()[1] == "t_start,t_end,j,increment"
-    back = noise_path_from_csv(text)
-    assert back.alpha == path.alpha and back.m == path.m and back.seed == path.seed
-    assert np.array_equal(back.grid, path.grid)
-    assert np.array_equal(back.increments, path.increments)
+    rows = np.genfromtxt(io.StringIO(text), delimiter=",", names=True, skip_header=1)
+    assert np.array_equal(rows["t_start"], np.repeat(path.grid[:-1], path.m))
+    assert np.array_equal(rows["t_end"], np.repeat(path.grid[1:], path.m))
+    assert np.array_equal(rows["j"], np.tile(np.arange(1, path.m + 1), path.steps))
+    assert np.array_equal(rows["increment"].reshape(path.steps, path.m), path.increments)
 
 
 def test_positive_stable_finite_at_stream_extremes():
