@@ -122,7 +122,8 @@ def _report_exit(report: ExperimentReport, out_dir: Path, resolved: dict) -> int
 
 
 def _r_grid(resolved: dict) -> np.ndarray:
-    return np.geomspace(resolved["r_min"], resolved["r_max"], resolved["r_count"])
+    with np.errstate(invalid="ignore"):  # tail_experiment refuses the NaN radii of r_min < 0
+        return np.geomspace(resolved["r_min"], resolved["r_max"], resolved["r_count"])
 
 
 # ----------------------------------------------------------------- handlers
@@ -138,12 +139,11 @@ def cmd_constants(resolved: dict) -> int:
     report = constants_report(resolved["alpha"], resolved["p"], resolved["c_f"],
                               resolved["c_g"], resolved["n"], resolved["c_convention"])
     out = _out_dir(resolved)
-    items = report.as_items()
-    for key, value in items:
+    for key, value in report.items():
         print(f"{key}={format_value(value)}")
-    write_summary(out / "constants.summary", dict(items), resolved)
-    write_csv(out / "constants.csv",
-              {"key": [k for k, _ in items], "value": [v for _, v in items]}, resolved)
+    write_summary(out / "constants.summary", report, resolved)
+    write_csv(out / "constants.csv", {"key": list(report), "value": list(report.values())},
+              resolved)
     return EXIT_PASS
 
 
@@ -441,7 +441,10 @@ def cmd_gronwall(resolved: dict) -> int:
                                                            if k not in ("out", "input")},
                               seed=resolved["seed"])
     if resolved["input"]:
-        data = np.genfromtxt(resolved["input"], delimiter=",", names=True, comments="#")
+        with open(resolved["input"], encoding="utf-8") as fh:
+            # genfromtxt would take a leading "# ..." line (write_csv's header) for the names
+            lines = [line for line in fh if not line.startswith("#")]
+        data = np.genfromtxt(lines, delimiter=",", names=True)
         result = willet_wong_check(data["u"], data["v"], data["w"], resolved["p"], t=data["t"])
         report.add_verdict("margin_nonnegative", result["margin"] >= -1e-6,
                            "margin >= -1e-6", f"{result['margin']:.3e}")

@@ -14,7 +14,6 @@ c-free quantities (ratios, the limit identity, homogeneity).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -28,7 +27,6 @@ __all__ = [
     "c3_and_Tmax",
     "levy_tail_mass",
     "jensen_bound",
-    "ConstantsReport",
     "constants_report",
 ]
 
@@ -97,33 +95,24 @@ def chain_constants(alpha: float, p: float, c_convention: float = 1.0) -> dict[s
     return {"c1": c1, "c2": c2, "C": big_c}
 
 
-def _c3_objective(p: np.ndarray, alpha: float, c2: float, c_f: float, c_g: float) -> np.ndarray:
-    scale = (alpha - 1.0) / (min(c2 ** (1.0 / alpha), c2) * alpha)
-    return 2.0 ** (p - 1.0) * (scale * c_f**p + c_g**p)
-
-
 def c3_and_Tmax(
-    alpha: float,
-    c_f: float,
-    c_g: float,
-    c_convention: float = 1.0,
-    grid_step: float = 1e-4,
+    alpha: float, c_f: float, c_g: float, c_convention: float = 1.0
 ) -> dict[str, float]:
     """Contraction constant c3 and the two admissible-horizon bounds.
 
-    c3 = sup over p in (1, alpha) of 2^(p-1)*(K*c_f^p + c_g^p) with
-    K = (alpha-1)/((c2^(1/alpha) ^ c2)*alpha); the sup is taken on a uniform
-    p-grid of step <= ``grid_step`` refined geometrically toward both open
-    endpoints.  Returns c3, the uniqueness horizon
-    T_uniq = min{1, 1/(alpha*c2*(c3^alpha v c3))}, the iteration horizon
-    T_picard = min{1, ((c2 v c2^(1/alpha))*c3)^(-alpha)} and their minimum
-    ``T_bound`` (the binding bound).
+    c3 = sup over p in (1, alpha) of g(p) = 2^(p-1)*(K*c_f^p + c_g^p) with
+    K = (alpha-1)/((c2^(1/alpha) ^ c2)*alpha).  As g(p) = (K*(2c_f)^p +
+    (2c_g)^p)/2 is a nonnegative sum of exponentials in p, it is convex, so
+    the sup over the open interval is max(g(1), g(alpha)).  Returns c3, the
+    uniqueness horizon T_uniq = min{1, 1/(alpha*c2*(c3^alpha v c3))}, the
+    iteration horizon T_picard = min{1, ((c2 v c2^(1/alpha))*c3)^(-alpha)}
+    and their minimum ``T_bound`` (the binding bound).
     """
     alpha = _check_alpha(alpha)
     if alpha <= 1.0:
         raise ValueError(f"the contraction constants require alpha in (1, 2), got {alpha}")
-    if c_f < 0.0 or c_g < 0.0:
-        raise ValueError("c_f and c_g must be nonnegative")
+    if not (0.0 <= c_f < math.inf and 0.0 <= c_g < math.inf):
+        raise ValueError(f"c_f and c_g must be finite and nonnegative, got {c_f}, {c_g}")
     c2 = chain_constants(alpha, (1.0 + alpha) / 2.0, c_convention)["c2"]
 
     if c_f == 0.0 and c_g == 0.0:
@@ -131,18 +120,8 @@ def c3_and_Tmax(
         # (the underlying inequalities are strict).
         return {"c3": 0.0, "T_uniq": 1.0, "T_picard": 1.0, "T_bound": 1.0, "c2": c2}
 
-    count = max(int(math.ceil((alpha - 1.0) / grid_step)) + 1, 2)
-    inner = np.linspace(1.0, alpha, count)
-    # geometric refinement toward the open endpoints
-    offsets = 10.0 ** -np.arange(5, 14, dtype=float) * (alpha - 1.0)
-    p_grid = np.unique(np.concatenate([inner, 1.0 + offsets, alpha - offsets]))
-    p_grid = p_grid[(p_grid > 1.0) & (p_grid < alpha)]
-    if p_grid.size == 0:
-        raise ValueError(
-            f"alpha={alpha!r} is too close to 1 for the contraction constants: "
-            "every point of the p-grid of c3 rounds to an endpoint of (1, alpha)"
-        )
-    c3 = float(_c3_objective(p_grid, alpha, c2, c_f, c_g).max())
+    k = (alpha - 1.0) / (min(c2 ** (1.0 / alpha), c2) * alpha)
+    c3 = max(2.0 ** (p - 1.0) * (k * c_f**p + c_g**p) for p in (1.0, alpha))
 
     t_uniq = min(1.0, 1.0 / (alpha * c2 * max(c3**alpha, c3)))
     t_picard = min(1.0, (max(c2, c2 ** (1.0 / alpha)) * c3) ** (-alpha))
@@ -235,31 +214,6 @@ def jensen_bound(gamma, alpha: float) -> float:
     )
 
 
-@dataclass
-class ConstantsReport:
-    """Flat bundle of every explicit constant for one (alpha, p) choice."""
-
-    alpha: float
-    p: float
-    c_convention: float
-    c_alpha: float
-    lambda_mass_n: int
-    lambda_total_mass: float
-    c1: float
-    c2: float
-    C: float
-    c_F: float
-    c_G: float
-    c3: float
-    T_uniq: float
-    T_picard: float
-    T_bound: float
-
-    def as_items(self) -> list[tuple[str, float]]:
-        """(name, value) of every field, in declaration order."""
-        return [(f.name, getattr(self, f.name)) for f in fields(self)]
-
-
 def constants_report(
     alpha: float,
     p: float,
@@ -267,24 +221,19 @@ def constants_report(
     c_g: float = 1.0,
     n: int = 1,
     c_convention: float = 1.0,
-) -> ConstantsReport:
-    """Assemble the full :class:`ConstantsReport` for one parameter choice."""
+) -> dict[str, float]:
+    """Every explicit constant for one parameter choice, by name, in report order."""
     chain = chain_constants(alpha, p, c_convention)
     horizon = c3_and_Tmax(alpha, c_f, c_g, c_convention)
-    return ConstantsReport(
-        alpha=float(alpha),
-        p=float(p),
-        c_convention=float(c_convention),
-        c_alpha=c_alpha(alpha),
-        lambda_mass_n=int(n),
-        lambda_total_mass=sphere_total_mass(n, alpha),
-        c1=chain["c1"],
-        c2=chain["c2"],
-        C=chain["C"],
-        c_F=float(c_f),
-        c_G=float(c_g),
-        c3=horizon["c3"],
-        T_uniq=horizon["T_uniq"],
-        T_picard=horizon["T_picard"],
-        T_bound=horizon["T_bound"],
-    )
+    return {
+        "alpha": float(alpha),
+        "p": float(p),
+        "c_convention": float(c_convention),
+        "c_alpha": c_alpha(alpha),
+        "lambda_mass_n": int(n),
+        "lambda_total_mass": sphere_total_mass(n, alpha),
+        **{key: chain[key] for key in ("c1", "c2", "C")},
+        "c_F": float(c_f),
+        "c_G": float(c_g),
+        **{key: horizon[key] for key in ("c3", "T_uniq", "T_picard", "T_bound")},
+    }

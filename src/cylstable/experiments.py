@@ -25,6 +25,7 @@ from .hilbert import DiagonalModel, as_matrix
 from .integral import StepIntegrand, _binomial_se
 from .picard import (
     SolverConfig,
+    _check_dimensions,
     _driven_diagonal,
     _iterate_batch,
     _require_converged,
@@ -173,6 +174,11 @@ def _tail_verdicts(report: ExperimentReport, table: dict, alpha: float, n_sample
     return top
 
 
+def _check_scale_factor(scale_factor: float) -> None:
+    if not 0.0 < scale_factor < math.inf:
+        raise ValueError(f"scale_factor must be positive and finite, got {scale_factor}")
+
+
 def tail_experiment(
     psi,
     alpha: float,
@@ -201,8 +207,12 @@ def tail_experiment(
     r_grid = np.asarray(r_grid, dtype=float)
     if r_grid.size < 2:
         raise ValueError("r_grid needs at least two radii")
+    if not (np.all(np.isfinite(r_grid)) and r_grid[0] > 0.0 and np.all(np.diff(r_grid) > 0.0)):
+        raise ValueError("radii must be finite, positive and strictly increasing, "
+                         f"got {r_grid[0]:g} ... {r_grid[-1]:g}")
     if n_samples < 1_000:
         raise ValueError("n_samples is too small to resolve any tail")
+    _check_scale_factor(scale_factor)
 
     report = ExperimentReport(
         name="tail_integral" if is_integrand else "tail_radonified",
@@ -284,6 +294,7 @@ def moment_experiment(
     p_list = [float(p) for p in p_list]
     if any(p <= 0.0 or p >= alpha for p in p_list):
         raise ValueError(f"all p must lie in (0, alpha)=(0, {alpha})")
+    _check_scale_factor(scale_factor)
     if math.log2(scale_factor) != int(math.log2(scale_factor)):
         raise ValueError("scale_factor must be a power of two for bit-exact homogeneity")
     report = ExperimentReport(
@@ -367,6 +378,7 @@ def picard_convergence_experiment(
         raise ValueError(f"replicas must be >= 2 for a standard error, got {replicas}")
     if n_iters < 1:
         raise ValueError(f"iters must be >= 1, got {n_iters}")
+    _check_dimensions(model, config)
     bound = horizon_bounds(model, config.alpha)["T_picard"]
     if config.T > bound:
         raise ValueError(
@@ -429,6 +441,7 @@ def uniqueness_experiment(
     start = time.perf_counter()
     if replicas < 1:
         raise ValueError(f"replicas must be >= 1, got {replicas}")
+    _check_dimensions(model, config)
     bound = binding_time_bound(model, config.alpha)
     if config.T > bound:
         raise ValueError(f"T={config.T} exceeds the admissible uniqueness bound {bound:.6g}")

@@ -143,6 +143,15 @@ class MildPath:
         return self.states[-1]
 
 
+def _check_dimensions(model: DiagonalModel, config: SolverConfig) -> None:
+    """Refuse a config whose state and noise dimensions are not the model's."""
+    if (config.n, config.noise_dim) != (model.n, model.noise_dim):
+        raise ValueError(
+            f"config dimensions (n, m)=({config.n}, {config.noise_dim}) do not match the "
+            f"model's (n, m)=({model.n}, {model.noise_dim})"
+        )
+
+
 def horizon_bounds(model: DiagonalModel, alpha: float) -> dict:
     """Admissible-horizon bounds (c3, T_uniq, T_picard, T_bound) for this model."""
     c_f, c_g = model.holder_constants()
@@ -298,6 +307,7 @@ def solve(
     N_max; beyond the proven admissible horizon that outcome is a
     diagnostic, not a bug.
     """
+    _check_dimensions(model, config)
     grid = config.grid()
     if noise is None:
         noise = generate_noise_path(config.alpha, config.noise_dim, grid, config.seed)
@@ -333,6 +343,7 @@ def glue_solve(model: DiagonalModel, config: SolverConfig) -> MildPath:
     nilpotent) and could never report non-convergence.  Requests with
     more than M // 2 pieces raise ValueError before any noise is drawn.
     """
+    _check_dimensions(model, config)
     bound = binding_time_bound(model, config.alpha)
     pieces = max(1, math.ceil(config.T / (GLUE_SAFETY * bound)))
     if pieces > config.M // 2:

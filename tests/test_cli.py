@@ -110,10 +110,18 @@ def test_stochastic_command_byte_identical_reruns(tmp_path, command):
     ["tail", "--alpha", "1.5", "--gamma", "1,x", "--seed", "1"],
     ["noise", "--alpha", "1.5", "--seed", "1.5"],
     ["tail", "--alpha", "1.5", "--t", "0", "--seed", "1"],
+    ["constants", "--alpha", "1.5", "--p", "1.2", "--c-f", "nan"],
+    ["moment", "--alpha", "1.5", "--scale-factor", "inf", "--seed", "1"],
+    ["moment", "--alpha", "1.5", "--scale-factor", "0", "--seed", "1"],
+    ["tail", "--alpha", "1.5", "--integrand", "const", "--scale-factor", "0", "--seed", "1"],
+    ["tail", "--alpha", "1.5", "--r-min", "-1", "--seed", "1"],
+    ["tail", "--alpha", "1.5", "--r-min", "50", "--r-max", "10", "--seed", "1"],
 ])
 def test_malformed_values_are_usage_errors(tmp_path, capsys, argv):
     assert main([*argv, "--out", str(tmp_path)]) == 2
-    assert "usage error:" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "usage error:" in err
+    assert "Traceback" not in err
     assert not any(tmp_path.iterdir())
 
 
@@ -193,6 +201,19 @@ def test_gronwall_input_file(tmp_path):
     path.write_text("\n".join(rows) + "\n")
     assert main(["gronwall", "--input", str(path), "--p", "0.5",
                  "--out", str(tmp_path)]) == 0
+
+
+def test_gronwall_input_reads_the_packages_own_csv(tmp_path, capsys):
+    from cylstable.reporting import write_csv
+
+    t = np.linspace(0.0, 1.0, 101)
+    path = tmp_path / "uvw.csv"
+    write_csv(path, {"t": t, "u": t**2 / 4.0, "v": np.zeros_like(t), "w": np.ones_like(t)},
+              {"case": "near-equality"})
+    assert path.read_text().startswith("# cylstable version=")
+    assert main(["gronwall", "--input", str(path), "--p", "0.5",
+                 "--out", str(tmp_path)]) == 0
+    assert "usage error" not in capsys.readouterr().err
 
 
 def test_check_model_subcommand(tmp_path):
@@ -299,15 +320,13 @@ def test_headers_record_the_model_file_content(tmp_path):
                    for line in _header(tmp_path / "preset" / "mild_path.summary"))
 
 
-def test_solve_refuses_alpha_too_close_to_one(tmp_path, capsys):
-    out = tmp_path / "out"
-    code = main(["solve", "--alpha", "1.000000000001", "--T", "0.01", "--M", "20",
-                 "--seed", "1", "--out", str(out)])
-    assert code == 2
-    err = capsys.readouterr().err
-    assert "usage error:" in err
-    assert "alpha=1.000000000001 is too close to 1" in err
-    assert not any(out.rglob("*"))
+@pytest.mark.parametrize("argv", [
+    ["constants", "--p", "0.5"],
+    ["solve", "--T", "0.01", "--M", "20", "--seed", "1"],
+    ["uniqueness", "--M", "20", "--replicas", "3", "--seed", "1"],
+], ids=["constants", "solve", "uniqueness"])
+def test_alpha_next_to_one_runs(tmp_path, argv):
+    assert main([*argv, "--alpha", "1.000000000001", "--out", str(tmp_path)]) == 0
 
 
 def test_model_config_file(tmp_path):

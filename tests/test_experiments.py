@@ -442,3 +442,21 @@ def test_cumulative_trapezoid_equals_scipy_bit_for_bit():
     t = np.linspace(0.0, 1.0, 10_001)
     assert np.array_equal(_cumulative_trapezoid(t**2 / 4.0, t),
                           cumulative_trapezoid(t**2 / 4.0, t, initial=0.0))
+
+
+@pytest.mark.parametrize("model, n", [
+    (heat_preset(8), 1),  # x0 = [1.0] would be broadcast into all eight coordinates
+    (heat_preset(8, m=3), 8),  # eight noise coordinates would drive a model with m=3
+    (heat_preset(8), 4),  # a numpy broadcast error deep in the sweep
+])
+def test_solvers_refuse_config_dimensions_other_than_the_model(model, n):
+    config = SolverConfig(alpha=1.5, T=0.01, M=10, n=n, seed=1)
+    runs = [
+        lambda: solve(model, config, warn_beyond_bound=False),
+        lambda: picard.glue_solve(model, config),
+        lambda: picard_convergence_experiment(model, config, replicas=2),
+        lambda: uniqueness_experiment(model, config, replicas=1),
+    ]
+    for run in runs:
+        with pytest.raises(ValueError, match=r"\(n, m\)=\(8, (8|3)\)"):
+            run()

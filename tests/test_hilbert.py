@@ -86,6 +86,12 @@ def test_norm_continuity_constant_against_dense_grid_oracle():
         assert norm_continuity_constant(delta) == pytest.approx(oracle, rel=1e-9)
 
 
+@pytest.mark.parametrize("delta", [1e-300, 1e-12, 1.0 - 1e-12])
+def test_norm_continuity_constant_extreme_deltas(delta):
+    value = norm_continuity_constant(delta)
+    assert math.isfinite(value) and 0.0 < value <= 1.0
+
+
 def test_check_norm_continuity_zero_time():
     model = heat_preset(3)
     result = check_norm_continuity(model, 0.5, [0.0])

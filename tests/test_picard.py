@@ -221,10 +221,10 @@ def test_residual_detects_perturbation():
 
 
 @given(M=st.integers(1, 400), n=st.integers(1, 8), m=st.integers(1, 8),
-       alpha=st.floats(1.01, 1.99), seed=st.integers(0, 2**32 - 1), data=st.data())
+       alpha=st.floats(1.0, 2.0, exclude_min=True, exclude_max=True),
+       seed=st.integers(0, 2**32 - 1), data=st.data())
 @settings(max_examples=100, deadline=None)
 def test_fft_residual_equals_direct_sum_and_reads_a_perturbation(M, n, m, alpha, seed, data):
-    # alpha stays 0.01 inside (1, 2): c3_and_Tmax's p-grid is empty at 1 + 1e-12
     model = heat_preset(n, m)
     config = SolverConfig(alpha=alpha, T=0.9 * binding_time_bound(model, alpha), M=M, n=n, m=m,
                           seed=seed)
