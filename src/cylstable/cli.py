@@ -121,7 +121,12 @@ def _report_exit(report: ExperimentReport, out_dir: Path, resolved: dict) -> int
     return EXIT_INCONCLUSIVE if report.inconclusive else EXIT_PASS
 
 
+_R_COUNT_MAX = 10_000  # radii of the tail grid; each costs one pass over the N norms
+
+
 def _r_grid(resolved: dict) -> np.ndarray:
+    if not 2 <= resolved["r_count"] <= _R_COUNT_MAX:
+        raise UsageError(f"--r-count must lie in [2, {_R_COUNT_MAX}], got {resolved['r_count']}")
     with np.errstate(invalid="ignore"):  # tail_experiment refuses the NaN radii of r_min < 0
         return np.geomspace(resolved["r_min"], resolved["r_max"], resolved["r_count"])
 
@@ -475,15 +480,18 @@ def cmd_check_model(resolved: dict) -> int:
     from .experiments import ExperimentReport
     from .hilbert import check_A2, check_A3, check_norm_continuity
 
+    deltas = resolved["deltas"]
+    if len(set(deltas)) != len(deltas):
+        raise UsageError(f"--deltas repeats a value: {format_value(deltas)}")
     model = _model_from(resolved)
     report = ExperimentReport(name="check_model",
                               parameters={"model": model.name, "n": model.n,
-                                          "deltas": resolved["deltas"]},
+                                          "deltas": deltas},
                               seed=resolved["seed"])
     t_grid = np.geomspace(1e-6, resolved["T"], 25)
-    for delta in resolved["deltas"]:
+    for delta in deltas:
         result = check_norm_continuity(model, delta, t_grid)
-        report.add_verdict(f"norm_continuity_delta={delta:g}",
+        report.add_verdict(f"norm_continuity_delta={format_value(delta)}",
                            result["worst_ratio"] <= 1.0 + 1e-6,
                            "worst ratio <= 1 + 1e-6", f"{result['worst_ratio']:.12f}")
     rng = substream(resolved["seed"])

@@ -28,6 +28,7 @@ from .picard import (
     _check_dimensions,
     _driven_diagonal,
     _iterate_batch,
+    _kernel_spectrum,
     _require_converged,
     _semigroup_flow,
     _sweep,
@@ -319,7 +320,10 @@ def moment_experiment(
         est_n = float(powered[:n_samples].mean())
         est_2n = float(powered.mean())
         idx = rng_boot.integers(0, 2 * n_samples, size=(bootstrap, 2 * n_samples))
-        boots = powered[idx].mean(axis=1)
+        # one resample at a time, and this index freed before the next p draws its
+        # own: neither a (bootstrap, 2N) gather nor two indices are ever held
+        boots = np.array([powered[row].mean() for row in idx])
+        del idx
         lo, hi = np.percentile(boots, [2.5, 97.5])
         ratio = float(np.mean((sups / denom) ** p)) if denom > 0.0 else 0.0
         rows["p"].append(p)
@@ -386,6 +390,7 @@ def picard_convergence_experiment(
         )
     grid = config.grid()
     dts = np.diff(grid)
+    spectrum = _kernel_spectrum(model, grid)
     flow = _semigroup_flow(model, grid, config.initial_state())
     all_diffs = np.empty((replicas, n_iters))
     for chunk in _replica_chunks(replicas, grid.size * model.n):
@@ -393,7 +398,7 @@ def picard_convergence_experiment(
         flows = np.broadcast_to(flow, (len(chunk), *flow.shape))
         prev = flows
         for it in range(n_iters):
-            new = _sweep(model, prev, driven, dts, flows)
+            new = _sweep(model, prev, driven, dts, flows, spectrum)
             all_diffs[chunk, it] = _row_norms(new[:, -1] - prev[:, -1])
             prev = new
     moments = (all_diffs**p).mean(axis=0)

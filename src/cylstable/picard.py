@@ -11,24 +11,22 @@ exactly through the diagonal exponentials, so the fixed-point residual
 isolates Picard convergence rather than discretisation error.
 
 Every sweep works on a batch of R replicas that share the grid: states of
-shape (R, M+1, n) and driven noise increments of shape (R, M, n).  A sweep
-depends on the previous iterate only, so it evaluates all loads
-F(X(t_k)) dt_k + G(X(t_k)) dL_k and all decays exp(-lambda dt_k) in
-whole-array operations first; the time loop then keeps only the exact
-one-step recurrence C_{k+1} = e^{-lambda dt_k} (C_k + b_k) on (R, n) rows.
-Each replica carries its own convergence mask entry: it is frozen, with its
-own gap history and iteration count, at its first gap below tol, while the
+shape (R, M+1, n) and driven noise increments of shape (R, M, n).  Each
+replica carries its own convergence mask entry: it is frozen, with its own
+gap history and iteration count, at its first gap below tol, while the
 others keep sweeping.  Per element, a replica's arithmetic is the same in
 any batch, so results do not depend on how replicas are batched;
 :func:`picard_step` and :func:`solve` are the batch of one.
 
-The residual certificate of :func:`solve` (and of every glued piece) is
-:func:`residual`.  It accepts only the uniform grids the solver builds,
+The Picard map accepts only the uniform grids the solver builds,
 np.linspace(0, T, M+1), on which the lagged exponentials
-exp(-lambda (t_k - t_i)) depend on k - i alone: the double sum is then a
-causal convolution along time per coordinate, evaluated by FFT in
-O(M log M) per coordinate.  It never uses the sweep's recurrence, so it
-stays an independent check of the fixed point.
+exp(-lambda (t_k - t_i)) depend on k - i alone.  A sweep evaluates all
+left-endpoint loads F(X(t_k)) dt_k + G(X(t_k)) dL_k in whole-array
+operations; both sums are then one causal convolution along time per
+coordinate, of the loads with the kernel exp(-lambda j dt), j = 1..M,
+evaluated by a real FFT in O(M log M).  The residual certificate of
+:func:`solve` (and of every glued piece), :func:`residual`, is
+sup_k ||X(t_k) - Phi(X)(t_k)||: one more application of that same map.
 
 Given a fixed noise realisation the iteration map is strictly causal in
 time, hence nilpotent: the discrete fixed point exists, is unique, and is
@@ -186,16 +184,49 @@ def _loads(model: DiagonalModel, states: np.ndarray, driven: np.ndarray,
     return model.drift(x) * dts[:, None] + model.diffusion_diagonal(x) * driven
 
 
+def _fft_length(M: int) -> int:
+    """Smallest 2^a 3^b 5^c >= 2M - 1: no wrap-around reaches the M lags kept."""
+    need = 2 * M - 1
+    best = 1 << (need - 1).bit_length()
+    p5 = 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:  # the smallest p35 * 2^a >= need
+            best = min(best, p35 << (-(-need // p35) - 1).bit_length())
+            p35 *= 3
+        p5 *= 5
+    return best
+
+
+def _kernel_spectrum(model: DiagonalModel, grid: np.ndarray) -> np.ndarray:
+    """rfft of the lag kernel exp(-lambda j dt), j = 1..M: shape (n, _fft_length(M) // 2 + 1).
+
+    The grid must be the solver's np.linspace(0, T, M + 1), with dt = T / M;
+    any other grid raises ValueError.
+    """
+    M = grid.size - 1
+    if not np.array_equal(grid, np.linspace(0.0, grid[-1], M + 1)):
+        raise ValueError("the Picard map needs the solver's grid np.linspace(0, T, M + 1)")
+    kernel = np.exp(-np.outer(model.lambdas, np.arange(1, M + 1) * (grid[-1] / M)))
+    return np.fft.rfft(kernel, _fft_length(M), axis=-1)
+
+
 def _sweep(model: DiagonalModel, prev: np.ndarray, driven: np.ndarray, dts: np.ndarray,
-           flow: np.ndarray) -> np.ndarray:
-    """One Picard sweep of a batch: prev and flow (R, M+1, n), driven (R, M, n)."""
-    loads = _loads(model, prev, driven, dts)
-    decays = np.exp(-model.lambdas * dts[:, None])
+           flow: np.ndarray, spectrum: np.ndarray) -> np.ndarray:
+    """One Picard sweep of a batch: prev and flow (R, M+1, n), driven (R, M, n).
+
+    The sum at t_k is the causal convolution sum_{j=1..k} exp(-lambda j dt) b_{k-j}
+    of the loads b_i with the kernel of ``spectrum`` (:func:`_kernel_spectrum`),
+    computed along a time-contiguous copy of the loads.
+    """
+    M = dts.size
+    size = _fft_length(M)
+    loads = np.swapaxes(_loads(model, prev, driven, dts), -1, -2).copy()
+    product = np.fft.rfft(loads, size, axis=-1)
+    product *= spectrum
+    conv = np.fft.irfft(product, size, axis=-1)
     new = np.array(flow, order="C")
-    conv = np.zeros((prev.shape[0], model.n))
-    for k in range(dts.size):
-        conv = decays[k] * (conv + loads[:, k])
-        new[:, k + 1] += conv
+    new[:, 1:] += np.swapaxes(conv[..., :M], -1, -2)
     return new
 
 
@@ -207,8 +238,8 @@ def picard_step(
 ) -> np.ndarray:
     """One Picard sweep: new states from the previous path and the fixed noise.
 
-    Both convolution sums are advanced by the exact recurrence
-    C_{k+1} = e^{-lambda dt_k} (C_k + b_k) with b_k the left-endpoint load.
+    The noise grid must be the solver's np.linspace(0, T, M + 1); any other
+    grid raises ValueError.
     """
     grid = noise.grid
     prev_states = np.asarray(prev_states, dtype=float)
@@ -216,32 +247,21 @@ def picard_step(
         raise ValueError(
             f"previous path has shape {prev_states.shape}, expected {(grid.size, model.n)}"
         )
+    spectrum = _kernel_spectrum(model, grid)
     driven = _driven_diagonal(model, noise.increments)
     flow = _semigroup_flow(model, grid, x0)
-    return _sweep(model, prev_states[None], driven[None], noise.dts, flow[None])[0]
+    return _sweep(model, prev_states[None], driven[None], noise.dts, flow[None], spectrum)[0]
 
 
 def residual(model: DiagonalModel, path: MildPath, noise: NoisePath, x0: np.ndarray) -> float:
-    """Fixed-point certificate: sup_k distance of X(t_k) from its defining sum.
+    """Fixed-point certificate: sup_k ||X(t_k) - Phi(X)(t_k)|| for the Picard map Phi.
 
-    The grid must be the solver's np.linspace(0, T, M + 1); any other grid
-    raises ValueError.  With dt = T / M, the sum at t_k is the causal
-    convolution sum_{j=1..k} exp(-lambda j dt) b_{k-j} of the left-endpoint
-    loads b_i, evaluated per coordinate by a real FFT of length 2M, so no
-    wrap-around reaches the M lags kept.
+    Phi is :func:`picard_step`, so the grid must be the solver's
+    np.linspace(0, T, M + 1); any other grid raises ValueError.
     """
-    grid = noise.grid
-    if not np.array_equal(grid, path.grid):
+    if not np.array_equal(noise.grid, path.grid):
         raise ValueError("path and noise must share a grid")
-    M = grid.size - 1
-    if not np.array_equal(grid, np.linspace(0.0, grid[-1], M + 1)):
-        raise ValueError("the residual certificate needs the solver's grid "
-                         "np.linspace(0, T, M + 1)")
-    loads = _loads(model, path.states, _driven_diagonal(model, noise.increments), np.diff(grid))
-    kernel = np.exp(-np.outer(np.arange(1, M + 1) * (grid[-1] / M), model.lambdas))
-    spectrum = np.fft.rfft(loads, 2 * M, axis=0) * np.fft.rfft(kernel, 2 * M, axis=0)
-    gaps = path.states - _semigroup_flow(model, grid, x0)
-    gaps[1:] -= np.fft.irfft(spectrum, 2 * M, axis=0)[:M]
+    gaps = path.states - picard_step(model, path.states, noise, x0)
     return float(np.linalg.norm(gaps, axis=1).max())
 
 
@@ -262,12 +282,13 @@ def _iterate_batch(
     """
     grid = config.grid()
     dts = np.diff(grid)
+    spectrum = _kernel_spectrum(model, grid)
     flow = _semigroup_flow(model, grid, x0s)
     states = np.where(zero_seed[:, None, None], 0.0, flow)
     gaps: list[list[float]] = [[] for _ in range(x0s.shape[0])]
     active = np.arange(x0s.shape[0])
     for _ in range(config.N_max):
-        new = _sweep(model, states[active], driven[active], dts, flow[active])
+        new = _sweep(model, states[active], driven[active], dts, flow[active], spectrum)
         sweep_gaps = np.linalg.norm(new - states[active], axis=2).max(axis=1)
         states[active] = new
         for r, gap in zip(active, sweep_gaps):

@@ -116,6 +116,8 @@ def test_stochastic_command_byte_identical_reruns(tmp_path, command):
     ["tail", "--alpha", "1.5", "--integrand", "const", "--scale-factor", "0", "--seed", "1"],
     ["tail", "--alpha", "1.5", "--r-min", "-1", "--seed", "1"],
     ["tail", "--alpha", "1.5", "--r-min", "50", "--r-max", "10", "--seed", "1"],
+    ["check-model", "--deltas", "0.5,0.5"],
+    ["tail", "--alpha", "1.5", "--r-count", "1000000000", "--seed", "1"],
 ])
 def test_malformed_values_are_usage_errors(tmp_path, capsys, argv):
     assert main([*argv, "--out", str(tmp_path)]) == 2
@@ -222,6 +224,14 @@ def test_check_model_subcommand(tmp_path):
     summary = (tmp_path / "check_model.summary").read_text()
     assert "verdict.norm_continuity_delta=0.25=pass" in summary
     assert "verdict.A2_bounded=pass" in summary
+
+
+def test_check_model_names_each_delta_by_its_exact_value(tmp_path):
+    assert main(["check-model", "--n", "3", "--deltas", "0.999999999999,1",
+                 "--out", str(tmp_path)]) == 0
+    summary = (tmp_path / "check_model.summary").read_text()
+    assert "verdict.norm_continuity_delta=0.99999999999900002=pass" in summary
+    assert "verdict.norm_continuity_delta=1=pass" in summary
 
 
 def test_gof_subcommand(tmp_path):

@@ -88,49 +88,69 @@ def hand_rolled_picard_step(model, prev, noise, x0):
     return out
 
 
-def per_step_picard_step(model, prev, noise, x0):
-    """Reference sweep: drift, diffusion and decay evaluated step by step."""
-    dts = noise.dts
-    new = _semigroup_flow(model, noise.grid, x0)
-    conv = np.zeros(model.n)
-    for k in range(1, noise.grid.size):
-        decay = np.exp(-model.lambdas * dts[k - 1])
-        x_prev = prev[k - 1]
-        load = (model.drift(x_prev) * dts[k - 1]
-                + model.diffusion_diagonal(x_prev) * noise.increments[k - 1, :model.n])
-        conv = decay * (conv + load)
-        new[k] += conv
+def direct_sum_picard_step(model, prev, noise, x0):
+    """Reference sweep: the mild-form double sum over the full (M+1, M) lag matrix."""
+    grid = noise.grid
+    loads = (model.drift(prev[:-1]) * noise.dts[:, None]
+             + model.diffusion_diagonal(prev[:-1]) * _driven_diagonal(model, noise.increments))
+    lags = grid[:, None] - grid[None, :-1]
+    new = _semigroup_flow(model, grid, x0)
+    for k in range(grid.size):
+        weights = np.exp(-np.outer(model.lambdas, lags[k, :k]))
+        new[k] += (weights * loads[:k].T).sum(axis=1)
     return new
 
 
 def full_lag_residual(model, path, noise, x0):
-    """Reference certificate: the double sum over the full (M+1, M) lag matrix."""
-    grid, states = noise.grid, path.states
-    loads = (model.drift(states[:-1]) * noise.dts[:, None]
-             + model.diffusion_diagonal(states[:-1]) * _driven_diagonal(model, noise.increments))
-    lags = grid[:, None] - grid[None, :-1]
-    flow = _semigroup_flow(model, grid, x0)
-    worst = 0.0
-    for k in range(grid.size):
-        weights = np.exp(-np.outer(model.lambdas, lags[k, :k]))
-        rhs = flow[k] + (weights * loads[:k].T).sum(axis=1)
-        worst = max(worst, float(np.linalg.norm(states[k] - rhs)))
-    return worst
+    """Reference certificate: sup_k distance of X(t_k) from its direct double sum."""
+    rhs = direct_sum_picard_step(model, path.states, noise, x0)
+    return float(np.linalg.norm(path.states - rhs, axis=1).max())
 
 
-def test_sweep_equals_per_step_reference_and_residual_equals_direct_sum():
+def test_picard_step_and_residual_equal_the_direct_double_sum():
+    # the FFT convolution sums in another order than the double sum; M = 199 is prime
     model = heat_preset(8)
-    config = SolverConfig(alpha=1.5, T=0.05, M=200, n=8, seed=7)
+    for M in (200, 199):
+        config = SolverConfig(alpha=1.5, T=0.05, M=M, n=8, seed=7)
+        noise = generate_noise_path(1.5, 8, config.grid(), config.seed)
+        x0 = config.initial_state()
+        prev = _semigroup_flow(model, config.grid(), x0)
+        for _ in range(3):
+            new = picard_step(model, prev, noise, x0)
+            assert np.abs(new - direct_sum_picard_step(model, prev, noise, x0)).max() <= 1e-14
+            prev = new
+        path = solve(model, config, noise=noise, warn_beyond_bound=False)
+        assert abs(path.residual - full_lag_residual(model, path, noise, x0)) <= 1e-14
+
+
+def test_picard_step_is_within_5e_16_of_a_long_double_direct_sum():
+    model = heat_preset(8)
+    config = SolverConfig(alpha=1.5, T=0.05, M=5000, n=8, seed=7)
     noise = generate_noise_path(1.5, 8, config.grid(), config.seed)
     x0 = config.initial_state()
-    prev = _semigroup_flow(model, config.grid(), x0)
-    for _ in range(3):
-        new = picard_step(model, prev, noise, x0)
-        assert np.array_equal(new, per_step_picard_step(model, prev, noise, x0))
-        prev = new
-    path = solve(model, config, noise=noise, warn_beyond_bound=False)
-    # the certificate's FFT convolution sums in another order than the direct double sum
-    assert abs(path.residual - full_lag_residual(model, path, noise, x0)) <= 1e-14
+    flow = _semigroup_flow(model, config.grid(), x0)
+    new = picard_step(model, flow, noise, x0)
+    loads = (model.drift(flow[:-1]) * noise.dts[:, None]
+             + model.diffusion_diagonal(flow[:-1]) * noise.increments).astype(np.longdouble)
+    lags = np.arange(1, config.M + 1, dtype=np.longdouble) * (np.longdouble(config.T) / config.M)
+    kernel = np.exp(-np.outer(lags, model.lambdas.astype(np.longdouble)))
+    for k in range(0, config.M + 1, 25):
+        exact = flow[k].astype(np.longdouble) + (kernel[:k] * loads[k - 1::-1][:k]).sum(axis=0)
+        assert np.abs(new[k] - exact).max() <= 5e-16
+
+
+def test_fft_length_is_the_smallest_5_smooth_length_without_wrap_around():
+    def smooth(x):
+        for p in (2, 3, 5):
+            while x % p == 0:
+                x //= p
+        return x == 1
+
+    for M in range(1, 3001):
+        length = 2 * M - 1
+        while not smooth(length):
+            length += 1
+        assert picard._fft_length(M) == length
 
 
 def test_solve_matches_exponential_euler_oracle():
@@ -252,6 +272,8 @@ def test_residual_refuses_grids_other_than_the_solver_linspace():
                     final_picard_gap=0.0, residual=0.0)
     with pytest.raises(ValueError, match=r"np\.linspace\(0, T, M \+ 1\)"):
         residual(model, path, noise, np.zeros(3))
+    with pytest.raises(ValueError, match=r"np\.linspace\(0, T, M \+ 1\)"):
+        picard_step(model, path.states, noise, np.zeros(3))
 
 
 def test_solve_deterministic_and_warns_beyond_bound():

@@ -1,0 +1,158 @@
+"""Compare the artifacts that two source trees of cylstable write, command by command.
+
+    python3 tools/artifact_diff.py OLD_SRC NEW_SRC [--seeds 3,7]
+
+OLD_SRC and NEW_SRC are ``src/`` directories (for example of a ``git archive``
+of the parent commit and of the working tree).  The commands are the README's
+CLI examples and the benchmark commands of ``perfbench/run.py``
+(``workloads(FULL)``, imported, never edited).  Each runs once per seed as
+``python -m cylstable.cli`` with the tree on ``PYTHONPATH``, in a fresh
+directory of its own (``--seed`` and ``--out .`` are set on every command;
+``constants`` and ``check-model`` accept a seed too).
+
+One line per artifact says ``identical`` or gives the largest absolute
+difference of each numeric column that moved (a CSV column, a ``.summary``
+key, or a ``key=value`` of a ``#`` line); ``text`` marks a non-numeric
+change.  The ``# cylstable version=`` and ``# out=`` header lines are
+ignored.  One line per command gives both exit codes.  Passing the same tree
+twice checks that reruns write identical bytes.
+"""
+
+from __future__ import annotations
+
+import argparse
+import importlib.util
+import math
+import os
+import re
+import shlex
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+IGNORED = ("# cylstable version=", "# out=")
+NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?|[-+]?(?:nan|inf)")
+
+
+def readme_commands() -> list[tuple[str, list[str]]]:
+    """The CLI examples of the README: the fenced block that runs ``cylstable constants``."""
+    text = (ROOT / "README.md").read_text(encoding="utf-8").replace("\\\n", " ")
+    for block in re.findall(r"```sh\n(.*?)```", text, flags=re.S):
+        if "cylstable constants" in block:
+            return [(f"readme {line.split()[1]}", shlex.split(line)[1:])
+                    for line in block.splitlines() if line.startswith("cylstable ")]
+    raise SystemExit("README.md has no CLI example block")
+
+
+def benchmark_commands() -> list[tuple[str, list[str]]]:
+    spec = importlib.util.spec_from_file_location("perfbench_run", ROOT / "perfbench" / "run.py")
+    run = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = run  # dataclasses look their module up while it executes
+    spec.loader.exec_module(run)
+    return [(f"bench {workload}/{name}", args)
+            for workload, commands in run.workloads(run.FULL).items()
+            for name, args in commands.items()]
+
+
+def with_seed_and_out(args: list[str], seed: int) -> list[str]:
+    """args with ``--seed seed`` and ``--out .``, replaced or appended."""
+    args = list(args)
+    for flag, value in (("--seed", str(seed)), ("--out", ".")):
+        if flag in args:
+            args[args.index(flag) + 1] = value
+        else:
+            args += [flag, value]
+    return args
+
+
+def run(src: Path, args: list[str], cwd: Path) -> int:
+    cwd.mkdir(parents=True)
+    env = dict(os.environ, PYTHONPATH=str(src))
+    return subprocess.run([sys.executable, "-m", "cylstable.cli", *args], cwd=cwd, env=env,
+                          stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL).returncode
+
+
+def cell_diff(a: str, b: str) -> float | None:
+    """None if equal, else the largest difference of their numbers (nan if the text differs)."""
+    if a == b:
+        return None
+    na, nb = NUMBER.findall(a), NUMBER.findall(b)
+    if NUMBER.sub("#", a) != NUMBER.sub("#", b) or len(na) != len(nb):
+        return math.nan
+    worst = 0.0
+    for x, y in zip(map(float, na), map(float, nb)):
+        if x != y and not (math.isnan(x) and math.isnan(y)):
+            worst = max(worst, abs(x - y))
+    return worst
+
+
+def columns(path: Path) -> dict[str, list[str]]:
+    """Cells of an artifact by column: CSV columns, summary keys, ``#`` line keys."""
+    cols: dict[str, list[str]] = {}
+    names = None
+    for line in path.read_text(encoding="utf-8").splitlines():
+        if line.startswith(IGNORED):
+            continue
+        if line.startswith("#"):
+            for token in line[1:].split():
+                key, _, value = token.rstrip(",").partition("=")
+                cols.setdefault(f"#{key}", []).append(value)
+        elif path.suffix == ".csv":
+            if names is None:
+                names = line.split(",")
+                continue
+            for name, cell in zip(names, line.split(",")):
+                cols.setdefault(name, []).append(cell)
+        else:
+            key, _, value = line.partition("=")
+            cols.setdefault(key, []).append(value)
+    return cols
+
+
+def compare(a: Path, b: Path) -> str:
+    if a.read_bytes() == b.read_bytes():
+        return "identical"
+    ca, cb = columns(a), columns(b)
+    moved = []
+    for name in dict.fromkeys([*ca, *cb]):
+        va, vb = ca.get(name, []), cb.get(name, [])
+        diffs = [cell_diff(x, y) for x, y in zip(va, vb)]
+        diffs = [d for d in diffs if d is not None]
+        if len(va) != len(vb) or any(math.isnan(d) for d in diffs):
+            moved.append(f"{name} text")
+        elif diffs:
+            moved.append(f"{name} {max(diffs):.2g}")
+    return "; ".join(moved) if moved else "identical (ignored lines only)"
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("old_src", type=Path)
+    parser.add_argument("new_src", type=Path)
+    parser.add_argument("--seeds", default="3,7")
+    opts = parser.parse_args(argv)
+    trees = [opts.old_src.resolve(), opts.new_src.resolve()]
+    seeds = [int(s) for s in opts.seeds.split(",")]
+    commands = readme_commands() + benchmark_commands()
+    with tempfile.TemporaryDirectory(prefix="artifact_diff_") as tmp:
+        for seed in seeds:
+            for index, (label, args) in enumerate(commands):
+                args = with_seed_and_out(args, seed)
+                dirs = [Path(tmp) / side / str(seed) / str(index) for side in ("old", "new")]
+                codes = [run(tree, args, d) for tree, d in zip(trees, dirs)]
+                tag = f"seed={seed} {label}"
+                print(f"{tag}: exit {codes[0]} -> {codes[1]}"
+                      + ("" if codes[0] == codes[1] else "  EXIT CODES DIFFER"))
+                for name in sorted({p.name for d in dirs for p in d.iterdir()}):
+                    a, b = (d / name for d in dirs)
+                    if not (a.exists() and b.exists()):
+                        print(f"{tag} {name}: only in {'new' if b.exists() else 'old'}")
+                    else:
+                        print(f"{tag} {name}: {compare(a, b)}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
