@@ -121,7 +121,7 @@ def _report_exit(report: ExperimentReport, out_dir: Path, resolved: dict) -> int
     return EXIT_INCONCLUSIVE if report.inconclusive else EXIT_PASS
 
 
-_R_COUNT_MAX = 10_000  # radii of the tail grid; each costs one pass over the N norms
+_R_COUNT_MAX = 10_000  # radii of the tail grid; each is one binary search per sorted block
 
 
 def _r_grid(resolved: dict) -> np.ndarray:

@@ -18,7 +18,7 @@ import math
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from .rng import TAG_SPHERE_MC, substream
+from .rng import TAG_SPHERE_MC, _draw_blocks, substream
 
 __all__ = [
     "c_alpha",
@@ -145,16 +145,22 @@ def _sphere_average(gamma: np.ndarray, alpha: float, nodes: int) -> float:
             alpha / 2.0
         )
         return float(vals.mean())
-    # n == 3: Gauss-Legendre in cos(phi), periodic trapezoid in theta
+    # n == 3: Gauss-Legendre in cos(phi), periodic trapezoid in theta, the grid
+    # built in blocks of column pairs.  A block never holds a single column: the
+    # sum down one column is pairwise, not row after row as in a wider block.
     u, w_u = leggauss(nodes)
     theta = (np.arange(2 * nodes) + 0.5) * math.pi / nodes
     sin_phi_sq = 1.0 - u**2
-    vals = (
-        gamma[0] ** 2 * sin_phi_sq[:, None] * np.cos(theta)[None, :] ** 2
-        + gamma[1] ** 2 * sin_phi_sq[:, None] * np.sin(theta)[None, :] ** 2
-        + gamma[2] ** 2 * (u**2)[:, None]
-    ) ** (alpha / 2.0)
-    return float((w_u[:, None] * vals).sum(axis=0).mean() / 2.0)
+    column_sums = np.empty(theta.size)
+    for pairs in _draw_blocks(nodes, 2 * nodes):
+        cols = slice(2 * pairs.start, 2 * pairs.stop)
+        vals = (
+            gamma[0] ** 2 * sin_phi_sq[:, None] * np.cos(theta[cols])[None, :] ** 2
+            + gamma[1] ** 2 * sin_phi_sq[:, None] * np.sin(theta[cols])[None, :] ** 2
+            + gamma[2] ** 2 * (u**2)[:, None]
+        ) ** (alpha / 2.0)
+        column_sums[cols] = (w_u[:, None] * vals).sum(axis=0)
+    return float(column_sums.mean() / 2.0)
 
 
 def levy_tail_mass(
@@ -190,9 +196,13 @@ def levy_tail_mass(
         raise ValueError(f"unknown method {method!r}")
 
     rng = substream(seed, TAG_SPHERE_MC, n)
-    z = rng.standard_normal((mc_points, n))
-    x = z / np.linalg.norm(z, axis=1, keepdims=True)
-    f = ((x**2) @ (gamma**2)) ** (alpha / 2.0)
+    f = np.empty(mc_points)
+    for block in _draw_blocks(mc_points, n):
+        z = rng.standard_normal((len(block), n))
+        x = z / np.linalg.norm(z, axis=1, keepdims=True)
+        # a sum along each row, not a BLAS matrix-vector product, whose rounding of
+        # a row depends on where the row falls among the product's kernels and threads
+        f[block.start:block.stop] = (x**2 * gamma**2).sum(axis=1) ** (alpha / 2.0)
     value = prefactor * float(f.mean())
     stderr = prefactor * float(f.std(ddof=1)) / math.sqrt(mc_points)
     return value, stderr

@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -37,7 +37,7 @@ from .picard import (
 )
 from .reporting import RunFailed
 from .rng import (TAG_ALT_NOISE, TAG_BOOTSTRAP, TAG_GOF, TAG_REPLICA, TAG_SCALED, TAG_TRIPLES,
-                  open_uniform, substream)
+                  _draw_blocks, open_uniform, substream)
 from .sampling import (_isotropic_from_uniforms, _noise_increments, _replica_chunks, _row_norms,
                        sample_isotropic)
 
@@ -100,25 +100,47 @@ def _chunk_sizes(total: int) -> list[int]:
 
 
 def _sup_integral_norms(
-    integrand: StepIntegrand, alpha: float, m: int, n_samples: int, *name: int
-) -> np.ndarray:
-    """sup_k ||I(t_k)|| over n_samples independent noise paths, chunk k from (*name, k)."""
+    integrand: StepIntegrand, alpha: float, n_samples: int, *name: int
+) -> Iterator[np.ndarray]:
+    """sup_k ||I(t_k)|| over n_samples independent noise paths, in consecutive blocks.
+
+    Chunk k of ``_CHUNK`` paths is one stream, (*name, k), drawn in row blocks
+    of the ``_DRAW_ELEMENTS`` budget; every value is per path, so the blocks
+    do not show in the sups.
+    """
+    n, m = integrand.values.shape[1:]
     dts = np.diff(integrand.grid)
     steps = integrand.steps
     scale = dts[:, None] ** (1.0 / alpha)
-    sups = []
     for index, size in enumerate(_chunk_sizes(n_samples)):
-        u = open_uniform(substream(*name, index), (size, steps, 2 + m))
-        increments = scale[None] * _isotropic_from_uniforms(alpha, u)
-        terms = np.einsum("knm,rkm->rkn", integrand.values, increments)
-        paths = np.cumsum(terms, axis=1)
-        sups.append(np.linalg.norm(paths, axis=2).max(axis=1))
-    return np.concatenate(sups)
+        rng = substream(*name, index)
+        for block in _draw_blocks(size, steps * max(2 + m, n)):
+            u = open_uniform(rng, (len(block), steps, 2 + m))
+            increments = scale[None] * _isotropic_from_uniforms(alpha, u)
+            terms = np.einsum("knm,rkm->rkn", integrand.values, increments)
+            paths = np.cumsum(terms, axis=1)
+            yield np.linalg.norm(paths, axis=2).max(axis=1)
 
 
-def _tail_table(norms: np.ndarray, alpha: float, r_grid: np.ndarray) -> dict[str, np.ndarray]:
-    n = norms.size
-    p_hat = np.array([(norms > r).mean() for r in r_grid])
+def _exceedance_counts(blocks: Iterable[np.ndarray], r_grid: np.ndarray) -> np.ndarray:
+    """Per radius r, the number of values > r over all blocks.
+
+    Each block is sorted once and searched for every radius (and for inf,
+    whose count leaves NaN out as ``>`` does), so no (block, radii) matrix
+    is built.
+    """
+    counts = np.zeros(r_grid.size, dtype=np.int64)
+    bounds = np.append(r_grid, np.inf)
+    for block in blocks:
+        at_most = np.searchsorted(np.sort(block), bounds, side="right")
+        counts += at_most[-1] - at_most[:-1]
+    return counts
+
+
+def _tail_table(blocks: Iterable[np.ndarray], n: int, alpha: float,
+                r_grid: np.ndarray) -> dict[str, np.ndarray]:
+    """Exceedance table of the n values in ``blocks`` at the radii ``r_grid``."""
+    p_hat = _exceedance_counts(blocks, r_grid) / n  # (values > r).mean() for n < 2**53
     se = _binomial_se(p_hat, n)
     return {
         "r": r_grid,
@@ -222,17 +244,16 @@ def tail_experiment(
         seed=seed,
     )
     if is_integrand:
-        m = psi.values.shape[2]
-        norms = _sup_integral_norms(psi, alpha, m, n_samples, seed, TAG_REPLICA)
-        table = _tail_table(norms, alpha, r_grid)
+        table = _tail_table(_sup_integral_norms(psi, alpha, n_samples, seed, TAG_REPLICA),
+                            n_samples, alpha, r_grid)
         report.tables["tail"] = table
         top = _tail_verdicts(report, table, alpha, n_samples, target=None, target_se=0.0,
                              flatness_max=flatness_max, level_frac=level_frac,
                              slope_tol=slope_tol)
         if top is not None:
             scaled = psi.scaled(scale_factor)
-            norms_scaled = _sup_integral_norms(scaled, alpha, m, n_samples, seed, TAG_SCALED)
-            table_s = _tail_table(norms_scaled, alpha, r_grid * scale_factor)
+            table_s = _tail_table(_sup_integral_norms(scaled, alpha, n_samples, seed, TAG_SCALED),
+                                  n_samples, alpha, r_grid * scale_factor)
             report.tables["tail_scaled"] = table_s
             base_level = float(table["plateau"][top].mean())
             scaled_level = float(table_s["plateau"][top].mean())
@@ -252,15 +273,15 @@ def tail_experiment(
         entries = as_matrix(psi)
         # psi(L(t)) is the one-cell integral of psi on [0, t]: its sup is its norm
         norms = _sup_integral_norms(StepIntegrand(np.array([0.0, t]), entries[None]), alpha,
-                                    entries.shape[1], n_samples, seed, TAG_REPLICA)
+                                    n_samples, seed, TAG_REPLICA)
+        table = _tail_table(norms, n_samples, alpha, r_grid)
+        report.tables["tail"] = table
         singular = np.linalg.svd(entries, compute_uv=False)
         if singular.size <= 3:
             mass, mass_se = levy_tail_mass(singular, alpha)
         else:
             mass, mass_se = levy_tail_mass(singular, alpha, method="monte_carlo", seed=seed)
         target = t * mass
-        table = _tail_table(norms, alpha, r_grid)
-        report.tables["tail"] = table
         if not np.any(entries):
             report.add_verdict("plateau_level", bool(np.all(table["p_hat"] == 0.0)),
                                "all exceedances zero for psi = 0", "zero operator")
@@ -308,8 +329,8 @@ def moment_experiment(
         if p > alpha - 0.1:
             report.notes.append(f"p={p} is close to alpha; expect slow Monte-Carlo convergence")
 
-    m = integrand.values.shape[2]
-    sups = _sup_integral_norms(integrand, alpha, m, 2 * n_samples, seed, TAG_REPLICA)
+    sups = np.concatenate([*_sup_integral_norms(integrand, alpha, 2 * n_samples, seed,
+                                                TAG_REPLICA)])
     denom = integrand.alpha_scale(alpha)
 
     rng_boot = substream(seed, TAG_REPLICA, TAG_BOOTSTRAP)
@@ -319,11 +340,11 @@ def moment_experiment(
         powered = sups**p
         est_n = float(powered[:n_samples].mean())
         est_2n = float(powered.mean())
-        idx = rng_boot.integers(0, 2 * n_samples, size=(bootstrap, 2 * n_samples))
-        # one resample at a time, and this index freed before the next p draws its
-        # own: neither a (bootstrap, 2N) gather nor two indices are ever held
-        boots = np.array([powered[row].mean() for row in idx])
-        del idx
+        # one resample index at a time, drawn in the order of one (bootstrap, 2N)
+        # draw: neither that index nor its gather is ever held
+        boots = np.empty(bootstrap)
+        for b in range(bootstrap):
+            boots[b] = powered[rng_boot.integers(0, 2 * n_samples, size=2 * n_samples)].mean()
         lo, hi = np.percentile(boots, [2.5, 97.5])
         ratio = float(np.mean((sups / denom) ** p)) if denom > 0.0 else 0.0
         rows["p"].append(p)
@@ -342,7 +363,8 @@ def moment_experiment(
 
     # exact homogeneity: same seed, scaled integrand
     scaled = integrand.scaled(scale_factor)
-    sups_scaled = _sup_integral_norms(scaled, alpha, m, 2 * n_samples, seed, TAG_REPLICA)
+    sups_scaled = np.concatenate([*_sup_integral_norms(scaled, alpha, 2 * n_samples, seed,
+                                                       TAG_REPLICA)])
     sup_exact = bool(np.array_equal(sups_scaled, scale_factor * sups))
     report.add_verdict("sup_homogeneity_bitexact", sup_exact,
                        "sup(c*Psi) == c*sup(Psi) bitwise", str(sup_exact))

@@ -114,6 +114,24 @@ def open_uniform(rng: np.random.Generator, shape) -> np.ndarray:
     return np.clip(rng.random(shape), _UNIFORM_LO, _UNIFORM_HI)
 
 
+# Elements per block of the Monte-Carlo draws and reductions (samplers, sup norms,
+# the Levy mass): 1 MiB per float64 temporary, whatever the sample count.  A
+# stream's blocks are drawn from its one Generator in order, so no value depends
+# on the budget.
+_DRAW_ELEMENTS = 1 << 17
+
+
+def _index_ranges(count: int, elements_per_index: int, budget: int) -> list[range]:
+    """Consecutive ranges of ``count`` indices, each within ``budget`` elements (one at least)."""
+    size = max(1, budget // elements_per_index)
+    return [range(start, min(start + size, count)) for start in range(0, count, size)]
+
+
+def _draw_blocks(rows: int, elements_per_row: int) -> list[range]:
+    """Consecutive row ranges whose temporaries stay within the ``_DRAW_ELEMENTS`` budget."""
+    return _index_ranges(rows, elements_per_row, _DRAW_ELEMENTS)
+
+
 def _name_words(words: Sequence) -> np.ndarray:
     """Entries (ints or int arrays) broadcast to the row shape: uint32 words (L, *rows)."""
     entries = [np.asarray(word) for word in words]

@@ -37,6 +37,8 @@ from .rng import (
     TAG_NOISE_ROW,
     TAG_POSITIVE,
     TAG_SCALAR,
+    _draw_blocks,
+    _index_ranges,
     open_uniform,
     open_uniform_rows,
     substream,
@@ -218,8 +220,11 @@ def sample_isotropic(alpha: float, n: int, seed: int, size: int = 1) -> np.ndarr
     if n < 1:
         raise ValueError(f"dimension n must be >= 1, got {n}")
     rng = substream(seed, TAG_ISOTROPIC, n)
-    u = open_uniform(rng, (size, 2 + n))
-    return _isotropic_from_uniforms(alpha, u)
+    out = np.empty((size, n))
+    for block in _draw_blocks(size, 2 + n):
+        u = open_uniform(rng, (len(block), 2 + n))
+        out[block.start:block.stop] = _isotropic_from_uniforms(alpha, u)
+    return out
 
 
 @dataclass(frozen=True)
@@ -290,8 +295,7 @@ _BATCH_ELEMENTS = 1 << 14
 
 def _replica_chunks(count: int, elements_per_replica: int) -> list[range]:
     """Consecutive replica index ranges whose batch arrays stay within the element budget."""
-    size = max(1, _BATCH_ELEMENTS // elements_per_replica)
-    return [range(start, min(start + size, count)) for start in range(0, count, size)]
+    return _index_ranges(count, elements_per_replica, _BATCH_ELEMENTS)
 
 
 def _row_norms(rows: np.ndarray) -> np.ndarray:

@@ -1,6 +1,7 @@
 """Experiment harness: verdict logic, exactness claims, determinism."""
 
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -415,6 +416,84 @@ def test_experiment_tables_independent_of_batch_budget(monkeypatch):
     chunked = tables()
     for ours, reference in zip(batched, chunked, strict=True):
         assert np.array_equal(ours, reference)
+
+
+def _report_bits(report):
+    """Every table column (as bytes), verdict and note of a report."""
+    tables = {name: {column: np.asarray(values).tobytes() for column, values in table.items()}
+              for name, table in report.tables.items()}
+    verdicts = [(v.name, v.passed, v.threshold, v.observed) for v in report.verdicts]
+    return tables, verdicts, report.notes, report.inconclusive
+
+
+def _monte_carlo_results():
+    grid = np.linspace(0.0, 1.0, 5)
+    # five rows and two noise coordinates: the block budget counts the wider sup terms
+    integrand = integral.StepIntegrand(grid, np.random.default_rng(1).normal(size=(4, 5, 2)))
+    tail_integrand = tail_experiment(integrand, 1.5, n_samples=1_500,
+                                     r_grid=np.geomspace(2.0, 8.0, 5), seed=31)
+    assert "tail_scaled" in tail_integrand.tables  # the scaled run is compared too
+    return {
+        # two singular values: the sphere quadrature, drawn in column pairs
+        "tail_radonified": _report_bits(tail_experiment(
+            HSMatrix([[1.0, 0.3, 0.0], [0.2, 0.5, -0.4]]), 1.5, n_samples=3_000,
+            r_grid=np.geomspace(0.5, 5.0, 5), seed=30)),
+        "tail_integrand": _report_bits(tail_integrand),
+        "moment": _report_bits(moment_experiment(constant_integrand(np.diag([1.0, 0.5]), grid),
+                                                 1.5, [0.5, 0.7], 750, seed=32)),
+        "gof": _report_bits(isotropic_gof_report(1.5, 3, 3_000, seed=33)),
+        "quadrature": constants.levy_tail_mass([1.0, 0.5, 0.25], 1.5, nodes=64),
+        "monte_carlo": constants.levy_tail_mass(np.linspace(1.0, 0.2, 7), 1.5,
+                                                method="monte_carlo", mc_points=3_001, seed=34),
+    }
+
+
+def test_monte_carlo_results_independent_of_draw_budget(monkeypatch):
+    # each stream is drawn in the same order whatever its blocks, and every
+    # reduction is per sample, so blocks of one to four rows change no bit
+    default = _monte_carlo_results()
+    assert len(rng._draw_blocks(3_000, 5)) == 1
+    monkeypatch.setattr(rng, "_DRAW_ELEMENTS", 24)
+    assert len(rng._draw_blocks(3_000, 5)) == 750
+    assert _monte_carlo_results() == default
+
+
+def _traced_peak(run) -> int:
+    """Peak bytes traced by tracemalloc (numpy's buffers included) while run() runs."""
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_monte_carlo_memory_is_bounded_by_the_draw_budget():
+    # the (200, 2N) int64 bootstrap index alone was 32 MB at N = 10^4
+    integrand = constant_integrand(np.eye(1), np.linspace(0.0, 1.0, 17))
+    assert _traced_peak(lambda: moment_experiment(integrand, 1.5, [0.5, 0.7], 10_000,
+                                                  seed=35)) < 8 * 2**20
+
+    # no temporary grows with N: the norms of 4x the samples once took 2.4 MB more
+    def tail(n_samples):
+        return lambda: tail_experiment(HSMatrix.diagonal([1.0, 0.5, 0.25]), 1.5,
+                                       n_samples=n_samples, seed=36)
+
+    assert abs(_traced_peak(tail(400_000)) - _traced_peak(tail(100_000))) < 2**20
+
+
+@pytest.mark.parametrize("block", [1_000, 7])
+def test_exceedance_counts_equal_comparison_oracle(block):
+    norms = np.round(np.random.default_rng(37).pareto(1.5, 1_000), 1)  # many ties
+    norms[[3, 500]] = np.inf, np.nan
+    # radii equal to norms, between them and beyond them
+    r_grid = np.unique(np.concatenate([norms[10:40], [0.0, 0.05, 1e9]]))
+    r_grid = r_grid[np.isfinite(r_grid)]
+    blocks = [norms[start:start + block] for start in range(0, norms.size, block)]
+    counts = experiments._exceedance_counts(blocks, r_grid)
+    assert np.array_equal(counts, [(norms > r).sum() for r in r_grid])
+    table = experiments._tail_table(blocks, norms.size, 1.5, r_grid)
+    assert np.array_equal(table["p_hat"], [(norms > r).mean() for r in r_grid])
 
 
 def test_uniqueness_skips_the_residual_certificate(monkeypatch):
