@@ -152,7 +152,7 @@ def _tail_table(blocks: Iterable[np.ndarray], n: int, alpha: float,
 
 
 def _tail_verdicts(report: ExperimentReport, table: dict, alpha: float, n_samples: int,
-                   target: float | None, target_se: float,
+                   target: float | None,
                    flatness_max: float = 1.5, level_frac: float = 0.15,
                    slope_tol: float = 0.1) -> np.ndarray | None:
     """Verdicts on the radii with at least 50 exceedances.
@@ -182,7 +182,7 @@ def _tail_verdicts(report: ExperimentReport, table: dict, alpha: float, n_sample
     level = float(table["plateau"][judged].mean())
     level_se = float(table["plateau_se"][judged].mean())  # conservative for correlated radii
     if target is not None:
-        tol = level_frac * target + 3.0 * math.hypot(level_se, target_se)
+        tol = level_frac * target + 3.0 * level_se
         report.add_verdict(
             "plateau_level",
             abs(level - target) <= tol,
@@ -247,7 +247,7 @@ def tail_experiment(
         table = _tail_table(_sup_integral_norms(psi, alpha, n_samples, seed, TAG_REPLICA),
                             n_samples, alpha, r_grid)
         report.tables["tail"] = table
-        top = _tail_verdicts(report, table, alpha, n_samples, target=None, target_se=0.0,
+        top = _tail_verdicts(report, table, alpha, n_samples, target=None,
                              flatness_max=flatness_max, level_frac=level_frac,
                              slope_tol=slope_tol)
         if top is not None:
@@ -276,17 +276,12 @@ def tail_experiment(
                                     n_samples, seed, TAG_REPLICA)
         table = _tail_table(norms, n_samples, alpha, r_grid)
         report.tables["tail"] = table
-        singular = np.linalg.svd(entries, compute_uv=False)
-        if singular.size <= 3:
-            mass, mass_se = levy_tail_mass(singular, alpha)
-        else:
-            mass, mass_se = levy_tail_mass(singular, alpha, method="monte_carlo", seed=seed)
-        target = t * mass
         if not np.any(entries):
             report.add_verdict("plateau_level", bool(np.all(table["p_hat"] == 0.0)),
                                "all exceedances zero for psi = 0", "zero operator")
         else:
-            _tail_verdicts(report, table, alpha, n_samples, target, t * mass_se,
+            target = t * levy_tail_mass(np.linalg.svd(entries, compute_uv=False), alpha)
+            _tail_verdicts(report, table, alpha, n_samples, target,
                            flatness_max=flatness_max, level_frac=level_frac,
                            slope_tol=slope_tol)
     report.runtime = time.perf_counter() - start

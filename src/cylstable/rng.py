@@ -24,7 +24,6 @@ piece):
     (seed, TAG_REPLICA, k)                      tail/moment chunk k, refinement replica k
     (seed, TAG_REPLICA, TAG_BOOTSTRAP)          moment bootstrap
     (seed, TAG_SCALED, k)                       tail integrand, scaled run, chunk k
-    (seed, TAG_SPHERE_MC, n)                    Monte-Carlo Levy tail mass
     (seed, TAG_TRIPLES, M)                      random hypothesis triples
     (0, TAG_GOF, n, count)                      goodness-of-fit test directions
 
@@ -58,7 +57,6 @@ TAG_PIECE = 0x91ECE
 TAG_REPLICA = 0x4E9
 TAG_ALT_NOISE = 0xA17
 TAG_SCALED = 0x5CA1ED
-TAG_SPHERE_MC = 0x59EE
 TAG_TRIPLES = 0x77
 TAG_GOF = 0x60F
 TAG_BOOTSTRAP = 0xB007
@@ -114,9 +112,9 @@ def open_uniform(rng: np.random.Generator, shape) -> np.ndarray:
     return np.clip(rng.random(shape), _UNIFORM_LO, _UNIFORM_HI)
 
 
-# Elements per block of the Monte-Carlo draws and reductions (samplers, sup norms,
-# the Levy mass): 1 MiB per float64 temporary, whatever the sample count.  A
-# stream's blocks are drawn from its one Generator in order, so no value depends
+# Elements per block of the Monte-Carlo draws and reductions (samplers, sup
+# norms): 1 MiB per float64 temporary, whatever the sample count.  A stream's
+# blocks are drawn from its one Generator in order, so no value depends
 # on the budget.
 _DRAW_ELEMENTS = 1 << 17
 

@@ -164,18 +164,26 @@ def _ratio(x: np.ndarray, p: tuple, q: tuple) -> np.ndarray:
 
 
 def _ndtri_block(u: np.ndarray) -> np.ndarray:
-    """Both Cephes branches on the whole block, then the centre is selected.
+    """Each Cephes branch evaluated only on its own elements of the block.
 
-    Selecting beats gathering the tails: the branch masks of uniform draws
-    are random, and boolean indexing on them costs more than the arithmetic.
+    The centre and tail indices are taken once with ``np.flatnonzero``; each
+    formula runs on its gathered elements and is scattered back.  Every
+    element sees the operations of its branch alone, so the result equals
+    evaluating both branches everywhere and selecting, at half the arithmetic.
     """
-    c = u - 0.5
-    centre = _ratio(c * c, _P0, _Q0)
-    centre *= c
-    centre += c
-    centre *= _S2PI
+    out = np.empty_like(u)
+    mid = (u > _EXP_M2) & (u <= 1.0 - _EXP_M2)
+    centre = np.flatnonzero(mid)
+    c = u[centre] - 0.5
+    x = _ratio(c * c, _P0, _Q0)
+    x *= c
+    x += c
+    x *= _S2PI
+    out[centre] = x
     # tails: y = u below exp(-2) (result negated), y = 1 - u above 1 - exp(-2)
-    x = _log(np.minimum(u, 1.0 - u))
+    tails = np.flatnonzero(~mid)
+    v = u[tails]
+    x = _log(np.minimum(v, 1.0 - v))
     x *= -2.0
     np.sqrt(x, out=x)
     z = 1.0 / x
@@ -185,9 +193,9 @@ def _ndtri_block(u: np.ndarray) -> np.ndarray:
         x1[far] = _ratio(z[far], _P2, _Q2)
     x -= _log(x) / x
     x -= x1
-    np.copysign(x, c, out=x)
-    np.copyto(x, centre, where=(u > _EXP_M2) & (u <= 1.0 - _EXP_M2))
-    return x
+    np.copysign(x, v - 0.5, out=x)
+    out[tails] = x
+    return out
 
 
 def _ndtri(u: np.ndarray) -> np.ndarray:

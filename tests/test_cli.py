@@ -474,7 +474,7 @@ def test_every_command_runs_with_scipy_blocked(tmp_path):
     runs = [[command, *args, "--seed", "7"] for command, args in TINY_STOCHASTIC.items()]
     runs += [["constants", "--alpha", "1.5", "--p", "1.2"],
              ["check-model", "--n", "3"],
-             # three singular values: the Gauss-Legendre sphere quadrature
+             # a radonified tail: its plateau is judged against the Levy mass
              ["tail", "--alpha", "1.5", "--gamma", "1,0.5,0.25", "--N", "40000",
               "--r-min", "10", "--r-max", "40", "--r-count", "5", "--seed", "7"]]
     runs = [[*argv, "--out", str(tmp_path / str(i))] for i, argv in enumerate(runs)]

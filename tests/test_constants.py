@@ -1,6 +1,7 @@
 """Constants module: closed forms against independent oracles."""
 
 import math
+import warnings
 
 import mpmath as mp
 import numpy as np
@@ -18,6 +19,8 @@ from cylstable.constants import (
     levy_tail_mass,
     sphere_total_mass,
 )
+
+import levy_oracles
 
 
 def test_gamma_backend_against_mpmath_oracle():
@@ -150,12 +153,12 @@ def test_c3_is_the_sup_of_a_dense_p_grid():
 
 
 def test_levy_tail_mass_zero_gamma():
-    value, se = levy_tail_mass([0.0, 0.0], 1.5)
-    assert value == 0.0 and se == 0.0
+    value = levy_tail_mass([0.0, 0.0], 1.5)
+    assert value == 0.0 and isinstance(value, float)
 
 
 def test_levy_tail_mass_scalar_unit():
-    value, _ = levy_tail_mass([1.0], 1.5)
+    value = levy_tail_mass([1.0], 1.5)
     assert value == pytest.approx(1.0 / c_alpha(1.5), rel=1e-12)
 
 
@@ -167,27 +170,85 @@ def test_levy_tail_mass_scalar_unit():
 @settings(max_examples=25, deadline=None)
 def test_levy_tail_mass_homogeneity(alpha, scale, n):
     gamma = np.linspace(1.0, 0.3, n)
-    base, _ = levy_tail_mass(gamma, alpha, nodes=128)
-    scaled, _ = levy_tail_mass(scale * gamma, alpha, nodes=128)
+    base = levy_tail_mass(gamma, alpha)
+    scaled = levy_tail_mass(scale * gamma, alpha)
     assert scaled == pytest.approx(scale**alpha * base, rel=1e-6)
+
+
+@pytest.mark.parametrize("scale", [2.0**400, 2.0**-400, 1e100, 1e-100])
+def test_levy_tail_mass_homogeneity_at_extreme_scales(scale):
+    gamma = np.array([1.0, 0.7, 0.05, 0.3, 2.5])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for alpha in (0.3, 1.0, 1.5, 1.99):
+            base = levy_tail_mass(gamma, alpha)
+            assert levy_tail_mass(scale * gamma, alpha) == pytest.approx(
+                scale**alpha * base, rel=1e-14, abs=0.0)
+
+
+def test_levy_tail_mass_matches_product_quadrature():
+    rng = np.random.default_rng(11)
+    for alpha in (0.05, 0.3, 0.7, 1.0, 1.01, 1.5, 1.99):
+        for n in (1, 2, 3):
+            for _ in range(5):
+                gamma = rng.uniform(0.05, 3.0, n)
+                oracle = levy_oracles.product_quadrature(gamma, alpha)
+                assert levy_tail_mass(gamma, alpha) == pytest.approx(oracle, rel=1e-13), (
+                    alpha, gamma)
+
+
+@pytest.mark.parametrize("alpha", [0.3, 1.0, 1.5, 1.99])
+def test_levy_tail_mass_exact_limits(alpha):
+    # gamma = e_1 in R^3: the sphere average of |x_1|^alpha is 1/(alpha+1)
+    prefactor3 = sphere_total_mass(3, alpha) / c_alpha(alpha)
+    assert levy_tail_mass([1.0, 0.0, 0.0], alpha) == pytest.approx(
+        prefactor3 / (alpha + 1.0), rel=1e-14)
+    # gamma = e_1 in R^2: the circle average of |cos|^alpha
+    prefactor2 = sphere_total_mass(2, alpha) / c_alpha(alpha)
+    circle = math.gamma((1.0 + alpha) / 2.0) / (math.sqrt(math.pi) * math.gamma(1.0 + alpha / 2.0))
+    assert levy_tail_mass([1.0, 0.0], alpha) == pytest.approx(prefactor2 * circle, rel=1e-14)
+
+
+def test_levy_tail_mass_equal_gammas_match_chi_square_moment():
+    # all gamma_j = 1: the Gaussian moment is E[chi2_n^(alpha/2)] in closed form
+    for alpha in (0.3, 1.0, 1.5, 1.99):
+        s = alpha / 2.0
+        abs_moment = 2.0**s * mp.gamma((1 + alpha) / 2.0) / mp.sqrt(mp.pi)
+        for n in (1, 4, 8, 16, 64):
+            chi = 2.0**s * mp.gamma(n / 2.0 + s) / mp.gamma(n / 2.0)
+            exact = float(chi / (abs_moment * c_alpha(alpha)))
+            assert levy_tail_mass(np.ones(n), alpha) == pytest.approx(exact, rel=1e-13)
+
+
+@pytest.mark.parametrize("gamma", [[1.0, math.inf], [math.nan, 1.0], [[1.0, 0.5]]])
+def test_levy_tail_mass_refuses_non_finite_or_non_vector_gamma(gamma):
+    with pytest.raises(ValueError, match="gamma"):
+        levy_tail_mass(gamma, 1.5)
 
 
 def test_levy_tail_mass_quadrature_vs_monte_carlo():
     gamma = np.array([1.0, 0.5, 0.25])
-    quad, _ = levy_tail_mass(gamma, 1.5)
-    mc, se = levy_tail_mass(gamma, 1.5, method="monte_carlo", mc_points=400_000, seed=5)
+    quad = levy_tail_mass(gamma, 1.5)
+    mc, se = levy_oracles.monte_carlo(gamma, 1.5, 400_000, seed=5)
     assert abs(mc - quad) <= 3.0 * se
+
+
+@pytest.mark.parametrize("n", [4, 8, 16])
+def test_levy_tail_mass_beyond_three_dimensions_vs_monte_carlo(n):
+    gamma = np.random.default_rng(40 + n).uniform(0.05, 3.0, n)
+    mc, se = levy_oracles.monte_carlo(gamma, 1.5, 400_000, seed=n)
+    assert abs(mc - levy_tail_mass(gamma, 1.5)) <= 3.0 * se
 
 
 def test_jensen_equality_for_constant_gamma():
     for n in (1, 2, 3):
         gamma = np.full(n, 0.7)
-        mass, _ = levy_tail_mass(gamma, 1.5)
+        mass = levy_tail_mass(gamma, 1.5)
         assert abs(mass - jensen_bound(gamma, 1.5)) < 1e-8
 
 
 def test_jensen_strict_for_uneven_gamma():
-    mass, _ = levy_tail_mass([1.0, 0.0], 1.5)
+    mass = levy_tail_mass([1.0, 0.0], 1.5)
     bound = jensen_bound([1.0, 0.0], 1.5)
     assert mass < bound - 1e-3
 
@@ -199,7 +260,7 @@ def test_jensen_dominates_on_random_gammas():
         gamma = rng.uniform(0.0, 2.0, size=n)
         if not gamma.any():
             continue
-        mass, _ = levy_tail_mass(gamma, 1.5)
+        mass = levy_tail_mass(gamma, 1.5)
         assert mass <= jensen_bound(gamma, 1.5) + 1e-6
 
 

@@ -7,7 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from cylstable import constants, experiments, integral, picard, rng, sampling
+from cylstable import experiments, integral, picard, rng, sampling
 from cylstable.constants import c_alpha
 from cylstable.experiments import (
     HypothesisFailed,
@@ -108,7 +108,7 @@ def _record_stream_names(monkeypatch) -> list[tuple[int, ...]]:
         names.append(tuple(int(word) for word in name))
         return rng.substream(*name)
 
-    for module in (constants, experiments, integral, sampling):
+    for module in (experiments, integral, sampling):
         for attr, recorder in (("substream", stream), ("open_uniform_rows", rows)):
             if hasattr(module, attr):
                 monkeypatch.setattr(module, attr, recorder)
@@ -144,6 +144,16 @@ def test_streams_of_one_run_have_distinct_keys(monkeypatch, run):
     keys = {tuple(np.random.SeedSequence(list(name)).generate_state(2, np.uint64))
             for name in distinct}
     assert len(keys) == len(distinct) == expected
+
+
+def test_radonified_tail_with_eight_singular_values_draws_only_its_chunks(monkeypatch):
+    # the Levy mass is exact for every dimension: no stream of its own, whatever n
+    names = _record_stream_names(monkeypatch)
+    n_samples = experiments._CHUNK + 1_000
+    tail_experiment(HSMatrix.diagonal(np.linspace(1.0, 0.3, 8)), 1.5, n_samples=n_samples,
+                    seed=23)
+    chunks = math.ceil(n_samples / experiments._CHUNK)
+    assert names == [(23, TAG_REPLICA, k) for k in range(chunks)]
 
 
 def test_moment_zero_integrand():
@@ -434,7 +444,6 @@ def _monte_carlo_results():
                                      r_grid=np.geomspace(2.0, 8.0, 5), seed=31)
     assert "tail_scaled" in tail_integrand.tables  # the scaled run is compared too
     return {
-        # two singular values: the sphere quadrature, drawn in column pairs
         "tail_radonified": _report_bits(tail_experiment(
             HSMatrix([[1.0, 0.3, 0.0], [0.2, 0.5, -0.4]]), 1.5, n_samples=3_000,
             r_grid=np.geomspace(0.5, 5.0, 5), seed=30)),
@@ -442,9 +451,6 @@ def _monte_carlo_results():
         "moment": _report_bits(moment_experiment(constant_integrand(np.diag([1.0, 0.5]), grid),
                                                  1.5, [0.5, 0.7], 750, seed=32)),
         "gof": _report_bits(isotropic_gof_report(1.5, 3, 3_000, seed=33)),
-        "quadrature": constants.levy_tail_mass([1.0, 0.5, 0.25], 1.5, nodes=64),
-        "monte_carlo": constants.levy_tail_mass(np.linspace(1.0, 0.2, 7), 1.5,
-                                                method="monte_carlo", mc_points=3_001, seed=34),
     }
 
 
