@@ -4,8 +4,8 @@ Everything here is deterministic: the normalisation c_alpha, the uniform
 sphere mass of the cylindrical Levy measure, the tail/moment constant
 chain c1 -> c2 -> C(p), the contraction constant c3 with its two
 admissible-horizon bounds, and the tail mass of a radonified stable
-variable (with its Jensen upper bound).  That mass is a sphere integral,
-computed for every dimension n as a fractional Gaussian moment,
+variable.  That mass is a sphere integral, computed for every dimension n
+as a fractional Gaussian moment,
 
     m(gamma) = E[(sum_j gamma_j^2 Z_j^2)^(alpha/2)] / (c_alpha * E|Z_1|^alpha),
 
@@ -29,7 +29,6 @@ __all__ = [
     "chain_constants",
     "c3_and_Tmax",
     "levy_tail_mass",
-    "jensen_bound",
     "constants_report",
 ]
 
@@ -189,22 +188,6 @@ def levy_tail_mass(gamma, alpha: float) -> float:
     moment = _gaussian_moment((gamma / top) ** 2, s)
     abs_moment = 2.0**s * math.gamma((1.0 + alpha) / 2.0) / math.sqrt(math.pi)
     return float(top**alpha) * moment / (c_alpha(alpha) * abs_moment)
-
-
-def jensen_bound(gamma, alpha: float) -> float:
-    """Jensen upper bound lambda_n(S)/(c_alpha*n^(alpha/2)) * (sum gamma^2)^(alpha/2).
-
-    Dominates :func:`levy_tail_mass` with equality exactly when all |gamma_j|
-    coincide (the sphere integrand is then constant).
-    """
-    alpha = _check_alpha(alpha)
-    gamma = np.atleast_1d(np.asarray(gamma, dtype=float))
-    n = gamma.size
-    return (
-        sphere_total_mass(n, alpha)
-        / (c_alpha(alpha) * n ** (alpha / 2.0))
-        * float(gamma @ gamma) ** (alpha / 2.0)
-    )
 
 
 def constants_report(

@@ -288,6 +288,9 @@ def tail_experiment(
     return report
 
 
+_BOOTSTRAP = 200  # resamples behind each moment's 95% confidence interval
+
+
 def moment_experiment(
     integrand: StepIntegrand,
     alpha: float,
@@ -295,7 +298,6 @@ def moment_experiment(
     n_samples: int,
     seed: int = 0,
     scale_factor: float = 2.0,
-    bootstrap: int = 200,
 ) -> ExperimentReport:
     """Moments of the running-sup integral below the stability index.
 
@@ -337,8 +339,8 @@ def moment_experiment(
         est_2n = float(powered.mean())
         # one resample index at a time, drawn in the order of one (bootstrap, 2N)
         # draw: neither that index nor its gather is ever held
-        boots = np.empty(bootstrap)
-        for b in range(bootstrap):
+        boots = np.empty(_BOOTSTRAP)
+        for b in range(_BOOTSTRAP):
             boots[b] = powered[rng_boot.integers(0, 2 * n_samples, size=2 * n_samples)].mean()
         lo, hi = np.percentile(boots, [2.5, 97.5])
         ratio = float(np.mean((sups / denom) ** p)) if denom > 0.0 else 0.0
@@ -582,8 +584,8 @@ def willet_wong_check(u, v, w, p: float, t=None) -> dict:
             "lhs": lhs, "rhs": rhs, "t": t}
 
 
-def random_hypothesis_triples(count: int, grid_points: int, seed: int, T: float = 1.0):
-    """Generate (t, u, v, w, p) triples satisfying the discrete hypothesis.
+def random_hypothesis_triples(count: int, grid_points: int, seed: int):
+    """Generate (t, u, v, w, p) triples satisfying the discrete hypothesis on [0, 1].
 
     Starts from the closed-form equality solution of the comparison
     equation u' = v u + w u^p with u(0) = 0, scales it strictly inside the
@@ -595,7 +597,7 @@ def random_hypothesis_triples(count: int, grid_points: int, seed: int, T: float 
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
     rng = substream(seed, TAG_TRIPLES, grid_points)
-    t = np.linspace(0.0, T, grid_points + 1)
+    t = np.linspace(0.0, 1.0, grid_points + 1)
     out = []
     attempts = 0
     while len(out) < count:
@@ -630,19 +632,17 @@ def char_function_test(
     samples: np.ndarray,
     target: Callable[[np.ndarray], complex],
     u_grid: np.ndarray,
-    threshold: float | None = None,
 ) -> dict:
     """Max deviation of the empirical characteristic function on a grid.
 
-    Pass threshold defaults to 3/sqrt(N) + 0.01.
+    Passes below the threshold 3/sqrt(N) + 0.01.
     """
     samples = np.atleast_2d(np.asarray(samples, dtype=float))
     u_grid = np.atleast_2d(np.asarray(u_grid, dtype=float))
     if u_grid.size == 0:
         raise ValueError("u_grid must not be empty")
     n_samples = samples.shape[0]
-    if threshold is None:
-        threshold = 3.0 / math.sqrt(n_samples) + 0.01
+    threshold = 3.0 / math.sqrt(n_samples) + 0.01
     devs = np.empty(u_grid.shape[0])
     for i, u in enumerate(u_grid):
         ecf = np.exp(1j * (samples @ u)).mean()
@@ -650,7 +650,7 @@ def char_function_test(
     return {
         "max_abs_dev": float(devs.max()),
         "devs": devs,
-        "threshold": float(threshold),
+        "threshold": threshold,
         "passed": bool(devs.max() < threshold),
         "n_samples": n_samples,
     }

@@ -50,24 +50,10 @@ class HSMatrix:
             raise ValueError("entries must be finite")
         self.entries = entries
 
-    @property
-    def shape(self) -> tuple[int, int]:
-        return self.entries.shape
-
-    def hs_norm(self) -> float:
-        return float(np.linalg.norm(self.entries))
-
     @classmethod
-    def diagonal(cls, values, shape: tuple[int, int] | None = None) -> "HSMatrix":
-        values = np.atleast_1d(np.asarray(values, dtype=float))
-        n, m = shape if shape is not None else (values.size, values.size)
-        entries = np.zeros((n, m))
-        k = min(n, m, values.size)
-        entries[np.arange(k), np.arange(k)] = values[:k]
-        return cls(entries)
-
-    def __repr__(self):
-        return f"HSMatrix(shape={self.shape}, hs_norm={self.hs_norm():.6g})"
+    def diagonal(cls, values) -> "HSMatrix":
+        """The square matrix with ``values`` on its diagonal."""
+        return cls(np.diag(np.atleast_1d(np.asarray(values, dtype=float))))
 
 
 def as_matrix(psi) -> np.ndarray:
@@ -86,30 +72,36 @@ SHAPES: dict[str, Callable[[np.ndarray], np.ndarray]] = {
 }
 
 
+# rule name -> number of ``:``-separated fields after it
+_RULE_FIELDS = {"dirichlet": 0, "zero": 0, "const": 1, "power": 2}
+
+
 def _rule_values(rule: str, n: int, kind: str) -> np.ndarray:
     """Evaluate a coefficient rule at k = 1..n.
 
     Grammar: ``dirichlet`` (pi^2 k^2, eigenvalues only), ``power:c:p``
     (c*k^p for eigenvalues, c*k^-p for amplitudes), ``const:c``, ``zero``.
     """
+    key = f"{kind}_rule"
+    name, *fields = rule.split(":")
+    if name not in _RULE_FIELDS:
+        raise ValueError(f"unknown {key} {rule!r}")
+    if len(fields) != _RULE_FIELDS[name]:
+        raise ValueError(f"{key} {rule!r}: {name!r} takes {_RULE_FIELDS[name]} "
+                         f"field(s) after the name, got {len(fields)}")
     k = np.arange(1, n + 1, dtype=float)
-    parts = rule.split(":")
-    name = parts[0]
     if name == "dirichlet":
         if kind != "lambda":
-            raise ValueError("rule 'dirichlet' is only valid for lambda_rule")
+            raise ValueError(f"{key} 'dirichlet' is only valid for lambda_rule")
         return math.pi**2 * k**2
     if name == "zero":
         if kind == "lambda":
-            raise ValueError("eigenvalues must be strictly positive")
+            raise ValueError(f"{key} 'zero': eigenvalues must be strictly positive")
         return np.zeros(n)
     if name == "const":
-        c = float(parts[1])
-        return np.full(n, c)
-    if name == "power":
-        c, p = float(parts[1]), float(parts[2])
-        return c * k**p if kind == "lambda" else c * k ** (-p)
-    raise ValueError(f"unknown {kind} rule {rule!r}")
+        return np.full(n, float(fields[0]))
+    c, p = float(fields[0]), float(fields[1])
+    return c * k**p if kind == "lambda" else c * k ** (-p)
 
 
 @dataclass(frozen=True)
@@ -140,6 +132,12 @@ class DiagonalModel:
         object.__setattr__(self, "f", f)
         if lam.ndim != 1 or lam.size < 1:
             raise ValueError("lambdas must be a nonempty vector")
+        for name, values, key, rule in (("lambdas", lam, "lambda_rule", self.lambda_rule),
+                                        ("kappa", kap, "kappa_rule", self.kappa_rule),
+                                        ("f", f, "f_rule", self.f_rule)):
+            if not np.all(np.isfinite(values)):
+                source = "" if rule is None else f" ({key}={rule})"
+                raise ValueError(f"{name} must be finite{source}")
         if np.any(lam <= 0.0):
             raise ValueError("eigenvalues lambda_k must be strictly positive")
         if np.any(np.diff(lam) < 0.0):

@@ -3,9 +3,9 @@
 A step integrand holds one Hilbert-Schmidt matrix per grid cell
 (t_i, t_{i+1}], measurable at the left endpoint; the integral path is the
 running sum of matrix-vector products with the noise increments.  Left
-endpoints everywhere: predictable integrands never peek forward, which the
-construction helper enforces structurally by exposing only the state
-prefix up to t_i.
+endpoints everywhere: the matrix of cell i multiplies the increment over
+(t_i, t_{i+1}], so I(t_k) depends only on the matrices and increments of
+the cells before t_k.
 """
 
 from __future__ import annotations
@@ -21,17 +21,11 @@ from .rng import TAG_REPLICA, open_uniform_rows
 from .sampling import NoisePath, _isotropic_from_uniforms, _replica_chunks, _row_norms
 
 __all__ = [
-    "AdaptednessError",
     "StepIntegrand",
     "integrate",
-    "discretize_predictable",
     "constant_integrand",
     "refinement_experiment",
 ]
-
-
-class AdaptednessError(Exception):
-    """Raised when an integrand rule tries to read state beyond its left endpoint."""
 
 
 @dataclass(frozen=True)
@@ -89,36 +83,6 @@ def integrate(integrand: StepIntegrand, noise: NoisePath) -> np.ndarray:
     path = np.zeros((noise.steps + 1, integrand.values.shape[1]))
     np.cumsum(terms, axis=0, out=path[1:])
     return path
-
-
-def discretize_predictable(
-    rule: Callable[[float, np.ndarray], np.ndarray],
-    states: np.ndarray,
-    grid,
-) -> StepIntegrand:
-    """Left-endpoint discretisation of a state-dependent operator rule.
-
-    ``rule(t_i, prefix)`` receives only the states up to and including t_i
-    (a read-only prefix of shape (i+1, n)); indexing past the prefix raises
-    :class:`AdaptednessError`, so anti-causal rules are rejected
-    structurally.
-    """
-    grid = np.asarray(grid, dtype=float)
-    states = np.asarray(states, dtype=float)
-    if states.shape[0] != grid.size:
-        raise ValueError("states must provide one vector per grid time")
-    matrices = []
-    for i in range(grid.size - 1):
-        prefix = states[: i + 1]
-        prefix.flags.writeable = False
-        try:
-            psi = np.asarray(rule(float(grid[i]), prefix), dtype=float)
-        except IndexError as exc:
-            raise AdaptednessError(
-                f"rule at t_{i}={grid[i]} read state beyond its left endpoint"
-            ) from exc
-        matrices.append(np.atleast_2d(psi))
-    return StepIntegrand(grid, np.stack(matrices))
 
 
 def constant_integrand(psi, grid) -> StepIntegrand:

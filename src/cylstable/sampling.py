@@ -12,8 +12,11 @@ The target laws are fixed by their characteristic functions only:
 
 The sub-Gaussian construction gives exact isotropy and, because each grid
 row shares one subordinator draw across coordinates, pathwise projective
-consistency: extending the number of kept coordinates never changes the
-existing ones (bit-exact).
+consistency: :func:`generate_noise_path` at the same seed and grid with
+more coordinates m' > m returns the m-coordinate path as its first m
+columns, bit for bit.  Each row's stream draws the shared subordinator
+first and then one uniform per coordinate in column order, so a longer
+block reproduces the shorter one as its prefix.
 
 Draw streams are counter-based per row with a fixed uniform-consumption
 layout (2 uniforms for the subordinator, then one per Gaussian coordinate
@@ -51,7 +54,6 @@ __all__ = [
     "sample_positive_stable",
     "sample_isotropic",
     "generate_noise_path",
-    "extend_dimension",
     "noise_csv_lines",
     "noise_path_to_csv",
 ]
@@ -321,7 +323,8 @@ def generate_noise_path(alpha: float, m: int, grid, seed: int) -> NoisePath:
     """Sample a NoisePath: independent rows, row i ~ (dt_i)^(1/alpha) x isotropic.
 
     Row i is generated from its own counter-based stream, named
-    (seed, TAG_NOISE_ROW, i), so a rerun with the same seed reproduces the path.
+    (seed, TAG_NOISE_ROW, i), so a rerun with the same seed reproduces the path,
+    and a rerun with a larger m reproduces it as its first m columns.
     """
     AlphaParams(alpha)
     if m < 1:
@@ -330,23 +333,6 @@ def generate_noise_path(alpha: float, m: int, grid, seed: int) -> NoisePath:
     _validate_grid(grid)
     increments = _noise_increments(alpha, m, grid, seed)
     return NoisePath(alpha=alpha, m=m, grid=grid, increments=increments, seed=seed)
-
-
-def extend_dimension(path: NoisePath, m_new: int) -> NoisePath:
-    """Append fresh basis coordinates; the first m columns stay bit-identical.
-
-    Works because each row's stream draws the shared subordinator first and
-    then one uniform per coordinate in column order: re-drawing a longer
-    block reproduces the original prefix exactly.
-    """
-    if m_new < path.m:
-        raise ValueError(f"m_new={m_new} must be >= current m={path.m}")
-    if m_new == path.m:
-        return path
-    increments = _noise_increments(path.alpha, m_new, path.grid, path.seed)
-    return NoisePath(
-        alpha=path.alpha, m=m_new, grid=path.grid, increments=increments, seed=path.seed
-    )
 
 
 def noise_csv_lines(path: NoisePath, extra_header: Iterable[str] = ()) -> Iterator[str]:

@@ -1,9 +1,11 @@
 """Independent oracles of the Levy tail mass, for the tests only.
 
-Both integrate (sum_j gamma_j^2 x_j^2)^(alpha/2) over the unit sphere
-directly, against the uniform measure of total mass ``sphere_total_mass``,
-and divide by c_alpha; neither uses the Gaussian-moment identity that
-``constants.levy_tail_mass`` evaluates.
+The quadrature and the Monte-Carlo estimate integrate
+(sum_j gamma_j^2 x_j^2)^(alpha/2) over the unit sphere directly, against
+the uniform measure of total mass ``sphere_total_mass``, and divide by
+c_alpha; neither uses the Gaussian-moment identity that
+``constants.levy_tail_mass`` evaluates.  :func:`jensen_bound` is the
+closed-form upper bound that Jensen's inequality gives for that integral.
 """
 
 import math
@@ -57,3 +59,18 @@ def monte_carlo(gamma, alpha: float, points: int, seed: int) -> tuple[float, flo
         f[start:start + len(z)] = ((gamma * x) ** 2).sum(axis=1) ** (alpha / 2.0)
     prefactor = _prefactor(gamma.size, alpha)
     return prefactor * float(f.mean()), prefactor * float(f.std(ddof=1)) / math.sqrt(points)
+
+
+def jensen_bound(gamma, alpha: float) -> float:
+    """Jensen upper bound lambda_n(S)/(c_alpha*n^(alpha/2)) * (sum gamma^2)^(alpha/2).
+
+    Dominates ``constants.levy_tail_mass`` with equality exactly when all
+    |gamma_j| coincide (the sphere integrand is then constant).
+    """
+    gamma = np.atleast_1d(np.asarray(gamma, dtype=float))
+    n = gamma.size
+    return (
+        sphere_total_mass(n, alpha)
+        / (c_alpha(alpha) * n ** (alpha / 2.0))
+        * float(gamma @ gamma) ** (alpha / 2.0)
+    )

@@ -31,6 +31,20 @@ def test_constants_subcommand(tmp_path, capsys):
     assert "c2," in text
 
 
+def test_noise_dimension_extension_keeps_the_narrower_lines(tmp_path):
+    # the j <= 3 lines of an m=7 file are the m=3 file's lines, byte for byte
+    def data_lines(m):
+        out = tmp_path / f"m{m}"
+        assert main(["noise", "--alpha", "1.5", "--m", str(m), "--T", "1", "--M", "16",
+                     "--seed", "5", "--out", str(out)]) == 0
+        lines = (out / "noise.csv").read_bytes().splitlines()
+        return lines[lines.index(b"t_start,t_end,j,increment") + 1:]
+
+    narrow, wide = data_lines(3), data_lines(7)
+    assert len(narrow) == 16 * 3 and len(wide) == 16 * 7
+    assert [line for line in wide if int(line.split(b",")[2]) <= 3] == narrow
+
+
 def test_seed_required_for_stochastic_commands(tmp_path, capsys):
     code = main(["noise", "--alpha", "1.5", "--out", str(tmp_path)])
     assert code == 2
@@ -125,6 +139,23 @@ def test_malformed_values_are_usage_errors(tmp_path, capsys, argv):
     assert "usage error:" in err
     assert "Traceback" not in err
     assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("line", [
+    "kappa_rule=power:1", "f_rule=const", "kappa_rule=power:1:2:3", "lambda_rule=dirichlet:5",
+    "f_rule=zero:1", "kappa_rule=const:nan", "lambda_rule=const:inf", "f_rule=power:1:nan",
+])
+@pytest.mark.parametrize("command", [
+    ["check-model"], ["solve", "--T", "0.01", "--M", "20", "--seed", "1"],
+], ids=["check-model", "solve"])
+def test_malformed_model_rules_are_usage_errors(tmp_path, capsys, command, line):
+    model_file, out = tmp_path / "model.cfg", tmp_path / "out"
+    model_file.write_text(f"n=4\n{line}\n")
+    assert main([*command, "--model-config", str(model_file), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "usage error:" in err and line.split("=")[0] in err
+    assert "Traceback" not in err
+    assert not out.exists() or not any(out.iterdir())
 
 
 @pytest.mark.parametrize("seed", ["-1", "4294967296"])

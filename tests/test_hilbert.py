@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from cylstable.hilbert import (
     DiagonalModel,
     HSMatrix,
+    as_matrix,
     check_A2,
     check_A3,
     check_norm_continuity,
@@ -18,6 +19,7 @@ from cylstable.hilbert import (
     norm_continuity_constant,
     parse_model_config,
 )
+from cylstable.integral import constant_integrand
 from cylstable.picard import _semigroup_flow
 
 
@@ -31,11 +33,13 @@ def two_mode_model(lambdas=(1.0, 4.0)):
 
 
 def test_hsmatrix_norm_and_diagonal():
+    # the HS norm the package uses: the alpha-scale of one cell of unit length
     psi = HSMatrix([[3.0, 0.0], [0.0, 4.0]])
-    assert psi.hs_norm() == pytest.approx(5.0)
-    diag = HSMatrix.diagonal([1.0, 2.0], shape=(3, 2))
-    assert diag.shape == (3, 2)
-    assert diag.entries[1, 1] == 2.0 and diag.entries[2, :].sum() == 0.0
+    assert constant_integrand(psi, [0.0, 1.0]).alpha_scale(1.5) == pytest.approx(5.0)
+    assert np.array_equal(as_matrix(HSMatrix.diagonal([1.0, 2.0])), [[1.0, 0.0], [0.0, 2.0]])
+    assert np.array_equal(HSMatrix.diagonal(3.0).entries, [[3.0]])
+    with pytest.raises(ValueError):
+        HSMatrix.diagonal([1.0, np.inf])
 
 
 def semigroup(model, t, x):

@@ -8,11 +8,9 @@ from scipy.stats import ks_2samp
 
 from cylstable import sampling
 from cylstable.integral import (
-    AdaptednessError,
     StepIntegrand,
     _refinement_diffs,
     constant_integrand,
-    discretize_predictable,
     integrate,
     refinement_experiment,
 )
@@ -102,35 +100,6 @@ def test_stopping_consistency_bit_exact():
     stopped = integrate(StepIntegrand(grid, values), noise)
     assert np.array_equal(stopped[-1], full[6])
     assert np.array_equal(stopped[6:], np.broadcast_to(full[6], stopped[6:].shape))
-
-
-def test_discretize_constant_rule():
-    grid = np.linspace(0.0, 1.0, 5)
-    states = np.zeros((5, 2))
-    psi = np.ones((2, 2))
-    integrand = discretize_predictable(lambda t, prefix: psi, states, grid)
-    assert np.array_equal(integrand.values, np.ones((4, 2, 2)))
-
-
-def test_discretize_state_rule_hand_check():
-    grid = np.array([0.0, 0.5, 1.0, 1.5])
-    states = np.array([[1.0], [2.0], [4.0], [8.0]])
-    integrand = discretize_predictable(
-        lambda t, prefix: np.array([[prefix[-1, 0]]]), states, grid
-    )
-    # left-endpoint evaluation: values are the states at t_0, t_1, t_2
-    assert np.array_equal(integrand.values[:, 0, 0], np.array([1.0, 2.0, 4.0]))
-
-
-def test_discretize_anti_causal_rule_rejected():
-    grid = np.linspace(0.0, 1.0, 4)
-    states = np.zeros((4, 1))
-
-    def peeking_rule(t, prefix):
-        return np.array([[prefix[len(prefix)]]])  # reads one step ahead
-
-    with pytest.raises(AdaptednessError):
-        discretize_predictable(peeking_rule, states, grid)
 
 
 def test_refinement_piecewise_constant_is_exact():

@@ -10,12 +10,11 @@ from scipy.stats import ks_2samp, levy_stable
 
 from cylstable import sampling
 from cylstable.experiments import char_function_test
-from cylstable.rng import TAG_NOISE_ROW, TAG_PIECE, open_uniform, substream
+from cylstable.rng import TAG_NOISE_ROW, TAG_PIECE, TAG_REPLICA, open_uniform, substream
 from cylstable.sampling import (
     AlphaParams,
     _isotropic_from_uniforms,
     _noise_increments,
-    extend_dimension,
     generate_noise_path,
     noise_path_to_csv,
     sample_isotropic,
@@ -174,23 +173,24 @@ def test_noise_path_rejects_bad_grids():
         generate_noise_path(1.5, 1, [0.1, 0.5], seed=0)
 
 
-def test_extend_dimension_identity():
-    path = generate_noise_path(1.5, 3, np.linspace(0, 1, 5), seed=50)
-    assert extend_dimension(path, 3) is path
-
-
 def test_extend_dimension_projects_back_bit_exactly():
-    path = generate_noise_path(1.5, 2, np.linspace(0, 1, 9), seed=51)
-    wide = extend_dimension(path, 5)
+    # a wider path at the same seed and grid holds the narrower one as its first columns
+    grid = np.linspace(0, 1, 9)
+    path = generate_noise_path(1.5, 2, grid, seed=51)
+    wide = generate_noise_path(1.5, 5, grid, seed=51)
     assert np.array_equal(wide.increments[:, :2], path.increments)
-    with pytest.raises(ValueError):
-        extend_dimension(path, 1)
+    # so does a batch of replicas, drawn as picard and uniqueness draw a chunk
+    replicas = np.arange(3, 7)
+    narrow = _noise_increments(1.5, 2, grid, 51, TAG_REPLICA, replicas)
+    wide = _noise_increments(1.5, 5, grid, 51, TAG_REPLICA, replicas)
+    assert narrow.shape == (4, 8, 2) and wide.shape == (4, 8, 5)
+    assert np.array_equal(wide[..., :2], narrow)
 
 
 def test_extended_rows_pass_isotropic_gof():
     dt, rows = 0.25, 20_000
     grid = np.linspace(0.0, rows * dt, rows + 1)
-    path = extend_dimension(generate_noise_path(1.5, 2, grid, seed=52), 5)
+    path = generate_noise_path(1.5, 5, grid, seed=52)
     standardized = path.increments / dt ** (1.0 / 1.5)
     u_grid = np.eye(5) * 0.9
     result = char_function_test(

@@ -37,12 +37,21 @@ NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?|[-+]?(?:nan|inf)
 
 
 def readme_commands() -> list[tuple[str, list[str]]]:
-    """The CLI examples of the README: the fenced block that runs ``cylstable constants``."""
-    text = (ROOT / "README.md").read_text(encoding="utf-8").replace("\\\n", " ")
-    for block in re.findall(r"```sh\n(.*?)```", text, flags=re.S):
-        if "cylstable constants" in block:
-            return [(f"readme {line.split()[1]}", shlex.split(line)[1:])
-                    for line in block.splitlines() if line.startswith("cylstable ")]
+    """The CLI examples of the README (the fenced block that runs ``cylstable constants``).
+
+    Each is labelled by the README line it starts on, so two examples of one
+    subcommand stay apart.
+    """
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    for block in re.finditer(r"```sh\n(.*?)```", text, flags=re.S):
+        if "cylstable constants" in block[1]:
+            commands = []
+            # one command: a line starting with `cylstable`, through its backslash continuations
+            for command in re.finditer(r"^cylstable .*?(?<!\\)$", block[1], flags=re.M | re.S):
+                args = shlex.split(command[0].replace("\\\n", " "))[1:]
+                line = text.count("\n", 0, block.start(1) + command.start()) + 1
+                commands.append((f"readme line {line} {args[0]}", args))
+            return commands
     raise SystemExit("README.md has no CLI example block")
 
 
