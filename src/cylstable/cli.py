@@ -22,7 +22,6 @@ identical invocations.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import sys
 import warnings
 from dataclasses import replace
@@ -269,6 +268,8 @@ def _model_from(resolved: dict):
     from .hilbert import heat_preset, parse_model_config
 
     if resolved["model_config"]:
+        import hashlib  # here, not at the top: it maps OpenSSL into every command
+
         content = Path(resolved["model_config"]).read_bytes()
         resolved["model_sha256"] = hashlib.sha256(content).hexdigest()
         model = parse_model_config(content.decode("utf-8"))

@@ -98,10 +98,16 @@ def _rule_values(rule: str, n: int, kind: str) -> np.ndarray:
         if kind == "lambda":
             raise ValueError(f"{key} 'zero': eigenvalues must be strictly positive")
         return np.zeros(n)
+    try:
+        numbers = [float(field) for field in fields]
+    except ValueError:
+        raise ValueError(f"{key} {rule!r}: the fields after {name!r} must be numbers") from None
     if name == "const":
-        return np.full(n, float(fields[0]))
-    c, p = float(fields[0]), float(fields[1])
-    return c * k**p if kind == "lambda" else c * k ** (-p)
+        return np.full(n, numbers[0])
+    c, p = numbers
+    # an overflow gives inf, which DiagonalModel refuses naming the rule: no warning first
+    with np.errstate(over="ignore", invalid="ignore"):
+        return c * k**p if kind == "lambda" else c * k ** (-p)
 
 
 @dataclass(frozen=True)

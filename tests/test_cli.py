@@ -144,6 +144,7 @@ def test_malformed_values_are_usage_errors(tmp_path, capsys, argv):
 @pytest.mark.parametrize("line", [
     "kappa_rule=power:1", "f_rule=const", "kappa_rule=power:1:2:3", "lambda_rule=dirichlet:5",
     "f_rule=zero:1", "kappa_rule=const:nan", "lambda_rule=const:inf", "f_rule=power:1:nan",
+    "kappa_rule=power:1:abc", "lambda_rule=power:1e300:200",
 ])
 @pytest.mark.parametrize("command", [
     ["check-model"], ["solve", "--T", "0.01", "--M", "20", "--seed", "1"],
@@ -151,7 +152,10 @@ def test_malformed_values_are_usage_errors(tmp_path, capsys, argv):
 def test_malformed_model_rules_are_usage_errors(tmp_path, capsys, command, line):
     model_file, out = tmp_path / "model.cfg", tmp_path / "out"
     model_file.write_text(f"n=4\n{line}\n")
-    assert main([*command, "--model-config", str(model_file), "--out", str(out)]) == 2
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main([*command, "--model-config", str(model_file), "--out", str(out)]) == 2
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
     err = capsys.readouterr().err
     assert "usage error:" in err and line.split("=")[0] in err
     assert "Traceback" not in err
@@ -488,16 +492,18 @@ NOT_LOADED = {
     ["integrate", "--alpha", "1.5", "--M", "8", "--refinement-levels", "2", "--replicas", "20"],
 ], ids=lambda argv: " ".join(argv[:1] + argv[-2:]))
 def test_noise_commands_never_import_numpy_random(tmp_path, argv):
-    # their streams come from the port, which keeps numpy.random's memory out of these runs
+    # their streams come from the port, which keeps numpy.random's memory out of
+    # these runs; OpenSSL's (hashlib) is loaded only to hash a --model-config file
     code = ("import json, sys\n"
             "from cylstable.cli import main\n"
             "code = main(json.loads(sys.argv[1]))\n"
             "loaded = [m for m in sys.modules if m.startswith('cylstable.')]\n"
-            "print(json.dumps([code, 'numpy.random' in sys.modules, loaded]))\n")
+            "print(json.dumps([code, [name in sys.modules for name in\n"
+            "                         ('numpy.random', 'hashlib', '_hashlib')], loaded]))\n")
     result = _run_python(code, json.dumps([*argv, "--seed", "7", "--out", str(tmp_path)]))
     assert result.returncode == 0, result.stderr
-    code, numpy_random, loaded = json.loads(result.stdout.splitlines()[-1])
-    assert [code, numpy_random] == [0, False]
+    code, imported, loaded = json.loads(result.stdout.splitlines()[-1])
+    assert [code, imported] == [0, [False, False, False]]
     assert not {f"cylstable.{name}" for name in NOT_LOADED.get(argv[0], ())} & set(loaded)
 
 

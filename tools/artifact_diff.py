@@ -14,8 +14,9 @@ One line per artifact says ``identical`` or gives the largest absolute
 difference of each numeric column that moved (a CSV column, a ``.summary``
 key, or a ``key=value`` of a ``#`` line); ``text`` marks a non-numeric
 change.  The ``# cylstable version=`` and ``# out=`` header lines are
-ignored.  One line per command gives both exit codes.  Passing the same tree
-twice checks that reruns write identical bytes.
+ignored.  One line per command gives both exit codes and both peak resident
+sets (the child's ``ru_maxrss``, in MiB).  Passing the same tree twice checks
+that reruns write identical bytes.
 """
 
 from __future__ import annotations
@@ -76,11 +77,17 @@ def with_seed_and_out(args: list[str], seed: int) -> list[str]:
     return args
 
 
-def run(src: Path, args: list[str], cwd: Path) -> int:
+# This tool imports no numpy: a child's ru_maxrss includes its parent's peak
+# (subprocess starts it with vfork), so a heavy parent would hide the command's.
+def run(src: Path, args: list[str], cwd: Path) -> tuple[int, float]:
+    """Exit code and peak resident set (MiB) of one CLI command."""
     cwd.mkdir(parents=True)
     env = dict(os.environ, PYTHONPATH=str(src))
-    return subprocess.run([sys.executable, "-m", "cylstable.cli", *args], cwd=cwd, env=env,
-                          stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL).returncode
+    proc = subprocess.Popen([sys.executable, "-m", "cylstable.cli", *args], cwd=cwd, env=env,
+                            stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+    _, status, usage = os.wait4(proc.pid, 0)
+    proc.returncode = os.waitstatus_to_exitcode(status)
+    return proc.returncode, usage.ru_maxrss / 1024.0
 
 
 def cell_diff(a: str, b: str) -> float | None:
@@ -150,10 +157,12 @@ def main(argv=None) -> int:
             for index, (label, args) in enumerate(commands):
                 args = with_seed_and_out(args, seed)
                 dirs = [Path(tmp) / side / str(seed) / str(index) for side in ("old", "new")]
-                codes = [run(tree, args, d) for tree, d in zip(trees, dirs)]
+                (old_code, old_rss), (new_code, new_rss) = [run(tree, args, d)
+                                                            for tree, d in zip(trees, dirs)]
                 tag = f"seed={seed} {label}"
-                print(f"{tag}: exit {codes[0]} -> {codes[1]}"
-                      + ("" if codes[0] == codes[1] else "  EXIT CODES DIFFER"))
+                print(f"{tag}: exit {old_code} -> {new_code}, "
+                      f"peak {old_rss:.1f} -> {new_rss:.1f} MiB"
+                      + ("" if old_code == new_code else "  EXIT CODES DIFFER"))
                 for name in sorted({p.name for d in dirs for p in d.iterdir()}):
                     a, b = (d / name for d in dirs)
                     if not (a.exists() and b.exists()):
