@@ -115,18 +115,11 @@ def _sup_integral_norms(
     for index, size in enumerate(_chunk_sizes(n_samples)):
         rng = substream(*name, index)
         for block in _draw_blocks(size, steps * max(2 + m, n)):
-            # each buffer is released once the next is formed: none is held
-            # while the caller reduces the block or the next block is drawn
             u = open_uniform(rng, (len(block), steps, 2 + m))
-            increments = _isotropic_from_uniforms(alpha, u)
-            del u
-            increments *= scale
-            paths = np.einsum("knm,rkm->rkn", integrand.values, increments)
-            del increments
-            np.cumsum(paths, axis=1, out=paths)
-            sups = np.linalg.norm(paths, axis=2).max(axis=1)
-            del paths
-            yield sups
+            increments = scale[None] * _isotropic_from_uniforms(alpha, u)
+            terms = np.einsum("knm,rkm->rkn", integrand.values, increments)
+            paths = np.cumsum(terms, axis=1)
+            yield np.linalg.norm(paths, axis=2).max(axis=1)
 
 
 def _exceedance_counts(blocks: Iterable[np.ndarray], r_grid: np.ndarray) -> np.ndarray:
@@ -651,10 +644,8 @@ def char_function_test(
     n_samples = samples.shape[0]
     threshold = 3.0 / math.sqrt(n_samples) + 0.01
     devs = np.empty(u_grid.shape[0])
-    phases = np.empty(n_samples, dtype=complex)  # exp(1j * (samples @ u)), in one buffer
     for i, u in enumerate(u_grid):
-        np.multiply(1j, samples @ u, out=phases)
-        ecf = np.exp(phases, out=phases).mean()
+        ecf = np.exp(1j * (samples @ u)).mean()
         devs[i] = abs(ecf - target(u))
     return {
         "max_abs_dev": float(devs.max()),

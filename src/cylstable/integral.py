@@ -111,9 +111,7 @@ def _refinement_diffs(weights: np.ndarray, entries: np.ndarray, alpha: float, dt
     for chunk in _replica_chunks(replicas, steps * (2 + m)):
         u = open_uniform_rows([seed, TAG_REPLICA, np.arange(chunk.start, chunk.stop)],
                               steps * (2 + m)).reshape(len(chunk), steps, 2 + m)
-        increments = _isotropic_from_uniforms(alpha, u)
-        increments *= scale
-        projected = increments @ entries.T  # (R, steps, n)
+        projected = scale * _isotropic_from_uniforms(alpha, u) @ entries.T  # (R, steps, n)
         fine_total = weights[-1] @ projected
         for k in range(levels - 1):
             diffs[k, chunk] = _row_norms(weights[k] @ projected - fine_total)

@@ -36,9 +36,7 @@ port of ``SeedSequence``'s entropy hashing, of Philox4x64-10 and of
 ``Generator.random``, for the thousands of per-row and per-replica streams
 of a noise path or an ensemble.  Its rows equal
 ``open_uniform(substream(*name), count)`` bit for bit, so the choice never
-shows in an artifact.  Both clip their uniforms in the drawn buffer, and the
-samplers work in place from there on, bit for bit (see
-:mod:`cylstable.sampling`).
+shows in an artifact.
 """
 
 from __future__ import annotations
@@ -106,13 +104,12 @@ def substream(seed: int, *tags: int) -> np.random.Generator:
 
 
 def open_uniform(rng: np.random.Generator, shape) -> np.ndarray:
-    """Uniforms clipped into the open interval (0, 1), in the drawn buffer.
+    """Uniforms clipped into the open interval (0, 1).
 
     The clip guards the measure-zero endpoints that would produce
     log(0)/division-by-zero in the stable transforms.
     """
-    u = rng.random(shape)
-    return np.clip(u, _UNIFORM_LO, _UNIFORM_HI, out=u)
+    return np.clip(rng.random(shape), _UNIFORM_LO, _UNIFORM_HI)
 
 
 # Elements per block of the Monte-Carlo draws and reductions (samplers, sup

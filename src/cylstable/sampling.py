@@ -25,11 +25,6 @@ every row bit for bit.  The inverse normal CDF is :func:`_ndtri`, a numpy
 port of the Cephes rational approximation (S. L. Moshier, *Methods and
 Programs for Mathematical Functions*, 1989), the same one that
 ``scipy.special.ndtri`` evaluates; the package runs on numpy alone.
-
-The kernel works in place, in the buffers it owns, and writes the Gaussian
-coordinates straight into its output; each operation and its operand order
-are those of the direct expressions (oracles in ``tests/levy_oracles.py``),
-so every value is bit-identical to them.
 """
 
 from __future__ import annotations
@@ -93,31 +88,19 @@ def _positive_stable_transform(beta: float, u_angle: np.ndarray, u_exp: np.ndarr
     """Kanter transform: positive stable with Laplace transform exp(-s^beta).
 
     Evaluated in log space: the angular factor spans hundreds of orders of
-    magnitude near the endpoints of (0, pi) when beta is close to 1.  The
-    uniforms are arrays (ndim >= 1) of one shape.  In three buffers, in place,
-    with the operations of the direct expression: theta = pi * u_angle,
-    w = -log1p(-u_exp),
-
-        log_a = (beta / (1 - beta) * log(sin(beta * theta))
-                 + log(sin((1 - beta) * theta)) - 1 / (1 - beta) * log(sin(theta)))
-        exp(clip((1 - beta) / beta * (log_a - log(w)), -708, 708)).
+    magnitude near the endpoints of (0, pi) when beta is close to 1.
     """
-    theta = np.multiply(np.pi, u_angle)
-    log_a = np.multiply(beta, theta)
-    np.log(np.sin(log_a, out=log_a), out=log_a)
-    log_a *= beta / (1.0 - beta)
-    term = np.multiply(1.0 - beta, theta)
-    log_a += np.log(np.sin(term, out=term), out=term)
-    np.log(np.sin(theta, out=theta), out=theta)
-    theta *= 1.0 / (1.0 - beta)
-    log_a -= theta
-    w = np.negative(u_exp, out=term)
-    np.negative(np.log1p(w, out=w), out=w)
-    log_a -= np.log(w, out=w)
-    log_a *= (1.0 - beta) / beta
+    theta = np.pi * u_angle
+    w = -np.log1p(-u_exp)
+    log_a = (
+        beta / (1.0 - beta) * np.log(np.sin(beta * theta))
+        + np.log(np.sin((1.0 - beta) * theta))
+        - 1.0 / (1.0 - beta) * np.log(np.sin(theta))
+    )
     # cap at the double range: for tiny beta the law's extreme quantiles
     # (mass ~1e-15 beyond 1e308) are not representable anyway
-    return np.exp(np.clip(log_a, -708.0, 708.0, out=log_a), out=log_a)
+    exponent = (1.0 - beta) / beta * (log_a - np.log(w))
+    return np.exp(np.clip(exponent, -708.0, 708.0))
 
 
 def sample_scalar_sas(params: AlphaParams, seed: int, size: int = 1) -> np.ndarray:
@@ -182,14 +165,15 @@ def _ratio(x: np.ndarray, p: tuple, q: tuple) -> np.ndarray:
     return num
 
 
-def _ndtri_block(u: np.ndarray, out: np.ndarray) -> None:
-    """Each Cephes branch evaluated only on its own elements of flat ``u``, into ``out``.
+def _ndtri_block(u: np.ndarray) -> np.ndarray:
+    """Each Cephes branch evaluated only on its own elements of the block.
 
     The centre and tail indices are taken once with ``np.flatnonzero``; each
     formula runs on its gathered elements and is scattered back.  Every
     element sees the operations of its branch alone, so the result equals
     evaluating both branches everywhere and selecting, at half the arithmetic.
     """
+    out = np.empty_like(u)
     mid = (u > _EXP_M2) & (u <= 1.0 - _EXP_M2)
     centre = np.flatnonzero(mid)
     c = u[centre] - 0.5
@@ -213,43 +197,31 @@ def _ndtri_block(u: np.ndarray, out: np.ndarray) -> None:
     x -= x1
     np.copysign(x, v - 0.5, out=x)
     out[tails] = x
+    return out
 
 
-def _ndtri(u: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+def _ndtri(u: np.ndarray) -> np.ndarray:
     """Inverse standard normal CDF of open uniforms ``u`` in (0, 1), any shape.
 
     Cephes ``ndtri`` operation for operation, so it equals
     ``scipy.special.ndtri`` bit for bit wherever ``_log`` equals libm's
     ``log`` (numpy's SIMD ``log`` may differ from it by an ulp).  Only open
-    uniforms are valid inputs: 0 and 1 are not mapped to infinities.  The
-    values go into ``out`` (a new array if None; C-contiguous), in blocks of
-    whole rows of ``u``, each copied contiguous: a strided ``u`` is never
-    copied whole.
+    uniforms are valid inputs: 0 and 1 are not mapped to infinities.
     """
     u = np.asarray(u, dtype=float)
-    if out is None:
-        out = np.empty(u.shape)
-    cols = u.shape[-1] if u.ndim > 1 else 1
-    rows, flat_out = u.reshape(-1, cols), out.reshape(-1, copy=False)
-    step = max(1, _NDTRI_BLOCK // cols)
-    for start in range(0, rows.shape[0], step):
-        block = rows[start:start + step].ravel()  # a contiguous copy if u is strided
-        _ndtri_block(block, flat_out[start * cols:start * cols + block.size])
-    return out
+    flat = u.ravel()
+    out = np.empty(flat.size)
+    for start in range(0, flat.size, _NDTRI_BLOCK):
+        block = slice(start, start + _NDTRI_BLOCK)
+        out[block] = _ndtri_block(flat[block])
+    return out.reshape(u.shape)
 
 
-def _isotropic_from_uniforms(alpha: float, u: np.ndarray,
-                             out: np.ndarray | None = None) -> np.ndarray:
-    """Isotropic draws from a (rows..., 2+n) uniform block: 2 subordinator + n Gaussian.
-
-    sqrt(2 A) Z, formed in the subordinator's buffer and in ``out`` (a new
-    (..., n) array if None), with the products of the direct expression.
-    """
+def _isotropic_from_uniforms(alpha: float, u: np.ndarray) -> np.ndarray:
+    """Isotropic draws from a (..., 2+n) uniform block: 2 subordinator + n Gaussian."""
     a = _positive_stable_transform(alpha / 2.0, u[..., 0], u[..., 1])
-    a *= 2.0
-    z = _ndtri(u[..., 2:], out)
-    z *= np.sqrt(a, out=a)[..., None]
-    return z
+    z = _ndtri(u[..., 2:])
+    return np.sqrt(2.0 * a)[..., None] * z
 
 
 def sample_isotropic(alpha: float, n: int, seed: int, size: int = 1) -> np.ndarray:
@@ -261,7 +233,7 @@ def sample_isotropic(alpha: float, n: int, seed: int, size: int = 1) -> np.ndarr
     out = np.empty((size, n))
     for block in _draw_blocks(size, 2 + n):
         u = open_uniform(rng, (len(block), 2 + n))
-        _isotropic_from_uniforms(alpha, u, out[block.start:block.stop])
+        out[block.start:block.stop] = _isotropic_from_uniforms(alpha, u)
     return out
 
 
@@ -321,9 +293,7 @@ def _noise_increments(alpha: float, m: int, grid: np.ndarray, *name) -> np.ndarr
     rows = np.arange(grid.size - 1)
     words = [np.expand_dims(word, -1) for word in name]
     uniforms = open_uniform_rows([*words, TAG_NOISE_ROW, rows], 2 + m)
-    increments = _isotropic_from_uniforms(alpha, uniforms)
-    increments *= np.diff(grid)[:, None] ** (1.0 / alpha)
-    return increments
+    return np.diff(grid)[:, None] ** (1.0 / alpha) * _isotropic_from_uniforms(alpha, uniforms)
 
 
 # Cap on the elements (replicas x grid points x n) of one batch array: 128 KiB

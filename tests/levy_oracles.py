@@ -1,4 +1,4 @@
-"""Independent oracles of the Levy tail mass and of the sampler kernel, for the tests only.
+"""Independent oracles of the Levy tail mass, for the tests only.
 
 The quadrature and the Monte-Carlo estimate integrate
 (sum_j gamma_j^2 x_j^2)^(alpha/2) over the unit sphere directly, against
@@ -6,12 +6,6 @@ the uniform measure of total mass ``sphere_total_mass``, and divide by
 c_alpha; neither uses the Gaussian-moment identity that
 ``constants.levy_tail_mass`` evaluates.  :func:`jensen_bound` is the
 closed-form upper bound that Jensen's inequality gives for that integral.
-
-The sampler oracles are the kernel's direct expressions, each operation
-allocating its result: the Kanter transform, sqrt(2A) Z from a uniform
-block, the sup norms of a step integral from whole chunks, and the
-empirical characteristic function.  The package works the same
-operations in place, in blocks, and must equal them bit for bit.
 """
 
 import math
@@ -19,9 +13,7 @@ import math
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from cylstable import sampling
 from cylstable.constants import c_alpha, sphere_total_mass
-from cylstable.rng import open_uniform, substream
 
 
 def _prefactor(n: int, alpha: float) -> float:
@@ -82,48 +74,3 @@ def jensen_bound(gamma, alpha: float) -> float:
         / (c_alpha(alpha) * n ** (alpha / 2.0))
         * float(gamma @ gamma) ** (alpha / 2.0)
     )
-
-
-def positive_stable_transform(beta: float, u_angle, u_exp) -> np.ndarray:
-    """The Kanter transform of ``sampling._positive_stable_transform``, out of place."""
-    theta = np.pi * u_angle
-    w = -np.log1p(-u_exp)
-    log_a = (
-        beta / (1.0 - beta) * np.log(np.sin(beta * theta))
-        + np.log(np.sin((1.0 - beta) * theta))
-        - 1.0 / (1.0 - beta) * np.log(np.sin(theta))
-    )
-    exponent = (1.0 - beta) / beta * (log_a - np.log(w))
-    return np.exp(np.clip(exponent, -708.0, 708.0))
-
-
-def ndtri(u) -> np.ndarray:
-    """``sampling._ndtri`` on a contiguous flat copy of ``u``, reshaped back."""
-    return sampling._ndtri(np.ravel(u)).reshape(np.shape(u))
-
-
-def isotropic_from_uniforms(alpha: float, u: np.ndarray) -> np.ndarray:
-    """sqrt(2A) Z of ``sampling._isotropic_from_uniforms``, out of place."""
-    a = positive_stable_transform(alpha / 2.0, u[..., 0], u[..., 1])
-    z = ndtri(u[..., 2:])
-    return np.sqrt(2.0 * a)[..., None] * z
-
-
-def sup_integral_norms(integrand, alpha: float, n_samples: int, *name: int) -> np.ndarray:
-    """The values of ``experiments._sup_integral_norms``, each chunk drawn and reduced whole."""
-    from cylstable.experiments import _chunk_sizes
-
-    steps, n, m = integrand.values.shape
-    scale = np.diff(integrand.grid)[:, None] ** (1.0 / alpha)
-    sups = []
-    for index, size in enumerate(_chunk_sizes(n_samples)):
-        u = open_uniform(substream(*name, index), (size, steps, 2 + m))
-        increments = scale[None] * isotropic_from_uniforms(alpha, u)
-        terms = np.einsum("knm,rkm->rkn", integrand.values, increments)
-        sups.append(np.linalg.norm(np.cumsum(terms, axis=1), axis=2).max(axis=1))
-    return np.concatenate(sups)
-
-
-def empirical_cf(samples: np.ndarray, u: np.ndarray) -> complex:
-    """The mean of exp(i <sample, u>) over the rows of ``samples``."""
-    return np.exp(1j * (samples @ u)).mean()

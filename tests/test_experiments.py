@@ -7,7 +7,6 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-import levy_oracles
 from cylstable import experiments, integral, picard, rng, sampling
 from cylstable.constants import c_alpha
 from cylstable.experiments import (
@@ -463,33 +462,6 @@ def test_monte_carlo_results_independent_of_draw_budget(monkeypatch):
     monkeypatch.setattr(rng, "_DRAW_ELEMENTS", 24)
     assert len(rng._draw_blocks(3_000, 5)) == 750
     assert _monte_carlo_results() == default
-
-
-@pytest.mark.parametrize("integrand", [
-    constant_integrand(np.diag([1.0, 0.5, 0.25]), np.array([0.0, 1.0])),  # radonified tail
-    constant_integrand(np.array([[1.0, 0.3], [0.0, 0.5], [0.2, 0.1]]), np.linspace(0, 1, 17)),
-], ids=["one-cell", "17-point"])
-def test_sup_integral_norms_equal_whole_chunk_oracle_at_any_draw_budget(monkeypatch, integrand):
-    # blocks drawn, scaled and summed in place give the sups of whole chunks
-    n_samples = experiments._CHUNK + 1_000  # two chunk streams
-    expected = levy_oracles.sup_integral_norms(integrand, 1.5, n_samples, 12, TAG_REPLICA)
-
-    def sups():
-        return np.concatenate([*experiments._sup_integral_norms(integrand, 1.5, n_samples, 12,
-                                                                TAG_REPLICA)])
-
-    assert np.array_equal(sups(), expected)
-    monkeypatch.setattr(rng, "_DRAW_ELEMENTS", 2**10)
-    assert np.array_equal(sups(), expected)
-
-
-def test_char_function_test_equals_out_of_place_ecf():
-    samples = sample_isotropic(1.5, 3, seed=15, size=20_000)
-    grid = gof_test_vectors(3, 10)
-    result = char_function_test(samples, lambda u: math.exp(-np.linalg.norm(u) ** 1.5), grid)
-    expected = [abs(levy_oracles.empirical_cf(samples, u) - math.exp(-np.linalg.norm(u) ** 1.5))
-                for u in grid]
-    assert np.array_equal(result["devs"], expected)
 
 
 def _traced_peak(run) -> int:

@@ -8,8 +8,7 @@ import pytest
 from scipy.special import ndtri
 from scipy.stats import ks_2samp, levy_stable
 
-import levy_oracles
-from cylstable import rng, sampling
+from cylstable import sampling
 from cylstable.experiments import char_function_test
 from cylstable.rng import TAG_NOISE_ROW, TAG_PIECE, TAG_REPLICA, open_uniform, substream
 from cylstable.sampling import (
@@ -290,89 +289,3 @@ def test_ndtri_with_numpy_log_is_within_8_ulp_of_scipy():
     ulps = np.abs(ours.view(np.int64) - ref.view(np.int64))
     assert np.count_nonzero(ulps) < 1e-3 * u.size
     assert ulps.max() <= 8
-
-
-# The kernel's edge uniforms: the clip endpoints, 1/2, the Cephes split points
-# exp(-2) and 1 - exp(-2) with their neighbours, the far tail beyond
-# sqrt(-2 log y) >= 8 (y < exp(-32)) and ordinary values.
-_SPLITS = np.array([math.exp(-2.0), 1.0 - math.exp(-2.0)])
-_KERNEL_EDGES = np.concatenate([
-    [1e-16, 1.0 - 1e-16, 0.5, 1e-15, 1.0 - 1e-15, math.exp(-32.0), 0.5 * math.exp(-32.0),
-     1e-10, 0.3, 0.9],
-    _SPLITS, np.nextafter(_SPLITS, 0.0), np.nextafter(_SPLITS, 1.0),
-])
-
-
-def _edge_pairs() -> np.ndarray:
-    """Every (edge, edge) pair, then random open uniforms: shape (pairs, 2)."""
-    grid = np.stack(np.meshgrid(_KERNEL_EDGES, _KERNEL_EDGES), axis=-1).reshape(-1, 2)
-    return np.concatenate([grid, open_uniform(substream(90), (400, 2))])
-
-
-@pytest.mark.parametrize("beta", [0.05, 0.5, 0.75, 0.95])
-def test_positive_stable_transform_equals_its_out_of_place_oracle(beta):
-    pairs = _edge_pairs()[:576]  # the 256 edge pairs come first; 576 = 6 x 4 x 24
-    wide = np.stack([pairs, pairs[::-1]], axis=-1).reshape(2, 3, 4, 24, 2, 2)
-    inputs = {
-        "1-d contiguous": (pairs[:, 0].copy(), pairs[:, 1].copy()),
-        "1-d strided": (pairs[:, 0], pairs[:, 1]),
-        "3-d contiguous": (pairs[:, 0].reshape(6, 4, 24).copy(),
-                           pairs[:, 1].reshape(6, 4, 24).copy()),
-        "3-d strided": (wide[0, :, :, :, 0, 0], wide[1, :, :, :, 1, 0]),
-    }
-    for label, (u_angle, u_exp) in inputs.items():
-        expected = levy_oracles.positive_stable_transform(beta, u_angle, u_exp)
-        assert np.array_equal(sampling._positive_stable_transform(beta, u_angle, u_exp),
-                              expected), label
-
-
-def _uniform_blocks(n: int) -> dict[str, np.ndarray]:
-    """(rows..., 2+n) uniform blocks holding every edge in every column, contiguous and strided."""
-    pairs = _edge_pairs()
-    rows = pairs.shape[0]
-    gauss = np.resize(_KERNEL_EDGES, (rows, n))
-    gauss[len(_KERNEL_EDGES):] = open_uniform(substream(91), (rows - len(_KERNEL_EDGES), n))
-    u = np.concatenate([pairs, gauss], axis=1)
-    u = u[: rows - rows % 8]
-    wide = np.concatenate([u, u[::-1]], axis=1)  # a view of its first half is strided
-    return {
-        "2-d contiguous": u,
-        "2-d strided": wide[:, : 2 + n],
-        "3-d contiguous": u.reshape(8, -1, 2 + n),
-        "3-d strided": wide.reshape(8, -1, 2 * (2 + n))[..., 2 + n:],
-        "3-d transposed": np.swapaxes(u.reshape(-1, 8, 2 + n), 0, 1),
-    }
-
-
-@pytest.mark.parametrize("n", [1, 3, 8])
-def test_isotropic_kernel_equals_its_out_of_place_oracle(n):
-    far = np.sqrt(-2.0 * np.log(np.minimum(_KERNEL_EDGES, 1.0 - _KERNEL_EDGES))) >= 8.0
-    assert far.sum() >= 4 and not far.all()  # the edges reach both tail branches
-    for label, u in _uniform_blocks(n).items():
-        expected = levy_oracles.isotropic_from_uniforms(1.5, u)
-        assert np.array_equal(sampling._isotropic_from_uniforms(1.5, u), expected), label
-        out = np.full(u.shape[:-1] + (n,), np.nan)
-        assert sampling._isotropic_from_uniforms(1.5, u, out) is out
-        assert np.array_equal(out, expected), label
-        assert np.array_equal(sampling._ndtri(u), levy_oracles.ndtri(u)), label
-
-
-def test_ndtri_row_blocks_span_rows_of_any_width(monkeypatch):
-    u = _uniform_blocks(8)["3-d strided"]
-    expected = levy_oracles.ndtri(u)
-    for block in (1, 7, 10, 4096):  # below, at and above one row of 10 values
-        monkeypatch.setattr(sampling, "_NDTRI_BLOCK", block)
-        assert np.array_equal(sampling._ndtri(u), expected)
-        assert np.array_equal(sampling._ndtri(u[0, :, 3]), expected[0, :, 3])
-
-
-def test_sample_isotropic_equals_oracle_at_any_draw_budget(monkeypatch):
-    size, n = 5_000, 3
-    u = open_uniform(substream(44, rng.TAG_ISOTROPIC, n), (size, 2 + n))  # one whole draw
-    expected = levy_oracles.isotropic_from_uniforms(1.5, u)
-    default = sample_isotropic(1.5, n, seed=44, size=size)
-    assert len(rng._draw_blocks(size, 2 + n)) == 1
-    monkeypatch.setattr(rng, "_DRAW_ELEMENTS", 2**10)
-    assert len(rng._draw_blocks(size, 2 + n)) == 25
-    assert np.array_equal(default, expected)
-    assert np.array_equal(sample_isotropic(1.5, n, seed=44, size=size), expected)
