@@ -37,9 +37,8 @@ from .picard import (
 )
 from .reporting import RunFailed
 from .rng import (TAG_ALT_NOISE, TAG_BOOTSTRAP, TAG_GOF, TAG_REPLICA, TAG_SCALED, TAG_TRIPLES,
-                  _draw_blocks, open_uniform, substream)
-from .sampling import (_isotropic_from_uniforms, _noise_increments, _replica_chunks, _row_norms,
-                       sample_isotropic)
+                  _blocks, open_uniform, substream)
+from .sampling import _isotropic_from_uniforms, _noise_increments, _row_norms, sample_isotropic
 
 __all__ = [
     "HypothesisFailed",
@@ -94,27 +93,24 @@ class ExperimentReport:
         self.verdicts.append(Verdict(name, bool(passed), str(threshold), str(observed)))
 
 
-def _chunk_sizes(total: int) -> list[int]:
-    full, rest = divmod(total, _CHUNK)
-    return [_CHUNK] * full + ([rest] if rest else [])
-
-
 def _sup_integral_norms(
     integrand: StepIntegrand, alpha: float, n_samples: int, *name: int
 ) -> Iterator[np.ndarray]:
     """sup_k ||I(t_k)|| over n_samples independent noise paths, in consecutive blocks.
 
-    Chunk k of ``_CHUNK`` paths is one stream, (*name, k), drawn in row blocks
-    of the ``_DRAW_ELEMENTS`` budget; every value is per path, so the blocks
-    do not show in the sups.
+    Chunk k of ``_CHUNK`` paths is one stream, (*name, k), drawn in the row
+    blocks of :func:`rng._blocks`; every value is per path, so the blocks do
+    not show in the sups.
     """
     n, m = integrand.values.shape[1:]
     dts = np.diff(integrand.grid)
     steps = integrand.steps
     scale = dts[:, None] ** (1.0 / alpha)
-    for index, size in enumerate(_chunk_sizes(n_samples)):
+    for index, start in enumerate(range(0, n_samples, _CHUNK)):
         rng = substream(*name, index)
-        for block in _draw_blocks(size, steps * max(2 + m, n)):
+        # float64 temporaries per step of a path, over this block and the last: 5, 10 per
+        # noise coordinate (uniform, Gaussian, ndtri scratch) and 4 per state coordinate
+        for block in _blocks(min(_CHUNK, n_samples - start), 8 * steps * (5 + 10 * m + 4 * n)):
             u = open_uniform(rng, (len(block), steps, 2 + m))
             increments = scale[None] * _isotropic_from_uniforms(alpha, u)
             terms = np.einsum("knm,rkm->rkn", integrand.values, increments)
@@ -412,7 +408,9 @@ def picard_convergence_experiment(
     spectrum = _kernel_spectrum(model, grid)
     flow = _semigroup_flow(model, grid, config.initial_state())
     all_diffs = np.empty((replicas, n_iters))
-    for chunk in _replica_chunks(replicas, grid.size * model.n):
+    # a replica's states, loads and complex FFT buffers: 64 B per state element, which keeps
+    # the 2^14-element batch measured fastest (its traced peak is about 80 B per element)
+    for chunk in _blocks(replicas, 64 * grid.size * model.n):
         driven = _replica_driven(model, config, seed, TAG_REPLICA, chunk)
         flows = np.broadcast_to(flow, (len(chunk), *flow.shape))
         prev = flows
@@ -478,7 +476,9 @@ def uniqueness_experiment(
     zero_seed_quad = np.array([False, True, False, False])
 
     rows = np.empty((replicas, 3))
-    for chunk in _replica_chunks(replicas, 4 * (config.M + 1) * model.n):
+    # four Picard paths per replica, 128 B per state element: twice the picard loop's, for
+    # the copies _iterate_batch gathers of the active paths' states, flows and loads
+    for chunk in _blocks(replicas, 128 * 4 * (config.M + 1) * model.n):
         shared = _replica_driven(model, config, seed, TAG_REPLICA, chunk)
         fresh = _replica_driven(model, config, seed, TAG_ALT_NOISE, chunk)
         driven = np.stack([shared, shared, shared, fresh], axis=1).reshape(-1, *shared.shape[1:])
@@ -584,8 +584,8 @@ def willet_wong_check(u, v, w, p: float, t=None) -> dict:
             "lhs": lhs, "rhs": rhs, "t": t}
 
 
-def random_hypothesis_triples(count: int, grid_points: int, seed: int):
-    """Generate (t, u, v, w, p) triples satisfying the discrete hypothesis on [0, 1].
+def random_hypothesis_triples(count: int, grid_points: int, seed: int) -> Iterator[tuple]:
+    """Yield ``count`` (t, u, v, w, p) triples satisfying the discrete hypothesis on [0, 1].
 
     Starts from the closed-form equality solution of the comparison
     equation u' = v u + w u^p with u(0) = 0, scales it strictly inside the
@@ -598,9 +598,8 @@ def random_hypothesis_triples(count: int, grid_points: int, seed: int):
         raise ValueError(f"count must be >= 1, got {count}")
     rng = substream(seed, TAG_TRIPLES, grid_points)
     t = np.linspace(0.0, 1.0, grid_points + 1)
-    out = []
-    attempts = 0
-    while len(out) < count:
+    kept = attempts = 0
+    while kept < count:
         attempts += 1
         if attempts > 50 * count:
             raise RuntimeError("triple generation rejected too many candidates")
@@ -615,8 +614,8 @@ def random_hypothesis_triples(count: int, grid_points: int, seed: int):
         u = float(rng.uniform(0.2, 0.8)) * equality
         hyp_rhs = _cumulative_trapezoid(v * u, t) + _cumulative_trapezoid(w * u**p, t)
         if np.all(u <= hyp_rhs + 1e-8):
-            out.append((t, u, v, w, p))
-    return out
+            kept += 1
+            yield t, u, v, w, p
 
 
 def gof_test_vectors(n: int, count: int = 10) -> np.ndarray:

@@ -179,9 +179,7 @@ class DiagonalModel:
 
     def lipschitz_constants(self) -> tuple[float, float]:
         """(C_F, C_G): Lipschitz constants at t=0 for a 1-Lipschitz shape."""
-        lip = 0.0 if self.shape_name == "zero" else 1.0
-        if self.shape_name == "one":
-            lip = 0.0
+        lip = 1.0 if self.shape_name == "tanh" else 0.0
         return lip * float(self.f.max()), lip * float(self.kappa.max())
 
     def plain_bound_M0(self) -> float:
@@ -328,23 +326,23 @@ def check_A2(model: DiagonalModel, t_grid, trial_points) -> dict:
         raise ValueError("A2 is a bound over t in (0, T]; t_grid must be positive")
     trial_points = np.atleast_2d(np.asarray(trial_points, dtype=float))
     lam = model.lambdas
-    # weights (T, 1, n) against squared coefficients (P, n): one sum per (t, x)
-    weights = lam ** (2.0 * model.delta) * np.exp(-2.0 * lam * t_grid[:, None, None])
-    m0 = max(
-        float(np.sqrt((weights * coef(trial_points) ** 2).sum(axis=-1)).max(initial=0.0))
-        for coef in (model.drift, model.diffusion_diagonal)
-    )
-
     t_refine = float(t_grid.min()) * 4.0 ** -np.arange(0, 12, dtype=float)
-    envelope = np.array([_a2_series_sup(model, t) for t in t_refine])
-    growing = bool(np.all(np.diff(envelope) > 0.0))
+    # a series whose squares overflow gives inf or nan, which flags it divergent: no warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        # weights (T, 1, n) against squared coefficients (P, n): one sum per (t, x)
+        weights = lam ** (2.0 * model.delta) * np.exp(-2.0 * lam * t_grid[:, None, None])
+        m0 = max(
+            float(np.sqrt((weights * coef(trial_points) ** 2).sum(axis=-1)).max(initial=0.0))
+            for coef in (model.drift, model.diffusion_diagonal)
+        )
+        envelope = np.array([_a2_series_sup(model, t) for t in t_refine])
+        growing = bool(np.all(np.diff(envelope) > 0.0))
+    finite = envelope[np.isfinite(envelope)]
     divergent = bool(growing and envelope[-1] > _A2_DIVERGENCE_FACTOR * envelope[0])
-    if np.any(~np.isfinite(envelope)):
-        divergent = True
     return {
         "M0": m0,
-        "series_envelope_sup": float(np.nanmax(envelope[np.isfinite(envelope)])),
-        "divergent": divergent,
+        "series_envelope_sup": float(finite.max()) if finite.size else math.inf,
+        "divergent": divergent or finite.size < envelope.size,
         "t_refine": t_refine,
         "envelope": envelope,
     }
@@ -365,9 +363,11 @@ def check_A3(model: DiagonalModel, point_pairs, t_grid=(0.0,)) -> dict:
         raise ValueError("point pairs must be distinct")
 
     def estimate(coef):
-        # (P, T) ratios of the damped coefficient distance over the point distance
+        # (P, T) ratios of the damped coefficient distance over the point distance; a
+        # distance whose squares overflow reads inf, above any bound, with no warning
         diff = (coef(x) - coef(y))[:, None] * damp
-        return float((np.linalg.norm(diff, axis=2) / dist[:, None]).max(initial=0.0))
+        with np.errstate(over="ignore"):
+            return float((np.linalg.norm(diff, axis=2) / dist[:, None]).max(initial=0.0))
 
     c_f_hat, c_g_hat = estimate(model.drift), estimate(model.diffusion_diagonal)
     bound_f, bound_g = model.lipschitz_constants()

@@ -17,8 +17,8 @@ from typing import Callable
 import numpy as np
 
 from .hilbert import as_matrix
-from .rng import TAG_REPLICA, open_uniform_rows
-from .sampling import NoisePath, _isotropic_from_uniforms, _replica_chunks, _row_norms
+from .rng import TAG_REPLICA, _blocks, open_uniform_rows
+from .sampling import NoisePath, _isotropic_from_uniforms, _row_norms
 
 __all__ = [
     "StepIntegrand",
@@ -105,10 +105,11 @@ def _refinement_diffs(weights: np.ndarray, entries: np.ndarray, alpha: float, dt
     for a chunk of replicas at once; every product is per replica.
     """
     levels, steps = weights.shape
-    m = entries.shape[1]
+    n, m = entries.shape
     diffs = np.empty((levels - 1, replicas))
     scale = dt ** (1.0 / alpha)
-    for chunk in _replica_chunks(replicas, steps * (2 + m)):
+    # per step of a replica: 6 floats per uniform and per projected coordinate
+    for chunk in _blocks(replicas, 48 * steps * (2 + m + n)):
         u = open_uniform_rows([seed, TAG_REPLICA, np.arange(chunk.start, chunk.stop)],
                               steps * (2 + m)).reshape(len(chunk), steps, 2 + m)
         projected = scale * _isotropic_from_uniforms(alpha, u) @ entries.T  # (R, steps, n)

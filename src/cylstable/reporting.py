@@ -16,11 +16,10 @@ from typing import Iterable, Iterator, Mapping
 import numpy as np
 
 from . import __version__
+from .rng import _blocks
 
 __all__ = ["RunFailed", "format_value", "format_rows", "header_lines", "parse_key_values",
            "write_csv", "write_summary", "write_report"]
-
-_BLOCK_ROWS = 4096  # lines per block yielded by format_rows
 
 
 class RunFailed(Exception):
@@ -54,12 +53,14 @@ def format_rows(columns: Iterable[np.ndarray]) -> Iterator[str]:
     """CSV lines of equal-length 1-d columns, one ``%`` operation per line.
 
     Byte-identical to joining :func:`format_value` of every cell, including
-    nan, inf and -0.  Yields blocks of at most ``_BLOCK_ROWS`` lines, so the
-    Python cell objects alive at once stay bounded whatever the row count.
+    nan, inf and -0.  Yields the lines in blocks of :func:`rng._blocks`, so
+    the Python cell objects alive at once stay bounded whatever the row count.
     """
     columns = [np.asarray(c) for c in columns]
-    for start in range(0, len(columns[0]), _BLOCK_ROWS):
-        conversions, cells = zip(*(_column_cells(c[start:start + _BLOCK_ROWS]) for c in columns))
+    # a line's cells, their Python objects and text, and the line itself: about 80 B each
+    for block in _blocks(len(columns[0]), 80 * (1 + len(columns))):
+        cut = slice(block.start, block.stop)
+        conversions, cells = zip(*(_column_cells(c[cut]) for c in columns))
         line = ",".join(conversions) + "\n"
         yield "".join(line % row for row in zip(*cells))
 

@@ -84,10 +84,6 @@ _PHILOX_M0, _PHILOX_M1 = 0xD2E7470EE14C6C93, 0xCA5A826395121157
 _PHILOX_W0, _PHILOX_W1 = 0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B
 _PHILOX_ROUNDS = 10
 
-# Philox blocks (4 uint64 each) computed per pass of the port: keeps each of
-# the pass's temporaries at 256 KiB whatever the number of rows.
-_PASS_BLOCKS = 1 << 14
-
 
 def stream_word(value) -> int:
     """One entry of a stream name as an int; ValueError unless it is an integer in [0, 2**32)."""
@@ -112,22 +108,18 @@ def open_uniform(rng: np.random.Generator, shape) -> np.ndarray:
     return np.clip(rng.random(shape), _UNIFORM_LO, _UNIFORM_HI)
 
 
-# Elements per block of the Monte-Carlo draws and reductions (samplers, sup
-# norms): 1 MiB per float64 temporary, whatever the sample count.  A stream's
-# blocks are drawn from its one Generator in order, so no value depends
-# on the budget.
-_DRAW_ELEMENTS = 1 << 17
+# The one memory budget: every loop over rows, replicas, elements or lines that
+# could outgrow memory takes them in blocks whose temporaries stay within it,
+# whatever the count.  Each caller states the bytes one index holds, measured
+# with tracemalloc.  A stream's blocks are drawn from its one Generator in
+# order, and every value is per index, so no value depends on the budget.
+_BLOCK_BYTES = 1 << 20
 
 
-def _index_ranges(count: int, elements_per_index: int, budget: int) -> list[range]:
-    """Consecutive ranges of ``count`` indices, each within ``budget`` elements (one at least)."""
-    size = max(1, budget // elements_per_index)
+def _blocks(count: int, bytes_per_index: int) -> list[range]:
+    """Consecutive ranges of ``count`` indices, one at least each, within ``_BLOCK_BYTES``."""
+    size = max(1, _BLOCK_BYTES // bytes_per_index)
     return [range(start, min(start + size, count)) for start in range(0, count, size)]
-
-
-def _draw_blocks(rows: int, elements_per_row: int) -> list[range]:
-    """Consecutive row ranges whose temporaries stay within the ``_DRAW_ELEMENTS`` budget."""
-    return _index_ranges(rows, elements_per_row, _DRAW_ELEMENTS)
 
 
 def _name_words(words: Sequence) -> np.ndarray:
@@ -238,18 +230,18 @@ def open_uniform_rows(words: Sequence, count: int) -> np.ndarray:
 
     Each entry is an int or an int array, and the entries broadcast to the
     row shape: row ``idx`` is the stream named by ``[w[idx] for w in words]``.
-    Returns shape ``rows + (count,)``.  Rows go through the port in passes of
-    a fixed block budget, so the temporaries stay bounded whatever the
-    number of rows.
+    Returns shape ``rows + (count,)``.  Rows go through the port in passes
+    of :func:`_blocks`, so the temporaries stay bounded whatever the number
+    of rows.
     """
     names = _name_words(words)
     shape = names.shape[1:]
     names = names.reshape(names.shape[0], -1)
     blocks = -(-count // 4)
     out = np.empty((names.shape[1], count))
-    step = max(1, _PASS_BLOCKS // blocks)
-    for start in range(0, names.shape[1], step):
-        rows = slice(start, start + step)
+    # a pass holds about 32 uint64 temporaries per Philox block of a row
+    for block in _blocks(names.shape[1], 256 * blocks):
+        rows = slice(block.start, block.stop)
         keys = _philox_key(_entropy_pool(names[:, rows]))
         raw = _philox_blocks(keys, blocks)[:, :count]
         out[rows] = (raw >> _U64_11) * (1.0 / 9007199254740992.0)  # Generator.random: 53 bits

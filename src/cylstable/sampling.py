@@ -34,14 +34,12 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from .reporting import _BLOCK_ROWS
 from .rng import (
     TAG_ISOTROPIC,
     TAG_NOISE_ROW,
     TAG_POSITIVE,
     TAG_SCALAR,
-    _draw_blocks,
-    _index_ranges,
+    _blocks,
     open_uniform,
     open_uniform_rows,
     substream,
@@ -140,8 +138,6 @@ _P2 = (3.23774891776946035970E0, 6.91522889068984211695E0, 3.9388102529247444341
 _Q2 = (6.02427039364742014255E0, 3.67983563856160859403E0, 1.37702099489081330271E0,
        2.16236993594496635890E-1, 1.34204006088543189037E-2, 3.28014464682127739104E-4,
        2.89247864745380683936E-6, 6.79019408009981274425E-9)
-# elements per pass of _ndtri: keeps each temporary at 128 KiB whatever the draw count
-_NDTRI_BLOCK = 1 << 14
 _log = np.log
 
 
@@ -211,9 +207,8 @@ def _ndtri(u: np.ndarray) -> np.ndarray:
     u = np.asarray(u, dtype=float)
     flat = u.ravel()
     out = np.empty(flat.size)
-    for start in range(0, flat.size, _NDTRI_BLOCK):
-        block = slice(start, start + _NDTRI_BLOCK)
-        out[block] = _ndtri_block(flat[block])
+    for block in _blocks(flat.size, 40):  # an element's branch temporaries: about 5 floats
+        out[block.start:block.stop] = _ndtri_block(flat[block.start:block.stop])
     return out.reshape(u.shape)
 
 
@@ -231,7 +226,8 @@ def sample_isotropic(alpha: float, n: int, seed: int, size: int = 1) -> np.ndarr
         raise ValueError(f"dimension n must be >= 1, got {n}")
     rng = substream(seed, TAG_ISOTROPIC, n)
     out = np.empty((size, n))
-    for block in _draw_blocks(size, 2 + n):
+    # per row: 8 floats (uniforms, Gaussians, ndtri scratch) per coordinate and subordinator
+    for block in _blocks(size, 64 * (1 + n)):
         u = open_uniform(rng, (len(block), 2 + n))
         out[block.start:block.stop] = _isotropic_from_uniforms(alpha, u)
     return out
@@ -296,18 +292,6 @@ def _noise_increments(alpha: float, m: int, grid: np.ndarray, *name) -> np.ndarr
     return np.diff(grid)[:, None] ** (1.0 / alpha) * _isotropic_from_uniforms(alpha, uniforms)
 
 
-# Cap on the elements (replicas x grid points x n) of one batch array: 128 KiB
-# of float64.  Replicas beyond it go to further chunks, so batching leaves the
-# peak memory of an experiment where the one-replica loop had it (measured on
-# the picard and uniqueness CLI runs at M=200); a single replica is never split.
-_BATCH_ELEMENTS = 1 << 14
-
-
-def _replica_chunks(count: int, elements_per_replica: int) -> list[range]:
-    """Consecutive replica index ranges whose batch arrays stay within the element budget."""
-    return _index_ranges(count, elements_per_replica, _BATCH_ELEMENTS)
-
-
 def _row_norms(rows: np.ndarray) -> np.ndarray:
     """Euclidean norm over the last axis, bit-identical to 1-d ``np.linalg.norm``.
 
@@ -348,10 +332,10 @@ def noise_csv_lines(path: NoisePath, extra_header: Iterable[str] = ()) -> Iterat
     yield "t_start,t_end,j,increment\n"
     times = ["%.17g" % t for t in path.grid.tolist()]
     step_lines = "".join(f"{{0}},{j},%.17g\n" for j in range(1, path.m + 1))
-    per_block = max(1, _BLOCK_ROWS // path.m)
-    for start in range(0, path.steps, per_block):
-        ts = times[start:start + per_block + 1]
-        rows = path.increments[start:start + per_block].tolist()
+    # a step's two times and m increments: their Python objects and their text
+    for block in _blocks(path.steps, 160 * (path.m + 1)):
+        ts = times[block.start:block.stop + 1]
+        rows = path.increments[block.start:block.stop].tolist()
         yield "".join(step_lines.format(f"{t0},{t1}") % tuple(row)
                       for t0, t1, row in zip(ts, ts[1:], rows))
 

@@ -261,6 +261,21 @@ def test_check_model_subcommand(tmp_path):
     assert "verdict.A2_bounded=pass" in summary
 
 
+def test_check_model_fails_a_series_whose_squares_overflow(tmp_path, capsys):
+    # k^300 is finite at k <= 8, so the model is valid, but its A2 series is not
+    model_file = tmp_path / "model.cfg"
+    model_file.write_text("n=8\nkappa_rule=power:1:-300\n")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["check-model", "--model-config", str(model_file),
+                     "--out", str(tmp_path)]) == 1
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    assert "usage error" not in capsys.readouterr().err
+    summary = (tmp_path / "check_model.summary").read_text()
+    assert "verdict.A2_bounded=fail" in summary
+    assert "envelope_sup=inf" in summary
+
+
 def test_check_model_names_each_delta_by_its_exact_value(tmp_path):
     assert main(["check-model", "--n", "3", "--deltas", "0.999999999999,1",
                  "--out", str(tmp_path)]) == 0

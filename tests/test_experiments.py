@@ -256,7 +256,7 @@ def test_willet_wong_validation():
 
 
 def test_random_hypothesis_triples_margins():
-    triples = random_hypothesis_triples(20, 2_000, seed=12)
+    triples = list(random_hypothesis_triples(20, 2_000, seed=12))
     assert len(triples) == 20
     for t, u, v, w, p in triples:
         result = willet_wong_check(u, v, w, p, t=t)
@@ -419,10 +419,10 @@ def test_experiment_tables_independent_of_batch_budget(monkeypatch):
         return [decay["moment"], decay["stderr"], dists["picard_seed"], dists["x0_perturbed"],
                 dists["fresh_noise"]]
 
-    assert len(sampling._replica_chunks(6, 4 * 51 * 8)) == 1
+    assert len(rng._blocks(5, 128 * 4 * 51 * 8)) == 1
     batched = tables()
-    monkeypatch.setattr(sampling, "_BATCH_ELEMENTS", 1)
-    assert len(sampling._replica_chunks(6, 4 * 51 * 8)) == 6
+    monkeypatch.setattr(rng, "_BLOCK_BYTES", 64 * 51 * 8)  # one replica a chunk
+    assert len(rng._blocks(5, 128 * 4 * 51 * 8)) == 5
     chunked = tables()
     for ours, reference in zip(batched, chunked, strict=True):
         assert np.array_equal(ours, reference)
@@ -458,9 +458,9 @@ def test_monte_carlo_results_independent_of_draw_budget(monkeypatch):
     # each stream is drawn in the same order whatever its blocks, and every
     # reduction is per sample, so blocks of one to four rows change no bit
     default = _monte_carlo_results()
-    assert len(rng._draw_blocks(3_000, 5)) == 1
-    monkeypatch.setattr(rng, "_DRAW_ELEMENTS", 24)
-    assert len(rng._draw_blocks(3_000, 5)) == 750
+    assert len(rng._blocks(3_000, 64 * 4)) == 1  # gof's sample_isotropic, n = 3
+    monkeypatch.setattr(rng, "_BLOCK_BYTES", 1_024)
+    assert len(rng._blocks(3_000, 64 * 4)) == 750
     assert _monte_carlo_results() == default
 
 

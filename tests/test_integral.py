@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 from scipy.stats import ks_2samp
 
-from cylstable import sampling
 from cylstable.integral import (
     StepIntegrand,
     _refinement_diffs,
@@ -14,7 +13,7 @@ from cylstable.integral import (
     integrate,
     refinement_experiment,
 )
-from cylstable.rng import TAG_REPLICA, open_uniform, substream
+from cylstable.rng import TAG_REPLICA, _blocks, open_uniform, substream
 from cylstable.sampling import (
     AlphaParams,
     NoisePath,
@@ -181,6 +180,6 @@ def test_refinement_diffs_equal_per_replica_reference(entries, monkeypatch):
     weights = np.random.default_rng(3).uniform(0.0, 1.0, (4, 32))
     reference = per_replica_refinement_diffs(weights, entries, 1.4, 1.0 / 32, 30, 93)
     assert np.array_equal(_refinement_diffs(weights, entries, 1.4, 1.0 / 32, 30, 93), reference)
-    monkeypatch.setattr(sampling, "_BATCH_ELEMENTS", 100)  # several replica chunks
-    assert len(sampling._replica_chunks(30, 32 * (2 + entries.shape[1]))) > 1
+    monkeypatch.setattr("cylstable.rng._BLOCK_BYTES", 1 << 16)  # several replica chunks
+    assert len(_blocks(30, 48 * 32 * (2 + sum(entries.shape)))) > 1
     assert np.array_equal(_refinement_diffs(weights, entries, 1.4, 1.0 / 32, 30, 93), reference)

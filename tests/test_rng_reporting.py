@@ -1,5 +1,7 @@
 """Stream derivation and file conventions."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -79,7 +81,7 @@ def test_open_uniform_rows_pass_budget_does_not_change_rows(monkeypatch):
     rows = 24
     whole = open_uniform_rows([11, 3, np.arange(rows)], 9)  # one pass
     assert np.array_equal(whole[:-1], open_uniform_rows([11, 3, np.arange(rows - 1)], 9))
-    monkeypatch.setattr(rng, "_PASS_BLOCKS", 1)
+    monkeypatch.setattr(rng, "_BLOCK_BYTES", 1)  # one row a pass
     assert np.array_equal(open_uniform_rows([11, 3, np.arange(rows)], 9), whole)
 
 
@@ -95,7 +97,7 @@ def test_format_rows_equals_format_value_per_cell(monkeypatch):
     ]
     reference = "".join(",".join(format_value(c[i]) for c in cols) + "\n" for i in range(7))
     assert "".join(format_rows(cols)) == reference
-    monkeypatch.setattr(reporting, "_BLOCK_ROWS", 3)
+    monkeypatch.setattr(rng, "_BLOCK_BYTES", 3 * 80 * (1 + len(cols)))  # three lines a block
     assert "".join(format_rows(cols)) == reference
     assert len(list(format_rows(cols))) == 3
     assert list(format_rows([np.array([]), np.array([], dtype=int)])) == []
@@ -132,3 +134,69 @@ def test_write_summary(tmp_path):
     assert "# alpha=1.5" in text
     assert "verdict.x=pass" in text
     assert "value=0.5" in text
+
+
+def _block_sites():
+    """Each memory-bounded loop at a size spanning several blocks: (module whose loop it is, run)."""
+    from cylstable import experiments, integral, sampling
+    from cylstable.experiments import picard_convergence_experiment, uniqueness_experiment
+    from cylstable.hilbert import heat_preset
+    from cylstable.integral import constant_integrand
+    from cylstable.picard import SolverConfig, binding_time_bound, horizon_bounds
+
+    model = heat_preset(8)
+    picard_cfg = SolverConfig(alpha=1.5, T=0.9 * horizon_bounds(model, 1.5)["T_picard"],
+                              M=200, n=8, seed=3)
+    uniq_cfg = SolverConfig(alpha=1.5, T=0.8 * binding_time_bound(model, 1.5), M=200, n=8,
+                            seed=3)
+    path = sampling.generate_noise_path(1.5, 8, np.linspace(0.0, 1.0, 3_001), seed=3)
+    columns = [np.random.default_rng(3).standard_normal(3_000) for _ in range(8)]
+    integrand = constant_integrand(np.random.default_rng(4).standard_normal((3, 2)),
+                                   np.linspace(0.0, 1.0, 5))
+    weights = np.random.default_rng(5).uniform(0.0, 1.0, (5, 128))
+    return {
+        "picard": (experiments, lambda: picard_convergence_experiment(
+            model, picard_cfg, n_iters=3, replicas=30, seed=3)),
+        "uniqueness": (experiments, lambda: uniqueness_experiment(
+            model, uniq_cfg, replicas=6, seed=3)),
+        "open_uniform_rows": (rng, lambda: open_uniform_rows([3, 5, np.arange(20_000)], 10)),
+        "ndtri": (sampling, lambda: sampling._ndtri(open_uniform(substream(3), 3 * 2**15))),
+        "sup_integral_norms": (experiments, lambda: list(experiments._sup_integral_norms(
+            integrand, 1.5, 4_000, 3, 5))),
+        "sample_isotropic": (sampling, lambda: sampling.sample_isotropic(1.5, 3, 3, 20_000)),
+        "noise_csv_lines": (sampling, lambda: sum(map(len, sampling.noise_csv_lines(path)))),
+        "format_rows": (reporting, lambda: sum(map(len, format_rows([*columns, np.arange(3_000)])))),
+        "refinement_diffs": (integral, lambda: integral._refinement_diffs(
+            weights, np.eye(1), 1.5, 1.0 / 128, 150, 3)),
+    }
+
+
+@pytest.mark.parametrize("site", sorted(_block_sites()))
+def test_each_blocked_loop_stays_within_the_block_budget(monkeypatch, site):
+    # traced peak of each block above the memory held when its loop began; a nested
+    # loop (an _ndtri inside a sampler block) counts in its enclosing block
+    module, run = _block_sites()[site]
+    blocks, peaks, open_loops = rng._blocks, [], []
+
+    def traced_blocks(count, bytes_per_index):
+        if open_loops:
+            yield from blocks(count, bytes_per_index)
+            return
+        open_loops.append(count)
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            for block in blocks(count, bytes_per_index):
+                tracemalloc.reset_peak()
+                yield block
+                peaks.append(tracemalloc.get_traced_memory()[1] - start)
+        finally:
+            open_loops.pop()
+
+    monkeypatch.setattr(module, "_blocks", traced_blocks)
+    tracemalloc.start()
+    try:
+        run()
+    finally:
+        tracemalloc.stop()
+    assert len(peaks) >= 3
+    assert max(peaks) <= 1.5 * rng._BLOCK_BYTES

@@ -8,7 +8,7 @@ import pytest
 from scipy.special import ndtri
 from scipy.stats import ks_2samp, levy_stable
 
-from cylstable import sampling
+from cylstable import rng, sampling
 from cylstable.experiments import char_function_test
 from cylstable.rng import TAG_NOISE_ROW, TAG_PIECE, TAG_REPLICA, open_uniform, substream
 from cylstable.sampling import (
@@ -16,6 +16,7 @@ from cylstable.sampling import (
     _isotropic_from_uniforms,
     _noise_increments,
     generate_noise_path,
+    noise_csv_lines,
     noise_path_to_csv,
     sample_isotropic,
     sample_positive_stable,
@@ -252,7 +253,7 @@ def test_noise_rows_equal_per_row_substreams():
     assert np.array_equal(_noise_increments(1.6, 3, grid, 9, TAG_PIECE, 2), reference)
 
 
-def test_noise_csv_equals_per_value_writer():
+def test_noise_csv_equals_per_value_writer(monkeypatch):
     path = generate_noise_path(1.5, 3, np.linspace(0.0, 0.3, 8), seed=61)
     lines = ["# note", f"# alpha={path.alpha!r}, m={path.m}, seed={path.seed}",
              "t_start,t_end,j,increment"]
@@ -260,7 +261,11 @@ def test_noise_csv_equals_per_value_writer():
         for j in range(path.m):
             lines.append(f"{path.grid[i]:.17g},{path.grid[i + 1]:.17g},{j + 1},"
                          f"{path.increments[i, j]:.17g}")
-    assert noise_path_to_csv(path, ("note",)) == "\n".join(lines) + "\n"
+    reference = "\n".join(lines) + "\n"
+    assert noise_path_to_csv(path, ("note",)) == reference
+    monkeypatch.setattr(rng, "_BLOCK_BYTES", 1)  # one step a block
+    assert len(list(noise_csv_lines(path))) == 2 + path.steps
+    assert noise_path_to_csv(path, ("note",)) == reference
 
 
 def _ndtri_edges() -> np.ndarray:
@@ -278,6 +283,15 @@ def test_ndtri_with_libm_log_equals_scipy_bit_for_bit(monkeypatch):
     u = np.concatenate([open_uniform(substream(80), 100_000), _ndtri_edges()])
     assert np.all((u > 0.0) & (u < 1.0))
     assert np.array_equal(sampling._ndtri(u).view(np.int64), ndtri(u).view(np.int64))
+
+
+def test_ndtri_blocks_change_no_bit(monkeypatch):
+    u = np.concatenate([open_uniform(substream(82), 60_000), _ndtri_edges()])
+    whole = sampling._ndtri_block(u).view(np.int64)  # every element in one pass
+    assert len(rng._blocks(u.size, 40)) == 3
+    assert np.array_equal(sampling._ndtri(u).view(np.int64), whole)
+    monkeypatch.setattr(rng, "_BLOCK_BYTES", 40 * 7)  # seven elements a block
+    assert np.array_equal(sampling._ndtri(u[-3_000:]).view(np.int64), whole[-3_000:])
 
 
 def test_ndtri_with_numpy_log_is_within_8_ulp_of_scipy():
