@@ -38,7 +38,7 @@ from .picard import (
 from .reporting import RunFailed
 from .rng import (TAG_ALT_NOISE, TAG_BOOTSTRAP, TAG_GOF, TAG_REPLICA, TAG_SCALED, TAG_TRIPLES,
                   _blocks, open_uniform, substream)
-from .sampling import _isotropic_from_uniforms, _noise_increments, _row_norms, sample_isotropic
+from .sampling import _isotropic_blocks, _isotropic_from_uniforms, _noise_increments, _row_norms
 
 __all__ = [
     "HypothesisFailed",
@@ -287,6 +287,25 @@ def tail_experiment(
 _BOOTSTRAP = 200  # resamples behind each moment's 95% confidence interval
 
 
+def _percentiles(values: np.ndarray, q: Sequence[float]) -> np.ndarray:
+    """``np.percentile(values, q)`` (its default 'linear' method) of 1-d values without NaN.
+
+    The same operations on a sorted copy: numpy's own quantile code calls
+    ``np.unique``, whose import of ``numpy.ma`` costs a cold run about 13 ms.
+    """
+    ordered = np.sort(values)
+    virtual = (ordered.size - 1) * np.true_divide(q, 100)
+    below = np.floor(virtual)
+    below[virtual >= ordered.size - 1] = -1  # at the top, numpy takes the last value twice
+    below = below.astype(np.intp)
+    lo, hi = ordered[below], ordered[np.where(below < 0, below, below + 1)]
+    gamma = virtual - below
+    diff = hi - lo
+    out = lo + diff * gamma
+    np.subtract(hi, diff * (1 - gamma), out=out, where=gamma >= 0.5)
+    return out
+
+
 def moment_experiment(
     integrand: StepIntegrand,
     alpha: float,
@@ -338,7 +357,7 @@ def moment_experiment(
         boots = np.empty(_BOOTSTRAP)
         for b in range(_BOOTSTRAP):
             boots[b] = powered[rng_boot.integers(0, 2 * n_samples, size=2 * n_samples)].mean()
-        lo, hi = np.percentile(boots, [2.5, 97.5])
+        lo, hi = _percentiles(boots, [2.5, 97.5])
         ratio = float(np.mean((sups / denom) ** p)) if denom > 0.0 else 0.0
         rows["p"].append(p)
         rows["moment_N"].append(est_n)
@@ -476,9 +495,9 @@ def uniqueness_experiment(
     zero_seed_quad = np.array([False, True, False, False])
 
     rows = np.empty((replicas, 3))
-    # four Picard paths per replica, 128 B per state element: twice the picard loop's, for
-    # the copies _iterate_batch gathers of the active paths' states, flows and loads
-    for chunk in _blocks(replicas, 128 * 4 * (config.M + 1) * model.n):
+    # four Picard paths per replica, 112 B per state element (traced: 107 at M = 1000, 112 in
+    # chunks of three at M = 200): the picard loop's sweep, each path's noise and flow, the gap
+    for chunk in _blocks(replicas, 112 * 4 * (config.M + 1) * model.n):
         shared = _replica_driven(model, config, seed, TAG_REPLICA, chunk)
         fresh = _replica_driven(model, config, seed, TAG_ALT_NOISE, chunk)
         driven = np.stack([shared, shared, shared, fresh], axis=1).reshape(-1, *shared.shape[1:])
@@ -627,25 +646,52 @@ def gof_test_vectors(n: int, count: int = 10) -> np.ndarray:
     return radii[:, None] * unit
 
 
+def _cf_running_sums(sums: np.ndarray, block: np.ndarray, u_grid: np.ndarray) -> np.ndarray:
+    """``sums`` plus exp(i <u, x>) of every row x of the block, for each u of ``u_grid``.
+
+    Terms are added strictly in row order (the running sums join the first
+    row's terms, then a cumulative sum runs along the rows), so the totals do
+    not depend on how the rows are split into blocks.  The phases are formed
+    one coordinate at a time: a BLAS product rounds a one-row block differently.
+    """
+    coords = block.T
+    phases = u_grid[:, :1] * coords[0]
+    for j in range(1, coords.shape[0]):
+        phases += u_grid[:, j:j + 1] * coords[j]
+    terms = np.multiply(phases, 1j)
+    np.exp(terms, out=terms)
+    terms[:, 0] += sums
+    return np.cumsum(terms, axis=1, out=terms)[:, -1].copy()
+
+
 def char_function_test(
-    samples: np.ndarray,
+    samples: np.ndarray | Iterable[np.ndarray],
     target: Callable[[np.ndarray], complex],
     u_grid: np.ndarray,
 ) -> dict:
     """Max deviation of the empirical characteristic function on a grid.
 
-    Passes below the threshold 3/sqrt(N) + 0.01.
+    ``samples`` is one (N, n) array or an iterable of (rows, n) blocks of
+    it, which are reduced one at a time.  Passes below the threshold
+    3/sqrt(N) + 0.01.
     """
-    samples = np.atleast_2d(np.asarray(samples, dtype=float))
     u_grid = np.atleast_2d(np.asarray(u_grid, dtype=float))
     if u_grid.size == 0:
         raise ValueError("u_grid must not be empty")
-    n_samples = samples.shape[0]
+    sums = np.zeros(u_grid.shape[0], dtype=complex)
+    n_samples = 0
+    for block in [samples] if isinstance(samples, np.ndarray) else samples:
+        block = np.atleast_2d(np.asarray(block, dtype=float))
+        if block.shape[1] != u_grid.shape[1]:
+            raise ValueError(f"samples have dimension {block.shape[1]}, "
+                             f"the test vectors {u_grid.shape[1]}")
+        if block.shape[0]:
+            sums = _cf_running_sums(sums, block, u_grid)
+            n_samples += block.shape[0]
+    if n_samples == 0:
+        raise ValueError("the characteristic-function test needs at least one sample")
     threshold = 3.0 / math.sqrt(n_samples) + 0.01
-    devs = np.empty(u_grid.shape[0])
-    for i, u in enumerate(u_grid):
-        ecf = np.exp(1j * (samples @ u)).mean()
-        devs[i] = abs(ecf - target(u))
+    devs = np.array([abs(total / n_samples - target(u)) for total, u in zip(sums, u_grid)])
     return {
         "max_abs_dev": float(devs.max()),
         "devs": devs,
@@ -661,9 +707,11 @@ def isotropic_gof_report(alpha: float, n: int, n_samples: int, seed: int,
     start = time.perf_counter()
     if n_samples < 1:
         raise ValueError(f"N must be >= 1, got {n_samples}")
-    samples = sample_isotropic(alpha, n, seed, size=n_samples)
+    # per row: the sampler's scratch, then per test vector a phase and a complex term, 32 B
+    # with numpy's casting buffers (traced: about 29 B a vector at 100 vectors)
+    blocks = _isotropic_blocks(alpha, n, seed, n_samples, 64 * (1 + n) + 32 * count)
     grid = gof_test_vectors(n, count)
-    result = char_function_test(samples, lambda u: math.exp(-np.linalg.norm(u) ** alpha), grid)
+    result = char_function_test(blocks, lambda u: math.exp(-np.linalg.norm(u) ** alpha), grid)
     report = ExperimentReport(
         name="gof_isotropic",
         parameters={"alpha": alpha, "n": n, "N": n_samples, "vectors": count},

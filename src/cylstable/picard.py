@@ -286,16 +286,23 @@ def _iterate_batch(
     flow = _semigroup_flow(model, grid, x0s)
     states = np.where(zero_seed[:, None, None], 0.0, flow)
     gaps: list[list[float]] = [[] for _ in range(x0s.shape[0])]
-    active = np.arange(x0s.shape[0])
+    # the active replicas' states, driven increments and flows: the whole arrays
+    # until a replica freezes, then gathered once per freeze, not once per sweep
+    active, current = np.arange(x0s.shape[0]), states
     for _ in range(config.N_max):
-        new = _sweep(model, states[active], driven[active], dts, flow[active], spectrum)
-        sweep_gaps = np.linalg.norm(new - states[active], axis=2).max(axis=1)
-        states[active] = new
+        new = _sweep(model, current, driven, dts, flow, spectrum)
+        sweep_gaps = np.linalg.norm(new - current, axis=2).max(axis=1)
         for r, gap in zip(active, sweep_gaps):
             gaps[r].append(float(gap))
-        active = active[~(sweep_gaps < config.tol)]
-        if active.size == 0:
-            break
+        current = new
+        frozen = sweep_gaps < config.tol
+        if frozen.any():
+            states[active[frozen]] = new[frozen]
+            keep = ~frozen
+            active, current, driven, flow = active[keep], new[keep], driven[keep], flow[keep]
+            if active.size == 0:
+                break
+    states[active] = current  # replicas still active after N_max sweeps
     return [
         MildPath(grid=grid, states=states[r], iteration_count=len(g), final_picard_gap=g[-1],
                  residual=math.nan, gaps=g)

@@ -112,7 +112,8 @@ def open_uniform(rng: np.random.Generator, shape) -> np.ndarray:
 # could outgrow memory takes them in blocks whose temporaries stay within it,
 # whatever the count.  Each caller states the bytes one index holds, measured
 # with tracemalloc.  A stream's blocks are drawn from its one Generator in
-# order, and every value is per index, so no value depends on the budget.
+# order, and every value is per index or a sum taken strictly in index order
+# (a running total carried from block to block), so no value depends on the budget.
 _BLOCK_BYTES = 1 << 20
 
 

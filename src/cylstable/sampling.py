@@ -219,17 +219,31 @@ def _isotropic_from_uniforms(alpha: float, u: np.ndarray) -> np.ndarray:
     return np.sqrt(2.0 * a)[..., None] * z
 
 
-def sample_isotropic(alpha: float, n: int, seed: int, size: int = 1) -> np.ndarray:
-    """Isotropic alpha-stable vectors with cf exp(-||u||^alpha), shape (size, n)."""
+def _isotropic_blocks(alpha: float, n: int, seed: int, size: int,
+                      row_bytes: int) -> Iterator[np.ndarray]:
+    """The ``size`` rows of :func:`sample_isotropic` as consecutive (rows, n) blocks.
+
+    The blocks come from :func:`rng._blocks` at ``row_bytes`` a row and are drawn
+    in order from the one stream, so every row equals its row of
+    ``sample_isotropic`` whatever the blocks.  Arguments are checked at the call.
+    """
     AlphaParams(alpha)
     if n < 1:
         raise ValueError(f"dimension n must be >= 1, got {n}")
     rng = substream(seed, TAG_ISOTROPIC, n)
-    out = np.empty((size, n))
+    return (_isotropic_from_uniforms(alpha, open_uniform(rng, (len(block), 2 + n)))
+            for block in _blocks(size, row_bytes))
+
+
+def sample_isotropic(alpha: float, n: int, seed: int, size: int = 1) -> np.ndarray:
+    """Isotropic alpha-stable vectors with cf exp(-||u||^alpha), shape (size, n)."""
     # per row: 8 floats (uniforms, Gaussians, ndtri scratch) per coordinate and subordinator
-    for block in _blocks(size, 64 * (1 + n)):
-        u = open_uniform(rng, (len(block), 2 + n))
-        out[block.start:block.stop] = _isotropic_from_uniforms(alpha, u)
+    blocks = _isotropic_blocks(alpha, n, seed, size, 64 * (1 + n))
+    out = np.empty((size, n))
+    start = 0
+    for rows in blocks:
+        out[start:start + len(rows)] = rows
+        start += len(rows)
     return out
 
 

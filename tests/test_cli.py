@@ -522,6 +522,19 @@ def test_noise_commands_never_import_numpy_random(tmp_path, argv):
     assert not {f"cylstable.{name}" for name in NOT_LOADED.get(argv[0], ())} & set(loaded)
 
 
+def test_monte_carlo_commands_never_import_numpy_ma(tmp_path):
+    # numpy's own percentile imports numpy.ma (through np.unique): 13 ms of a cold run
+    runs = [[command, *TINY_STOCHASTIC[command], "--seed", "7", "--out", str(tmp_path / command)]
+            for command in ("tail", "moment", "gof")]
+    code = ("import json, sys\n"
+            "from cylstable.cli import main\n"
+            "codes = [main(argv) for argv in json.loads(sys.argv[1])]\n"
+            "print(json.dumps([codes, 'numpy.ma' in sys.modules]))\n")
+    result = _run_python(code, json.dumps(runs))
+    assert result.returncode == 0, result.stderr
+    assert json.loads(result.stdout.splitlines()[-1]) == [[0, 0, 0], False]
+
+
 def test_every_command_runs_with_scipy_blocked(tmp_path):
     runs = [[command, *args, "--seed", "7"] for command, args in TINY_STOCHASTIC.items()]
     runs += [["constants", "--alpha", "1.5", "--p", "1.2"],

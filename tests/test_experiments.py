@@ -174,6 +174,17 @@ def test_moment_stability_and_bit_exact_homogeneity():
     assert np.all(table["moment_2N"] <= table["ci_hi"])
 
 
+def test_percentiles_equal_numpy_bit_for_bit():
+    rng = np.random.default_rng(23)
+    for trial in range(480):
+        size = (1, 2, 3, 10, experiments._BOOTSTRAP, 1_001)[trial % 6]
+        values = (rng.standard_normal(size), rng.pareto(1.2, size) * 1e3,
+                  np.round(rng.uniform(0.0, 5.0, size)), rng.standard_cauchy(size))[trial % 4]
+        for q in ([2.5, 97.5], [0.0, 50.0, 100.0], rng.uniform(0.0, 100.0, 3).tolist()):
+            assert np.array_equal(experiments._percentiles(values, q).view(np.int64),
+                                  np.percentile(values, q).view(np.int64))
+
+
 def test_moment_rejects_bad_p_and_scale():
     grid = np.linspace(0.0, 1.0, 5)
     integrand = constant_integrand(np.ones((1, 1)), grid)
@@ -277,6 +288,32 @@ def test_char_function_isotropic_passes_and_wrong_target_fails():
     assert good["passed"] and good["max_abs_dev"] < 0.02
     bad = char_function_test(samples, lambda u: math.exp(-np.linalg.norm(u) ** 2), grid)
     assert bad["max_abs_dev"] > 0.05
+
+
+def test_char_function_blocks_equal_one_array_and_the_direct_mean():
+    samples = sample_isotropic(1.5, 3, seed=17, size=2_001)
+    grid = gof_test_vectors(3, 4)
+
+    def target(u):
+        return math.exp(-np.linalg.norm(u) ** 1.5)
+
+    whole = char_function_test(samples, target, grid)
+    # the terms are summed strictly in row order, so no split of the rows moves a bit
+    for size in (1, 7, 1_000):
+        blocks = (samples[start:start + size] for start in range(0, samples.shape[0], size))
+        assert np.array_equal(char_function_test(blocks, target, grid)["devs"], whole["devs"])
+    # the direct per-vector mean sums in another order: equal to rounding
+    direct = [abs(np.exp(1j * (samples @ u)).mean() - target(u)) for u in grid]
+    assert np.allclose(whole["devs"], direct, rtol=0.0, atol=1e-13)
+    assert whole["n_samples"] == 2_001
+
+
+def test_char_function_needs_samples_of_the_test_dimension():
+    for samples in (np.zeros((0, 2)), iter([]), [np.zeros((0, 2))]):
+        with pytest.raises(ValueError, match="at least one sample"):
+            char_function_test(samples, lambda u: 1.0, np.ones((1, 2)))
+    with pytest.raises(ValueError, match="dimension 3"):
+        char_function_test(np.zeros((5, 3)), lambda u: 1.0, np.ones((1, 2)))
 
 
 def test_char_function_empty_grid_rejected():
@@ -419,10 +456,10 @@ def test_experiment_tables_independent_of_batch_budget(monkeypatch):
         return [decay["moment"], decay["stderr"], dists["picard_seed"], dists["x0_perturbed"],
                 dists["fresh_noise"]]
 
-    assert len(rng._blocks(5, 128 * 4 * 51 * 8)) == 1
+    assert len(rng._blocks(5, 112 * 4 * 51 * 8)) == 1
     batched = tables()
     monkeypatch.setattr(rng, "_BLOCK_BYTES", 64 * 51 * 8)  # one replica a chunk
-    assert len(rng._blocks(5, 128 * 4 * 51 * 8)) == 5
+    assert len(rng._blocks(5, 112 * 4 * 51 * 8)) == 5
     chunked = tables()
     for ours, reference in zip(batched, chunked, strict=True):
         assert np.array_equal(ours, reference)
@@ -456,9 +493,10 @@ def _monte_carlo_results():
 
 def test_monte_carlo_results_independent_of_draw_budget(monkeypatch):
     # each stream is drawn in the same order whatever its blocks, and every
-    # reduction is per sample, so blocks of one to four rows change no bit
+    # reduction is per sample or a sum taken strictly in row order (gof's
+    # characteristic function), so blocks of one to four rows change no bit
     default = _monte_carlo_results()
-    assert len(rng._blocks(3_000, 64 * 4)) == 1  # gof's sample_isotropic, n = 3
+    assert len(rng._blocks(3_000, 64 * 4)) == 1  # the isotropic sampler's rows, n = 3
     monkeypatch.setattr(rng, "_BLOCK_BYTES", 1_024)
     assert len(rng._blocks(3_000, 64 * 4)) == 750
     assert _monte_carlo_results() == default
@@ -486,6 +524,12 @@ def test_monte_carlo_memory_is_bounded_by_the_draw_budget():
                                        n_samples=n_samples, seed=36)
 
     assert abs(_traced_peak(tail(400_000)) - _traced_peak(tail(100_000))) < 2**20
+
+    # gof reduces its draws block by block: 4x the samples once took 16 MB more
+    def gof(n_samples):
+        return lambda: isotropic_gof_report(1.5, 3, n_samples, seed=38)
+
+    assert abs(_traced_peak(gof(400_000)) - _traced_peak(gof(100_000))) < 2**20
 
 
 @pytest.mark.parametrize("block", [1_000, 7])

@@ -164,6 +164,7 @@ def _block_sites():
         "sup_integral_norms": (experiments, lambda: list(experiments._sup_integral_norms(
             integrand, 1.5, 4_000, 3, 5))),
         "sample_isotropic": (sampling, lambda: sampling.sample_isotropic(1.5, 3, 3, 20_000)),
+        "gof": (sampling, lambda: experiments.isotropic_gof_report(1.5, 3, 20_000, 3)),
         "noise_csv_lines": (sampling, lambda: sum(map(len, sampling.noise_csv_lines(path)))),
         "format_rows": (reporting, lambda: sum(map(len, format_rows([*columns, np.arange(3_000)])))),
         "refinement_diffs": (integral, lambda: integral._refinement_diffs(

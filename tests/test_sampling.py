@@ -188,6 +188,16 @@ def test_extend_dimension_projects_back_bit_exactly():
     assert np.array_equal(wide[..., :2], narrow)
 
 
+def test_isotropic_blocks_are_the_rows_of_sample_isotropic():
+    whole = sample_isotropic(1.5, 3, seed=53, size=1_000)
+    # one block, blocks of seven rows, blocks of one row
+    for row_bytes in (64 * 4, 2**20 // 7, 2**21):
+        blocks = list(sampling._isotropic_blocks(1.5, 3, 53, 1_000, row_bytes))
+        assert np.array_equal(np.concatenate(blocks), whole)
+    with pytest.raises(ValueError, match="dimension n"):
+        sampling._isotropic_blocks(1.5, 0, 53, 10, 64)  # checked at the call, not when drawn
+
+
 def test_extended_rows_pass_isotropic_gof():
     dt, rows = 0.25, 20_000
     grid = np.linspace(0.0, rows * dt, rows + 1)

@@ -153,22 +153,25 @@ def main(argv=None) -> int:
     seeds = [int(s) for s in opts.seeds.split(",")]
     commands = readme_commands() + benchmark_commands()
     with tempfile.TemporaryDirectory(prefix="artifact_diff_") as tmp:
+        runs = []
         for seed in seeds:
             for index, (label, args) in enumerate(commands):
                 args = with_seed_and_out(args, seed)
                 dirs = [Path(tmp) / side / str(seed) / str(index) for side in ("old", "new")]
-                (old_code, old_rss), (new_code, new_rss) = [run(tree, args, d)
-                                                            for tree, d in zip(trees, dirs)]
-                tag = f"seed={seed} {label}"
-                print(f"{tag}: exit {old_code} -> {new_code}, "
-                      f"peak {old_rss:.1f} -> {new_rss:.1f} MiB"
-                      + ("" if old_code == new_code else "  EXIT CODES DIFFER"))
-                for name in sorted({p.name for d in dirs for p in d.iterdir()}):
-                    a, b = (d / name for d in dirs)
-                    if not (a.exists() and b.exists()):
-                        print(f"{tag} {name}: only in {'new' if b.exists() else 'old'}")
-                    else:
-                        print(f"{tag} {name}: {compare(a, b)}")
+                runs.append((f"seed={seed} {label}", dirs,
+                             [run(tree, args, d) for tree, d in zip(trees, dirs)]))
+        # every command runs before any artifact is read: reading a large one raises
+        # this process's peak, which every child started after it would report
+        for tag, dirs, ((old_code, old_rss), (new_code, new_rss)) in runs:
+            print(f"{tag}: exit {old_code} -> {new_code}, "
+                  f"peak {old_rss:.1f} -> {new_rss:.1f} MiB"
+                  + ("" if old_code == new_code else "  EXIT CODES DIFFER"))
+            for name in sorted({p.name for d in dirs for p in d.iterdir()}):
+                a, b = (d / name for d in dirs)
+                if not (a.exists() and b.exists()):
+                    print(f"{tag} {name}: only in {'new' if b.exists() else 'old'}")
+                else:
+                    print(f"{tag} {name}: {compare(a, b)}")
     return 0
 
 
