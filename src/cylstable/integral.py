@@ -18,7 +18,7 @@ import numpy as np
 
 from .hilbert import as_matrix
 from .rng import TAG_REPLICA, _blocks, open_uniform_rows
-from .sampling import NoisePath, _isotropic_from_uniforms, _row_norms
+from .sampling import AlphaParams, NoisePath, _isotropic_from_uniforms, _row_norms
 
 __all__ = [
     "StepIntegrand",
@@ -137,15 +137,21 @@ def refinement_experiment(
     grid with coarse_steps * 2^k cells; all levels are integrated against
     the same noise, generated once per replica on the finest grid.  Reports
     the exceedance probabilities P(||I_k(T) - I_K(T)|| > epsilon) against
-    the finest level K with binomial standard errors; the true L^alpha
-    distances decay like 2^-k, so the table must be nonincreasing to within
-    Monte-Carlo noise.
+    the finest level K with binomial standard errors; the L^alpha distances
+    of the levels to the target decay like 2^-k, so the table must be
+    nonincreasing to within Monte-Carlo noise.
     """
     entries = as_matrix(psi0)
+    AlphaParams(alpha)
     if levels < 2:
         raise ValueError("need at least two refinement levels")
     if replicas < 1:
         raise ValueError(f"replicas must be >= 1, got {replicas}")
+    if coarse_steps < 1:
+        raise ValueError(f"need at least one coarse step, got {coarse_steps}")
+    for name, value in (("T", T), ("epsilon", epsilon)):
+        if not 0.0 < value < math.inf:
+            raise ValueError(f"{name} must be positive and finite, got {value}")
     fine_steps = coarse_steps * 2 ** (levels - 1)
     fine_grid = np.linspace(0.0, T, fine_steps + 1)
     dt = T / fine_steps
@@ -158,32 +164,16 @@ def refinement_experiment(
         weights[k] = profile(fine_grid[left_idx])
 
     diffs = _refinement_diffs(weights, entries, alpha, dt, replicas, seed)
-
-    # L^alpha distance of each level to the target profile itself,
-    # evaluated on a 16x refined grid (halves per level for smooth profiles)
-    refine = 16
-    s_fine = (np.arange(fine_steps * refine) + 0.5) * dt / refine
-    target_vals = profile(s_fine)
-    hs = float(np.linalg.norm(entries))
-    dists = np.empty(levels - 1)
-    for k in range(levels - 1):
-        step_vals = np.repeat(weights[k], refine)
-        dists[k] = (
-            np.sum(np.abs((step_vals - target_vals) * hs) ** alpha) * dt / refine
-        ) ** (1.0 / alpha)
-
     exceed = (diffs > epsilon).mean(axis=1)
+    se = _binomial_se(exceed, replicas)
     table = {
         "level": np.arange(levels - 1),
-        "cells": coarse_steps * 2 ** np.arange(levels - 1),
         "epsilon": np.full(levels - 1, epsilon),
         "exceedance": exceed,
-        "stderr": _binomial_se(exceed, replicas),
-        "l_alpha_distance": dists,
+        "stderr": se,
     }
-    se = table["stderr"]
     monotone = all(
         exceed[k + 1] <= exceed[k] + 2.0 * math.hypot(se[k], se[k + 1])
         for k in range(levels - 2)
     )
-    return {"table": table, "monotone": monotone, "replicas": replicas, "alpha": alpha}
+    return {"table": table, "monotone": monotone, "replicas": replicas}

@@ -448,15 +448,36 @@ def test_solve_accepts_initial_condition(tmp_path):
     assert rows[1].split(",")[1] == "1"  # x_1(0) = 1
 
 
-def test_verdict_failure_exit_code(tmp_path):
-    # impossibly tight slope tolerance forces a failed verdict -> exit 1
-    code = main(["tail", "--alpha", "1.5", "--gamma", "1", "--N", "50000",
-                 "--r-min", "10", "--r-max", "60", "--r-count", "7",
-                 "--slope-tol", "0.000001", "--seed", "7", "--out", str(tmp_path)])
+def test_verdict_failure_exit_code(tmp_path, capsys):
+    # one Picard iteration leaves the first gap, of the size of the noise, far above 1e-3
+    code = main(["picard", "--preset", "heat", "--M", "50", "--replicas", "4", "--iters", "1",
+                 "--seed", "7", "--out", str(tmp_path)])
     assert code == 1
-    summary = (tmp_path / "tail_radonified.summary").read_text()
-    assert "verdict.tail_slope=fail" in summary
+    summary = (tmp_path / "picard_convergence.summary").read_text()
+    assert "verdict.final_below_1e-3=fail" in summary
     assert "passed=false" in summary
+    assert capsys.readouterr().out.splitlines()[-1].startswith("runtime ")
+
+
+@pytest.mark.parametrize("argv", [
+    ["tail", "--alpha", "0"],
+    ["tail", "--alpha", "2.5"],
+    ["tail", "--alpha", "1.5", "--gamma", ","],
+    ["moment", "--alpha", "2.5", "--p-list", "0.5"],
+    ["moment", "--alpha", "1.5", "--gamma", ","],
+    *(["integrate", "--refinement-levels", "2", "--replicas", "10", *extra] for extra in (
+        ["--alpha", "0"], ["--alpha", "1.5", "--M", "0"], ["--alpha", "2.5"], ["--alpha", "-1"],
+        ["--alpha", "nan"], ["--alpha", "1.5", "--T", "-1"], ["--alpha", "1.5", "--epsilon", "nan"],
+    )),
+], ids=" ".join)
+def test_out_of_domain_arguments_are_refused_before_any_draw(tmp_path, capsys, argv):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a draw at an invalid alpha warns before it fails
+        assert main([*argv, "--seed", "1", "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert "usage error:" in err
+    assert "Traceback" not in err and "RuntimeWarning" not in err
+    assert not any(tmp_path.iterdir())
 
 
 @pytest.mark.parametrize("extra", [["--T", "0.01", "--tol", "inf"], ["--T", "nan"]])
@@ -523,16 +544,17 @@ def test_noise_commands_never_import_numpy_random(tmp_path, argv):
 
 
 def test_monte_carlo_commands_never_import_numpy_ma(tmp_path):
-    # numpy's own percentile imports numpy.ma (through np.unique): 13 ms of a cold run
+    # numpy's own percentile and median import numpy.ma (through np.unique and the median's
+    # NaN check): 13 ms of a cold run
     runs = [[command, *TINY_STOCHASTIC[command], "--seed", "7", "--out", str(tmp_path / command)]
-            for command in ("tail", "moment", "gof")]
+            for command in ("tail", "moment", "gof", "uniqueness")]
     code = ("import json, sys\n"
             "from cylstable.cli import main\n"
             "codes = [main(argv) for argv in json.loads(sys.argv[1])]\n"
             "print(json.dumps([codes, 'numpy.ma' in sys.modules]))\n")
     result = _run_python(code, json.dumps(runs))
     assert result.returncode == 0, result.stderr
-    assert json.loads(result.stdout.splitlines()[-1]) == [[0, 0, 0], False]
+    assert json.loads(result.stdout.splitlines()[-1]) == [[0, 0, 0, 0], False]
 
 
 def test_every_command_runs_with_scipy_blocked(tmp_path):

@@ -185,6 +185,15 @@ def test_percentiles_equal_numpy_bit_for_bit():
                                   np.percentile(values, q).view(np.int64))
 
 
+def test_median_equals_numpy_bit_for_bit():
+    rng = np.random.default_rng(29)
+    for size in (1, 2, 3, 4, 25, 100, 1_001):
+        for values in (rng.standard_normal(size), rng.pareto(1.2, size) * 1e3,
+                       np.round(rng.uniform(0.0, 5.0, size))):
+            assert (np.float64(experiments._median(values)).view(np.int64)
+                    == np.median(values).view(np.int64))
+
+
 def test_moment_rejects_bad_p_and_scale():
     grid = np.linspace(0.0, 1.0, 5)
     integrand = constant_integrand(np.ones((1, 1)), grid)
@@ -276,7 +285,7 @@ def test_random_hypothesis_triples_margins():
 
 def test_char_function_zero_vector_contributes_zero():
     samples = sample_isotropic(1.5, 2, seed=13, size=5_000)
-    result = char_function_test(samples, lambda u: math.exp(-np.linalg.norm(u) ** 1.5),
+    result = char_function_test([samples], lambda u: math.exp(-np.linalg.norm(u) ** 1.5),
                                 np.zeros((1, 2)))
     assert result["max_abs_dev"] < 1e-12
 
@@ -284,9 +293,9 @@ def test_char_function_zero_vector_contributes_zero():
 def test_char_function_isotropic_passes_and_wrong_target_fails():
     samples = sample_isotropic(1.5, 3, seed=14, size=100_000)
     grid = gof_test_vectors(3, 10)
-    good = char_function_test(samples, lambda u: math.exp(-np.linalg.norm(u) ** 1.5), grid)
+    good = char_function_test([samples], lambda u: math.exp(-np.linalg.norm(u) ** 1.5), grid)
     assert good["passed"] and good["max_abs_dev"] < 0.02
-    bad = char_function_test(samples, lambda u: math.exp(-np.linalg.norm(u) ** 2), grid)
+    bad = char_function_test([samples], lambda u: math.exp(-np.linalg.norm(u) ** 2), grid)
     assert bad["max_abs_dev"] > 0.05
 
 
@@ -297,7 +306,7 @@ def test_char_function_blocks_equal_one_array_and_the_direct_mean():
     def target(u):
         return math.exp(-np.linalg.norm(u) ** 1.5)
 
-    whole = char_function_test(samples, target, grid)
+    whole = char_function_test([samples], target, grid)
     # the terms are summed strictly in row order, so no split of the rows moves a bit
     for size in (1, 7, 1_000):
         blocks = (samples[start:start + size] for start in range(0, samples.shape[0], size))
@@ -309,16 +318,16 @@ def test_char_function_blocks_equal_one_array_and_the_direct_mean():
 
 
 def test_char_function_needs_samples_of_the_test_dimension():
-    for samples in (np.zeros((0, 2)), iter([]), [np.zeros((0, 2))]):
+    for samples in ([], iter([]), [np.zeros((0, 2))]):
         with pytest.raises(ValueError, match="at least one sample"):
             char_function_test(samples, lambda u: 1.0, np.ones((1, 2)))
     with pytest.raises(ValueError, match="dimension 3"):
-        char_function_test(np.zeros((5, 3)), lambda u: 1.0, np.ones((1, 2)))
+        char_function_test([np.zeros((5, 3))], lambda u: 1.0, np.ones((1, 2)))
 
 
 def test_char_function_empty_grid_rejected():
     with pytest.raises(ValueError):
-        char_function_test(np.zeros((10, 2)), lambda u: 1.0, np.zeros((0, 2)))
+        char_function_test([np.zeros((10, 2))], lambda u: 1.0, np.zeros((0, 2)))
 
 
 def test_gof_report_passes():

@@ -138,7 +138,7 @@ def test_write_summary(tmp_path):
 
 def _block_sites():
     """Each memory-bounded loop at a size spanning several blocks: (module whose loop it is, run)."""
-    from cylstable import experiments, integral, sampling
+    from cylstable import experiments, hilbert, integral, sampling
     from cylstable.experiments import picard_convergence_experiment, uniqueness_experiment
     from cylstable.hilbert import heat_preset
     from cylstable.integral import constant_integrand
@@ -169,6 +169,7 @@ def _block_sites():
         "format_rows": (reporting, lambda: sum(map(len, format_rows([*columns, np.arange(3_000)])))),
         "refinement_diffs": (integral, lambda: integral._refinement_diffs(
             weights, np.eye(1), 1.5, 1.0 / 128, 150, 3)),
+        "a2_envelope": (hilbert, lambda: hilbert.check_A2(model, [1e-4, 1.0], [np.ones(8)])),
     }
 
 

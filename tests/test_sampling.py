@@ -205,7 +205,7 @@ def test_extended_rows_pass_isotropic_gof():
     standardized = path.increments / dt ** (1.0 / 1.5)
     u_grid = np.eye(5) * 0.9
     result = char_function_test(
-        standardized, lambda u: math.exp(-np.linalg.norm(u) ** 1.5), u_grid
+        [standardized], lambda u: math.exp(-np.linalg.norm(u) ** 1.5), u_grid
     )
     assert result["passed"], result
 

@@ -13,7 +13,8 @@ directory of its own (``--seed`` and ``--out .`` are set on every command;
 One line per artifact says ``identical`` or gives the largest absolute
 difference of each numeric column that moved (a CSV column, a ``.summary``
 key, or a ``key=value`` of a ``#`` line); ``text`` marks a non-numeric
-change.  The ``# cylstable version=`` and ``# out=`` header lines are
+change, and ``only in old`` or ``only in new`` a column or key that one tree
+does not write.  The ``# cylstable version=`` and ``# out=`` header lines are
 ignored.  One line per command gives both exit codes and both peak resident
 sets (the child's ``ru_maxrss``, in MiB).  Passing the same tree twice checks
 that reruns write identical bytes.
@@ -133,7 +134,10 @@ def compare(a: Path, b: Path) -> str:
     ca, cb = columns(a), columns(b)
     moved = []
     for name in dict.fromkeys([*ca, *cb]):
-        va, vb = ca.get(name, []), cb.get(name, [])
+        if name not in ca or name not in cb:
+            moved.append(f"{name} only in {'new' if name in cb else 'old'}")
+            continue
+        va, vb = ca[name], cb[name]
         diffs = [cell_diff(x, y) for x, y in zip(va, vb)]
         diffs = [d for d in diffs if d is not None]
         if len(va) != len(vb) or any(math.isnan(d) for d in diffs):
