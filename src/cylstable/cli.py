@@ -136,7 +136,7 @@ def _r_grid(resolved: dict) -> np.ndarray:
 
 @_command("constants", {
     "alpha": (float, None), "p": (float, None), "c_f": (float, 1.0), "c_g": (float, 1.0),
-    "n": (int, 1), "c_convention": (float, 1.0), "out": (str, "."), "seed": (_seed, 0),
+    "n": (int, 1), "c_convention": (float, 1.0), "out": (str, "."),
 })
 def cmd_constants(resolved: dict) -> int:
     from .constants import constants_report
@@ -357,12 +357,16 @@ def cmd_glue(resolved: dict) -> int:
     return EXIT_PASS
 
 
+# the defaults of the options that only one tail mode reads: with --integrand const, or without
+_TAIL_MODE_DEFAULTS = {"const": {"M": 16, "T": 1.0, "scale_factor": 2.0}, None: {"t": 1.0}}
+
+
 @_command("tail", {
-    "alpha": (float, None), "t": (float, 1.0), "gamma": (_parse_floats, (1.0,)),
+    "alpha": (float, None), "t": (float, None), "gamma": (_parse_floats, (1.0,)),
     "N": (int, 100_000), "r_min": (float, 10.0), "r_max": (float, 100.0),
     "r_count": (int, 13), "seed": (_seed, None), "out": (str, "."),
-    "integrand": (str, None), "M": (int, 16), "T": (float, 1.0),
-    "scale_factor": (float, 2.0),
+    "integrand": (str, None), "M": (int, None), "T": (float, None),
+    "scale_factor": (float, None),
 })
 def cmd_tail(resolved: dict) -> int:
     from .experiments import tail_experiment
@@ -370,24 +374,36 @@ def cmd_tail(resolved: dict) -> int:
     from .integral import constant_integrand
 
     _require(resolved, "alpha", "seed")
-    gamma = np.asarray(resolved["gamma"], dtype=float)
-    if resolved["integrand"] == "const":
-        grid = np.linspace(0.0, resolved["T"], resolved["M"] + 1)
-        psi = constant_integrand(HSMatrix.diagonal(gamma), grid)
-    elif resolved["integrand"] is None:
-        psi = HSMatrix.diagonal(gamma)
-    else:
+    mode = resolved["integrand"]
+    if mode not in _TAIL_MODE_DEFAULTS:
         raise UsageError("only --integrand const is supported")
-    report = tail_experiment(psi, resolved["alpha"], t=resolved["t"], n_samples=resolved["N"],
-                             r_grid=_r_grid(resolved), seed=resolved["seed"],
-                             scale_factor=resolved["scale_factor"])
+    # an option of the other mode would go unread, yet into every header: refuse it
+    for other, defaults in _TAIL_MODE_DEFAULTS.items():
+        for key, default in defaults.items():
+            if other == mode:
+                if resolved[key] is None:
+                    resolved[key] = default
+            elif resolved.pop(key) is not None:
+                raise UsageError(f"--{key.replace('_', '-')} is read only "
+                                 f"{'with' if other else 'without'} --integrand const")
+    gamma = np.asarray(resolved["gamma"], dtype=float)
+    if mode == "const":
+        grid = np.linspace(0.0, resolved["T"], resolved["M"] + 1)
+        report = tail_experiment(constant_integrand(HSMatrix.diagonal(gamma), grid),
+                                 resolved["alpha"], n_samples=resolved["N"],
+                                 r_grid=_r_grid(resolved), seed=resolved["seed"],
+                                 scale_factor=resolved["scale_factor"])
+    else:
+        report = tail_experiment(HSMatrix.diagonal(gamma), resolved["alpha"], t=resolved["t"],
+                                 n_samples=resolved["N"], r_grid=_r_grid(resolved),
+                                 seed=resolved["seed"])
     return _report_exit(report, Path(resolved["out"]), resolved)
 
 
 @_command("moment", {
     "alpha": (float, None), "p_list": (_parse_floats, None), "N": (int, 10_000),
     "gamma": (_parse_floats, (1.0,)), "T": (float, 1.0), "M": (int, 16),
-    "seed": (_seed, None), "out": (str, "."), "scale_factor": (float, 2.0),
+    "seed": (_seed, None), "out": (str, "."),
 })
 def cmd_moment(resolved: dict) -> int:
     from .experiments import moment_experiment
@@ -400,7 +416,7 @@ def cmd_moment(resolved: dict) -> int:
     grid = np.linspace(0.0, resolved["T"], resolved["M"] + 1)
     integrand = constant_integrand(HSMatrix.diagonal(np.asarray(resolved["gamma"])), grid)
     report = moment_experiment(integrand, resolved["alpha"], resolved["p_list"], resolved["N"],
-                               seed=resolved["seed"], scale_factor=resolved["scale_factor"])
+                               seed=resolved["seed"])
     return _report_exit(report, Path(resolved["out"]), resolved)
 
 

@@ -7,8 +7,11 @@ reproduces every report bit for bit.
 
 Verdict policy: tail plateaus are judged against the constant-free limit
 identity (the Levy mass outside the unit ball); the inequality-shaped
-claims are verified structurally (boundedness, exact homogeneity, tail
-index), since their universal constant is not computable.
+claims are verified structurally (boundedness, plateau scaling, tail
+index), since their universal constant is not computable.  Identities of
+the discrete arithmetic (bit-exact power-of-two homogeneity, the unique
+fixed point of the causal Picard map) are pinned by tests, not re-checked
+on every run.
 """
 
 from __future__ import annotations
@@ -193,11 +196,6 @@ def _tail_verdicts(report: ExperimentReport, table: dict, alpha: float, n_sample
     return top
 
 
-def _check_scale_factor(scale_factor: float) -> None:
-    if not 0.0 < scale_factor < math.inf:
-        raise ValueError(f"scale_factor must be positive and finite, got {scale_factor}")
-
-
 def tail_experiment(
     psi,
     alpha: float,
@@ -214,7 +212,8 @@ def tail_experiment(
     the unit ball — plus flatness and the log-log tail index.  With a
     :class:`StepIntegrand`: the sup-over-grid statistic, whose plateau must
     be flat and rescale by c^alpha when the integrand is scaled by c
-    (independent runs, 2 SE tolerance).
+    (independent runs, 2 SE tolerance).  ``t`` is read only with an
+    operator matrix, ``scale_factor`` only with an integrand.
     """
     AlphaParams(alpha)
     is_integrand = isinstance(psi, StepIntegrand)
@@ -228,7 +227,8 @@ def tail_experiment(
                          f"got {r_grid[0]:g} ... {r_grid[-1]:g}")
     if n_samples < 1_000:
         raise ValueError("n_samples is too small to resolve any tail")
-    _check_scale_factor(scale_factor)
+    if not 0.0 < scale_factor < math.inf:
+        raise ValueError(f"scale_factor must be positive and finite, got {scale_factor}")
 
     report = ExperimentReport(
         name="tail_integral" if is_integrand else "tail_radonified",
@@ -237,6 +237,7 @@ def tail_experiment(
         seed=seed,
     )
     if is_integrand:
+        del report.parameters["t"]  # the sup over the integrand's own grid reads no t
         table = _tail_table(_sup_integral_norms(psi, alpha, n_samples, seed, TAG_REPLICA),
                             n_samples, alpha, r_grid)
         report.tables["tail"] = table
@@ -304,15 +305,15 @@ def moment_experiment(
     p_list: Sequence[float],
     n_samples: int,
     seed: int = 0,
-    scale_factor: float = 2.0,
 ) -> ExperimentReport:
     """Moments of the running-sup integral below the stability index.
 
-    Estimates E[sup_k ||I(t_k)||^p] for each p with bootstrap confidence
-    intervals, checks estimate stability between N and 2N samples
-    (p <= alpha - 0.3), verifies exact power-of-two homogeneity at bit
-    level, and logs the normalised ratio against the c=1 moment constant
-    (no pass threshold: the universal constant is not computable).
+    Estimates E[sup_k ||I(t_k)||^p] for each p from one draw of 2N sups,
+    with bootstrap confidence intervals, checks estimate stability between
+    N and 2N samples (p <= alpha - 0.3; a run with no such p judges nothing
+    and says so in a note), and logs the normalised ratio against the c=1
+    moment constant (no pass threshold: the universal constant is not
+    computable).
     """
     AlphaParams(alpha)
     if n_samples < 1:
@@ -320,13 +321,9 @@ def moment_experiment(
     p_list = [float(p) for p in p_list]
     if any(p <= 0.0 or p >= alpha for p in p_list):
         raise ValueError(f"all p must lie in (0, alpha)=(0, {alpha})")
-    _check_scale_factor(scale_factor)
-    if math.log2(scale_factor) != int(math.log2(scale_factor)):
-        raise ValueError("scale_factor must be a power of two for bit-exact homogeneity")
     report = ExperimentReport(
         name="moment",
-        parameters={"alpha": alpha, "N": n_samples, "p_list": tuple(p_list),
-                    "scale_factor": scale_factor},
+        parameters={"alpha": alpha, "N": n_samples, "p_list": tuple(p_list)},
         seed=seed,
     )
     for p in p_list:
@@ -364,23 +361,9 @@ def moment_experiment(
                 f"stability_p={p:g}", rel < 0.20, "relative change N -> 2N < 20%", f"{rel:.4f}"
             )
     report.tables["moments"] = {k: np.asarray(v) for k, v in rows.items()}
-
-    # exact homogeneity: same seed, scaled integrand
-    scaled = integrand.scaled(scale_factor)
-    sups_scaled = np.concatenate([*_sup_integral_norms(scaled, alpha, 2 * n_samples, seed,
-                                                       TAG_REPLICA)])
-    sup_exact = bool(np.array_equal(sups_scaled, scale_factor * sups))
-    report.add_verdict("sup_homogeneity_bitexact", sup_exact,
-                       "sup(c*Psi) == c*sup(Psi) bitwise", str(sup_exact))
-    denom_scaled = scaled.alpha_scale(alpha)
-    for p, base in zip(p_list, rows["ratio"]):
-        other = float(np.mean((sups_scaled / denom_scaled) ** p)) if denom_scaled > 0.0 else 0.0
-        report.add_verdict(
-            f"ratio_invariance_p={p:g}",
-            base == other,
-            "normalised ratio bit-identical under scaling",
-            f"{base:.17g} vs {other:.17g}",
-        )
+    if not report.verdicts:
+        report.notes.append(f"no stability verdict: every p exceeds alpha - 0.3 = "
+                            f"{alpha - 0.3:g}, so this run judges nothing")
     return report
 
 
@@ -458,14 +441,15 @@ def uniqueness_experiment(
     replicas: int = 100,
     seed: int = 0,
 ) -> ExperimentReport:
-    """Discrete pathwise uniqueness: Picard-seed independence on shared noise.
+    """Pathwise dependence of the discrete solution on its initial state and noise.
 
-    Per replica, the solver runs twice on the same noise from the two
-    Picard seeds (semigroup flow vs zero path); the sup distance must stay
-    below 10*tol.  Runs with a different initial state on the same noise
-    are reported without a threshold (uniqueness is claimed only for equal
-    initial conditions), and runs with different noise must NOT be close
-    (sanity anti-test).
+    Per replica, three paths are solved: the reference, one from a
+    perturbed initial state on the same noise, and one on fresh noise.
+    Their sup distances from the reference are tabulated.  The perturbed
+    run is reported without a threshold (uniqueness is claimed only for
+    equal initial conditions), and the fresh-noise run must NOT be close
+    (sanity anti-test).  The discrete fixed point itself is unique for any
+    Picard seed (see :mod:`cylstable.picard`), so no second seed is solved.
     """
     if replicas < 1:
         raise ValueError(f"replicas must be >= 1, got {replicas}")
@@ -476,39 +460,31 @@ def uniqueness_experiment(
     x0 = config.initial_state()
     x0_alt = x0.copy()
     x0_alt[0] += 0.1
-    # per replica, four paths (a, b, c, d): semigroup seed, zero seed, perturbed x0 and
-    # fresh noise, all compared with path a
-    x0_quad = np.stack([x0, x0, x0_alt, x0])
-    zero_seed_quad = np.array([False, True, False, False])
+    # per replica, three paths (a, b, c): reference, perturbed x0 and fresh noise, both
+    # compared with path a
+    x0_triple = np.stack([x0, x0_alt, x0])
 
-    rows = np.empty((replicas, 3))
-    # four Picard paths per replica, 112 B per state element (traced: 107 at M = 1000, 112 in
+    rows = np.empty((replicas, 2))
+    # three Picard paths per replica, 118 B per state element (traced: 111 at M = 1000, 118 in
     # chunks of three at M = 200): the picard loop's sweep, each path's noise and flow, the gap
-    for chunk in _blocks(replicas, 112 * 4 * (config.M + 1) * model.n):
+    for chunk in _blocks(replicas, 118 * 3 * (config.M + 1) * model.n):
         shared = _replica_driven(model, config, seed, TAG_REPLICA, chunk)
         fresh = _replica_driven(model, config, seed, TAG_ALT_NOISE, chunk)
-        driven = np.stack([shared, shared, shared, fresh], axis=1).reshape(-1, *shared.shape[1:])
-        paths = _iterate_batch(model, config, np.tile(x0_quad, (len(chunk), 1)), driven,
-                               np.tile(zero_seed_quad, len(chunk)))
+        driven = np.stack([shared, shared, fresh], axis=1).reshape(-1, *shared.shape[1:])
+        paths = _iterate_batch(model, config, np.tile(x0_triple, (len(chunk), 1)), driven)
         for path in paths:
             _require_converged(path, config)
-        states = np.stack([path.states for path in paths]).reshape(len(chunk), 4, config.M + 1, -1)
+        states = np.stack([path.states for path in paths]).reshape(len(chunk), 3, config.M + 1, -1)
         rows[chunk] = np.linalg.norm(states[:, :1] - states[:, 1:], axis=3).max(axis=2)
-    seed_dists, x0_dists, noise_dists = rows.T
+    x0_dists, noise_dists = rows.T
     threshold = 10.0 * config.tol
     report = ExperimentReport(
         name="uniqueness",
         parameters={"alpha": config.alpha, "T": config.T, "M": config.M, "n": config.n,
                     "m": config.noise_dim, "replicas": replicas, "tol": config.tol},
         seed=seed,
-        tables={"distances": {"replica": np.arange(replicas), "picard_seed": seed_dists,
-                              "x0_perturbed": x0_dists, "fresh_noise": noise_dists}},
-    )
-    report.add_verdict(
-        "picard_seed_agreement",
-        bool(np.all(seed_dists < threshold)),
-        f"sup distance < 10*tol = {threshold:.1e} in every replica",
-        f"max={seed_dists.max():.3e}",
+        tables={"distances": {"replica": np.arange(replicas), "x0_perturbed": x0_dists,
+                              "fresh_noise": noise_dists}},
     )
     report.add_verdict(
         "fresh_noise_separation",

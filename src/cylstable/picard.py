@@ -270,21 +270,20 @@ def _iterate_batch(
     config: SolverConfig,
     x0s: np.ndarray,
     driven: np.ndarray,
-    zero_seed: np.ndarray,
 ) -> list[MildPath]:
     """Iterate the Picard map for R replicas on the config's grid.
 
     Replica r starts from x0s[r] (shape (R, n)) with its driven increments
-    driven[r] (shape (R, M, n)), seeded by the zero path where zero_seed[r]
-    and by the semigroup flow elsewhere.  All still-active replicas share
-    each sweep; a replica is frozen at the first gap below tol.  The paths
-    carry no certificate (residual nan): :func:`solve` adds it.
+    driven[r] (shape (R, M, n)), seeded by its semigroup flow.  All
+    still-active replicas share each sweep; a replica is frozen at the first
+    gap below tol.  The paths carry no certificate (residual nan):
+    :func:`solve` adds it.
     """
     grid = config.grid()
     dts = np.diff(grid)
     spectrum = _kernel_spectrum(model, grid)
     flow = _semigroup_flow(model, grid, x0s)
-    states = np.where(zero_seed[:, None, None], 0.0, flow)
+    states = flow.copy()
     gaps: list[list[float]] = [[] for _ in range(x0s.shape[0])]
     # the active replicas' states, driven increments and flows: the whole arrays
     # until a replica freezes, then gathered once per freeze, not once per sweep
@@ -324,16 +323,15 @@ def solve(
     model: DiagonalModel,
     config: SolverConfig,
     noise: NoisePath | None = None,
-    zero_seed_path: bool = False,
     warn_beyond_bound: bool = True,
 ) -> MildPath:
     """Iterate the Picard map to the discrete fixed point.
 
-    Seeds with the semigroup flow S(t)x0 (the zero path is available for
-    the uniqueness experiment only).  Raises :class:`NonConvergenceError`
-    with the partial path attached when the gap is still above tolerance at
-    N_max; beyond the proven admissible horizon that outcome is a
-    diagnostic, not a bug.
+    Seeds with the semigroup flow S(t)x0, the only seed: the discrete fixed
+    point does not depend on it (see the module docstring).  Raises
+    :class:`NonConvergenceError` with the partial path attached when the gap
+    is still above tolerance at N_max; beyond the proven admissible horizon
+    that outcome is a diagnostic, not a bug.
     """
     _check_dimensions(model, config)
     grid = config.grid()
@@ -351,7 +349,7 @@ def solve(
             )
     x0 = config.initial_state()
     driven = _driven_diagonal(model, noise.increments)
-    (path,) = _iterate_batch(model, config, x0[None], driven[None], np.array([zero_seed_path]))
+    (path,) = _iterate_batch(model, config, x0[None], driven[None])
     certified = residual(model, path, noise, x0) if path.final_picard_gap < config.tol else math.inf
     return _require_converged(replace(path, residual=certified), config)
 

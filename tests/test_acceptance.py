@@ -14,18 +14,18 @@ from scipy.stats import ks_2samp
 
 from cylstable.constants import c_alpha, levy_tail_mass
 from cylstable.experiments import (
+    _sup_integral_norms,
     isotropic_gof_report,
     moment_experiment,
     picard_convergence_experiment,
     random_hypothesis_triples,
     tail_experiment,
-    uniqueness_experiment,
     willet_wong_check,
 )
 from cylstable.hilbert import HSMatrix, check_norm_continuity, heat_preset, make_model
 from cylstable.integral import constant_integrand, refinement_experiment
 from cylstable.picard import SolverConfig, binding_time_bound, glue_solve, solve
-from cylstable.rng import TAG_PIECE
+from cylstable.rng import TAG_PIECE, TAG_REPLICA
 from cylstable.sampling import (
     AlphaParams,
     NoisePath,
@@ -35,6 +35,7 @@ from cylstable.sampling import (
 )
 
 import levy_oracles
+from picard_oracles import zero_seeded_states
 
 SEED = 20260810
 KS_COEFF_1PCT = math.sqrt(-math.log(0.005) / 2.0)
@@ -132,17 +133,23 @@ def test_criterion_06_moment_structure():
     alpha = 1.5
     grid = np.linspace(0.0, 1.0, 9)
     integrand = constant_integrand(np.array([[1.0], [0.5]]), grid)
-    report = moment_experiment(integrand, alpha, [1.0, alpha - 0.3], 10_000,
-                               seed=SEED + 50, scale_factor=2.0)
-    by_name = {v.name: v for v in report.verdicts}
-    stability = [v for name, v in by_name.items() if name.startswith("stability")]
-    ratio_bits = [v for name, v in by_name.items() if name.startswith("ratio_invariance")]
-    ok = (all(v.passed for v in stability) and by_name["sup_homogeneity_bitexact"].passed
-          and all(v.passed for v in ratio_bits))
+    p_list = [1.0, alpha - 0.3]
+    report = moment_experiment(integrand, alpha, p_list, 10_000, seed=SEED + 50)
+    stability = [v for v in report.verdicts if v.name.startswith("stability")]
+    # power-of-two homogeneity on the same streams: the 2N sups moment draws, and its ratios
+    scaled = integrand.scaled(2.0)
+    sups, sups_scaled = (np.concatenate([*_sup_integral_norms(psi, alpha, 20_000, SEED + 50,
+                                                              TAG_REPLICA)])
+                         for psi in (integrand, scaled))
+    sup_exact = np.array_equal(sups_scaled, 2.0 * sups)
+    ratio_bits = (report.tables["moments"]["ratio"]
+                  == moment_experiment(scaled, alpha, p_list, 10_000,
+                                       seed=SEED + 50).tables["moments"]["ratio"])
+    ok = all(v.passed for v in stability) and sup_exact and ratio_bits.all()
     _report(6, ok,
             f"stability (20%, N=1e4 vs 2e4): {[v.observed for v in stability]}; "
             f"homogeneity and normalised ratio bit-identical: "
-            f"{[v.passed for v in ratio_bits]}")
+            f"{[sup_exact, *ratio_bits.tolist()]}")
 
 
 def test_criterion_07_jensen_bound():
@@ -202,9 +209,15 @@ def test_criterion_09_fixed_point_and_uniqueness():
 
     bound = binding_time_bound(model, 1.5)
     ucfg = SolverConfig(alpha=1.5, T=0.9 * bound, M=200, n=8, seed=SEED + 80)
-    report = uniqueness_experiment(model, ucfg, replicas=100, seed=SEED + 80)
-    dists = report.tables["distances"]["picard_seed"]
-    agree = int(np.sum(dists < 10.0 * ucfg.tol))
+    # the flow-seeded solve and the zero-seeded oracle on each uniqueness replica's noise
+    agree = 0
+    for replica in range(100):
+        rows = _noise_increments(1.5, 8, ucfg.grid(), SEED + 80, TAG_REPLICA, replica)
+        noise = NoisePath(1.5, 8, ucfg.grid(), rows, SEED + 80)
+        flow_seeded = solve(model, ucfg, noise=noise, warn_beyond_bound=False)
+        dist = np.linalg.norm(flow_seeded.states - zero_seeded_states(model, ucfg, noise),
+                              axis=1).max()
+        agree += bool(dist < 10.0 * ucfg.tol)
 
     additive = make_model(n=8, f_rule="zero", kappa_rule="power:1:1.5", shape="one")
     apath = solve(additive, SolverConfig(alpha=1.5, T=0.02, M=100, n=8, seed=SEED + 81),

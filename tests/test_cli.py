@@ -101,7 +101,8 @@ TINY_STOCHASTIC = {
 
 
 def test_tiny_arguments_cover_every_stochastic_command():
-    stochastic = {name for name, (_, spec) in cli._COMMANDS.items() if spec["seed"][1] is None}
+    stochastic = {name for name, (_, spec) in cli._COMMANDS.items()
+                  if "seed" in spec and spec["seed"][1] is None}
     assert stochastic == set(TINY_STOCHASTIC)
 
 
@@ -125,8 +126,8 @@ def test_stochastic_command_byte_identical_reruns(tmp_path, command):
     ["noise", "--alpha", "1.5", "--seed", "1.5"],
     ["tail", "--alpha", "1.5", "--t", "0", "--seed", "1"],
     ["constants", "--alpha", "1.5", "--p", "1.2", "--c-f", "nan"],
-    ["moment", "--alpha", "1.5", "--scale-factor", "inf", "--seed", "1"],
-    ["moment", "--alpha", "1.5", "--scale-factor", "0", "--seed", "1"],
+    ["moment", "--alpha", "1.5", "--p-list", "1,x", "--seed", "1"],
+    ["moment", "--alpha", "1.5", "--N", "1e4", "--seed", "1"],
     ["tail", "--alpha", "1.5", "--integrand", "const", "--scale-factor", "0", "--seed", "1"],
     ["tail", "--alpha", "1.5", "--r-min", "-1", "--seed", "1"],
     ["tail", "--alpha", "1.5", "--r-min", "50", "--r-max", "10", "--seed", "1"],
@@ -200,6 +201,18 @@ def test_tail_inconclusive_exit_code(tmp_path):
                  "--r-min", "100", "--r-max", "500", "--r-count", "4",
                  "--seed", "7", "--out", str(tmp_path)])
     assert code == 3
+
+
+def test_tail_headers_hold_only_the_options_of_their_mode(tmp_path):
+    small = ["--alpha", "1.5", "--N", "2000", "--r-min", "1", "--r-max", "4", "--seed", "1"]
+    for mode, absent in (([], ("M", "T", "scale_factor")), (["--integrand", "const"], ("t",))):
+        out = tmp_path / str(len(mode))
+        assert main(["tail", *small, *mode, "--out", str(out)]) != 2  # its verdicts aside
+        keys = {line[2:].partition("=")[0] for line in _header(next(out.glob("*.csv")))}
+        assert keys.isdisjoint(absent) and {"alpha", "seed"} <= keys
+        params = {line[6:].partition("=")[0] for line in
+                  next(out.glob("*.summary")).read_text().splitlines() if line.startswith("param.")}
+        assert params.isdisjoint(absent) and "alpha" in params
 
 
 def test_config_file_and_flag_precedence(tmp_path, capsys):
@@ -402,7 +415,16 @@ def test_moment_subcommand(tmp_path):
                  "--M", "8", "--seed", "21", "--out", str(tmp_path)])
     assert code == 0
     summary = (tmp_path / "moment.summary").read_text()
-    assert "verdict.sup_homogeneity_bitexact=pass" in summary
+    assert "verdict.stability_p=1=pass" in summary and "passed=true" in summary
+    assert "homogeneity" not in summary and "scale_factor" not in summary
+
+
+def test_moment_without_a_judged_p_notes_it_and_passes(tmp_path, capsys):
+    assert main(["moment", "--alpha", "1.5", "--p-list", "1.3,1.4", "--N", "500", "--M", "4",
+                 "--seed", "21", "--out", str(tmp_path)]) == 0
+    assert "note: no stability verdict" in capsys.readouterr().out
+    summary = (tmp_path / "moment.summary").read_text()
+    assert "verdict." not in summary and "=no stability verdict" in summary
 
 
 def test_picard_and_uniqueness_subcommands(tmp_path):
@@ -465,6 +487,11 @@ def test_verdict_failure_exit_code(tmp_path, capsys):
     ["tail", "--alpha", "1.5", "--gamma", ","],
     ["moment", "--alpha", "2.5", "--p-list", "0.5"],
     ["moment", "--alpha", "1.5", "--gamma", ","],
+    # an option that the tail mode does not read
+    ["tail", "--alpha", "1.5", "--integrand", "const", "--t", "1"],
+    *(["tail", "--alpha", "1.5", *extra] for extra in (
+        ["--M", "16"], ["--T", "1"], ["--scale-factor", "2"],
+    )),
     *(["integrate", "--refinement-levels", "2", "--replicas", "10", *extra] for extra in (
         ["--alpha", "0"], ["--alpha", "1.5", "--M", "0"], ["--alpha", "2.5"], ["--alpha", "-1"],
         ["--alpha", "nan"], ["--alpha", "1.5", "--T", "-1"], ["--alpha", "1.5", "--epsilon", "nan"],

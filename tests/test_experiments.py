@@ -173,6 +173,19 @@ def test_moment_stability_and_bit_exact_homogeneity():
     assert np.all(table["ci_lo"] <= table["moment_2N"])
     assert np.all(table["moment_2N"] <= table["ci_hi"])
 
+    # scaling by a power of two is exact in floating point, so moment draws its 2N sups
+    # once: sup(c*Psi) == c*sup(Psi) bitwise on the same streams, in every block, and the
+    # normalised ratio it reports is bit-identical
+    sups = list(experiments._sup_integral_norms(integrand, 1.5, 20_000, 7, TAG_REPLICA))
+    assert len(sups) >= 2
+    for c in (2.0, 4.0, 0.5):
+        scaled = integrand.scaled(c)
+        for ours, base in zip(experiments._sup_integral_norms(scaled, 1.5, 20_000, 7,
+                                                              TAG_REPLICA), sups, strict=True):
+            assert np.array_equal(ours, c * base)
+        other = moment_experiment(scaled, 1.5, [1.0, 1.2], 10_000, seed=7)
+        assert np.array_equal(other.tables["moments"]["ratio"], table["ratio"])
+
 
 def test_percentiles_equal_numpy_bit_for_bit():
     rng = np.random.default_rng(23)
@@ -194,13 +207,11 @@ def test_median_equals_numpy_bit_for_bit():
                     == np.median(values).view(np.int64))
 
 
-def test_moment_rejects_bad_p_and_scale():
+def test_moment_rejects_bad_p():
     grid = np.linspace(0.0, 1.0, 5)
     integrand = constant_integrand(np.ones((1, 1)), grid)
     with pytest.raises(ValueError):
         moment_experiment(integrand, 1.5, [1.6], 100, seed=0)
-    with pytest.raises(ValueError):
-        moment_experiment(integrand, 1.5, [1.0], 100, seed=0, scale_factor=3.0)
 
 
 def test_moment_flags_p_close_to_alpha():
@@ -235,7 +246,7 @@ def test_uniqueness_experiment_small():
     report = uniqueness_experiment(model, config, replicas=12, seed=11)
     assert report.passed, [(v.name, v.observed) for v in report.verdicts]
     dists = report.tables["distances"]
-    assert np.all(dists["picard_seed"] < 10 * config.tol)
+    assert list(dists) == ["replica", "x0_perturbed", "fresh_noise"]
     assert np.all(dists["fresh_noise"] > 10 * config.tol)
 
 
@@ -390,30 +401,29 @@ def per_replica_picard_decay(model, config, n_iters, p, replicas, seed):
 
 
 def per_replica_uniqueness_paths(model, config, replicas, seed):
-    """Reference for uniqueness_experiment: four public solves per replica.
+    """Reference for uniqueness_experiment: three public solves per replica.
 
     Returns the distance columns and the solved paths, replica-major in the
-    order semigroup seed, zero seed, perturbed x0, fresh noise.
+    order reference, perturbed x0, fresh noise.
     """
     x0 = config.initial_state()
     x0_alt = x0.copy()
     x0_alt[0] += 0.1
-    paths, noises, rows = [], [], np.empty((replicas, 3))
+    paths, noises, rows = [], [], np.empty((replicas, 2))
     for r in range(replicas):
         noise = replica_noise(config, seed, TAG_REPLICA, r)
         alt_noise = replica_noise(config, seed, TAG_ALT_NOISE, r)
         cfg = replace(config, x0=x0)
-        quad = [
+        triple = [
             solve(model, cfg, noise=noise, warn_beyond_bound=False),
-            solve(model, cfg, noise=noise, zero_seed_path=True, warn_beyond_bound=False),
             solve(model, replace(cfg, x0=x0_alt), noise=noise, warn_beyond_bound=False),
             solve(model, cfg, noise=alt_noise, warn_beyond_bound=False),
         ]
-        rows[r] = [np.linalg.norm(quad[0].states - other.states, axis=1).max()
-                   for other in quad[1:]]
-        paths += quad
-        noises += [noise, noise, noise, alt_noise]
-    return rows.T, paths, noises, np.stack([x0, x0, x0_alt, x0] * replicas)
+        rows[r] = [np.linalg.norm(triple[0].states - other.states, axis=1).max()
+                   for other in triple[1:]]
+        paths += triple
+        noises += [noise, noise, alt_noise]
+    return rows.T, paths, noises, np.stack([x0, x0_alt, x0] * replicas)
 
 
 def _ensemble_setup():
@@ -436,7 +446,7 @@ def test_batched_experiments_equal_per_replica_reference():
     report = uniqueness_experiment(model, uniq_cfg, replicas=3, seed=19)
     columns, _, _, _ = per_replica_uniqueness_paths(model, uniq_cfg, 3, 19)
     dists = report.tables["distances"]
-    for name, column in zip(["picard_seed", "x0_perturbed", "fresh_noise"], columns):
+    for name, column in zip(["x0_perturbed", "fresh_noise"], columns, strict=True):
         assert np.array_equal(dists[name], column)
 
 
@@ -444,8 +454,7 @@ def test_solve_batch_equals_batches_of_one():
     model, _, uniq_cfg = _ensemble_setup()
     _, paths, noises, x0s = per_replica_uniqueness_paths(model, uniq_cfg, 3, 19)
     driven = np.stack([_driven_diagonal(model, noise.increments) for noise in noises])
-    zero_seed = np.array([False, True, False, False] * 3)
-    batched = _iterate_batch(model, uniq_cfg, x0s, driven, zero_seed)
+    batched = _iterate_batch(model, uniq_cfg, x0s, driven)
     # the batch freezes replicas at different sweeps
     assert len({path.iteration_count for path in batched}) > 1
     for ours, reference in zip(batched, paths, strict=True):
@@ -462,13 +471,12 @@ def test_experiment_tables_independent_of_batch_budget(monkeypatch):
         decay = picard_convergence_experiment(model, picard_cfg, n_iters=5, replicas=6,
                                               seed=20).tables["decay"]
         dists = uniqueness_experiment(model, uniq_cfg, replicas=5, seed=20).tables["distances"]
-        return [decay["moment"], decay["stderr"], dists["picard_seed"], dists["x0_perturbed"],
-                dists["fresh_noise"]]
+        return [decay["moment"], decay["stderr"], dists["x0_perturbed"], dists["fresh_noise"]]
 
-    assert len(rng._blocks(5, 112 * 4 * 51 * 8)) == 1
+    assert len(rng._blocks(5, 118 * 3 * 51 * 8)) == 1
     batched = tables()
     monkeypatch.setattr(rng, "_BLOCK_BYTES", 64 * 51 * 8)  # one replica a chunk
-    assert len(rng._blocks(5, 112 * 4 * 51 * 8)) == 5
+    assert len(rng._blocks(5, 118 * 3 * 51 * 8)) == 5
     chunked = tables()
     for ours, reference in zip(batched, chunked, strict=True):
         assert np.array_equal(ours, reference)

@@ -7,8 +7,9 @@ of the parent commit and of the working tree).  The commands are the README's
 CLI examples and the benchmark commands of ``perfbench/run.py``
 (``workloads(FULL)``, imported, never edited).  Each runs once per seed as
 ``python -m cylstable.cli`` with the tree on ``PYTHONPATH``, in a fresh
-directory of its own (``--seed`` and ``--out .`` are set on every command;
-``constants`` and ``check-model`` accept a seed too).
+directory of its own (``--out .`` is set on every command, and ``--seed`` on
+every command but ``constants``, which draws nothing and takes no seed;
+``check-model`` accepts one).
 
 One line per artifact says ``identical`` or gives the largest absolute
 difference of each numeric column that moved (a CSV column, a ``.summary``
@@ -68,9 +69,12 @@ def benchmark_commands() -> list[tuple[str, list[str]]]:
 
 
 def with_seed_and_out(args: list[str], seed: int) -> list[str]:
-    """args with ``--seed seed`` and ``--out .``, replaced or appended."""
+    """args with ``--seed seed`` (not for ``constants``) and ``--out .``, replaced or appended."""
     args = list(args)
-    for flag, value in (("--seed", str(seed)), ("--out", ".")):
+    settings = [("--out", ".")]
+    if args[0] != "constants":  # it draws nothing and takes no seed
+        settings.insert(0, ("--seed", str(seed)))
+    for flag, value in settings:
         if flag in args:
             args[args.index(flag) + 1] = value
         else:
