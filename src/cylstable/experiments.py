@@ -30,9 +30,8 @@ from .picard import (
     _check_dimensions,
     _driven_diagonal,
     _iterate_batch,
-    _kernel_spectrum,
+    _kernel,
     _require_converged,
-    _semigroup_flow,
     _sweep,
     binding_time_bound,
     horizon_bounds,
@@ -375,6 +374,21 @@ def _replica_driven(model: DiagonalModel, config: SolverConfig, seed: int, tag: 
                                                      config.grid(), seed, tag, replicas))
 
 
+def _picard_diffs(model: DiagonalModel, config: SolverConfig, kernel, seed: int, chunk: range,
+                  n_iters: int) -> np.ndarray:
+    """||X_n(T) - X_{n-1}(T)|| of the replicas in chunk, n = 1..n_iters: shape (R, n_iters)."""
+    driven = _replica_driven(model, config, seed, TAG_REPLICA, chunk)
+    x0 = config.initial_state()
+    x0s = np.broadcast_to(x0, (len(chunk), model.n))
+    prev = np.broadcast_to(kernel.decay * x0, (len(chunk), *kernel.decay.shape))  # S(t_k) x0
+    diffs = np.empty((len(chunk), n_iters))
+    for it in range(n_iters):
+        new = _sweep(model, prev, driven, x0s, kernel)
+        diffs[:, it] = _row_norms(new[:, -1] - prev[:, -1])
+        prev = new
+    return diffs
+
+
 def picard_convergence_experiment(
     model: DiagonalModel,
     config: SolverConfig,
@@ -394,21 +408,13 @@ def picard_convergence_experiment(
         raise ValueError(
             f"T={config.T} exceeds the admissible iteration bound {bound:.6g}"
         )
-    grid = config.grid()
-    dts = np.diff(grid)
-    spectrum = _kernel_spectrum(model, grid)
-    flow = _semigroup_flow(model, grid, config.initial_state())
+    kernel = _kernel(model, config.grid())
     all_diffs = np.empty((replicas, n_iters))
-    # a replica's states, loads and complex FFT buffers: 64 B per state element, which keeps
-    # the 2^14-element batch measured fastest (its traced peak is about 80 B per element)
-    for chunk in _blocks(replicas, 64 * grid.size * model.n):
-        driven = _replica_driven(model, config, seed, TAG_REPLICA, chunk)
-        flows = np.broadcast_to(flow, (len(chunk), *flow.shape))
-        prev = flows
-        for it in range(n_iters):
-            new = _sweep(model, prev, driven, dts, flows, spectrum)
-            all_diffs[chunk, it] = _row_norms(new[:, -1] - prev[:, -1])
-            prev = new
+    # a replica's noise draw, or its states, noise and sweep: 64 B per state element, which
+    # keeps the 2^14-element batch measured fastest (traced in chunks of ten at M = 200: 66 B
+    # in the noise draw's Philox passes, 48 B in the sweeps)
+    for chunk in _blocks(replicas, 64 * (config.M + 1) * model.n):
+        all_diffs[chunk] = _picard_diffs(model, config, kernel, seed, chunk, n_iters)
     moments = (all_diffs**p).mean(axis=0)
     ses = (all_diffs**p).std(axis=0, ddof=1) / math.sqrt(replicas)
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -433,6 +439,23 @@ def picard_convergence_experiment(
                        f"{moments[-1]:.3e}")
     report.add_verdict("contraction_ratio", q_hat < 0.9, "mean gap ratio < 0.9", f"{q_hat:.4f}")
     return report
+
+
+def _uniqueness_distances(model: DiagonalModel, config: SolverConfig, seed: int, chunk: range,
+                          x0_triple: np.ndarray) -> np.ndarray:
+    """Sup distances (R, 2) of paths b and c from path a, for the replicas in chunk."""
+    # each replica's shared and fresh noise in one draw, (R, 2, M, m): the rows of its
+    # streams under TAG_REPLICA and TAG_ALT_NOISE, for paths (a, b) and c
+    replicas = np.arange(chunk.start, chunk.stop)[:, None]
+    noise = _noise_increments(config.alpha, config.noise_dim, config.grid(), seed,
+                              np.array([TAG_REPLICA, TAG_ALT_NOISE]), replicas)
+    driven = _driven_diagonal(model, noise[:, [0, 0, 1]].reshape(-1, *noise.shape[2:]))
+    del noise
+    paths = _iterate_batch(model, config, np.tile(x0_triple, (len(chunk), 1)), driven)
+    for path in paths:
+        _require_converged(path, config)
+    states = np.stack([path.states for path in paths]).reshape(len(chunk), 3, config.M + 1, -1)
+    return np.linalg.norm(states[:, :1] - states[:, 1:], axis=3).max(axis=2)
 
 
 def uniqueness_experiment(
@@ -465,17 +488,11 @@ def uniqueness_experiment(
     x0_triple = np.stack([x0, x0_alt, x0])
 
     rows = np.empty((replicas, 2))
-    # three Picard paths per replica, 118 B per state element (traced: 111 at M = 1000, 118 in
-    # chunks of three at M = 200): the picard loop's sweep, each path's noise and flow, the gap
-    for chunk in _blocks(replicas, 118 * 3 * (config.M + 1) * model.n):
-        shared = _replica_driven(model, config, seed, TAG_REPLICA, chunk)
-        fresh = _replica_driven(model, config, seed, TAG_ALT_NOISE, chunk)
-        driven = np.stack([shared, shared, fresh], axis=1).reshape(-1, *shared.shape[1:])
-        paths = _iterate_batch(model, config, np.tile(x0_triple, (len(chunk), 1)), driven)
-        for path in paths:
-            _require_converged(path, config)
-        states = np.stack([path.states for path in paths]).reshape(len(chunk), 3, config.M + 1, -1)
-        rows[chunk] = np.linalg.norm(states[:, :1] - states[:, 1:], axis=3).max(axis=2)
+    # three Picard paths per replica, 66 B per state element: the noise draw, then each path's
+    # states and noise and the sweep's 32 B (traced in chunks of three at M = 200: 56 B, 65 B
+    # once the first chunk has imported numpy.fft; 63 B at M = 1000)
+    for chunk in _blocks(replicas, 66 * 3 * (config.M + 1) * model.n):
+        rows[chunk] = _uniqueness_distances(model, config, seed, chunk, x0_triple)
     x0_dists, noise_dists = rows.T
     threshold = 10.0 * config.tol
     report = ExperimentReport(

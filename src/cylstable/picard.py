@@ -18,6 +18,15 @@ others keep sweeping.  Per element, a replica's arithmetic is the same in
 any batch, so results do not depend on how replicas are batched;
 :func:`picard_step` and :func:`solve` are the batch of one.
 
+Per state element of a batch, a sweep holds at most 32 B above its inputs,
+each buffer being dropped after its last use: the shape s(X) and the loads,
+then the loads and their time-contiguous copy (8 + 8 B), that copy and its
+complex spectrum (8 + 16 B), the spectrum and the real convolution
+(16 + 16 B), then the convolution and the new states (16 + 8 B).  Between
+sweeps a batch holds the active replicas' states and driven increments
+(8 + 8 B); a frozen replica's states are set aside in their place, so each
+replica is held once.
+
 The Picard map accepts only the uniform grids the solver builds,
 np.linspace(0, T, M+1), on which the lagged exponentials
 exp(-lambda (t_k - t_i)) depend on k - i alone.  A sweep evaluates all
@@ -39,6 +48,7 @@ import itertools
 import math
 import warnings
 from dataclasses import dataclass, field, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -172,16 +182,23 @@ def _driven_diagonal(model: DiagonalModel, increments: np.ndarray) -> np.ndarray
     return out
 
 
-def _semigroup_flow(model: DiagonalModel, grid: np.ndarray, x0: np.ndarray) -> np.ndarray:
-    """S(t_k) x0 on the grid: shape (M+1, n) for x0 of shape (n,), (R, M+1, n) for (R, n)."""
-    return np.exp(-np.outer(grid, model.lambdas)) * x0[..., None, :]
-
-
 def _loads(model: DiagonalModel, states: np.ndarray, driven: np.ndarray,
            dts: np.ndarray) -> np.ndarray:
-    """Left-endpoint loads F(X(t_k)) dt_k + G(X(t_k)) dL_k, shape (..., M, n)."""
-    x = states[..., :-1, :]
-    return model.drift(x) * dts[:, None] + model.diffusion_diagonal(x) * driven
+    """Left-endpoint loads F(X(t_k)) dt_k + G(X(t_k)) dL_k, time-contiguous: shape (..., n, M).
+
+    The shape s(X(t_k)) is evaluated once; F = f s and G = kappa s are then
+    formed in place, in the order of ``model.drift`` and
+    ``model.diffusion_diagonal``, so the loads are theirs bit for bit.  At
+    most two (..., M, n) arrays are alive at once.
+    """
+    shape = model.shape_fn(states[..., :-1, :])
+    loads = model.f * shape
+    loads *= dts[:, None]
+    shape *= model.kappa
+    shape *= driven
+    loads += shape
+    del shape
+    return np.swapaxes(loads, -1, -2).copy()
 
 
 def _fft_length(M: int) -> int:
@@ -198,8 +215,17 @@ def _fft_length(M: int) -> int:
     return best
 
 
-def _kernel_spectrum(model: DiagonalModel, grid: np.ndarray) -> np.ndarray:
-    """rfft of the lag kernel exp(-lambda j dt), j = 1..M: shape (n, _fft_length(M) // 2 + 1).
+class _Kernel(NamedTuple):
+    """What the Picard map reads of the grid, built once per batch by :func:`_kernel`."""
+
+    dts: np.ndarray  # (M,) steps
+    decay: np.ndarray  # (M+1, n): exp(-lambda t_k), so S(t_k) x0 = decay * x0
+    size: int  # FFT length, _fft_length(M)
+    spectrum: np.ndarray  # (n, size // 2 + 1): rfft of the lag kernel exp(-lambda j dt)
+
+
+def _kernel(model: DiagonalModel, grid: np.ndarray) -> _Kernel:
+    """The grid factors of the Picard map; the lag kernel is exp(-lambda j dt), j = 1..M.
 
     The grid must be the solver's np.linspace(0, T, M + 1), with dt = T / M;
     any other grid raises ValueError.
@@ -207,26 +233,34 @@ def _kernel_spectrum(model: DiagonalModel, grid: np.ndarray) -> np.ndarray:
     M = grid.size - 1
     if not np.array_equal(grid, np.linspace(0.0, grid[-1], M + 1)):
         raise ValueError("the Picard map needs the solver's grid np.linspace(0, T, M + 1)")
-    kernel = np.exp(-np.outer(model.lambdas, np.arange(1, M + 1) * (grid[-1] / M)))
-    return np.fft.rfft(kernel, _fft_length(M), axis=-1)
+    size = _fft_length(M)
+    lags = np.exp(-np.outer(model.lambdas, np.arange(1, M + 1) * (grid[-1] / M)))
+    return _Kernel(np.diff(grid), np.exp(-np.outer(grid, model.lambdas)), size,
+                   np.fft.rfft(lags, size, axis=-1))
 
 
-def _sweep(model: DiagonalModel, prev: np.ndarray, driven: np.ndarray, dts: np.ndarray,
-           flow: np.ndarray, spectrum: np.ndarray) -> np.ndarray:
-    """One Picard sweep of a batch: prev and flow (R, M+1, n), driven (R, M, n).
+def _sweep(model: DiagonalModel, prev: np.ndarray, driven: np.ndarray, x0s: np.ndarray,
+           kernel: _Kernel) -> np.ndarray:
+    """One Picard sweep of a batch: prev (R, M+1, n), driven (R, M, n), x0s (R, n).
 
     The sum at t_k is the causal convolution sum_{j=1..k} exp(-lambda j dt) b_{k-j}
-    of the loads b_i with the kernel of ``spectrum`` (:func:`_kernel_spectrum`),
-    computed along a time-contiguous copy of the loads.
+    of the loads b_i with the lag kernel, by real FFT along time.  Alive at
+    once, per state element: two copies of the loads (8 + 8 B), the loads and
+    their spectrum (8 + 16 B), the spectrum and the convolution (16 + 16 B),
+    the convolution and the result (16 + 8 B); at most 32 B above the inputs.
     """
-    M = dts.size
-    size = _fft_length(M)
-    loads = np.swapaxes(_loads(model, prev, driven, dts), -1, -2).copy()
-    product = np.fft.rfft(loads, size, axis=-1)
-    product *= spectrum
-    conv = np.fft.irfft(product, size, axis=-1)
-    new = np.array(flow, order="C")
-    new[:, 1:] += np.swapaxes(conv[..., :M], -1, -2)
+    M = kernel.dts.size
+    product = np.fft.rfft(_loads(model, prev, driven, kernel.dts), kernel.size, axis=-1)
+    product *= kernel.spectrum
+    conv = np.fft.irfft(product, kernel.size, axis=-1)
+    del product
+    # the sums plus S(t_k) x0 (-0.0 + x is x, signed zeros too), added in place: a ufunc
+    # on the strided view of conv would allocate numpy's iteration buffers, a copy does not
+    new = np.empty((conv.shape[0], M + 1, conv.shape[1]))
+    new[:, 0] = -0.0
+    np.copyto(new[:, 1:], np.swapaxes(conv[..., :M], -1, -2))
+    del conv
+    new += kernel.decay * x0s[:, None, :]
     return new
 
 
@@ -247,10 +281,8 @@ def picard_step(
         raise ValueError(
             f"previous path has shape {prev_states.shape}, expected {(grid.size, model.n)}"
         )
-    spectrum = _kernel_spectrum(model, grid)
     driven = _driven_diagonal(model, noise.increments)
-    flow = _semigroup_flow(model, grid, x0)
-    return _sweep(model, prev_states[None], driven[None], noise.dts, flow[None], spectrum)[0]
+    return _sweep(model, prev_states[None], driven[None], x0[None], _kernel(model, grid))[0]
 
 
 def residual(model: DiagonalModel, path: MildPath, noise: NoisePath, x0: np.ndarray) -> float:
@@ -280,28 +312,30 @@ def _iterate_batch(
     :func:`solve` adds it.
     """
     grid = config.grid()
-    dts = np.diff(grid)
-    spectrum = _kernel_spectrum(model, grid)
-    flow = _semigroup_flow(model, grid, x0s)
-    states = flow.copy()
-    gaps: list[list[float]] = [[] for _ in range(x0s.shape[0])]
-    # the active replicas' states, driven increments and flows: the whole arrays
-    # until a replica freezes, then gathered once per freeze, not once per sweep
-    active, current = np.arange(x0s.shape[0]), states
+    kernel = _kernel(model, grid)
+    count = x0s.shape[0]
+    current = kernel.decay * x0s[:, None, :]  # the semigroup flow S(t_k) x0 of each replica
+    gaps: list[list[float]] = [[] for _ in range(count)]
+    # the active replicas' states, driven increments and initial states are gathered once
+    # per freeze, and the frozen replicas' states set aside, so each replica is held once
+    active, done = np.arange(count), []
     for _ in range(config.N_max):
-        new = _sweep(model, current, driven, dts, flow, spectrum)
+        new = _sweep(model, current, driven, x0s, kernel)
         sweep_gaps = np.linalg.norm(new - current, axis=2).max(axis=1)
-        for r, gap in zip(active, sweep_gaps):
-            gaps[r].append(float(gap))
-        current = new
+        for r, gap in zip(active.tolist(), sweep_gaps.tolist()):
+            gaps[r].append(gap)
         frozen = sweep_gaps < config.tol
         if frozen.any():
-            states[active[frozen]] = new[frozen]
+            done.append((active[frozen], new[frozen]))
             keep = ~frozen
-            active, current, driven, flow = active[keep], new[keep], driven[keep], flow[keep]
-            if active.size == 0:
-                break
-    states[active] = current  # replicas still active after N_max sweeps
+            active, new, driven, x0s = active[keep], new[keep], driven[keep], x0s[keep]
+        current = new
+        if active.size == 0:
+            break
+    done.append((active, current))  # replicas still active after N_max sweeps
+    states = np.empty((count, *current.shape[1:]))
+    for rows, block in done:
+        states[rows] = block
     return [
         MildPath(grid=grid, states=states[r], iteration_count=len(g), final_picard_gap=g[-1],
                  residual=math.nan, gaps=g)

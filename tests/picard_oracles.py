@@ -1,14 +1,22 @@
-"""Test-only oracle for the Picard solver: the iteration seeded by the zero path.
+"""Test-only oracles for the Picard solver: the semigroup flow and the zero-seeded iteration.
 
 The discrete Picard map is strictly causal, so its fixed point does not
 depend on the seed of the iteration (:mod:`cylstable.picard`).  The solver
-seeds with the semigroup flow only; this oracle runs the same sweeps from
-zero, so a test can compare the two fixed points.
+seeds with the semigroup flow only; :func:`zero_seeded_states` runs the same
+sweeps from zero, so a test can compare the two fixed points.
 """
 
 import numpy as np
 
 from cylstable import picard
+
+
+def semigroup_flow(model, grid, x0) -> np.ndarray:
+    """S(t_k) x0 on any grid: shape (M+1, n) for x0 of shape (n,), (R, M+1, n) for (R, n).
+
+    The arithmetic of the solver's seed and of every sweep's S(t_k) x0 term.
+    """
+    return np.exp(-np.outer(grid, model.lambdas)) * x0[..., None, :]
 
 
 def zero_seeded_states(model, config, noise) -> np.ndarray:
@@ -18,13 +26,12 @@ def zero_seeded_states(model, config, noise) -> np.ndarray:
     does; raises AssertionError if none is within ``config.N_max`` sweeps.
     """
     grid = config.grid()
-    dts = np.diff(grid)
-    spectrum = picard._kernel_spectrum(model, grid)
-    flow = picard._semigroup_flow(model, grid, config.initial_state())[None]
+    kernel = picard._kernel(model, grid)
+    x0s = config.initial_state()[None]
     driven = picard._driven_diagonal(model, noise.increments)[None]
-    states = np.zeros_like(flow)
+    states = np.zeros((1, grid.size, model.n))
     for _ in range(config.N_max):
-        new = picard._sweep(model, states, driven, dts, flow, spectrum)
+        new = picard._sweep(model, states, driven, x0s, kernel)
         gap = np.linalg.norm(new - states, axis=2).max()
         states = new
         if gap < config.tol:

@@ -28,7 +28,6 @@ from cylstable.picard import (
     SolverConfig,
     _driven_diagonal,
     _iterate_batch,
-    _semigroup_flow,
     binding_time_bound,
     horizon_bounds,
     picard_step,
@@ -36,6 +35,8 @@ from cylstable.picard import (
 )
 from cylstable.rng import TAG_ALT_NOISE, TAG_REPLICA
 from cylstable.sampling import NoisePath, _noise_increments, sample_isotropic
+
+from picard_oracles import semigroup_flow
 
 
 def test_tail_zero_operator():
@@ -391,7 +392,7 @@ def per_replica_picard_decay(model, config, n_iters, p, replicas, seed):
     diffs = np.empty((replicas, n_iters))
     for r in range(replicas):
         noise = replica_noise(config, seed, TAG_REPLICA, r)
-        prev = _semigroup_flow(model, grid, x0)
+        prev = semigroup_flow(model, grid, x0)
         for it in range(n_iters):
             new = picard_step(model, prev, noise, x0)
             diffs[r, it] = np.linalg.norm(new[-1] - prev[-1])
@@ -473,13 +474,34 @@ def test_experiment_tables_independent_of_batch_budget(monkeypatch):
         dists = uniqueness_experiment(model, uniq_cfg, replicas=5, seed=20).tables["distances"]
         return [decay["moment"], decay["stderr"], dists["x0_perturbed"], dists["fresh_noise"]]
 
-    assert len(rng._blocks(5, 118 * 3 * 51 * 8)) == 1
+    assert len(rng._blocks(5, 66 * 3 * 51 * 8)) == 1
     batched = tables()
     monkeypatch.setattr(rng, "_BLOCK_BYTES", 64 * 51 * 8)  # one replica a chunk
-    assert len(rng._blocks(5, 118 * 3 * 51 * 8)) == 5
+    assert len(rng._blocks(5, 66 * 3 * 51 * 8)) == 5
     chunked = tables()
     for ours, reference in zip(batched, chunked, strict=True):
         assert np.array_equal(ours, reference)
+
+
+def test_uniqueness_batches_three_replicas_a_chunk_on_the_benchmark_grid(monkeypatch):
+    # 25 replicas at M = 200, n = 8: nine chunks (one Picard batch and one noise draw each)
+    model = heat_preset(8)
+    config = SolverConfig(alpha=1.5, T=0.9 * binding_time_bound(model, 1.5), M=200, n=8, seed=7)
+    calls = {"batches": 0, "draws": 0}
+
+    def counted(name, key):
+        original = getattr(experiments, name)
+
+        def wrapper(*args):
+            calls[key] += 1
+            return original(*args)
+        monkeypatch.setattr(experiments, name, wrapper)
+
+    counted("_iterate_batch", "batches")
+    counted("_noise_increments", "draws")
+    uniqueness_experiment(model, config, replicas=25, seed=7)
+    assert calls["batches"] <= 9
+    assert calls["draws"] == calls["batches"]
 
 
 def _report_bits(report):

@@ -20,7 +20,8 @@ from cylstable.hilbert import (
     parse_model_config,
 )
 from cylstable.integral import constant_integrand
-from cylstable.picard import _semigroup_flow
+
+from picard_oracles import semigroup_flow
 
 
 def two_mode_model(lambdas=(1.0, 4.0)):
@@ -44,7 +45,7 @@ def test_hsmatrix_norm_and_diagonal():
 
 def semigroup(model, t, x):
     """S(t)x as the solver applies it: its flow on the one-point grid [t]."""
-    return _semigroup_flow(model, np.array([t]), x)[0]
+    return semigroup_flow(model, np.array([t]), x)[0]
 
 
 def test_semigroup_identity_at_zero():

@@ -2,6 +2,7 @@
 
 import math
 import time
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -22,12 +23,11 @@ from cylstable.picard import (
     residual,
     solve,
     _driven_diagonal,
-    _semigroup_flow,
 )
 from cylstable.rng import TAG_PIECE
 from cylstable.sampling import NoisePath, _noise_increments, _row_norms, generate_noise_path
 
-from picard_oracles import zero_seeded_states
+from picard_oracles import semigroup_flow, zero_seeded_states
 
 
 def drift_convolution(model, states, grid):
@@ -96,7 +96,7 @@ def direct_sum_picard_step(model, prev, noise, x0):
     loads = (model.drift(prev[:-1]) * noise.dts[:, None]
              + model.diffusion_diagonal(prev[:-1]) * _driven_diagonal(model, noise.increments))
     lags = grid[:, None] - grid[None, :-1]
-    new = _semigroup_flow(model, grid, x0)
+    new = semigroup_flow(model, grid, x0)
     for k in range(grid.size):
         weights = np.exp(-np.outer(model.lambdas, lags[k, :k]))
         new[k] += (weights * loads[:k].T).sum(axis=1)
@@ -116,7 +116,7 @@ def test_picard_step_and_residual_equal_the_direct_double_sum():
         config = SolverConfig(alpha=1.5, T=0.05, M=M, n=8, seed=7)
         noise = generate_noise_path(1.5, 8, config.grid(), config.seed)
         x0 = config.initial_state()
-        prev = _semigroup_flow(model, config.grid(), x0)
+        prev = semigroup_flow(model, config.grid(), x0)
         for _ in range(3):
             new = picard_step(model, prev, noise, x0)
             assert np.abs(new - direct_sum_picard_step(model, prev, noise, x0)).max() <= 1e-14
@@ -130,7 +130,7 @@ def test_picard_step_is_within_5e_16_of_a_long_double_direct_sum():
     config = SolverConfig(alpha=1.5, T=0.05, M=5000, n=8, seed=7)
     noise = generate_noise_path(1.5, 8, config.grid(), config.seed)
     x0 = config.initial_state()
-    flow = _semigroup_flow(model, config.grid(), x0)
+    flow = semigroup_flow(model, config.grid(), x0)
     new = picard_step(model, flow, noise, x0)
     loads = (model.drift(flow[:-1]) * noise.dts[:, None]
              + model.diffusion_diagonal(flow[:-1]) * noise.increments).astype(np.longdouble)
@@ -139,6 +139,44 @@ def test_picard_step_is_within_5e_16_of_a_long_double_direct_sum():
     for k in range(0, config.M + 1, 25):
         exact = flow[k].astype(np.longdouble) + (kernel[:k] * loads[k - 1::-1][:k]).sum(axis=0)
         assert np.abs(new[k] - exact).max() <= 5e-16
+
+
+def test_loads_equal_drift_and_diffusion_bit_for_bit():
+    # the shape is evaluated once and the products formed in place, in the order of
+    # model.drift and model.diffusion_diagonal
+    rng = np.random.default_rng(5)
+    states = rng.standard_normal((3, 41, 8))
+    driven = rng.standard_normal((3, 40, 8))
+    dts = rng.uniform(0.01, 0.02, 40)
+    for shape in ("tanh", "one", "zero"):
+        model = make_model(n=8, shape=shape)
+        x = states[:, :-1]
+        expected = model.drift(x) * dts[:, None] + model.diffusion_diagonal(x) * driven
+        loads = picard._loads(model, states, driven, dts)
+        assert loads.flags.c_contiguous  # time-contiguous, as the FFT reads it
+        assert np.swapaxes(loads, -1, -2).tobytes() == np.ascontiguousarray(expected).tobytes()
+
+
+def test_sweep_holds_at_most_32_bytes_per_state_element_above_its_inputs():
+    # two copies of the loads, the loads and their spectrum, the spectrum and the convolution,
+    # the convolution and the result: each freed after its last use, so a buffer kept alive
+    # again adds 8 B or more
+    model = heat_preset(8)
+    config = SolverConfig(alpha=1.5, T=0.05, M=200, n=8)
+    kernel = picard._kernel(model, config.grid())
+    rng = np.random.default_rng(6)
+    prev = rng.standard_normal((9, 201, 8))
+    driven = 0.01 * rng.standard_normal((9, 200, 8))
+    x0s = rng.standard_normal((9, 8))
+    picard._sweep(model, prev, driven, x0s, kernel)  # numpy.fft's first call allocates once
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        picard._sweep(model, prev, driven, x0s, kernel)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert peak <= 33 * prev.size  # 32 B and numpy's small fixed allocations
 
 
 def test_fft_length_is_the_smallest_5_smooth_length_without_wrap_around():
@@ -199,7 +237,7 @@ def test_zero_coefficients_reduce_to_flow():
     model = make_model(n=3, f_rule="zero", kappa_rule="zero")
     config = SolverConfig(alpha=1.5, T=0.5, M=20, n=3, seed=101)
     path = solve(model, config, warn_beyond_bound=False)
-    flow = _semigroup_flow(model, config.grid(), config.initial_state())
+    flow = semigroup_flow(model, config.grid(), config.initial_state())
     assert np.array_equal(path.states, flow)
     assert path.iteration_count == 1
     assert path.final_picard_gap == 0.0

@@ -1,6 +1,7 @@
 """Stream derivation and file conventions."""
 
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -147,7 +148,8 @@ def _block_sites():
     model = heat_preset(8)
     picard_cfg = SolverConfig(alpha=1.5, T=0.9 * horizon_bounds(model, 1.5)["T_picard"],
                               M=200, n=8, seed=3)
-    # at M = 50 a chunk holds several replicas (one at M = 200), so their bytes are summed
+    # a chunk holds several replicas (twelve at M = 50, three at M = 200), so their bytes are
+    # summed
     uniq_cfg = SolverConfig(alpha=1.5, T=0.8 * binding_time_bound(model, 1.5), M=50, n=8,
                             seed=3)
     path = sampling.generate_noise_path(1.5, 8, np.linspace(0.0, 1.0, 3_001), seed=3)
@@ -159,7 +161,9 @@ def _block_sites():
         "picard": (experiments, lambda: picard_convergence_experiment(
             model, picard_cfg, n_iters=3, replicas=30, seed=3)),
         "uniqueness": (experiments, lambda: uniqueness_experiment(
-            model, uniq_cfg, replicas=24, seed=3)),
+            model, uniq_cfg, replicas=36, seed=3)),
+        "uniqueness_M200": (experiments, lambda: uniqueness_experiment(
+            model, replace(uniq_cfg, M=200), replicas=9, seed=3)),
         "open_uniform_rows": (rng, lambda: open_uniform_rows([3, 5, np.arange(20_000)], 10)),
         "ndtri": (sampling, lambda: sampling._ndtri(open_uniform(substream(3), 3 * 2**15))),
         "sup_integral_norms": (experiments, lambda: list(experiments._sup_integral_norms(

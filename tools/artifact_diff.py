@@ -4,8 +4,10 @@
 
 OLD_SRC and NEW_SRC are ``src/`` directories (for example of a ``git archive``
 of the parent commit and of the working tree).  The commands are the README's
-CLI examples and the benchmark commands of ``perfbench/run.py``
-(``workloads(FULL)``, imported, never edited).  Each runs once per seed as
+CLI examples, the benchmark commands of ``perfbench/run.py``
+(``workloads(FULL)``, imported, never edited) and a few replica experiments
+whose block-budget chunks split differently from the benchmark's (``CHUNKED``),
+so that a change to batching is compared where its chunks differ.  Each runs once per seed as
 ``python -m cylstable.cli`` with the tree on ``PYTHONPATH``, in a fresh
 directory of its own (``--out .`` is set on every command, and ``--seed`` on
 every command but ``constants``, which draws nothing and takes no seed;
@@ -66,6 +68,17 @@ def benchmark_commands() -> list[tuple[str, list[str]]]:
     return [(f"bench {workload}/{name}", args)
             for workload, commands in run.workloads(run.FULL).items()
             for name, args in commands.items()]
+
+
+# chunk boundaries the benchmark's sizes do not reach: several replicas a chunk and a
+# short last chunk, one replica a chunk, and the picard loop at a long grid
+CHUNKED = [
+    ("chunked uniqueness M=50", ["uniqueness", "--preset", "heat", "--M", "50",
+                                 "--replicas", "40"]),
+    ("chunked uniqueness M=1000", ["uniqueness", "--preset", "heat", "--M", "1000",
+                                   "--replicas", "4"]),
+    ("chunked picard M=1000", ["picard", "--preset", "heat", "--M", "1000", "--replicas", "12"]),
+]
 
 
 def with_seed_and_out(args: list[str], seed: int) -> list[str]:
@@ -159,7 +172,7 @@ def main(argv=None) -> int:
     opts = parser.parse_args(argv)
     trees = [opts.old_src.resolve(), opts.new_src.resolve()]
     seeds = [int(s) for s in opts.seeds.split(",")]
-    commands = readme_commands() + benchmark_commands()
+    commands = readme_commands() + benchmark_commands() + CHUNKED
     with tempfile.TemporaryDirectory(prefix="artifact_diff_") as tmp:
         runs = []
         for seed in seeds:
