@@ -7,7 +7,9 @@ Each subcommand declares its options once, as ``key -> (caster, default)``;
 the flags (``--key-with-dashes``), the keys accepted by the optional flat
 key=value ``--config`` file and the keys of every artifact header all come
 from that table.  Flags override the config file, which overrides the
-defaults; unknown config keys and malformed values are usage errors.
+defaults; unknown config keys and malformed values are usage errors.  A
+subcommand with modes also names the keys that only some of its modes read:
+such a key is refused in the other modes and never reaches a header there.
 Each handler imports the modules it calls, so a command loads only those.
 
 Exit codes: 0 all verdicts pass, 1 verdict failure (or non-convergence),
@@ -46,7 +48,6 @@ from .rng import stream_word, substream
 
 if TYPE_CHECKING:  # annotations only; the handlers import what they call
     from .experiments import ExperimentReport
-    from .picard import SolverConfig
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
@@ -58,19 +59,36 @@ class UsageError(Exception):
     pass
 
 
-# subcommand name -> (handler, spec); the spec maps each option key to (caster, default)
-_COMMANDS: dict[str, tuple[Callable[[dict], int], dict[str, tuple]]] = {}
+# subcommand name -> (handler, spec, mode, only); the spec maps each option key to
+# (caster, default), mode(resolved) names the active mode, and only maps a mode to the
+# keys that only it reads (a key that no mode lists is read by every mode)
+_COMMANDS: dict[str, tuple[Callable[[dict], int], dict[str, tuple], Callable, dict]] = {}
 
 
-def _command(name: str, spec: dict[str, tuple]):
+def _command(name: str, spec: dict[str, tuple], mode: Callable[[dict], str] = lambda _: "",
+             only: dict[str, tuple[str, ...]] | None = None):
     def register(handler):
-        _COMMANDS[name] = (handler, spec)
+        _COMMANDS[name] = (handler, spec, mode, only or {})
         return handler
     return register
 
 
-def _resolve(args: argparse.Namespace, spec: dict[str, tuple]) -> dict:
-    """Layer resolution: built-in default < config file < explicit flag, one caster for both."""
+def _flag(key: str) -> str:
+    return f"--{key.replace('_', '-')}"
+
+
+def _given(key: str) -> Callable[[dict], str]:
+    """The mode of a command whose option ``key`` switches it on when given."""
+    return lambda resolved: f"{'without' if resolved[key] is None else 'with'} {_flag(key)}"
+
+
+def _resolve(args: argparse.Namespace, spec: dict[str, tuple], mode: Callable[[dict], str],
+             only: dict[str, tuple[str, ...]]) -> dict:
+    """Layer resolution: built-in default < config file < explicit flag, one caster for both.
+
+    A key that only other modes read is refused if set, and left out of the result,
+    so that the headers record what was read and nothing else.
+    """
     raw: dict[str, str] = {}
     if args.config is not None:
         raw = parse_key_values(Path(args.config).read_text(encoding="utf-8"), spec, "config")
@@ -85,13 +103,19 @@ def _resolve(args: argparse.Namespace, spec: dict[str, tuple]) -> dict:
             resolved[key] = caster(raw[key])
         except ValueError as exc:
             raise UsageError(f"{key}={raw[key]!r}: {exc}") from None
+    active = mode(resolved)
+    modal = {key for keys in only.values() for key in keys}.difference(only.get(active, ()))
+    for key in filter(modal.__contains__, spec):  # in spec order: one argv, one message
+        if key in raw:
+            raise UsageError(f"{_flag(key)} is not read {active}")
+        del resolved[key]
     return resolved
 
 
 def _require(resolved: dict, *keys: str) -> None:
     for key in keys:
         if resolved.get(key) is None:
-            raise UsageError(f"--{key.replace('_', '-')} is required for this subcommand")
+            raise UsageError(f"{_flag(key)} is required for this subcommand")
 
 
 def _seed(text: str) -> int:
@@ -101,6 +125,15 @@ def _seed(text: str) -> int:
 
 def _parse_floats(text: str) -> tuple[float, ...]:
     return tuple(float(x) for x in text.split(",") if x != "")
+
+
+def _choice(*names: str) -> Callable[[str], str]:
+    """A caster that accepts only ``names``."""
+    def cast(text: str) -> str:
+        if text not in names:
+            raise ValueError(f"not one of {' | '.join(names)}")
+        return text
+    return cast
 
 
 def _out_dir(resolved: dict) -> Path:
@@ -154,29 +187,24 @@ def cmd_constants(resolved: dict) -> int:
 
 
 @_command("sample", {
-    "kind": (str, "sas"), "alpha": (float, None), "scale": (float, 1.0), "n": (int, 1),
-    "N": (int, 10000), "seed": (_seed, None), "out": (str, "."),
-})
+    "kind": (_choice("sas", "positive", "isotropic"), "sas"), "alpha": (float, None),
+    "scale": (float, 1.0), "n": (int, 1), "N": (int, 10000), "seed": (_seed, None),
+    "out": (str, "."),
+}, mode=lambda r: f"with --kind {r['kind']}",
+   only={"with --kind sas": ("scale",), "with --kind isotropic": ("n",)})
 def cmd_sample(resolved: dict) -> int:
     from .sampling import AlphaParams, sample_isotropic, sample_positive_stable, sample_scalar_sas
 
     _require(resolved, "alpha", "seed")
-    kind = resolved["kind"]
+    alpha, seed, size = resolved["alpha"], resolved["seed"], resolved["N"]
     out = _out_dir(resolved)
-    if kind == "sas":
-        draws = sample_scalar_sas(AlphaParams(resolved["alpha"], resolved["scale"]),
-                                  resolved["seed"], size=resolved["N"])
-        cols = {"x": draws}
-    elif kind == "positive":
-        draws = sample_positive_stable(resolved["alpha"] / 2.0, resolved["seed"],
-                                       size=resolved["N"])
-        cols = {"x": draws}
-    elif kind == "isotropic":
-        draws = sample_isotropic(resolved["alpha"], resolved["n"], resolved["seed"],
-                                 size=resolved["N"])
-        cols = {f"x_{j + 1}": draws[:, j] for j in range(resolved["n"])}
+    if resolved["kind"] == "sas":
+        cols = {"x": sample_scalar_sas(AlphaParams(alpha, resolved["scale"]), seed, size=size)}
+    elif resolved["kind"] == "positive":
+        cols = {"x": sample_positive_stable(alpha / 2.0, seed, size=size)}
     else:
-        raise UsageError(f"unknown sample kind {kind!r} (sas | positive | isotropic)")
+        draws = sample_isotropic(alpha, resolved["n"], seed, size=size)
+        cols = {f"x_{j + 1}": draws[:, j] for j in range(resolved["n"])}
     write_csv(out / "samples.csv", cols, resolved)
     print(f"wrote {out / 'samples.csv'} ({resolved['N']} draws)")
     return EXIT_PASS
@@ -204,35 +232,30 @@ _PROFILES = {"const": np.ones_like, "linear": lambda s: s}
 
 
 @_command("integrate", {
-    "alpha": (float, None), "gamma": (_parse_floats, (1.0,)), "profile": (str, "const"),
-    "T": (float, 1.0), "M": (int, 100), "seed": (_seed, None), "out": (str, "."),
-    "refinement_levels": (int, None), "replicas": (int, 2000), "epsilon": (float, 0.02),
-})
+    "alpha": (float, None), "gamma": (_parse_floats, (1.0,)),
+    "profile": (_choice(*_PROFILES), "const"), "T": (float, 1.0), "M": (int, 100),
+    "seed": (_seed, None), "out": (str, "."), "refinement_levels": (int, None),
+    "replicas": (int, 2000), "epsilon": (float, 0.02),
+}, mode=_given("refinement_levels"), only={"with --refinement-levels": ("replicas", "epsilon")})
 def cmd_integrate(resolved: dict) -> int:
     from .hilbert import HSMatrix
     from .integral import StepIntegrand, integrate, refinement_experiment
     from .sampling import generate_noise_path
 
     _require(resolved, "alpha", "seed")
-    profile = _PROFILES.get(resolved["profile"])
-    if profile is None:
-        raise UsageError(f"unknown profile {resolved['profile']!r} (const | linear)")
+    profile = _PROFILES[resolved["profile"]]
     gamma = np.asarray(resolved["gamma"], dtype=float)
     grid = np.linspace(0.0, resolved["T"], resolved["M"] + 1)
     psi = HSMatrix.diagonal(gamma)
     out = _out_dir(resolved)
 
     if resolved["refinement_levels"] is not None:
-        # refinement-convergence experiment for the selected profile
-        result = refinement_experiment(
-            profile, psi, resolved["alpha"], resolved["T"], resolved["M"],
-            resolved["refinement_levels"], resolved["replicas"], resolved["epsilon"],
-            resolved["seed"],
-        )
+        result = refinement_experiment(profile, psi, resolved["alpha"], resolved["T"],
+                                       resolved["M"], resolved["refinement_levels"],
+                                       resolved["replicas"], resolved["epsilon"], resolved["seed"])
         write_csv(out / "refinement.csv", result["table"], resolved)
-        write_summary(out / "refinement.summary",
-                      {"monotone": result["monotone"], "replicas": result["replicas"]},
-                      resolved)
+        write_summary(out / "refinement.summary", {"monotone": result["monotone"],
+                                                   "replicas": result["replicas"]}, resolved)
         print(f"wrote {out / 'refinement.csv'} (monotone={result['monotone']})")
         return EXIT_PASS if result["monotone"] else EXIT_FAIL
 
@@ -246,81 +269,73 @@ def cmd_integrate(resolved: dict) -> int:
     return EXIT_PASS
 
 
-# the keys _model_from reads
-_MODEL_SPEC = {
-    "preset": (str, "heat"), "model_config": (str, None), "n": (int, 8), "m": (int, None),
-}
+# the keys _model_from reads; a model file defines the preset's n
+_MODEL_SPEC = {"preset": (_choice("heat"), "heat"), "model_config": (str, None), "n": (int, 8)}
+_MODEL_MODE = {"mode": _given("model_config"), "only": {"without --model-config": ("preset", "n")}}
 # solver options shared by solve, glue, picard and uniqueness; each adds its horizon key
 _SOLVER_SPEC = {
-    "alpha": (float, 1.5), **_MODEL_SPEC, "M": (int, 200), "N_max": (int, 64),
-    "tol": (float, 1e-12), "seed": (_seed, None), "out": (str, "."), "x0": (_parse_floats, None),
+    "alpha": (float, 1.5), **_MODEL_SPEC, "m": (int, None), "M": (int, 200),
+    "seed": (_seed, None), "out": (str, "."), "x0": (_parse_floats, None),
 }
+# the Picard stopping rule of solve, glue and uniqueness; picard runs exactly --iters sweeps
+_STOPPING_SPEC = {"N_max": (int, 64), "tol": (float, 1e-12)}
 
 
 def _model_from(resolved: dict):
     """The preset or model file; an explicit ``m`` overrides the file's noise dimension.
 
-    ``n`` and ``m`` of ``resolved`` become the dimensions solved, and a model
-    file's content is recorded as ``model_sha256``, so every artifact header
-    pins the problem solved, not only the file's path.
+    ``n`` (and ``m``, where the command takes it) of ``resolved`` become the
+    dimensions solved, and a model file's content is recorded as
+    ``model_sha256``, so every artifact header pins the problem solved, not
+    only the file's path.
     """
     from .hilbert import heat_preset, parse_model_config
 
-    if resolved["model_config"]:
+    m = resolved.get("m")
+    if resolved["model_config"] is not None:
         import hashlib  # here, not at the top: it maps OpenSSL into every command
 
         content = Path(resolved["model_config"]).read_bytes()
         resolved["model_sha256"] = hashlib.sha256(content).hexdigest()
         model = parse_model_config(content.decode("utf-8"))
-        if resolved["m"] is not None:
-            model = replace(model, m=resolved["m"])
+        if m is not None:
+            model = replace(model, m=m)
     else:
-        preset = resolved["preset"] or "heat"
-        if preset != "heat":
-            raise UsageError(f"unknown preset {preset!r}; available: heat")
-        model = heat_preset(n=resolved["n"], m=resolved["m"])
-    resolved["n"], resolved["m"] = model.n, model.noise_dim
+        model = heat_preset(n=resolved["n"], m=m)
+    resolved["n"] = model.n
+    if "m" in resolved:
+        resolved["m"] = model.noise_dim
     return model
 
 
-def _config_from(resolved: dict, model, horizon: float) -> SolverConfig:
-    from .picard import SolverConfig
-
-    x0 = np.asarray(resolved["x0"], float) if resolved["x0"] else None
-    return SolverConfig(alpha=resolved["alpha"], T=horizon, M=resolved["M"], n=model.n,
-                        m=model.m, N_max=resolved["N_max"], tol=resolved["tol"],
-                        seed=resolved["seed"], x0=x0)
-
-
-def _ensemble_setup(resolved: dict):
-    """Model and config of picard and uniqueness; the horizon defaults to 0.9 T_bound."""
-    from .picard import binding_time_bound
+def _solver_setup(resolved: dict, horizon: str = "T") -> tuple:
+    """Model and solver config; a horizon left unset is 0.9 T_bound (picard, uniqueness)."""
+    from .picard import SolverConfig, binding_time_bound
 
     _require(resolved, "seed")
     model = _model_from(resolved)
-    if resolved["T"] is None:
-        resolved["T"] = 0.9 * binding_time_bound(model, resolved["alpha"])
-    return model, _config_from(resolved, model, resolved["T"])
+    if resolved[horizon] is None:
+        resolved[horizon] = 0.9 * binding_time_bound(model, resolved["alpha"])
+    x0 = np.asarray(resolved["x0"], float) if resolved["x0"] else None
+    stopping = {key: resolved[key] for key in _STOPPING_SPEC if key in resolved}
+    return model, SolverConfig(alpha=resolved["alpha"], T=resolved[horizon], M=resolved["M"],
+                               n=model.n, m=model.m, seed=resolved["seed"], x0=x0, **stopping)
 
 
 def _write_mild_path(path, file: Path, resolved: dict) -> None:
     write_csv(file, {"t": path.grid, **{f"x_{j + 1}": x for j, x in enumerate(path.states.T)}},
               resolved)
     with open(file, "a", newline="\n") as fh:
-        fh.write(
-            f"# iteration_count={path.iteration_count} "
-            f"gap={format_value(path.final_picard_gap)} "
-            f"residual={format_value(path.residual)}\n"
-        )
+        fh.write(f"# iteration_count={path.iteration_count} gap="
+                 f"{format_value(path.final_picard_gap)} residual={format_value(path.residual)}\n")
 
 
-@_command("solve", {**_SOLVER_SPEC, "T": (float, None)})
+@_command("solve", {**_SOLVER_SPEC, **_STOPPING_SPEC, "T": (float, None)}, **_MODEL_MODE)
 def cmd_solve(resolved: dict) -> int:
     from .picard import binding_time_bound, solve
 
     _require(resolved, "T", "seed")
-    model = _model_from(resolved)
-    config = _config_from(resolved, model, resolved["T"])
+    model, config = _solver_setup(resolved)
     out = _out_dir(resolved)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
@@ -328,24 +343,20 @@ def cmd_solve(resolved: dict) -> int:
     for warning in caught:
         print(f"warning: {warning.message}", file=sys.stderr)
     _write_mild_path(path, out / "mild_path.csv", resolved)
-    write_summary(out / "mild_path.summary",
-                  {"iteration_count": path.iteration_count,
-                   "final_picard_gap": path.final_picard_gap,
-                   "residual": path.residual,
-                   "T_bound": binding_time_bound(model, config.alpha)},
-                  resolved)
+    write_summary(out / "mild_path.summary", {
+        "iteration_count": path.iteration_count, "final_picard_gap": path.final_picard_gap,
+        "residual": path.residual, "T_bound": binding_time_bound(model, config.alpha)}, resolved)
     print(f"solved in {path.iteration_count} iterations, gap={path.final_picard_gap:.3e}, "
           f"residual={path.residual:.3e}")
     return EXIT_PASS
 
 
-@_command("glue", {**_SOLVER_SPEC, "T_total": (float, None)})
+@_command("glue", {**_SOLVER_SPEC, **_STOPPING_SPEC, "T_total": (float, None)}, **_MODEL_MODE)
 def cmd_glue(resolved: dict) -> int:
     from .picard import glue_solve
 
     _require(resolved, "T_total", "seed")
-    model = _model_from(resolved)
-    config = _config_from(resolved, model, resolved["T_total"])
+    model, config = _solver_setup(resolved, "T_total")
     out = _out_dir(resolved)
     path = glue_solve(model, config)
     _write_mild_path(path, out / "glued_path.csv", resolved)
@@ -357,37 +368,22 @@ def cmd_glue(resolved: dict) -> int:
     return EXIT_PASS
 
 
-# the defaults of the options that only one tail mode reads: with --integrand const, or without
-_TAIL_MODE_DEFAULTS = {"const": {"M": 16, "T": 1.0, "scale_factor": 2.0}, None: {"t": 1.0}}
-
-
 @_command("tail", {
-    "alpha": (float, None), "t": (float, None), "gamma": (_parse_floats, (1.0,)),
+    "alpha": (float, None), "t": (float, 1.0), "gamma": (_parse_floats, (1.0,)),
     "N": (int, 100_000), "r_min": (float, 10.0), "r_max": (float, 100.0),
     "r_count": (int, 13), "seed": (_seed, None), "out": (str, "."),
-    "integrand": (str, None), "M": (int, None), "T": (float, None),
-    "scale_factor": (float, None),
-})
+    "integrand": (_choice("const"), None), "M": (int, 16), "T": (float, 1.0),
+    "scale_factor": (float, 2.0),
+}, mode=_given("integrand"),
+   only={"without --integrand": ("t",), "with --integrand": ("M", "T", "scale_factor")})
 def cmd_tail(resolved: dict) -> int:
     from .experiments import tail_experiment
     from .hilbert import HSMatrix
     from .integral import constant_integrand
 
     _require(resolved, "alpha", "seed")
-    mode = resolved["integrand"]
-    if mode not in _TAIL_MODE_DEFAULTS:
-        raise UsageError("only --integrand const is supported")
-    # an option of the other mode would go unread, yet into every header: refuse it
-    for other, defaults in _TAIL_MODE_DEFAULTS.items():
-        for key, default in defaults.items():
-            if other == mode:
-                if resolved[key] is None:
-                    resolved[key] = default
-            elif resolved.pop(key) is not None:
-                raise UsageError(f"--{key.replace('_', '-')} is read only "
-                                 f"{'with' if other else 'without'} --integrand const")
     gamma = np.asarray(resolved["gamma"], dtype=float)
-    if mode == "const":
+    if resolved["integrand"]:
         grid = np.linspace(0.0, resolved["T"], resolved["M"] + 1)
         report = tail_experiment(constant_integrand(HSMatrix.diagonal(gamma), grid),
                                  resolved["alpha"], n_samples=resolved["N"],
@@ -421,43 +417,48 @@ def cmd_moment(resolved: dict) -> int:
 
 
 @_command("picard", {**_SOLVER_SPEC, "T": (float, None), "iters": (int, 8), "p": (float, 1.0),
-                     "replicas": (int, 200)})
+                     "replicas": (int, 200)}, **_MODEL_MODE)
 def cmd_picard(resolved: dict) -> int:
     from .experiments import picard_convergence_experiment
 
-    model, config = _ensemble_setup(resolved)
+    model, config = _solver_setup(resolved)
     report = picard_convergence_experiment(model, config, n_iters=resolved["iters"],
                                            p=resolved["p"], replicas=resolved["replicas"],
                                            seed=resolved["seed"])
     return _report_exit(report, Path(resolved["out"]), resolved)
 
 
-@_command("uniqueness", {**_SOLVER_SPEC, "T": (float, None), "replicas": (int, 100)})
+@_command("uniqueness", {**_SOLVER_SPEC, **_STOPPING_SPEC, "T": (float, None),
+                         "replicas": (int, 100)}, **_MODEL_MODE)
 def cmd_uniqueness(resolved: dict) -> int:
     from .experiments import uniqueness_experiment
 
-    model, config = _ensemble_setup(resolved)
+    model, config = _solver_setup(resolved)
     report = uniqueness_experiment(model, config, replicas=resolved["replicas"],
                                    seed=resolved["seed"])
     return _report_exit(report, Path(resolved["out"]), resolved)
 
 
+_NEAR_EQUALITY_M = 10_000  # its margin is 0 on every grid: the trapezoid is exact for it
+
+
 @_command("gronwall", {
-    "case": (str, "near-equality"), "M": (int, 10_000), "count": (int, 100),
-    "p": (float, 0.5), "seed": (_seed, None), "out": (str, "."), "input": (str, None),
-})
+    "case": (_choice("near-equality", "random"), "near-equality"), "M": (int, 10_000),
+    "count": (int, 100), "p": (float, 0.5), "seed": (_seed, None), "out": (str, "."),
+    "input": (str, None),
+}, mode=lambda r: "with --input" if r["input"] is not None else f"with --case {r['case']}",
+   only={"with --input": ("input", "p"), "with --case near-equality": ("case",),
+         "with --case random": ("case", "M", "count", "seed")})
 def cmd_gronwall(resolved: dict) -> int:
     from .experiments import ExperimentReport, random_hypothesis_triples, willet_wong_check
 
-    if resolved["case"] == "random" and not resolved["input"]:
+    case = resolved.get("case")
+    if case == "random":
         _require(resolved, "seed")
-    if resolved["seed"] is None:
-        resolved["seed"] = 0
     out = _out_dir(resolved)
-    report = ExperimentReport(name="gronwall", parameters={k: v for k, v in resolved.items()
-                                                           if k not in ("out", "input")},
-                              seed=resolved["seed"])
-    if resolved["input"]:
+    parameters = {k: v for k, v in resolved.items() if k not in ("out", "input")}
+    report = ExperimentReport("gronwall", parameters, seed=resolved.get("seed", 0))  # 0: no draw
+    if case is None:
         with open(resolved["input"], encoding="utf-8") as fh:
             # genfromtxt would take a leading "# ..." line (write_csv's header) for the names
             lines = [line for line in fh if not line.startswith("#")]
@@ -465,27 +466,25 @@ def cmd_gronwall(resolved: dict) -> int:
         result = willet_wong_check(data["u"], data["v"], data["w"], resolved["p"], t=data["t"])
         report.add_verdict("margin_nonnegative", result["holds"],
                            "margin >= -1e-6", f"{result['margin']:.3e}")
-    elif resolved["case"] == "near-equality":
-        t = np.linspace(0.0, 1.0, resolved["M"] + 1)
+    elif case == "near-equality":
+        t = np.linspace(0.0, 1.0, _NEAR_EQUALITY_M + 1)
         result = willet_wong_check(t**2 / 4.0, np.zeros_like(t), np.ones_like(t), 0.5, t=t)
         report.add_verdict("near_equality_margin", abs(result["margin"]) < 1e-4,
                            "|margin| < 1e-4", f"{result['margin']:.3e}")
-    elif resolved["case"] == "random":
+    else:
         results = [willet_wong_check(u, v, w, p, t=t) for t, u, v, w, p in
                    random_hypothesis_triples(resolved["count"], resolved["M"], resolved["seed"])]
         margins = np.array([result["margin"] for result in results])
         report.tables["margins"] = {"trial": np.arange(margins.size), "margin": margins}
         report.add_verdict("margins_nonnegative", all(result["holds"] for result in results),
                            "all margins >= -1e-6", f"min={margins.min():.3e}")
-    else:
-        raise UsageError(f"unknown case {resolved['case']!r} (near-equality | random)")
     return _report_exit(report, out, resolved)
 
 
 @_command("check-model", {
     **_MODEL_SPEC, "deltas": (_parse_floats, (0.25, 0.5, 1.0)), "out": (str, "."),
     "seed": (_seed, 0), "T": (float, 1.0),
-})
+}, **_MODEL_MODE)
 def cmd_check_model(resolved: dict) -> int:
     from .experiments import ExperimentReport
     from .hilbert import check_A2, check_A3, check_norm_continuity
@@ -494,10 +493,8 @@ def cmd_check_model(resolved: dict) -> int:
     if len(set(deltas)) != len(deltas):
         raise UsageError(f"--deltas repeats a value: {format_value(deltas)}")
     model = _model_from(resolved)
-    report = ExperimentReport(name="check_model",
-                              parameters={"model": model.name, "n": model.n,
-                                          "deltas": deltas},
-                              seed=resolved["seed"])
+    report = ExperimentReport("check_model", {"model": model.name, "n": model.n,
+                                              "deltas": deltas}, seed=resolved["seed"])
     t_grid = np.geomspace(1e-6, resolved["T"], 25)
     for delta in deltas:
         result = check_norm_continuity(model, delta, t_grid)
@@ -540,20 +537,20 @@ def build_parser() -> argparse.ArgumentParser:
                                      description="alpha-stable cylindrical noise laboratory")
     parser.add_argument("--version", action="version", version=f"cylstable {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (_, spec) in _COMMANDS.items():
+    for name, (_, spec, *_) in _COMMANDS.items():
         sp = sub.add_parser(name, allow_abbrev=False)  # only the flags of the table
         sp.add_argument("--config", help="flat key=value config file")
         for key in spec:
-            sp.add_argument(f"--{key.replace('_', '-')}", dest=key)
+            sp.add_argument(_flag(key), dest=key)
     return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    handler, spec = _COMMANDS[args.command]
+    handler, *table = _COMMANDS[args.command]
     start = time.perf_counter()
     try:
-        code = handler(_resolve(args, spec))
+        code = handler(_resolve(args, *table))
     except (UsageError, ValueError, FileNotFoundError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE

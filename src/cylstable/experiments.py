@@ -546,9 +546,11 @@ def willet_wong_check(u, v, w, p: float, t=None) -> dict:
         u(t) exp(-int v) <= (q int_0^t w exp(-q int v) ds)^(1/q).
 
     Returns {"holds", "margin"} with margin the minimum of RHS - LHS over
-    the grid, which holds down to -1e-6.  For p > 1 the zero-constant bound
-    degenerates (negative base to a real power); the check is then vacuous
-    and reports margin = +inf.
+    the grid points after t_0, which holds down to -1e-6.  (At t_0 the RHS is
+    0 and the hypothesis bounds u(t_0) by 1e-8, so that point would pin every
+    margin to about 0.)  For p > 1 the zero-constant bound degenerates
+    (negative base to a real power); the check is then vacuous and reports
+    margin = +inf.
     """
     u = np.asarray(u, dtype=float)
     v = np.asarray(v, dtype=float)
@@ -581,7 +583,7 @@ def willet_wong_check(u, v, w, p: float, t=None) -> dict:
     big_v = _cumulative_trapezoid(v, t)
     lhs = u * np.exp(-big_v)
     rhs = (q * _cumulative_trapezoid(w * np.exp(-q * big_v), t)) ** (1.0 / q)
-    margin = float((rhs - lhs).min())
+    margin = float((rhs - lhs)[1:].min())
     return {"holds": margin >= -1e-6, "margin": margin}
 
 

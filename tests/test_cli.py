@@ -14,6 +14,7 @@ import pytest
 import cylstable
 from cylstable import cli
 from cylstable.cli import main
+from cylstable.reporting import format_value
 
 
 def read_bytes(path):
@@ -101,7 +102,7 @@ TINY_STOCHASTIC = {
 
 
 def test_tiny_arguments_cover_every_stochastic_command():
-    stochastic = {name for name, (_, spec) in cli._COMMANDS.items()
+    stochastic = {name for name, (_, spec, *_) in cli._COMMANDS.items()
                   if "seed" in spec and spec["seed"][1] is None}
     assert stochastic == set(TINY_STOCHASTIC)
 
@@ -203,16 +204,130 @@ def test_tail_inconclusive_exit_code(tmp_path):
     assert code == 3
 
 
-def test_tail_headers_hold_only_the_options_of_their_mode(tmp_path):
-    small = ["--alpha", "1.5", "--N", "2000", "--r-min", "1", "--r-max", "4", "--seed", "1"]
-    for mode, absent in (([], ("M", "T", "scale_factor")), (["--integrand", "const"], ("t",))):
-        out = tmp_path / str(len(mode))
-        assert main(["tail", *small, *mode, "--out", str(out)]) != 2  # its verdicts aside
-        keys = {line[2:].partition("=")[0] for line in _header(next(out.glob("*.csv")))}
-        assert keys.isdisjoint(absent) and {"alpha", "seed"} <= keys
-        params = {line[6:].partition("=")[0] for line in
-                  next(out.glob("*.summary")).read_text().splitlines() if line.startswith("param.")}
-        assert params.isdisjoint(absent) and "alpha" in params
+# the files that the cases below name by these placeholders
+CASE_FILES = {
+    "MODEL": "n=3\n", "OTHER_MODEL": "n=3\nkappa_rule=const:0.5\n",
+    "UVW": "t,u,v,w\n" + "".join(f"{t},{t * t / 4},0,1\n" for t in np.linspace(0, 1, 101)),
+    "OTHER_UVW": "t,u,v,w\n" + "".join(f"{t},{t * t / 8},0,1\n" for t in np.linspace(0, 1, 101)),
+}
+# one run of every command in each of its modes, at tiny sizes
+MODE_CASES = {
+    "constants": ["constants", "--alpha", "1.5", "--p", "1.2"],
+    **{f"sample {kind}": ["sample", "--kind", kind, "--alpha", "1.5", "--N", "50", "--seed", "3"]
+       for kind in ("sas", "positive")},
+    "sample isotropic": ["sample", "--kind", "isotropic", "--alpha", "1.5", "--n", "2",
+                         "--N", "50", "--seed", "3"],
+    "noise": ["noise", "--alpha", "1.5", "--m", "2", "--M", "8", "--seed", "3"],
+    "integrate": ["integrate", "--alpha", "1.5", "--gamma", "1,0.5", "--M", "8", "--seed", "3"],
+    # a saturation guard: with the const profile no replica exceeds epsilon at these sizes, so
+    # every option of the mode would look unread
+    "integrate refinement": ["integrate", "--alpha", "1.5", "--profile", "linear", "--M", "4",
+                             "--refinement-levels", "3", "--replicas", "50", "--seed", "3"],
+    "tail": ["tail", "--alpha", "1.5", "--N", "2000", "--r-min", "1", "--r-max", "4",
+             "--r-count", "4", "--seed", "3"],
+    "tail const": ["tail", "--alpha", "1.5", "--integrand", "const", "--N", "2000",
+                   "--r-min", "1", "--r-max", "4", "--r-count", "4", "--seed", "3"],
+    "moment": ["moment", "--alpha", "1.5", "--N", "500", "--M", "4", "--seed", "3"],
+    "gronwall near-equality": ["gronwall", "--case", "near-equality"],
+    "gronwall random": ["gronwall", "--case", "random", "--count", "3", "--M", "200",
+                        "--seed", "3"],
+    "gronwall input": ["gronwall", "--input", "UVW", "--p", "0.5"],
+    "gof": ["gof", "--alpha", "1.5", "--n", "2", "--N", "500", "--count", "3", "--seed", "3"],
+    **{f"{command} {model}": [command, *args, *model_args] for command, args in (
+        ("solve", ["--T", "0.01", "--M", "20", "--seed", "3"]),
+        ("glue", ["--T-total", "0.15", "--M", "24", "--seed", "3"]),
+        ("picard", ["--M", "20", "--replicas", "3", "--iters", "3", "--seed", "3"]),
+        ("uniqueness", ["--M", "20", "--replicas", "2", "--seed", "3"]),
+        ("check-model", []),
+    ) for model, model_args in (("preset", ["--n", "3"]),
+                                ("model-config", ["--model-config", "MODEL"]))},
+}
+# other values of each option: a case takes the first that differs from its own
+OTHER_VALUES = {
+    "alpha": ("1.3",), "p": ("1.1",), "c_f": ("2",), "c_g": ("2",), "c_convention": ("2",),
+    "n": ("4",), "m": ("2", "3"), "kind": ("positive", "sas"), "scale": ("2",), "N": ("60",),
+    "seed": ("4",), "T": ("0.02",), "M": ("12",), "gamma": ("1,0.25",),
+    "profile": ("linear", "const"), "refinement_levels": ("3", "4"), "replicas": ("4",),
+    "epsilon": ("0.05",), "t": ("2",), "r_min": ("1.5",), "r_max": ("5",), "r_count": ("5",),
+    "integrand": ("const", "bogus"), "scale_factor": ("4",), "p_list": ("1,1.1",),
+    "iters": ("2",), "count": ("2",), "case": ("random", "near-equality"),
+    "input": ("OTHER_UVW",), "deltas": ("0.5",), "preset": ("bogus",),
+    "model_config": ("OTHER_MODEL",), "x0": ("1,0,0",), "T_total": ("0.2",), "tol": ("1e-3",),
+    "N_max": ("1",),  # one sweep cannot converge: a larger N_max would change no converged byte
+}
+# the header lines that _model_from writes from a model file, in place of the flags
+MODEL_DERIVED = {"model_sha256", "n"}
+
+
+def _without(argv, flag):
+    if flag not in argv:
+        return list(argv)
+    i = argv.index(flag)
+    return argv[:i] + argv[i + 2:]
+
+
+def _split_header(path):
+    """The leading ``# `` lines of an artifact, and the lines after them."""
+    lines = path.read_text().splitlines()
+    size = next((i for i, line in enumerate(lines) if not line.startswith("# ")), len(lines))
+    return lines[:size], lines[size:]
+
+
+def _run_content(argv, out, capsys):
+    """Exit code, stderr, and every byte the run writes but its header and param. lines."""
+    code = main([*argv, "--out", str(out)])
+    captured = capsys.readouterr()
+    stdout = [line.replace(str(out), "OUT") for line in captured.out.splitlines()
+              if not line.startswith("runtime ")]
+    files = {path.name: [line for line in _split_header(path)[1] if not line.startswith("param.")]
+             for path in (sorted(out.iterdir()) if out.exists() else ())}
+    return code, captured.err, (stdout, files)
+
+
+def test_mode_cases_cover_every_command():
+    assert {argv[0] for argv in MODE_CASES.values()} == set(cli._COMMANDS)
+
+
+@pytest.mark.parametrize("case", sorted(MODE_CASES))
+def test_every_option_is_read_or_refused(tmp_path, capsys, case):
+    # changing any one option, from a flag or from --config, changes a byte that is not a
+    # header byte, or the exit code, or is refused before anything is written
+    for name, text in CASE_FILES.items():
+        (tmp_path / name).write_text(text)
+    argv = [str(tmp_path / arg) if arg in CASE_FILES else arg for arg in MODE_CASES[case]]
+    spec = cli._COMMANDS[argv[0]][1]
+    base_code, base_err, base = _run_content(argv, tmp_path / "base", capsys)
+    assert base_code != 2, base_err
+    refused, unread = set(), set()
+    for i, key in enumerate(key for key in spec if key != "out"):
+        flag = f"--{key.replace('_', '-')}"
+        own = argv[argv.index(flag) + 1] if flag in argv else format_value(spec[key][1])
+        value = next(value for value in OTHER_VALUES[key] if value != own)
+        value = str(tmp_path / value) if value in CASE_FILES else value
+        config = tmp_path / f"{i}.cfg"
+        config.write_text(f"{key}={value}\n")
+        code, err, content = _run_content([*_without(argv, flag), flag, value],
+                                          tmp_path / f"{i}flag", capsys)
+        from_config = _run_content([*_without(argv, flag), "--config", str(config)],
+                                   tmp_path / f"{i}config", capsys)
+        assert (from_config[0], from_config[2]) == (code, content), f"{case}: {key} in --config"
+        if code == 2:
+            assert "usage error:" in err
+            assert not any((tmp_path / f"{i}{route}").exists() for route in ("flag", "config"))
+            refused.add(key)
+            if f"{flag} is not read" in err:
+                unread.add(key)
+        else:
+            assert (code, content) != (base_code, base), f"{case}: {flag} {value} changes nothing"
+    # the headers and param. lines hold no option that the mode refuses as unread, and an
+    # option that the headers leave out is refused (by its own name, or for the mode it asks for)
+    artifacts = [_split_header(path) for path in (tmp_path / "base").iterdir()]
+    keys = {line[2:].partition("=")[0] for header, _ in artifacts
+            for line in header} - {"cylstable version"}
+    params = {line[6:].partition("=")[0] for _, body in artifacts
+              for line in body if line.startswith("param.")}
+    assert keys.isdisjoint(unread - MODEL_DERIVED) and set(spec) - keys <= refused
+    assert params.isdisjoint(unread - MODEL_DERIVED)
 
 
 def test_config_file_and_flag_precedence(tmp_path, capsys):
@@ -236,8 +351,7 @@ def test_unknown_config_key_rejected(tmp_path, capsys):
 
 
 def test_gronwall_cases(tmp_path):
-    assert main(["gronwall", "--case", "near-equality", "--M", "10000",
-                 "--out", str(tmp_path)]) == 0
+    assert main(["gronwall", "--case", "near-equality", "--out", str(tmp_path)]) == 0
     assert main(["gronwall", "--case", "random", "--count", "10", "--M", "2000",
                  "--seed", "5", "--out", str(tmp_path)]) == 0
 
@@ -445,11 +559,16 @@ def test_integrate_subcommand(tmp_path):
 
 
 def test_usage_error_unknown_kind(tmp_path, capsys):
-    for argv in (["sample", "--kind", "bogus"], ["integrate", "--profile", "bogus"],
-                 ["integrate", "--profile", "bogus", "--refinement-levels", "2"]):
-        assert main([*argv, "--alpha", "1.5", "--seed", "1", "--out", str(tmp_path)]) == 2
+    out = tmp_path / "out"
+    for argv in (["sample", "--kind", "bogus", "--alpha", "1.5", "--seed", "1"],
+                 ["gronwall", "--case", "bogus"],
+                 ["integrate", "--profile", "bogus", "--alpha", "1.5", "--seed", "1"],
+                 ["integrate", "--profile", "bogus", "--refinement-levels", "2", "--alpha", "1.5",
+                  "--seed", "1"]):
+        assert main([*argv, "--out", str(out)]) == 2
+        assert not out.exists()  # refused before --out is created
     # both integrate modes read the one profile table
-    assert capsys.readouterr().err.count("unknown profile 'bogus' (const | linear)") == 2
+    assert capsys.readouterr().err.count("profile='bogus': not one of const | linear") == 2
 
 
 def test_integrate_refinement_mode(tmp_path):

@@ -5,13 +5,15 @@
 OLD_SRC and NEW_SRC are ``src/`` directories (for example of a ``git archive``
 of the parent commit and of the working tree).  The commands are the README's
 CLI examples, the benchmark commands of ``perfbench/run.py``
-(``workloads(FULL)``, imported, never edited) and a few replica experiments
+(``workloads(FULL)``, imported, never edited), a few replica experiments
 whose block-budget chunks split differently from the benchmark's (``CHUNKED``),
-so that a change to batching is compared where its chunks differ.  Each runs once per seed as
-``python -m cylstable.cli`` with the tree on ``PYTHONPATH``, in a fresh
-directory of its own (``--out .`` is set on every command, and ``--seed`` on
-every command but ``constants``, which draws nothing and takes no seed;
-``check-model`` accepts one).
+so that a change to batching is compared where its chunks differ, and one
+command for each mode that neither of the first two runs (``MODES``).  Each
+runs once per seed as ``python -m cylstable.cli`` with the tree on
+``PYTHONPATH``, in a fresh directory of its own (``--out .`` is set on every
+command, and ``--seed`` on every command whose mode reads one: not on
+``constants``, which takes none, nor on ``gronwall`` without ``--case
+random``, which refuses one).
 
 One line per artifact says ``identical`` or gives the largest absolute
 difference of each numeric column that moved (a CSV column, a ``.summary``
@@ -81,11 +83,30 @@ CHUNKED = [
 ]
 
 
+# the modes that neither the README nor the benchmark runs
+MODES = [
+    *((f"mode sample {kind}", ["sample", "--kind", kind, "--alpha", "1.5", "--N", "1000"])
+      for kind in ("sas", "positive")),
+    ("mode sample isotropic", ["sample", "--kind", "isotropic", "--alpha", "1.5", "--n", "3",
+                               "--N", "1000"]),
+    ("mode integrate path", ["integrate", "--alpha", "1.5", "--gamma", "1,0.5", "--M", "100"]),
+    ("mode tail const", ["tail", "--alpha", "1.5", "--integrand", "const", "--N", "20000"]),
+    ("mode gronwall near-equality", ["gronwall", "--case", "near-equality"]),
+]
+
+
+def reads_seed(args: list[str]) -> bool:
+    """Whether the command's mode reads ``--seed``: gronwall's only with ``--case random``."""
+    if args[0] == "gronwall":
+        return "--case" in args and args[args.index("--case") + 1] == "random"
+    return args[0] != "constants"  # it draws nothing and takes no seed
+
+
 def with_seed_and_out(args: list[str], seed: int) -> list[str]:
-    """args with ``--seed seed`` (not for ``constants``) and ``--out .``, replaced or appended."""
+    """args with ``--seed seed`` (if its mode reads one) and ``--out .``, replaced or appended."""
     args = list(args)
     settings = [("--out", ".")]
-    if args[0] != "constants":  # it draws nothing and takes no seed
+    if reads_seed(args):
         settings.insert(0, ("--seed", str(seed)))
     for flag, value in settings:
         if flag in args:
@@ -172,7 +193,7 @@ def main(argv=None) -> int:
     opts = parser.parse_args(argv)
     trees = [opts.old_src.resolve(), opts.new_src.resolve()]
     seeds = [int(s) for s in opts.seeds.split(",")]
-    commands = readme_commands() + benchmark_commands() + CHUNKED
+    commands = readme_commands() + benchmark_commands() + CHUNKED + MODES
     with tempfile.TemporaryDirectory(prefix="artifact_diff_") as tmp:
         runs = []
         for seed in seeds:
