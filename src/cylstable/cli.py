@@ -10,21 +10,24 @@ from that table.  Flags override the config file, which overrides the
 defaults; unknown config keys and malformed values are usage errors.  A
 subcommand with modes also names the keys that only some of its modes read:
 such a key is refused in the other modes and never reaches a header there.
-Each handler imports the modules it calls, so a command loads only those.
+Each handler imports the modules it calls, and each experiment of
+:mod:`cylstable.experiments` the solver modules it calls, so a command
+loads only those.
 
 Exit codes: 0 all verdicts pass, 1 verdict failure (or non-convergence),
-2 usage error, 3 inconclusive (under-resolved) experiment; a failed
-verdict outranks an inconclusive one.  A run's wall time goes to stdout,
-never into an artifact.  ``--seed`` is mandatory for every
-stochastic subcommand: there is no silent entropy.  A seed is an integer in
-[0, 2**32), the first word of every stream name (see :mod:`cylstable.rng`);
-any other value is a usage error.  Outputs are byte-identical across
-identical invocations.
+2 usage error (an input file that cannot be read included), 3 inconclusive
+(under-resolved) experiment; a failed verdict outranks an inconclusive one.
+A run's wall time goes to stdout, never into an artifact.  ``--seed`` is
+mandatory for every stochastic subcommand: there is no silent entropy.  A
+seed is an integer in [0, 2**32), the first word of every stream name (see
+:mod:`cylstable.rng`); any other value is a usage error.  Outputs are
+byte-identical across identical invocations.
 """
 
 from __future__ import annotations
 
 import argparse
+import io
 import sys
 import time
 import warnings
@@ -82,6 +85,14 @@ def _given(key: str) -> Callable[[dict], str]:
     return lambda resolved: f"{'without' if resolved[key] is None else 'with'} {_flag(key)}"
 
 
+def _read_file(key: str, path: str) -> bytes:
+    """The bytes of the file that option ``key`` names; one that cannot be read is a usage error."""
+    try:
+        return Path(path).read_bytes()
+    except OSError as exc:
+        raise UsageError(f"{_flag(key)} {path}: {exc.strerror or exc}") from None
+
+
 def _resolve(args: argparse.Namespace, spec: dict[str, tuple], mode: Callable[[dict], str],
              only: dict[str, tuple[str, ...]]) -> dict:
     """Layer resolution: built-in default < config file < explicit flag, one caster for both.
@@ -91,7 +102,7 @@ def _resolve(args: argparse.Namespace, spec: dict[str, tuple], mode: Callable[[d
     """
     raw: dict[str, str] = {}
     if args.config is not None:
-        raw = parse_key_values(Path(args.config).read_text(encoding="utf-8"), spec, "config")
+        raw = parse_key_values(_read_file("config", args.config).decode("utf-8"), spec, "config")
     flags = vars(args)
     raw.update((key, flags[key]) for key in spec if flags[key] is not None)
     resolved = {}
@@ -295,7 +306,7 @@ def _model_from(resolved: dict):
     if resolved["model_config"] is not None:
         import hashlib  # here, not at the top: it maps OpenSSL into every command
 
-        content = Path(resolved["model_config"]).read_bytes()
+        content = _read_file("model_config", resolved["model_config"])
         resolved["model_sha256"] = hashlib.sha256(content).hexdigest()
         model = parse_model_config(content.decode("utf-8"))
         if m is not None:
@@ -455,13 +466,12 @@ def cmd_gronwall(resolved: dict) -> int:
     case = resolved.get("case")
     if case == "random":
         _require(resolved, "seed")
-    out = _out_dir(resolved)
     parameters = {k: v for k, v in resolved.items() if k not in ("out", "input")}
     report = ExperimentReport("gronwall", parameters, seed=resolved.get("seed", 0))  # 0: no draw
     if case is None:
-        with open(resolved["input"], encoding="utf-8") as fh:
-            # genfromtxt would take a leading "# ..." line (write_csv's header) for the names
-            lines = [line for line in fh if not line.startswith("#")]
+        text = io.StringIO(_read_file("input", resolved["input"]).decode("utf-8"), newline=None)
+        # genfromtxt would take a leading "# ..." line (write_csv's header) for the names
+        lines = [line for line in text if not line.startswith("#")]
         data = np.genfromtxt(lines, delimiter=",", names=True)
         result = willet_wong_check(data["u"], data["v"], data["w"], resolved["p"], t=data["t"])
         report.add_verdict("margin_nonnegative", result["holds"],
@@ -478,7 +488,7 @@ def cmd_gronwall(resolved: dict) -> int:
         report.tables["margins"] = {"trial": np.arange(margins.size), "margin": margins}
         report.add_verdict("margins_nonnegative", all(result["holds"] for result in results),
                            "all margins >= -1e-6", f"min={margins.min():.3e}")
-    return _report_exit(report, out, resolved)
+    return _report_exit(report, Path(resolved["out"]), resolved)
 
 
 @_command("check-model", {
@@ -551,7 +561,7 @@ def main(argv=None) -> int:
     start = time.perf_counter()
     try:
         code = handler(_resolve(args, *table))
-    except (UsageError, ValueError, FileNotFoundError) as exc:
+    except (UsageError, ValueError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except RunFailed as exc:

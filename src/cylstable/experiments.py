@@ -18,29 +18,20 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .constants import chain_constants, levy_tail_mass
-from .hilbert import DiagonalModel, as_matrix
-from .integral import StepIntegrand, _binomial_se
-from .picard import (
-    SolverConfig,
-    _check_dimensions,
-    _driven_diagonal,
-    _iterate_batch,
-    _kernel,
-    _require_converged,
-    _sweep,
-    binding_time_bound,
-    horizon_bounds,
-)
 from .reporting import RunFailed
 from .rng import (TAG_ALT_NOISE, TAG_BOOTSTRAP, TAG_GOF, TAG_REPLICA, TAG_SCALED, TAG_TRIPLES,
                   _blocks, open_uniform, substream)
 from .sampling import (AlphaParams, _isotropic_blocks, _isotropic_from_uniforms, _noise_increments,
                        _row_norms)
+
+if TYPE_CHECKING:  # annotations only; each experiment imports the solver modules it calls
+    from .hilbert import DiagonalModel
+    from .integral import StepIntegrand
+    from .picard import SolverConfig
 
 __all__ = [
     "HypothesisFailed",
@@ -113,13 +104,19 @@ def _sup_integral_norms(
     for index, start in enumerate(range(0, n_samples, _CHUNK)):
         rng = substream(*name, index)
         # float64 temporaries per step of a path, over this block and the last: 5, 10 per
-        # noise coordinate (uniform, Gaussian, ndtri scratch) and 4 per state coordinate
+        # noise coordinate (uniform, Gaussian, ndtri scratch) and 4 per state coordinate (a bound:
+        # the reduction holds one, its einsum output)
         for block in _blocks(min(_CHUNK, n_samples - start), 8 * steps * (5 + 10 * m + 4 * n)):
             u = open_uniform(rng, (len(block), steps, 2 + m))
             increments = scale[None] * _isotropic_from_uniforms(alpha, u)
-            terms = np.einsum("knm,rkm->rkn", integrand.values, increments)
-            paths = np.cumsum(terms, axis=1)
-            yield np.linalg.norm(paths, axis=2).max(axis=1)
+            # coordinate-major (steps, n, paths), so that each reduction runs along the paths
+            paths = np.einsum("knm,rkm->knr", integrand.values, increments)
+            if steps > 1:  # a one-step integrand is its own partial sum
+                np.cumsum(paths, axis=0, out=paths)
+            squares = np.add.reduce(np.square(paths, out=paths), axis=1)
+            # sqrt is correctly rounded and monotone: the root of the sup of the squared
+            # norms is the sup of the norms, bit for bit
+            yield np.sqrt(squares.max(axis=0))
 
 
 def _exceedance_counts(blocks: Iterable[np.ndarray], r_grid: np.ndarray) -> np.ndarray:
@@ -140,6 +137,8 @@ def _exceedance_counts(blocks: Iterable[np.ndarray], r_grid: np.ndarray) -> np.n
 def _tail_table(blocks: Iterable[np.ndarray], n: int, alpha: float,
                 r_grid: np.ndarray) -> dict[str, np.ndarray]:
     """Exceedance table of the n values in ``blocks`` at the radii ``r_grid``."""
+    from .integral import _binomial_se
+
     p_hat = _exceedance_counts(blocks, r_grid) / n  # (values > r).mean() for n < 2**53
     se = _binomial_se(p_hat, n)
     return {
@@ -214,6 +213,10 @@ def tail_experiment(
     (independent runs, 2 SE tolerance).  ``t`` is read only with an
     operator matrix, ``scale_factor`` only with an integrand.
     """
+    from .constants import levy_tail_mass
+    from .hilbert import as_matrix
+    from .integral import StepIntegrand
+
     AlphaParams(alpha)
     is_integrand = isinstance(psi, StepIntegrand)
     if r_grid is None:
@@ -314,6 +317,8 @@ def moment_experiment(
     moment constant (no pass threshold: the universal constant is not
     computable).
     """
+    from .constants import chain_constants
+
     AlphaParams(alpha)
     if n_samples < 1:
         raise ValueError(f"N must be >= 1, got {n_samples}")
@@ -369,6 +374,8 @@ def moment_experiment(
 def _replica_driven(model: DiagonalModel, config: SolverConfig, seed: int, tag: int,
                     chunk: range) -> np.ndarray:
     """Driven increments (R, M, n) of replicas r in chunk; rows (seed, tag, r, TAG_NOISE_ROW, i)."""
+    from .picard import _driven_diagonal
+
     replicas = np.arange(chunk.start, chunk.stop)
     return _driven_diagonal(model, _noise_increments(config.alpha, config.noise_dim,
                                                      config.grid(), seed, tag, replicas))
@@ -377,6 +384,8 @@ def _replica_driven(model: DiagonalModel, config: SolverConfig, seed: int, tag: 
 def _picard_diffs(model: DiagonalModel, config: SolverConfig, kernel, seed: int, chunk: range,
                   n_iters: int) -> np.ndarray:
     """||X_n(T) - X_{n-1}(T)|| of the replicas in chunk, n = 1..n_iters: shape (R, n_iters)."""
+    from .picard import _sweep
+
     driven = _replica_driven(model, config, seed, TAG_REPLICA, chunk)
     x0 = config.initial_state()
     x0s = np.broadcast_to(x0, (len(chunk), model.n))
@@ -398,6 +407,8 @@ def picard_convergence_experiment(
     seed: int = 0,
 ) -> ExperimentReport:
     """Decay of E||X_n(T) - X_{n-1}(T)||^p across independent noise replicas."""
+    from .picard import _check_dimensions, _kernel, horizon_bounds
+
     if replicas < 2:
         raise ValueError(f"replicas must be >= 2 for a standard error, got {replicas}")
     if n_iters < 1:
@@ -444,6 +455,8 @@ def picard_convergence_experiment(
 def _uniqueness_distances(model: DiagonalModel, config: SolverConfig, seed: int, chunk: range,
                           x0_triple: np.ndarray) -> np.ndarray:
     """Sup distances (R, 2) of paths b and c from path a, for the replicas in chunk."""
+    from .picard import _driven_diagonal, _iterate_batch, _require_converged
+
     # each replica's shared and fresh noise in one draw, (R, 2, M, m): the rows of its
     # streams under TAG_REPLICA and TAG_ALT_NOISE, for paths (a, b) and c
     replicas = np.arange(chunk.start, chunk.stop)[:, None]
@@ -474,6 +487,8 @@ def uniqueness_experiment(
     (sanity anti-test).  The discrete fixed point itself is unique for any
     Picard seed (see :mod:`cylstable.picard`), so no second seed is solved.
     """
+    from .picard import _check_dimensions, binding_time_bound
+
     if replicas < 1:
         raise ValueError(f"replicas must be >= 1, got {replicas}")
     _check_dimensions(model, config)

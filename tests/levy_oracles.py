@@ -6,6 +6,9 @@ the uniform measure of total mass ``sphere_total_mass``, and divide by
 c_alpha; neither uses the Gaussian-moment identity that
 ``constants.levy_tail_mass`` evaluates.  :func:`jensen_bound` is the
 closed-form upper bound that Jensen's inequality gives for that integral.
+:func:`sup_integral_norms` is the path-major reduction of a stochastic
+integral's running sup, against which the experiments' coordinate-major one
+is checked.
 """
 
 import math
@@ -74,3 +77,14 @@ def jensen_bound(gamma, alpha: float) -> float:
         / (c_alpha(alpha) * n ** (alpha / 2.0))
         * float(gamma @ gamma) ** (alpha / 2.0)
     )
+
+
+def sup_integral_norms(values, increments) -> np.ndarray:
+    """sup_k ||I(t_k)|| of each path, path-major: the terms (paths, steps, n), their partial
+    sums along the steps, the Euclidean norm of each and the max over the steps.
+
+    ``values`` is a step integrand's (steps, n, m) array and ``increments`` the
+    (paths, steps, m) noise increments of its cells.
+    """
+    terms = np.einsum("knm,rkm->rkn", values, increments)
+    return np.linalg.norm(np.cumsum(terms, axis=1), axis=2).max(axis=1)

@@ -350,6 +350,23 @@ def test_unknown_config_key_rejected(tmp_path, capsys):
     assert "unknown config key" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("target", ["directory", "missing"])
+@pytest.mark.parametrize("argv", [
+    ["solve", "--T", "0.01", "--seed", "1", "--config"],
+    ["solve", "--T", "0.01", "--seed", "1", "--model-config"],
+    ["gronwall", "--input"],
+], ids=lambda argv: argv[-1])
+def test_unreadable_input_file_is_a_usage_error(tmp_path, capsys, argv, target):
+    # exit 1 is a failed verdict: a file that cannot be read is a usage error naming its
+    # option, raised before any artifact is written
+    path = tmp_path if target == "directory" else tmp_path / "missing.cfg"
+    out = tmp_path / "out"
+    assert main([*argv, str(path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"usage error: {argv[-1]} {path}: ") and "Traceback" not in err
+    assert not out.exists()
+
+
 def test_gronwall_cases(tmp_path):
     assert main(["gronwall", "--case", "near-equality", "--out", str(tmp_path)]) == 0
     assert main(["gronwall", "--case", "random", "--count", "10", "--M", "2000",
@@ -661,7 +678,24 @@ NOT_LOADED = {
     "solve": ("experiments", "integral"),
     "glue": ("experiments", "integral"),
     "integrate": ("picard", "experiments"),
+    "tail": ("picard",),
+    "moment": ("picard",),
+    "gof": ("picard", "integral", "constants", "hilbert"),
 }
+
+
+def _run_cli_fresh(argv: list[str]) -> tuple[int, list[bool], list[str]]:
+    """Exit code of one CLI run in a fresh interpreter, whether it loaded numpy.random,
+    hashlib and _hashlib, and the modules of the package it loaded."""
+    code = ("import json, sys\n"
+            "from cylstable.cli import main\n"
+            "code = main(json.loads(sys.argv[1]))\n"
+            "loaded = [m for m in sys.modules if m.startswith('cylstable.')]\n"
+            "print(json.dumps([code, [name in sys.modules for name in\n"
+            "                         ('numpy.random', 'hashlib', '_hashlib')], loaded]))\n")
+    result = _run_python(code, json.dumps(argv))
+    assert result.returncode == 0, result.stderr
+    return json.loads(result.stdout.splitlines()[-1])
 
 
 @pytest.mark.parametrize("argv", [
@@ -676,17 +710,19 @@ NOT_LOADED = {
 def test_noise_commands_never_import_numpy_random(tmp_path, argv):
     # their streams come from the port, which keeps numpy.random's memory out of
     # these runs; OpenSSL's (hashlib) is loaded only to hash a --model-config file
-    code = ("import json, sys\n"
-            "from cylstable.cli import main\n"
-            "code = main(json.loads(sys.argv[1]))\n"
-            "loaded = [m for m in sys.modules if m.startswith('cylstable.')]\n"
-            "print(json.dumps([code, [name in sys.modules for name in\n"
-            "                         ('numpy.random', 'hashlib', '_hashlib')], loaded]))\n")
-    result = _run_python(code, json.dumps([*argv, "--seed", "7", "--out", str(tmp_path)]))
-    assert result.returncode == 0, result.stderr
-    code, imported, loaded = json.loads(result.stdout.splitlines()[-1])
+    code, imported, loaded = _run_cli_fresh([*argv, "--seed", "7", "--out", str(tmp_path)])
     assert [code, imported] == [0, [False, False, False]]
     assert not {f"cylstable.{name}" for name in NOT_LOADED.get(argv[0], ())} & set(loaded)
+
+
+@pytest.mark.parametrize("command", ["tail", "moment", "gof"])
+def test_monte_carlo_commands_load_no_solver_code(tmp_path, command):
+    # each experiment imports the solver modules it calls, so a cold Monte-Carlo run never
+    # compiles the Picard solver (nor, for gof, the model and integrand modules)
+    code, _, loaded = _run_cli_fresh([command, *TINY_STOCHASTIC[command], "--seed", "7",
+                                      "--out", str(tmp_path)])
+    assert code == 0 and "cylstable.experiments" in loaded
+    assert not {f"cylstable.{name}" for name in NOT_LOADED[command]} & set(loaded)
 
 
 def test_monte_carlo_commands_never_import_numpy_ma(tmp_path):

@@ -36,6 +36,7 @@ from cylstable.picard import (
 from cylstable.rng import TAG_ALT_NOISE, TAG_REPLICA
 from cylstable.sampling import NoisePath, _noise_increments, sample_isotropic
 
+import levy_oracles
 from picard_oracles import semigroup_flow
 
 
@@ -186,6 +187,40 @@ def test_moment_stability_and_bit_exact_homogeneity():
             assert np.array_equal(ours, c * base)
         other = moment_experiment(scaled, 1.5, [1.0, 1.2], 10_000, seed=7)
         assert np.array_equal(other.tables["moments"]["ratio"], table["ratio"])
+
+
+@pytest.mark.parametrize("rows", ["one-row", "many-row"])
+def test_sup_integral_norms_equal_the_path_major_oracle(monkeypatch, rows):
+    # the coordinate-major reduction equals the path-major one bit for bit up to 7 state
+    # coordinates, where numpy sums a row's contiguous coordinates in order; from 8 on it
+    # sums them pairwise, so the two may differ in the last bits
+    if rows == "one-row":
+        monkeypatch.setattr(rng, "_BLOCK_BYTES", 1)
+    n_samples = 16 if rows == "one-row" else 3_000
+    draws = []
+    isotropic = experiments._isotropic_from_uniforms
+
+    def recorded(alpha, u):
+        draws.append(isotropic(alpha, u))
+        return draws[-1]
+
+    monkeypatch.setattr(experiments, "_isotropic_from_uniforms", recorded)
+    values_rng = np.random.default_rng(41)
+    for steps in (1, 2, 16):
+        grid = np.concatenate([[0.0], np.cumsum(values_rng.uniform(0.5, 1.5, steps))])
+        scale = np.diff(grid)[:, None] ** (1.0 / 1.5)
+        for n in (1, 2, 3, 5, 7, 8, 9, 16):
+            for m in (1, 2, 3, 4):
+                integrand = integral.StepIntegrand(grid, values_rng.standard_normal((steps, n, m)))
+                draws.clear()
+                blocks = list(experiments._sup_integral_norms(integrand, 1.5, n_samples, 3,
+                                                              steps, n, m))
+                assert len(blocks) == len(draws)
+                assert (max(map(len, blocks)) == 1) == (rows == "one-row")
+                for ours, draw in zip(blocks, draws):
+                    oracle = levy_oracles.sup_integral_norms(integrand.values, scale[None] * draw)
+                    ulps = np.abs(ours.view(np.int64) - oracle.view(np.int64)).max()
+                    assert ulps <= (0 if n <= 7 else 4), (steps, n, m, ulps)
 
 
 def test_percentiles_equal_numpy_bit_for_bit():
@@ -489,16 +524,16 @@ def test_uniqueness_batches_three_replicas_a_chunk_on_the_benchmark_grid(monkeyp
     config = SolverConfig(alpha=1.5, T=0.9 * binding_time_bound(model, 1.5), M=200, n=8, seed=7)
     calls = {"batches": 0, "draws": 0}
 
-    def counted(name, key):
-        original = getattr(experiments, name)
+    def counted(module, name, key):
+        original = getattr(module, name)
 
         def wrapper(*args):
             calls[key] += 1
             return original(*args)
-        monkeypatch.setattr(experiments, name, wrapper)
+        monkeypatch.setattr(module, name, wrapper)
 
-    counted("_iterate_batch", "batches")
-    counted("_noise_increments", "draws")
+    counted(picard, "_iterate_batch", "batches")
+    counted(experiments, "_noise_increments", "draws")
     uniqueness_experiment(model, config, replicas=25, seed=7)
     assert calls["batches"] <= 9
     assert calls["draws"] == calls["batches"]

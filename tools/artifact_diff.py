@@ -7,13 +7,13 @@ of the parent commit and of the working tree).  The commands are the README's
 CLI examples, the benchmark commands of ``perfbench/run.py``
 (``workloads(FULL)``, imported, never edited), a few replica experiments
 whose block-budget chunks split differently from the benchmark's (``CHUNKED``),
-so that a change to batching is compared where its chunks differ, and one
-command for each mode that neither of the first two runs (``MODES``).  Each
-runs once per seed as ``python -m cylstable.cli`` with the tree on
-``PYTHONPATH``, in a fresh directory of its own (``--out .`` is set on every
-command, and ``--seed`` on every command whose mode reads one: not on
-``constants``, which takes none, nor on ``gronwall`` without ``--case
-random``, which refuses one).
+so that a change to batching is compared where its chunks differ, one
+command for each mode that neither of the first two runs, and ``tail`` and
+``moment`` with nine state coordinates (``MODES``).  Each runs once per seed
+as ``python -m cylstable.cli`` with the tree on ``PYTHONPATH``, in a fresh
+directory of its own (``--out .`` is set on every command, and ``--seed`` on
+every command whose mode reads one: not on ``constants``, which takes none,
+nor on ``gronwall`` without ``--case random``, which refuses one).
 
 One line per artifact says ``identical`` or gives the largest absolute
 difference of each numeric column that moved (a CSV column, a ``.summary``
@@ -83,7 +83,7 @@ CHUNKED = [
 ]
 
 
-# the modes that neither the README nor the benchmark runs
+# the modes that neither the README nor the benchmark runs, and the sups of nine coordinates
 MODES = [
     *((f"mode sample {kind}", ["sample", "--kind", kind, "--alpha", "1.5", "--N", "1000"])
       for kind in ("sas", "positive")),
@@ -92,6 +92,11 @@ MODES = [
     ("mode integrate path", ["integrate", "--alpha", "1.5", "--gamma", "1,0.5", "--M", "100"]),
     ("mode tail const", ["tail", "--alpha", "1.5", "--integrand", "const", "--N", "20000"]),
     ("mode gronwall near-equality", ["gronwall", "--case", "near-equality"]),
+    # nine state coordinates: numpy sums eight or more pairwise along a contiguous axis, so
+    # these are the sup norms that a change to their reduction can move in the last bits
+    *((f"n=9 {command}",
+       [command, "--alpha", "1.5", "--gamma", "1,0.9,0.8,0.7,0.6,0.5,0.4,0.3,0.2"])
+      for command in ("tail", "moment")),
 ]
 
 
