@@ -104,9 +104,10 @@ def _sup_integral_norms(
     for index, start in enumerate(range(0, n_samples, _CHUNK)):
         rng = substream(*name, index)
         # float64 temporaries per step of a path, over this block and the last: 5, 10 per
-        # noise coordinate (uniform, Gaussian, ndtri scratch) and 4 per state coordinate (a bound:
-        # the reduction holds one, its einsum output)
-        for block in _blocks(min(_CHUNK, n_samples - start), 8 * steps * (5 + 10 * m + 4 * n)):
+        # noise coordinate (uniform, Gaussian, ndtri scratch), then one per state coordinate
+        # (the einsum output) and one squared norm (traced at n = 1, 3, 16: 23 float64 at
+        # most, at n = 16 and m = 1, where 32 are stated)
+        for block in _blocks(min(_CHUNK, n_samples - start), 8 * steps * (6 + 10 * m + n)):
             u = open_uniform(rng, (len(block), steps, 2 + m))
             increments = scale[None] * _isotropic_from_uniforms(alpha, u)
             # coordinate-major (steps, n, paths), so that each reduction runs along the paths
@@ -280,6 +281,9 @@ def tail_experiment(
 
 
 _BOOTSTRAP = 200  # resamples behind each moment's 95% confidence interval
+# resample indices drawn at a time: 125 KiB, below glibc's 128 KiB mmap threshold, so a draw
+# is served from the heap whatever the allocations before it left
+_INDEX_DRAW = 16_000
 
 
 def _percentiles(values: np.ndarray, q: Sequence[float]) -> np.ndarray:
@@ -339,17 +343,24 @@ def moment_experiment(
     denom = integrand.alpha_scale(alpha)
 
     rng_boot = substream(seed, TAG_REPLICA, TAG_BOOTSTRAP)
+    # one resample index and one gather a run; consecutive draws concatenate to one draw
+    index = np.empty(2 * n_samples, dtype=np.int64)
+    gather = np.empty(2 * n_samples)
+    parts = [range(start, min(start + _INDEX_DRAW, 2 * n_samples))
+             for start in range(0, 2 * n_samples, _INDEX_DRAW)]
     rows = {"p": [], "moment_N": [], "moment_2N": [], "ci_lo": [], "ci_hi": [], "ratio": [],
             "C_alpha_p": []}
     for p in p_list:
         powered = sups**p
         est_n = float(powered[:n_samples].mean())
         est_2n = float(powered.mean())
-        # one resample index at a time, drawn in the order of one (bootstrap, 2N)
-        # draw: neither that index nor its gather is ever held
+        # one resample at a time, drawn in the order of one (bootstrap, 2N) draw
         boots = np.empty(_BOOTSTRAP)
         for b in range(_BOOTSTRAP):
-            boots[b] = powered[rng_boot.integers(0, 2 * n_samples, size=2 * n_samples)].mean()
+            for part in parts:
+                index[part.start:part.stop] = rng_boot.integers(0, 2 * n_samples, size=len(part))
+            # "clip" (a no-op here) writes to gather directly; "raise" would use a new buffer
+            boots[b] = powered.take(index, out=gather, mode="clip").mean()
         lo, hi = _percentiles(boots, [2.5, 97.5])
         ratio = float(np.mean((sups / denom) ** p)) if denom > 0.0 else 0.0
         rows["p"].append(p)
@@ -371,22 +382,14 @@ def moment_experiment(
     return report
 
 
-def _replica_driven(model: DiagonalModel, config: SolverConfig, seed: int, tag: int,
-                    chunk: range) -> np.ndarray:
-    """Driven increments (R, M, n) of replicas r in chunk; rows (seed, tag, r, TAG_NOISE_ROW, i)."""
-    from .picard import _driven_diagonal
-
-    replicas = np.arange(chunk.start, chunk.stop)
-    return _driven_diagonal(model, _noise_increments(config.alpha, config.noise_dim,
-                                                     config.grid(), seed, tag, replicas))
-
-
 def _picard_diffs(model: DiagonalModel, config: SolverConfig, kernel, seed: int, chunk: range,
                   n_iters: int) -> np.ndarray:
     """||X_n(T) - X_{n-1}(T)|| of the replicas in chunk, n = 1..n_iters: shape (R, n_iters)."""
-    from .picard import _sweep
+    from .picard import _driven_diagonal, _sweep
 
-    driven = _replica_driven(model, config, seed, TAG_REPLICA, chunk)
+    replicas = np.arange(chunk.start, chunk.stop)
+    driven = _driven_diagonal(model, _noise_increments(config.alpha, config.noise_dim,
+                                                       config.grid(), seed, TAG_REPLICA, replicas))
     x0 = config.initial_state()
     x0s = np.broadcast_to(x0, (len(chunk), model.n))
     prev = np.broadcast_to(kernel.decay * x0, (len(chunk), *kernel.decay.shape))  # S(t_k) x0
@@ -452,10 +455,10 @@ def picard_convergence_experiment(
     return report
 
 
-def _uniqueness_distances(model: DiagonalModel, config: SolverConfig, seed: int, chunk: range,
-                          x0_triple: np.ndarray) -> np.ndarray:
+def _uniqueness_distances(model: DiagonalModel, config: SolverConfig, kernel, seed: int,
+                          chunk: range, x0_triple: np.ndarray) -> np.ndarray:
     """Sup distances (R, 2) of paths b and c from path a, for the replicas in chunk."""
-    from .picard import _driven_diagonal, _iterate_batch, _require_converged
+    from .picard import _driven_diagonal, _iterate_batch
 
     # each replica's shared and fresh noise in one draw, (R, 2, M, m): the rows of its
     # streams under TAG_REPLICA and TAG_ALT_NOISE, for paths (a, b) and c
@@ -464,10 +467,8 @@ def _uniqueness_distances(model: DiagonalModel, config: SolverConfig, seed: int,
                               np.array([TAG_REPLICA, TAG_ALT_NOISE]), replicas)
     driven = _driven_diagonal(model, noise[:, [0, 0, 1]].reshape(-1, *noise.shape[2:]))
     del noise
-    paths = _iterate_batch(model, config, np.tile(x0_triple, (len(chunk), 1)), driven)
-    for path in paths:
-        _require_converged(path, config)
-    states = np.stack([path.states for path in paths]).reshape(len(chunk), 3, config.M + 1, -1)
+    states, _ = _iterate_batch(model, config, np.tile(x0_triple, (len(chunk), 1)), driven, kernel)
+    states = states.reshape(len(chunk), 3, config.M + 1, -1)
     return np.linalg.norm(states[:, :1] - states[:, 1:], axis=3).max(axis=2)
 
 
@@ -487,7 +488,7 @@ def uniqueness_experiment(
     (sanity anti-test).  The discrete fixed point itself is unique for any
     Picard seed (see :mod:`cylstable.picard`), so no second seed is solved.
     """
-    from .picard import _check_dimensions, binding_time_bound
+    from .picard import _check_dimensions, _kernel, binding_time_bound
 
     if replicas < 1:
         raise ValueError(f"replicas must be >= 1, got {replicas}")
@@ -502,12 +503,13 @@ def uniqueness_experiment(
     # compared with path a
     x0_triple = np.stack([x0, x0_alt, x0])
 
+    kernel = _kernel(model, config.grid())
     rows = np.empty((replicas, 2))
     # three Picard paths per replica, 66 B per state element: the noise draw, then each path's
     # states and noise and the sweep's 32 B (traced in chunks of three at M = 200: 56 B, 65 B
     # once the first chunk has imported numpy.fft; 63 B at M = 1000)
     for chunk in _blocks(replicas, 66 * 3 * (config.M + 1) * model.n):
-        rows[chunk] = _uniqueness_distances(model, config, seed, chunk, x0_triple)
+        rows[chunk] = _uniqueness_distances(model, config, kernel, seed, chunk, x0_triple)
     x0_dists, noise_dists = rows.T
     threshold = 10.0 * config.tol
     report = ExperimentReport(

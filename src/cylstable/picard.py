@@ -10,13 +10,15 @@ a midpoint rule would break adaptedness).  The semigroup factor is applied
 exactly through the diagonal exponentials, so the fixed-point residual
 isolates Picard convergence rather than discretisation error.
 
-Every sweep works on a batch of R replicas that share the grid: states of
-shape (R, M+1, n) and driven noise increments of shape (R, M, n).  Each
-replica carries its own convergence mask entry: it is frozen, with its own
-gap history and iteration count, at its first gap below tol, while the
-others keep sweeping.  Per element, a replica's arithmetic is the same in
-any batch, so results do not depend on how replicas are batched;
-:func:`picard_step` and :func:`solve` are the batch of one.
+Every solve is one batch of R replicas that share the grid: states of
+shape (R, M+1, n) and driven noise increments of shape (R, M, n), iterated
+by one function.  Each replica carries its own convergence mask entry: it
+is frozen at its first gap below tol, while the others keep sweeping, and
+the batch raises :class:`NonConvergenceError` if any replica is still
+active after N_max sweeps.  Per element, a replica's arithmetic is the same
+in any batch, so results do not depend on how replicas are batched:
+:func:`solve` and each glued piece are the batch of one, and ``uniqueness``
+solves three paths per replica in one batch per chunk.
 
 Per state element of a batch, a sweep holds at most 32 B above its inputs,
 each buffer being dropped after its last use: the shape s(X) and the loads,
@@ -34,8 +36,9 @@ left-endpoint loads F(X(t_k)) dt_k + G(X(t_k)) dL_k in whole-array
 operations; both sums are then one causal convolution along time per
 coordinate, of the loads with the kernel exp(-lambda j dt), j = 1..M,
 evaluated by a real FFT in O(M log M).  The residual certificate of
-:func:`solve` (and of every glued piece), :func:`residual`, is
-sup_k ||X(t_k) - Phi(X)(t_k)||: one more application of that same map.
+:func:`solve` and of every glued piece, sup_k ||X(t_k) - Phi(X)(t_k)||, is
+one more application of that same map on the kernel of the iteration;
+:func:`residual` computes it for any path on the solver's grid.
 
 Given a fixed noise realisation the iteration map is strictly causal in
 time, hence nilpotent: the discrete fixed point exists, is unique, and is
@@ -56,7 +59,7 @@ from .constants import c3_and_Tmax
 from .hilbert import DiagonalModel
 from .reporting import RunFailed
 from .rng import TAG_PIECE
-from .sampling import NoisePath, _noise_increments, generate_noise_path
+from .sampling import NoisePath, _noise_increments
 
 __all__ = [
     "NonConvergenceError",
@@ -74,10 +77,6 @@ GLUE_SAFETY = 0.99
 
 class NonConvergenceError(RunFailed):
     """Picard gap above tolerance at the iteration cap."""
-
-    def __init__(self, message: str, path: "MildPath | None" = None):
-        super().__init__(message)
-        self.path = path
 
 
 @dataclass(frozen=True)
@@ -302,28 +301,29 @@ def _iterate_batch(
     config: SolverConfig,
     x0s: np.ndarray,
     driven: np.ndarray,
-) -> list[MildPath]:
-    """Iterate the Picard map for R replicas on the config's grid.
+    kernel: _Kernel,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Iterate the Picard map for R replicas: states (R, M+1, n) and gaps (sweeps, R).
 
     Replica r starts from x0s[r] (shape (R, n)) with its driven increments
-    driven[r] (shape (R, M, n)), seeded by its semigroup flow.  All
-    still-active replicas share each sweep; a replica is frozen at the first
-    gap below tol.  The paths carry no certificate (residual nan):
-    :func:`solve` adds it.
+    driven[r] (shape (R, M, n)), seeded by its semigroup flow; ``kernel`` is
+    :func:`_kernel` of the config's grid.  All still-active replicas share
+    each sweep; a replica is frozen at its first gap below tol, and its rows
+    of the gap history after that are nan.  Raises
+    :class:`NonConvergenceError`, naming the last gap of the first replica
+    still active, if any is after N_max sweeps (a nan gap never converges).
     """
-    grid = config.grid()
-    kernel = _kernel(model, grid)
     count = x0s.shape[0]
     current = kernel.decay * x0s[:, None, :]  # the semigroup flow S(t_k) x0 of each replica
-    gaps: list[list[float]] = [[] for _ in range(count)]
+    gaps = []  # one row a sweep run: N_max bounds the sweeps, not what is held before them
     # the active replicas' states, driven increments and initial states are gathered once
     # per freeze, and the frozen replicas' states set aside, so each replica is held once
     active, done = np.arange(count), []
     for _ in range(config.N_max):
         new = _sweep(model, current, driven, x0s, kernel)
         sweep_gaps = np.linalg.norm(new - current, axis=2).max(axis=1)
-        for r, gap in zip(active.tolist(), sweep_gaps.tolist()):
-            gaps[r].append(gap)
+        gaps.append(np.full(count, np.nan))
+        gaps[-1][active] = sweep_gaps
         frozen = sweep_gaps < config.tol
         if frozen.any():
             done.append((active[frozen], new[frozen]))
@@ -332,60 +332,57 @@ def _iterate_batch(
         current = new
         if active.size == 0:
             break
-    done.append((active, current))  # replicas still active after N_max sweeps
+    else:
+        raise NonConvergenceError(
+            f"Picard gap {gaps[-1][active[0]]:.3e} still above tol {config.tol:.1e} after "
+            f"{config.N_max} iterations"
+        )
     states = np.empty((count, *current.shape[1:]))
     for rows, block in done:
         states[rows] = block
-    return [
-        MildPath(grid=grid, states=states[r], iteration_count=len(g), final_picard_gap=g[-1],
-                 residual=math.nan, gaps=g)
-        for r, g in enumerate(gaps)
-    ]
+    return states, np.array(gaps)
 
 
-def _require_converged(path: MildPath, config: SolverConfig) -> MildPath:
-    if not path.final_picard_gap < config.tol:
-        raise NonConvergenceError(
-            f"Picard gap {path.final_picard_gap:.3e} still above tol {config.tol:.1e} after "
-            f"{config.N_max} iterations",
-            path=path,
-        )
-    return path
+def _solve(model: DiagonalModel, config: SolverConfig, increments: np.ndarray) -> MildPath:
+    """The certified fixed point on the config's grid, driven by noise increments (M, m).
+
+    One kernel serves the iteration and the certificate, one more sweep.
+    """
+    grid = config.grid()
+    kernel = _kernel(model, grid)
+    x0s = config.initial_state()[None]
+    driven = _driven_diagonal(model, increments)[None]
+    states, gaps = _iterate_batch(model, config, x0s, driven, kernel)
+    lag = states[0] - _sweep(model, states, driven, x0s, kernel)[0]
+    return MildPath(grid=grid, states=states[0], iteration_count=gaps.shape[0],
+                    final_picard_gap=float(gaps[-1, 0]),
+                    residual=float(np.linalg.norm(lag, axis=1).max()), gaps=gaps[:, 0].tolist())
 
 
-def solve(
-    model: DiagonalModel,
-    config: SolverConfig,
-    noise: NoisePath | None = None,
-    warn_beyond_bound: bool = True,
-) -> MildPath:
-    """Iterate the Picard map to the discrete fixed point.
+def solve(model: DiagonalModel, config: SolverConfig, noise: NoisePath | None = None) -> MildPath:
+    """Iterate the Picard map to the discrete fixed point and certify it.
 
     Seeds with the semigroup flow S(t)x0, the only seed: the discrete fixed
-    point does not depend on it (see the module docstring).  Raises
-    :class:`NonConvergenceError` with the partial path attached when the gap
-    is still above tolerance at N_max; beyond the proven admissible horizon
-    that outcome is a diagnostic, not a bug.
+    point does not depend on it (see the module docstring).  Warns when T
+    exceeds the binding admissible bound, and raises
+    :class:`NonConvergenceError` when the gap is still above tolerance at
+    N_max; beyond the proven admissible horizon that outcome is a
+    diagnostic, not a bug.  Without ``noise``, the path's rows are the
+    streams (seed, TAG_NOISE_ROW, i) of :func:`sampling.generate_noise_path`.
     """
     _check_dimensions(model, config)
     grid = config.grid()
     if noise is None:
-        noise = generate_noise_path(config.alpha, config.noise_dim, grid, config.seed)
+        increments = _noise_increments(config.alpha, config.noise_dim, grid, config.seed)
     elif not np.array_equal(noise.grid, grid):
         raise ValueError("provided noise grid does not match the solver grid")
-    if warn_beyond_bound:
-        bound = binding_time_bound(model, config.alpha)
-        if config.T > bound:
-            warnings.warn(
-                f"horizon T={config.T:.6g} exceeds the binding admissible bound "
-                f"{bound:.6g}; convergence is no longer guaranteed",
-                stacklevel=2,
-            )
-    x0 = config.initial_state()
-    driven = _driven_diagonal(model, noise.increments)
-    (path,) = _iterate_batch(model, config, x0[None], driven[None])
-    certified = residual(model, path, noise, x0) if path.final_picard_gap < config.tol else math.inf
-    return _require_converged(replace(path, residual=certified), config)
+    else:
+        increments = noise.increments
+    bound = binding_time_bound(model, config.alpha)
+    if config.T > bound:
+        warnings.warn(f"horizon T={config.T:.6g} exceeds the binding admissible bound "
+                      f"{bound:.6g}; convergence is no longer guaranteed", stacklevel=2)
+    return _solve(model, config, increments)
 
 
 def glue_solve(model: DiagonalModel, config: SolverConfig) -> MildPath:
@@ -424,16 +421,13 @@ def glue_solve(model: DiagonalModel, config: SolverConfig) -> MildPath:
     x0 = config.initial_state()
     for piece in range(pieces):
         sub = replace(config, T=piece_T, M=steps[piece], x0=x0)
-        grid = sub.grid()
-        increments = _noise_increments(config.alpha, config.noise_dim, grid,
+        increments = _noise_increments(config.alpha, config.noise_dim, sub.grid(),
                                        config.seed, TAG_PIECE, piece)
-        noise = NoisePath(config.alpha, config.noise_dim, grid, increments, config.seed)
         try:
-            part = solve(model, sub, noise=noise, warn_beyond_bound=False)
+            part = _solve(model, sub, increments)
         except NonConvergenceError as exc:
             raise NonConvergenceError(
-                f"piece {piece} of {pieces} failed to converge: {exc}", path=exc.path
-            ) from exc
+                f"piece {piece} of {pieces} failed to converge: {exc}") from exc
         offset = piece * piece_T
         if piece == 0:
             grids.append(part.grid)

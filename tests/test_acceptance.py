@@ -204,7 +204,7 @@ def test_criterion_08_picard_moment_decay():
 def test_criterion_09_fixed_point_and_uniqueness():
     model = heat_preset(8)
     config = SolverConfig(alpha=1.5, T=0.05, M=200, n=8, seed=7)
-    path = solve(model, config, warn_beyond_bound=False)
+    path = solve(model, config)
     residual_ok = path.residual < 1e-10
 
     bound = binding_time_bound(model, 1.5)
@@ -214,14 +214,13 @@ def test_criterion_09_fixed_point_and_uniqueness():
     for replica in range(100):
         rows = _noise_increments(1.5, 8, ucfg.grid(), SEED + 80, TAG_REPLICA, replica)
         noise = NoisePath(1.5, 8, ucfg.grid(), rows, SEED + 80)
-        flow_seeded = solve(model, ucfg, noise=noise, warn_beyond_bound=False)
+        flow_seeded = solve(model, ucfg, noise=noise)
         dist = np.linalg.norm(flow_seeded.states - zero_seeded_states(model, ucfg, noise),
                               axis=1).max()
         agree += bool(dist < 10.0 * ucfg.tol)
 
     additive = make_model(n=8, f_rule="zero", kappa_rule="power:1:1.5", shape="one")
-    apath = solve(additive, SolverConfig(alpha=1.5, T=0.02, M=100, n=8, seed=SEED + 81),
-                  warn_beyond_bound=False)
+    apath = solve(additive, SolverConfig(alpha=1.5, T=0.02, M=100, n=8, seed=SEED + 81))
     additive_ok = apath.iteration_count == 2 and apath.final_picard_gap == 0.0
     _report(9, residual_ok and agree == 100 and additive_ok,
             f"solve residual {path.residual:.2e} < 1e-10; Picard-seed agreement "
@@ -242,7 +241,7 @@ def test_criterion_10_gluing():
     sub = SolverConfig(alpha=1.5, T=piece_T, M=steps, n=8, seed=config.seed)
     rows0 = _noise_increments(1.5, 8, sub.grid(), config.seed, TAG_PIECE, 0)
     noise0 = NoisePath(1.5, 8, sub.grid(), rows0, config.seed)
-    piece0 = solve(model, sub, noise=noise0, warn_beyond_bound=False)
+    piece0 = solve(model, sub, noise=noise0)
     junction_exact = np.array_equal(glued.states[glued.piece_breaks[0]], piece0.terminal)
     _report(10, pieces == 4 and residuals_ok and junction_exact,
             f"{pieces} pieces (T_total = 3x bound), per-piece residuals "

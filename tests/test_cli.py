@@ -617,6 +617,17 @@ def test_verdict_failure_exit_code(tmp_path, capsys):
     assert capsys.readouterr().out.splitlines()[-1].startswith("runtime ")
 
 
+
+def test_uniqueness_nonconvergence_fails_and_writes_nothing(tmp_path, capsys):
+    out = tmp_path / "out"
+    code = main(["uniqueness", "--preset", "heat", "--M", "50", "--replicas", "4",
+                 "--N-max", "2", "--seed", "7", "--out", str(out)])
+    assert code == 1
+    first = capsys.readouterr().err.splitlines()[0]
+    assert first.startswith("FAIL: Picard gap ")
+    assert first.endswith(" still above tol 1.0e-12 after 2 iterations")
+    assert not out.exists()
+
 @pytest.mark.parametrize("argv", [
     ["tail", "--alpha", "0"],
     ["tail", "--alpha", "2.5"],

@@ -33,7 +33,7 @@ from cylstable.picard import (
     picard_step,
     solve,
 )
-from cylstable.rng import TAG_ALT_NOISE, TAG_REPLICA
+from cylstable.rng import TAG_ALT_NOISE, TAG_BOOTSTRAP, TAG_REPLICA, substream
 from cylstable.sampling import NoisePath, _noise_increments, sample_isotropic
 
 import levy_oracles
@@ -188,6 +188,27 @@ def test_moment_stability_and_bit_exact_homogeneity():
         other = moment_experiment(scaled, 1.5, [1.0, 1.2], 10_000, seed=7)
         assert np.array_equal(other.tables["moments"]["ratio"], table["ratio"])
 
+
+
+@pytest.mark.parametrize("part", [7, 1000, 4096, 5000, 8192, 16_000])
+def test_split_index_draws_concatenate_to_one_draw(part):
+    # moment fills each resample index by draws of at most experiments._INDEX_DRAW
+    size = 20_000
+    whole, split = (substream(7, TAG_REPLICA, TAG_BOOTSTRAP) for _ in range(2))
+    for _ in range(5):
+        drawn = [split.integers(0, size, size=min(part, size - start))
+                 for start in range(0, size, part)]
+        assert np.array_equal(np.concatenate(drawn), whole.integers(0, size, size=size))
+
+
+def test_moment_bootstrap_does_not_depend_on_the_index_draw(monkeypatch):
+    integrand = constant_integrand(np.array([[1.0], [0.5]]), np.linspace(0.0, 1.0, 9))
+    assert 2 * 10_000 > experiments._INDEX_DRAW  # each resample index takes two draws
+    split = moment_experiment(integrand, 1.5, [0.5, 0.7], 10_000, seed=7).tables["moments"]
+    monkeypatch.setattr(experiments, "_INDEX_DRAW", 1 << 20)  # one draw a resample index
+    whole = moment_experiment(integrand, 1.5, [0.5, 0.7], 10_000, seed=7).tables["moments"]
+    for key, column in whole.items():
+        assert np.array_equal(split[key], column), key
 
 @pytest.mark.parametrize("rows", ["one-row", "many-row"])
 def test_sup_integral_norms_equal_the_path_major_oracle(monkeypatch, rows):
@@ -451,9 +472,9 @@ def per_replica_uniqueness_paths(model, config, replicas, seed):
         alt_noise = replica_noise(config, seed, TAG_ALT_NOISE, r)
         cfg = replace(config, x0=x0)
         triple = [
-            solve(model, cfg, noise=noise, warn_beyond_bound=False),
-            solve(model, replace(cfg, x0=x0_alt), noise=noise, warn_beyond_bound=False),
-            solve(model, cfg, noise=alt_noise, warn_beyond_bound=False),
+            solve(model, cfg, noise=noise),
+            solve(model, replace(cfg, x0=x0_alt), noise=noise),
+            solve(model, cfg, noise=alt_noise),
         ]
         rows[r] = [np.linalg.norm(triple[0].states - other.states, axis=1).max()
                    for other in triple[1:]]
@@ -490,14 +511,18 @@ def test_solve_batch_equals_batches_of_one():
     model, _, uniq_cfg = _ensemble_setup()
     _, paths, noises, x0s = per_replica_uniqueness_paths(model, uniq_cfg, 3, 19)
     driven = np.stack([_driven_diagonal(model, noise.increments) for noise in noises])
-    batched = _iterate_batch(model, uniq_cfg, x0s, driven)
-    # the batch freezes replicas at different sweeps
-    assert len({path.iteration_count for path in batched}) > 1
-    for ours, reference in zip(batched, paths, strict=True):
-        assert np.array_equal(ours.states, reference.states)
-        assert ours.gaps == reference.gaps
-        assert ours.iteration_count == reference.iteration_count
-        assert ours.final_picard_gap == reference.final_picard_gap
+    states, gaps = _iterate_batch(model, uniq_cfg, x0s, driven,
+                                  picard._kernel(model, uniq_cfg.grid()))
+    # the batch freezes replicas at different sweeps, and a frozen replica's gaps read nan
+    iterations = (~np.isnan(gaps)).sum(axis=0)
+    assert len(set(iterations.tolist())) > 1
+    assert gaps.shape == (iterations.max(), len(paths))
+    for r, reference in enumerate(paths):
+        assert np.array_equal(states[r], reference.states)
+        assert gaps[:iterations[r], r].tolist() == reference.gaps
+        assert np.isnan(gaps[iterations[r]:, r]).all()
+        assert iterations[r] == reference.iteration_count
+        assert gaps[iterations[r] - 1, r] == reference.final_picard_gap
 
 
 def test_experiment_tables_independent_of_batch_budget(monkeypatch):
@@ -517,6 +542,21 @@ def test_experiment_tables_independent_of_batch_budget(monkeypatch):
     for ours, reference in zip(batched, chunked, strict=True):
         assert np.array_equal(ours, reference)
 
+
+
+def test_ensemble_experiments_build_one_kernel_a_run(monkeypatch):
+    model, picard_cfg, uniq_cfg = _ensemble_setup()
+    built, build = [], picard._kernel
+
+    def counted(model, grid):
+        built.append(grid.size)
+        return build(model, grid)
+
+    monkeypatch.setattr(picard, "_kernel", counted)
+    monkeypatch.setattr(rng, "_BLOCK_BYTES", 64 * 51 * 8)  # one replica a chunk
+    picard_convergence_experiment(model, picard_cfg, n_iters=3, replicas=3, seed=20)
+    uniqueness_experiment(model, uniq_cfg, replicas=3, seed=20)
+    assert built == [51, 51]
 
 def test_uniqueness_batches_three_replicas_a_chunk_on_the_benchmark_grid(monkeypatch):
     # 25 replicas at M = 200, n = 8: nine chunks (one Picard batch and one noise draw each)
@@ -655,7 +695,7 @@ def test_cumulative_trapezoid_equals_scipy_bit_for_bit():
 def test_solvers_refuse_config_dimensions_other_than_the_model(model, n):
     config = SolverConfig(alpha=1.5, T=0.01, M=10, n=n, seed=1)
     runs = [
-        lambda: solve(model, config, warn_beyond_bound=False),
+        lambda: solve(model, config),
         lambda: picard.glue_solve(model, config),
         lambda: picard_convergence_experiment(model, config, replicas=2),
         lambda: uniqueness_experiment(model, config, replicas=1),

@@ -121,7 +121,7 @@ def test_picard_step_and_residual_equal_the_direct_double_sum():
             new = picard_step(model, prev, noise, x0)
             assert np.abs(new - direct_sum_picard_step(model, prev, noise, x0)).max() <= 1e-14
             prev = new
-        path = solve(model, config, noise=noise, warn_beyond_bound=False)
+        path = solve(model, config, noise=noise)
         assert abs(path.residual - full_lag_residual(model, path, noise, x0)) <= 1e-14
 
 
@@ -236,7 +236,7 @@ def test_picard_step_matches_hand_rolled_oracle():
 def test_zero_coefficients_reduce_to_flow():
     model = make_model(n=3, f_rule="zero", kappa_rule="zero")
     config = SolverConfig(alpha=1.5, T=0.5, M=20, n=3, seed=101)
-    path = solve(model, config, warn_beyond_bound=False)
+    path = solve(model, config)
     flow = semigroup_flow(model, config.grid(), config.initial_state())
     assert np.array_equal(path.states, flow)
     assert path.iteration_count == 1
@@ -248,7 +248,7 @@ def test_additive_noise_fixed_in_two_iterations():
     # previous path, so the second sweep reproduces the first exactly
     model = make_model(n=3, f_rule="zero", kappa_rule="power:1:1.5", shape="one")
     config = SolverConfig(alpha=1.5, T=0.02, M=50, n=3, seed=102)
-    path = solve(model, config, warn_beyond_bound=False)
+    path = solve(model, config)
     assert path.iteration_count == 2
     assert path.final_picard_gap == 0.0
 
@@ -256,7 +256,7 @@ def test_additive_noise_fixed_in_two_iterations():
 def test_solve_preset_residual_certificate():
     model = heat_preset(8)
     config = SolverConfig(alpha=1.5, T=0.05, M=200, n=8, seed=7)
-    path = solve(model, config, warn_beyond_bound=False)
+    path = solve(model, config)
     assert path.final_picard_gap < config.tol
     assert path.residual < 1e-10
 
@@ -265,7 +265,7 @@ def test_residual_detects_perturbation():
     model = heat_preset(4)
     config = SolverConfig(alpha=1.5, T=0.04, M=60, n=4, seed=103)
     noise = generate_noise_path(1.5, 4, config.grid(), config.seed)
-    path = solve(model, config, noise=noise, warn_beyond_bound=False)
+    path = solve(model, config, noise=noise)
     x0 = config.initial_state()
     base = residual(model, path, noise, x0)
     assert base < 1e-12
@@ -289,7 +289,7 @@ def test_fft_residual_equals_direct_sum_and_reads_a_perturbation(M, n, m, alpha,
     config = SolverConfig(alpha=alpha, T=0.9 * binding_time_bound(model, alpha), M=M, n=n, m=m,
                           seed=seed)
     noise = generate_noise_path(alpha, m, config.grid(), seed)
-    path = solve(model, config, noise=noise, warn_beyond_bound=False)
+    path = solve(model, config, noise=noise)
     x0 = config.initial_state()
     scale = max(1.0, float(np.abs(path.states).max()))
     assert abs(path.residual - full_lag_residual(model, path, noise, x0)) <= 1e-14 * scale
@@ -341,7 +341,7 @@ def test_picard_seed_independence():
     model = heat_preset(6)
     config = SolverConfig(alpha=1.5, T=0.03, M=80, n=6, seed=106)
     noise = generate_noise_path(1.5, 6, config.grid(), config.seed)
-    flow_seeded = solve(model, config, noise=noise, warn_beyond_bound=False)
+    flow_seeded = solve(model, config, noise=noise)
     zero_seeded = zero_seeded_states(model, config, noise)
     dist = np.linalg.norm(flow_seeded.states - zero_seeded, axis=1).max()
     assert dist < 10.0 * config.tol
@@ -350,11 +350,65 @@ def test_picard_seed_independence():
 def test_nonconvergence_is_reported():
     model = make_model(n=2, kappa_rule="const:50", f_rule="const:50")
     config = SolverConfig(alpha=1.5, T=2.0, M=64, n=2, N_max=3, seed=107)
-    with pytest.raises(NonConvergenceError) as info:
-        solve(model, config, warn_beyond_bound=False)
-    assert info.value.path is not None
-    assert info.value.path.iteration_count == 3
+    with (pytest.warns(UserWarning, match="exceeds the binding admissible bound"),
+          pytest.raises(NonConvergenceError, match=r"still above tol 1\.0e-12 after 3 iterations")):
+        solve(model, config)
 
+
+
+def test_batch_raises_when_only_a_later_replica_fails():
+    # replica 0 (zero state, zero noise, tanh(0) = 0) is fixed by its first sweep; replica 1
+    # is not, and the batch's error names replica 1's last gap
+    model = make_model(n=2, kappa_rule="const:50", f_rule="const:50")
+    config = SolverConfig(alpha=1.5, T=2.0, M=64, n=2, N_max=3, seed=107)
+    noise = _driven_diagonal(model, generate_noise_path(1.5, 2, config.grid(), 107).increments)
+    kernel = picard._kernel(model, config.grid())
+    x0s = np.stack([np.zeros(2), config.initial_state()])
+    driven = np.stack([np.zeros_like(noise), noise])
+    states, gaps = picard._iterate_batch(model, config, x0s[:1], driven[:1], kernel)
+    assert gaps.tolist() == [[0.0]] and not states.any()
+    with pytest.raises(NonConvergenceError) as alone:
+        picard._iterate_batch(model, config, x0s[1:], driven[1:], kernel)
+    with pytest.raises(NonConvergenceError) as batched:
+        picard._iterate_batch(model, config, x0s, driven, kernel)
+    assert str(batched.value) == str(alone.value)
+    assert str(alone.value).endswith("after 3 iterations")
+
+
+def test_batch_raises_on_a_nan_gap():
+    model = heat_preset(3)
+    config = SolverConfig(alpha=1.5, T=0.01, M=20, n=3, seed=3)
+    noise = _driven_diagonal(model, generate_noise_path(1.5, 3, config.grid(), 3).increments)
+    driven = np.stack([noise, noise])
+    driven[1, 5, 0] = np.nan  # replica 1's states are nan from t_6 on, and so are its gaps
+    kernel = picard._kernel(model, config.grid())
+    with pytest.raises(NonConvergenceError, match=r"^Picard gap nan still above tol .* after 64 "):
+        picard._iterate_batch(model, config, np.tile(config.initial_state(), (2, 1)), driven,
+                              kernel)
+
+
+
+def test_iteration_cap_bounds_the_sweeps_not_the_memory():
+    # the gap history holds the sweeps run, so a cap far above them costs nothing
+    model = heat_preset(3)
+    path = solve(model, SolverConfig(alpha=1.5, T=0.01, M=20, n=3, seed=3, N_max=10**15))
+    assert 2 <= path.iteration_count == len(path.gaps) <= 21
+
+def test_solve_builds_one_kernel_and_glue_one_per_piece(monkeypatch):
+    built, build = [], picard._kernel
+
+    def counted(model, grid):
+        built.append(grid.size)
+        return build(model, grid)
+
+    monkeypatch.setattr(picard, "_kernel", counted)
+    model = heat_preset(4)
+    bound = binding_time_bound(model, 1.5)
+    solve(model, SolverConfig(alpha=1.5, T=0.5 * bound, M=40, n=4, seed=1))
+    assert built == [41]  # the iteration and the certificate share it
+    built.clear()
+    glued = glue_solve(model, SolverConfig(alpha=1.5, T=2.5 * bound, M=120, n=4, seed=110))
+    assert built == [41, 41, 41] and len(glued.piece_residuals) == 3
 
 def piece_noise(config, piece):
     """Noise of glue piece ``piece`` on the grid of ``config``, named (seed, TAG_PIECE, piece)."""
@@ -370,29 +424,29 @@ def test_glue_single_piece_matches_solve():
     glued = glue_solve(model, config)
     assert len(glued.piece_residuals) == 1
     noise = piece_noise(config, 0)
-    direct = solve(model, config, noise=noise, warn_beyond_bound=False)
+    direct = solve(model, config, noise=noise)
     assert np.array_equal(glued.states, direct.states)
 
 
 def test_glue_piece_noise_does_not_alias_other_seeds(monkeypatch):
     # pieces were once seeded by (seed << 8) ^ (TAG_PIECE + piece), so piece 0 of seed 7
     # drew exactly the noise of piece 256 of seed 6
-    drawn = []
+    drawn, solve_piece = [], picard._solve
 
-    def recording_solve(model, config, noise=None, **kwargs):
-        drawn.append(noise)
-        return solve(model, config, noise=noise, **kwargs)
+    def recording_solve(model, config, increments):
+        drawn.append((config.grid(), increments))
+        return solve_piece(model, config, increments)
 
-    monkeypatch.setattr(picard, "solve", recording_solve)
+    monkeypatch.setattr(picard, "_solve", recording_solve)
     model = heat_preset(3)
     pieces = 257
     six = SolverConfig(alpha=1.5, T=(pieces - 0.5) * GLUE_SAFETY * binding_time_bound(model, 1.5),
                        M=2 * pieces, n=3, seed=6)
     assert len(glue_solve(model, six).piece_residuals) == pieces
     assert len(glue_solve(model, replace(six, T=six.T / pieces, M=2, seed=7)).piece_residuals) == 1
-    piece_256_of_6, piece_0_of_7 = drawn[pieces - 1], drawn[pieces]
-    assert np.array_equal(piece_256_of_6.grid, piece_0_of_7.grid)
-    assert not np.any(piece_256_of_6.increments == piece_0_of_7.increments)
+    (grid_256_of_6, piece_256_of_6), (grid_0_of_7, piece_0_of_7) = drawn[pieces - 1:]
+    assert np.array_equal(grid_256_of_6, grid_0_of_7)
+    assert not np.any(piece_256_of_6 == piece_0_of_7)
 
 
 def test_glue_three_times_bound_gives_four_pieces():
@@ -422,7 +476,7 @@ def test_glue_junctions_bit_exact():
     steps = math.ceil(config.M / pieces)
     sub = SolverConfig(alpha=1.5, T=piece_T, M=steps, n=4, seed=config.seed)
     noise0 = piece_noise(sub, 0)
-    piece0 = solve(model, sub, noise=noise0, warn_beyond_bound=False)
+    piece0 = solve(model, sub, noise=noise0)
     junction = glued.piece_breaks[0]
     assert np.array_equal(glued.states[junction], piece0.terminal)
 
@@ -471,4 +525,4 @@ def test_solve_rejects_wrong_x0_shape():
     config = SolverConfig(alpha=1.5, T=0.01, M=10, n=3, seed=112,
                           x0=np.array([1.0, 2.0]))
     with pytest.raises(ValueError, match="x0 must have shape"):
-        solve(model, config, warn_beyond_bound=False)
+        solve(model, config)

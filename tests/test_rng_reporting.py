@@ -154,8 +154,8 @@ def _block_sites():
                             seed=3)
     path = sampling.generate_noise_path(1.5, 8, np.linspace(0.0, 1.0, 3_001), seed=3)
     columns = [np.random.default_rng(3).standard_normal(3_000) for _ in range(8)]
-    integrand = constant_integrand(np.random.default_rng(4).standard_normal((3, 2)),
-                                   np.linspace(0.0, 1.0, 5))
+    integrands = [constant_integrand(np.random.default_rng(4).standard_normal(shape),
+                                     np.linspace(0.0, 1.0, 5)) for shape in [(3, 2), (16, 1)]]
     weights = np.random.default_rng(5).uniform(0.0, 1.0, (5, 128))
     return {
         "picard": (experiments, lambda: picard_convergence_experiment(
@@ -166,8 +166,8 @@ def _block_sites():
             model, replace(uniq_cfg, M=200), replicas=9, seed=3)),
         "open_uniform_rows": (rng, lambda: open_uniform_rows([3, 5, np.arange(20_000)], 10)),
         "ndtri": (sampling, lambda: sampling._ndtri(open_uniform(substream(3), 3 * 2**15))),
-        "sup_integral_norms": (experiments, lambda: list(experiments._sup_integral_norms(
-            integrand, 1.5, 4_000, 3, 5))),
+        "sup_integral_norms": (experiments, lambda: [list(experiments._sup_integral_norms(
+            integrand, 1.5, 4_000, 3, 5)) for integrand in integrands]),
         "sample_isotropic": (sampling, lambda: sampling.sample_isotropic(1.5, 3, 3, 20_000)),
         "gof": (sampling, lambda: experiments.isotropic_gof_report(1.5, 3, 20_000, 3)),
         "noise_csv_lines": (sampling, lambda: sum(map(len, sampling.noise_csv_lines(path)))),

@@ -8,12 +8,16 @@ CLI examples, the benchmark commands of ``perfbench/run.py``
 (``workloads(FULL)``, imported, never edited), a few replica experiments
 whose block-budget chunks split differently from the benchmark's (``CHUNKED``),
 so that a change to batching is compared where its chunks differ, one
-command for each mode that neither of the first two runs, and ``tail`` and
-``moment`` with nine state coordinates (``MODES``).  Each runs once per seed
+command for each mode that neither of the first two runs, ``tail`` and
+``moment`` with nine state coordinates, and the solver's failure and warning
+paths: ``solve`` and ``uniqueness`` stopped before they converge, and
+``solve`` beyond the admissible horizon (``MODES``).  Each runs once per seed
 as ``python -m cylstable.cli`` with the tree on ``PYTHONPATH``, in a fresh
 directory of its own (``--out .`` is set on every command, and ``--seed`` on
 every command whose mode reads one: not on ``constants``, which takes none,
-nor on ``gronwall`` without ``--case random``, which refuses one).
+nor on ``gronwall`` without ``--case random``, which refuses one).  A
+command's standard error, if it writes any, is kept as the artifact
+``stderr.log`` (its warnings and its ``FAIL:`` or ``usage error:`` line).
 
 One line per artifact says ``identical`` or gives the largest absolute
 difference of each numeric column that moved (a CSV column, a ``.summary``
@@ -97,6 +101,12 @@ MODES = [
     *((f"n=9 {command}",
        [command, "--alpha", "1.5", "--gamma", "1,0.9,0.8,0.7,0.6,0.5,0.4,0.3,0.2"])
       for command in ("tail", "moment")),
+    # the Picard engine's failure and warning paths: exit 1 with a FAIL line, and a warning
+    ("mode solve N_max=1", ["solve", "--preset", "heat", "--T", "0.05", "--M", "200",
+                            "--N-max", "1"]),
+    ("mode uniqueness N_max=2", ["uniqueness", "--preset", "heat", "--M", "50",
+                                 "--replicas", "4", "--N-max", "2"]),
+    ("mode solve beyond T_bound", ["solve", "--preset", "heat", "--T", "0.2", "--M", "200"]),
 ]
 
 
@@ -124,12 +134,16 @@ def with_seed_and_out(args: list[str], seed: int) -> list[str]:
 # This tool imports no numpy: a child's ru_maxrss includes its parent's peak
 # (subprocess starts it with vfork), so a heavy parent would hide the command's.
 def run(src: Path, args: list[str], cwd: Path) -> tuple[int, float]:
-    """Exit code and peak resident set (MiB) of one CLI command."""
+    """Exit code and peak resident set (MiB) of one CLI command; stderr to ``stderr.log``."""
     cwd.mkdir(parents=True)
     env = dict(os.environ, PYTHONPATH=str(src))
-    proc = subprocess.Popen([sys.executable, "-m", "cylstable.cli", *args], cwd=cwd, env=env,
-                            stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
-    _, status, usage = os.wait4(proc.pid, 0)
+    log = cwd / "stderr.log"
+    with open(log, "wb") as err:
+        proc = subprocess.Popen([sys.executable, "-m", "cylstable.cli", *args], cwd=cwd,
+                                env=env, stdout=subprocess.DEVNULL, stderr=err)
+        _, status, usage = os.wait4(proc.pid, 0)
+    if not log.stat().st_size:
+        log.unlink()
     proc.returncode = os.waitstatus_to_exitcode(status)
     return proc.returncode, usage.ru_maxrss / 1024.0
 
