@@ -135,7 +135,11 @@ def _seed(text: str) -> int:
 
 
 def _parse_floats(text: str) -> tuple[float, ...]:
-    return tuple(float(x) for x in text.split(",") if x != "")
+    """A comma-separated list of at least one number; empty items are skipped."""
+    values = tuple(float(x) for x in text.split(",") if x != "")
+    if not values:
+        raise ValueError("needs at least one number")
+    return values
 
 
 def _choice(*names: str) -> Callable[[str], str]:
@@ -208,7 +212,6 @@ def cmd_sample(resolved: dict) -> int:
 
     _require(resolved, "alpha", "seed")
     alpha, seed, size = resolved["alpha"], resolved["seed"], resolved["N"]
-    out = _out_dir(resolved)
     if resolved["kind"] == "sas":
         cols = {"x": sample_scalar_sas(AlphaParams(alpha, resolved["scale"]), seed, size=size)}
     elif resolved["kind"] == "positive":
@@ -216,6 +219,7 @@ def cmd_sample(resolved: dict) -> int:
     else:
         draws = sample_isotropic(alpha, resolved["n"], seed, size=size)
         cols = {f"x_{j + 1}": draws[:, j] for j in range(resolved["n"])}
+    out = _out_dir(resolved)
     write_csv(out / "samples.csv", cols, resolved)
     print(f"wrote {out / 'samples.csv'} ({resolved['N']} draws)")
     return EXIT_PASS
@@ -258,12 +262,12 @@ def cmd_integrate(resolved: dict) -> int:
     gamma = np.asarray(resolved["gamma"], dtype=float)
     grid = np.linspace(0.0, resolved["T"], resolved["M"] + 1)
     psi = HSMatrix.diagonal(gamma)
-    out = _out_dir(resolved)
 
     if resolved["refinement_levels"] is not None:
         result = refinement_experiment(profile, psi, resolved["alpha"], resolved["T"],
                                        resolved["M"], resolved["refinement_levels"],
                                        resolved["replicas"], resolved["epsilon"], resolved["seed"])
+        out = _out_dir(resolved)
         write_csv(out / "refinement.csv", result["table"], resolved)
         write_summary(out / "refinement.summary", {"monotone": result["monotone"],
                                                    "replicas": result["replicas"]}, resolved)
@@ -273,6 +277,7 @@ def cmd_integrate(resolved: dict) -> int:
     integrand = StepIntegrand(grid, profile(grid[:-1])[:, None, None] * psi.entries)
     noise = generate_noise_path(resolved["alpha"], gamma.size, grid, resolved["seed"])
     path = integrate(integrand, noise)
+    out = _out_dir(resolved)
     cols = {"t": grid}
     cols.update({f"coord_{j + 1}": path[:, j] for j in range(path.shape[1])})
     write_csv(out / "integral.csv", cols, resolved)
@@ -327,10 +332,10 @@ def _solver_setup(resolved: dict, horizon: str = "T") -> tuple:
     model = _model_from(resolved)
     if resolved[horizon] is None:
         resolved[horizon] = 0.9 * binding_time_bound(model, resolved["alpha"])
-    x0 = np.asarray(resolved["x0"], float) if resolved["x0"] else None
     stopping = {key: resolved[key] for key in _STOPPING_SPEC if key in resolved}
     return model, SolverConfig(alpha=resolved["alpha"], T=resolved[horizon], M=resolved["M"],
-                               n=model.n, m=model.m, seed=resolved["seed"], x0=x0, **stopping)
+                               n=model.n, m=model.m, seed=resolved["seed"], x0=resolved["x0"],
+                               **stopping)
 
 
 def _write_mild_path(path, file: Path, resolved: dict) -> None:
@@ -368,8 +373,8 @@ def cmd_glue(resolved: dict) -> int:
 
     _require(resolved, "T_total", "seed")
     model, config = _solver_setup(resolved, "T_total")
-    out = _out_dir(resolved)
     path = glue_solve(model, config)
+    out = _out_dir(resolved)
     _write_mild_path(path, out / "glued_path.csv", resolved)
     entries = {"pieces": len(path.piece_residuals), "residual": path.residual}
     for i, res in enumerate(path.piece_residuals):

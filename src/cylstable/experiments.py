@@ -76,9 +76,9 @@ class ExperimentReport:
     parameters: dict
     seed: int
     tables: dict[str, dict[str, np.ndarray]] = field(default_factory=dict)
-    verdicts: list[Verdict] = field(default_factory=list)
-    notes: list[str] = field(default_factory=list)
-    inconclusive: bool = False
+    verdicts: list[Verdict] = field(default_factory=list, init=False)
+    notes: list[str] = field(default_factory=list, init=False)
+    inconclusive: bool = field(default=False, init=False)
 
     @property
     def passed(self) -> bool:
@@ -416,6 +416,8 @@ def picard_convergence_experiment(
         raise ValueError(f"replicas must be >= 2 for a standard error, got {replicas}")
     if n_iters < 1:
         raise ValueError(f"iters must be >= 1, got {n_iters}")
+    if not 0.0 < p < config.alpha:
+        raise ValueError(f"p must lie in (0, alpha)=(0, {config.alpha}), got {p}")
     _check_dimensions(model, config)
     bound = horizon_bounds(model, config.alpha)["T_picard"]
     if config.T > bound:

@@ -47,7 +47,6 @@ reached after at most M+1 sweeps regardless of the Picard seed.
 
 from __future__ import annotations
 
-import itertools
 import math
 import warnings
 from dataclasses import dataclass, field, replace
@@ -106,6 +105,8 @@ class SolverConfig:
             raise ValueError(f"tol must be positive and finite, got {self.tol}")
         if self.x0 is not None:
             object.__setattr__(self, "x0", np.asarray(self.x0, dtype=float))
+            if self.x0.shape != (self.n,):
+                raise ValueError(f"x0 must have shape ({self.n},), got {self.x0.shape}")
 
     @property
     def noise_dim(self) -> int:
@@ -116,8 +117,6 @@ class SolverConfig:
             k = np.arange(1, self.n + 1, dtype=float)
             x0 = 1.0 / k
             return x0 / np.linalg.norm(x0)
-        if self.x0.shape != (self.n,):
-            raise ValueError(f"x0 must have shape ({self.n},), got {self.x0.shape}")
         return self.x0
 
     def grid(self) -> np.ndarray:
@@ -133,8 +132,6 @@ class MildPath:
     iteration_count: int
     final_picard_gap: float
     residual: float
-    gaps: list[float] = field(default_factory=list)
-    piece_breaks: list[int] = field(default_factory=list)
     piece_residuals: list[float] = field(default_factory=list)
 
     def __post_init__(self):
@@ -356,7 +353,7 @@ def _solve(model: DiagonalModel, config: SolverConfig, increments: np.ndarray) -
     lag = states[0] - _sweep(model, states, driven, x0s, kernel)[0]
     return MildPath(grid=grid, states=states[0], iteration_count=gaps.shape[0],
                     final_picard_gap=float(gaps[-1, 0]),
-                    residual=float(np.linalg.norm(lag, axis=1).max()), gaps=gaps[:, 0].tolist())
+                    residual=float(np.linalg.norm(lag, axis=1).max()))
 
 
 def solve(model: DiagonalModel, config: SolverConfig, noise: NoisePath | None = None) -> MildPath:
@@ -394,8 +391,8 @@ def glue_solve(model: DiagonalModel, config: SolverConfig) -> MildPath:
     noise: row i of piece p from the stream (seed, TAG_PIECE, p, TAG_NOISE_ROW,
     i).  The M steps are dealt out as evenly as possible, the first M % pieces
     pieces getting one step more, so the glued grid has exactly M + 1 points
-    and piece_breaks are the cumulative step counts.  Every piece must get at
-    least 2 of the M steps, so the work stays bounded by M: a one-step
+    and each junction sits at the cumulative step count.  Every piece must get
+    at least 2 of the M steps, so the work stays bounded by M: a one-step
     piece is solved exactly by 2 sweeps (the causal Picard map is
     nilpotent) and could never report non-convergence.  Requests with
     more than M // 2 pieces raise ValueError before any noise is drawn.
@@ -414,7 +411,6 @@ def glue_solve(model: DiagonalModel, config: SolverConfig) -> MildPath:
 
     grids: list[np.ndarray] = []
     states: list[np.ndarray] = []
-    gaps: list[float] = []
     piece_residuals: list[float] = []
     iterations = 0
     final_gap = 0.0
@@ -438,7 +434,6 @@ def glue_solve(model: DiagonalModel, config: SolverConfig) -> MildPath:
         piece_residuals.append(part.residual)
         iterations = max(iterations, part.iteration_count)
         final_gap = part.final_picard_gap
-        gaps.extend(part.gaps)
         x0 = part.terminal
     return MildPath(
         grid=np.concatenate(grids),
@@ -446,7 +441,5 @@ def glue_solve(model: DiagonalModel, config: SolverConfig) -> MildPath:
         iteration_count=iterations,
         final_picard_gap=final_gap,
         residual=max(piece_residuals),
-        gaps=gaps,
-        piece_breaks=list(itertools.accumulate(steps[:-1])),
         piece_residuals=piece_residuals,
     )

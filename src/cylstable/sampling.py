@@ -279,10 +279,6 @@ class NoisePath:
     def steps(self) -> int:
         return self.grid.size - 1
 
-    @property
-    def dts(self) -> np.ndarray:
-        return np.diff(self.grid)
-
 
 def _validate_grid(grid: np.ndarray) -> None:
     if grid.ndim != 1 or grid.size < 2:
@@ -354,7 +350,7 @@ def noise_csv_lines(path: NoisePath, extra_header: Iterable[str] = ()) -> Iterat
                       for t0, t1, row in zip(ts, ts[1:], rows))
 
 
-def noise_path_to_csv(path: NoisePath, extra_header: tuple[str, ...] = ()) -> str:
+def noise_path_to_csv(path: NoisePath) -> str:
     """Serialize: the lines of :func:`noise_csv_lines` as one string."""
-    return "".join(noise_csv_lines(path, extra_header))
+    return "".join(noise_csv_lines(path))
 

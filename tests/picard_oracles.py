@@ -37,3 +37,14 @@ def zero_seeded_states(model, config, noise) -> np.ndarray:
         if gap < config.tol:
             return states[0]
     raise AssertionError(f"zero-seeded Picard gap {gap:.3e} above tol after {config.N_max} sweeps")
+
+
+def piece_breaks(M: int, pieces: int) -> list[int]:
+    """Grid indices of the glue junctions, by the rule of :func:`picard.glue_solve`.
+
+    The M steps are dealt out as evenly as possible, the first M % pieces
+    pieces getting one step more; piece p ends at the sum of the steps of
+    pieces 0..p.
+    """
+    steps = [M // pieces + (p < M % pieces) for p in range(pieces)]
+    return np.cumsum(steps[:-1]).tolist()

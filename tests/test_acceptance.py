@@ -35,7 +35,7 @@ from cylstable.sampling import (
 )
 
 import levy_oracles
-from picard_oracles import zero_seeded_states
+from picard_oracles import piece_breaks, zero_seeded_states
 
 SEED = 20260810
 KS_COEFF_1PCT = math.sqrt(-math.log(0.005) / 2.0)
@@ -236,13 +236,12 @@ def test_criterion_10_gluing():
     residuals_ok = all(res < config.tol for res in glued.piece_residuals)
 
     pieces = len(glued.piece_residuals)
-    piece_T = config.T / pieces
-    steps = math.ceil(config.M / pieces)
-    sub = SolverConfig(alpha=1.5, T=piece_T, M=steps, n=8, seed=config.seed)
+    junction = piece_breaks(config.M, pieces)[0]
+    sub = SolverConfig(alpha=1.5, T=config.T / pieces, M=junction, n=8, seed=config.seed)
     rows0 = _noise_increments(1.5, 8, sub.grid(), config.seed, TAG_PIECE, 0)
     noise0 = NoisePath(1.5, 8, sub.grid(), rows0, config.seed)
     piece0 = solve(model, sub, noise=noise0)
-    junction_exact = np.array_equal(glued.states[glued.piece_breaks[0]], piece0.terminal)
+    junction_exact = np.array_equal(glued.states[junction], piece0.terminal)
     _report(10, pieces == 4 and residuals_ok and junction_exact,
             f"{pieces} pieces (T_total = 3x bound), per-piece residuals "
             f"{[f'{r:.1e}' for r in glued.piece_residuals]} all < tol; "

@@ -634,6 +634,8 @@ def test_uniqueness_nonconvergence_fails_and_writes_nothing(tmp_path, capsys):
     ["tail", "--alpha", "1.5", "--gamma", ","],
     ["moment", "--alpha", "2.5", "--p-list", "0.5"],
     ["moment", "--alpha", "1.5", "--gamma", ","],
+    ["sample", "--alpha", "2.5"],
+    ["integrate", "--alpha", "2.5"],
     # an option that the tail mode does not read
     ["tail", "--alpha", "1.5", "--integrand", "const", "--t", "1"],
     *(["tail", "--alpha", "1.5", *extra] for extra in (
@@ -643,15 +645,39 @@ def test_uniqueness_nonconvergence_fails_and_writes_nothing(tmp_path, capsys):
         ["--alpha", "0"], ["--alpha", "1.5", "--M", "0"], ["--alpha", "2.5"], ["--alpha", "-1"],
         ["--alpha", "nan"], ["--alpha", "1.5", "--T", "-1"], ["--alpha", "1.5", "--epsilon", "nan"],
     )),
+    # a list option with no number
+    ["solve", "--T", "0.01", "--x0", ","],
+    ["moment", "--alpha", "1.5", "--p-list", ","],
+    ["check-model", "--deltas", ","],
+    # an initial state whose length is not the model's n
+    ["solve", "--T", "0.01", "--n", "3", "--x0", "1,2"],
+    ["glue", "--T-total", "0.01", "--n", "3", "--x0", "1,2"],
+    ["glue", "--T-total", "1", "--M", "4"],  # more pieces than M // 2
+    # a moment order outside (0, alpha)
+    *(["picard", "--M", "20", "--replicas", "2", "--p", p] for p in ("0", "-1", "nan", "1.5")),
 ], ids=" ".join)
 def test_out_of_domain_arguments_are_refused_before_any_draw(tmp_path, capsys, argv):
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # a draw at an invalid alpha warns before it fails
-        assert main([*argv, "--seed", "1", "--out", str(tmp_path)]) == 2
+        assert main([*argv, "--seed", "1", "--out", str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err
     assert "usage error:" in err
     assert "Traceback" not in err and "RuntimeWarning" not in err
     assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("argv", [
+    ["solve", "--T", "0.01", "--x0", ","],
+    ["moment", "--alpha", "1.5", "--p-list", ","],
+    ["check-model", "--deltas", ","],
+], ids=" ".join)
+def test_empty_list_options_are_refused_from_config(tmp_path, capsys, argv):
+    config = tmp_path / "run.cfg"
+    config.write_text(f"{argv[-2][2:].replace('-', '_')}={argv[-1]}\n")
+    out = tmp_path / "out"
+    assert main([*argv[:-2], "--config", str(config), "--seed", "1", "--out", str(out)]) == 2
+    assert "needs at least one number" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("extra", [["--T", "0.01", "--tol", "inf"], ["--T", "nan"]])

@@ -27,7 +27,7 @@ from cylstable.picard import (
 from cylstable.rng import TAG_PIECE
 from cylstable.sampling import NoisePath, _noise_increments, _row_norms, generate_noise_path
 
-from picard_oracles import semigroup_flow, zero_seeded_states
+from picard_oracles import piece_breaks, semigroup_flow, zero_seeded_states
 
 
 def drift_convolution(model, states, grid):
@@ -93,7 +93,7 @@ def hand_rolled_picard_step(model, prev, noise, x0):
 def direct_sum_picard_step(model, prev, noise, x0):
     """Reference sweep: the mild-form double sum over the full (M+1, M) lag matrix."""
     grid = noise.grid
-    loads = (model.drift(prev[:-1]) * noise.dts[:, None]
+    loads = (model.drift(prev[:-1]) * np.diff(grid)[:, None]
              + model.diffusion_diagonal(prev[:-1]) * _driven_diagonal(model, noise.increments))
     lags = grid[:, None] - grid[None, :-1]
     new = semigroup_flow(model, grid, x0)
@@ -132,7 +132,7 @@ def test_picard_step_is_within_5e_16_of_a_long_double_direct_sum():
     x0 = config.initial_state()
     flow = semigroup_flow(model, config.grid(), x0)
     new = picard_step(model, flow, noise, x0)
-    loads = (model.drift(flow[:-1]) * noise.dts[:, None]
+    loads = (model.drift(flow[:-1]) * np.diff(noise.grid)[:, None]
              + model.diffusion_diagonal(flow[:-1]) * noise.increments).astype(np.longdouble)
     lags = np.arange(1, config.M + 1, dtype=np.longdouble) * (np.longdouble(config.T) / config.M)
     kernel = np.exp(-np.outer(lags, model.lambdas.astype(np.longdouble)))
@@ -203,7 +203,7 @@ def test_solve_matches_exponential_euler_oracle():
     path = solve(model, config, noise=noise)
     euler = np.empty_like(path.states)
     euler[0] = config.initial_state()
-    for k, dt in enumerate(noise.dts):
+    for k, dt in enumerate(np.diff(noise.grid)):
         x = euler[k]
         euler[k + 1] = np.exp(-model.lambdas * dt) * (
             x + model.drift(x) * dt + model.diffusion_diagonal(x) * noise.increments[k]
@@ -391,8 +391,13 @@ def test_batch_raises_on_a_nan_gap():
 def test_iteration_cap_bounds_the_sweeps_not_the_memory():
     # the gap history holds the sweeps run, so a cap far above them costs nothing
     model = heat_preset(3)
-    path = solve(model, SolverConfig(alpha=1.5, T=0.01, M=20, n=3, seed=3, N_max=10**15))
-    assert 2 <= path.iteration_count == len(path.gaps) <= 21
+    config = SolverConfig(alpha=1.5, T=0.01, M=20, n=3, seed=3, N_max=10**15)
+    path = solve(model, config)
+    driven = _driven_diagonal(model, _noise_increments(1.5, 3, config.grid(), 3))[None]
+    _, gaps = picard._iterate_batch(model, config, config.initial_state()[None], driven,
+                                    picard._kernel(model, config.grid()))
+    assert 2 <= path.iteration_count <= 21
+    assert gaps.shape == (path.iteration_count, 1)
 
 def test_solve_builds_one_kernel_and_glue_one_per_piece(monkeypatch):
     built, build = [], picard._kernel
@@ -456,7 +461,8 @@ def test_glue_three_times_bound_gives_four_pieces():
     glued = glue_solve(model, config)
     assert len(glued.piece_residuals) == 4
     assert all(res < config.tol for res in glued.piece_residuals)
-    assert len(glued.piece_breaks) == 3
+    for p, junction in enumerate(piece_breaks(config.M, 4), 1):
+        assert glued.grid[junction] == pytest.approx(p * config.T / 4.0)
     assert glued.grid.size == config_grid_points(glued)
 
 
@@ -472,12 +478,9 @@ def test_glue_junctions_bit_exact():
     # re-solve piece 0 independently; its terminal must equal the glued
     # state at the first junction bit-for-bit
     pieces = len(glued.piece_residuals)
-    piece_T = config.T / pieces
-    steps = math.ceil(config.M / pieces)
-    sub = SolverConfig(alpha=1.5, T=piece_T, M=steps, n=4, seed=config.seed)
-    noise0 = piece_noise(sub, 0)
-    piece0 = solve(model, sub, noise=noise0)
-    junction = glued.piece_breaks[0]
+    junction = piece_breaks(config.M, pieces)[0]
+    sub = SolverConfig(alpha=1.5, T=config.T / pieces, M=junction, n=4, seed=config.seed)
+    piece0 = solve(model, sub, noise=piece_noise(sub, 0))
     assert np.array_equal(glued.states[junction], piece0.terminal)
 
 
@@ -489,9 +492,9 @@ def test_glue_deals_out_exactly_M_steps():
     glued = glue_solve(model, config)
     assert len(glued.piece_residuals) == 3
     assert glued.grid.size == 122
-    assert glued.piece_breaks == [41, 81]
-    assert glued.grid[81] == pytest.approx(2.0 * config.T / 3.0)
-    assert glued.grid[-1] == pytest.approx(config.T)
+    assert piece_breaks(config.M, 3) == [41, 81]
+    for p, junction in enumerate([0, 41, 81, 121]):
+        assert glued.grid[junction] == pytest.approx(p * config.T / 3.0)
 
 
 def test_glue_propagates_nonconvergence_with_piece_index():
@@ -521,8 +524,5 @@ def test_config_rejects_non_finite_values(field, value):
 
 
 def test_solve_rejects_wrong_x0_shape():
-    model = heat_preset(3)
-    config = SolverConfig(alpha=1.5, T=0.01, M=10, n=3, seed=112,
-                          x0=np.array([1.0, 2.0]))
-    with pytest.raises(ValueError, match="x0 must have shape"):
-        solve(model, config)
+    with pytest.raises(ValueError, match=r"x0 must have shape \(3,\), got \(2,\)"):
+        SolverConfig(alpha=1.5, T=0.01, M=10, n=3, seed=112, x0=np.array([1.0, 2.0]))

@@ -11,7 +11,8 @@ so that a change to batching is compared where its chunks differ, one
 command for each mode that neither of the first two runs, ``tail`` and
 ``moment`` with nine state coordinates, and the solver's failure and warning
 paths: ``solve`` and ``uniqueness`` stopped before they converge, and
-``solve`` beyond the admissible horizon (``MODES``).  Each runs once per seed
+``solve`` beyond the admissible horizon, and a few requests that are refused
+as usage errors (``MODES``).  Each runs once per seed
 as ``python -m cylstable.cli`` with the tree on ``PYTHONPATH``, in a fresh
 directory of its own (``--out .`` is set on every command, and ``--seed`` on
 every command whose mode reads one: not on ``constants``, which takes none,
@@ -107,6 +108,15 @@ MODES = [
     ("mode uniqueness N_max=2", ["uniqueness", "--preset", "heat", "--M", "50",
                                  "--replicas", "4", "--N-max", "2"]),
     ("mode solve beyond T_bound", ["solve", "--preset", "heat", "--T", "0.2", "--M", "200"]),
+    # refused before anything is written: exit 2 with a usage error line
+    *((f"refused {' '.join(args)}", args) for args in (
+        ["solve", "--T", "0.01", "--x0", ","],
+        ["moment", "--alpha", "1.5", "--p-list", ","],
+        ["check-model", "--deltas", ","],
+        ["solve", "--T", "0.01", "--n", "3", "--x0", "1,2"],
+        ["glue", "--T-total", "0.01", "--n", "3", "--x0", "1,2"],
+        *(["picard", "--alpha", "1.5", "--p", p] for p in ("0", "-1", "nan", "1.5")),
+    )),
 ]
 
 
