@@ -294,7 +294,7 @@ _SOLVER_SPEC = {
     "seed": (_seed, None), "out": (str, "."), "x0": (_parse_floats, None),
 }
 # the Picard stopping rule of solve, glue and uniqueness; picard runs exactly --iters sweeps
-_STOPPING_SPEC = {"N_max": (int, 64), "tol": (float, 1e-12)}
+_STOPPING_SPEC = {"tol": (float, 1e-12)}
 
 
 def _model_from(resolved: dict):
@@ -352,12 +352,12 @@ def cmd_solve(resolved: dict) -> int:
 
     _require(resolved, "T", "seed")
     model, config = _solver_setup(resolved)
-    out = _out_dir(resolved)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         path = solve(model, config)
     for warning in caught:
         print(f"warning: {warning.message}", file=sys.stderr)
+    out = _out_dir(resolved)
     _write_mild_path(path, out / "mild_path.csv", resolved)
     write_summary(out / "mild_path.summary", {
         "iteration_count": path.iteration_count, "final_picard_gap": path.final_picard_gap,

@@ -508,8 +508,9 @@ def uniqueness_experiment(
     kernel = _kernel(model, config.grid())
     rows = np.empty((replicas, 2))
     # three Picard paths per replica, 66 B per state element: the noise draw, then each path's
-    # states and noise and the sweep's 32 B (traced in chunks of three at M = 200: 56 B, 65 B
-    # once the first chunk has imported numpy.fft; 63 B at M = 1000)
+    # noise with the causal pass's 32 B, or with its states and the sweep's 32 B (traced in
+    # chunks of three at M = 200: 56 B, set by the draw, with or without the pass; 48 B at
+    # M = 1000)
     for chunk in _blocks(replicas, 66 * 3 * (config.M + 1) * model.n):
         rows[chunk] = _uniqueness_distances(model, config, kernel, seed, chunk, x0_triple)
     x0_dists, noise_dists = rows.T

@@ -15,7 +15,7 @@ shape (R, M+1, n) and driven noise increments of shape (R, M, n), iterated
 by one function.  Each replica carries its own convergence mask entry: it
 is frozen at its first gap below tol, while the others keep sweeping, and
 the batch raises :class:`NonConvergenceError` if any replica is still
-active after N_max sweeps.  Per element, a replica's arithmetic is the same
+active after N_MAX sweeps.  Per element, a replica's arithmetic is the same
 in any batch, so results do not depend on how replicas are batched:
 :func:`solve` and each glued piece are the batch of one, and ``uniqueness``
 solves three paths per replica in one batch per chunk.
@@ -42,7 +42,16 @@ one more application of that same map on the kernel of the iteration;
 
 Given a fixed noise realisation the iteration map is strictly causal in
 time, hence nilpotent: the discrete fixed point exists, is unique, and is
-reached after at most M+1 sweeps regardless of the Picard seed.
+reached after at most M+1 sweeps regardless of the Picard seed.  On the
+uniform grid it also satisfies the causal recursion
+X(t_{k+1}) = a (X(t_k) + F(X(t_k)) dt + G(X(t_k)) dL_k), a = exp(-lambda dt),
+the exponential Euler scheme.  The solver seeds every iteration with one
+forward pass of that recursion (:func:`_causal_pass`), which reaches the
+fixed point up to rounding, so a solve freezes after one sweep.  The sweep
+stays the map, the convergence test and the certificate: the pass is only
+a seed, and a wrong pass would cost sweeps, never change the result.  The
+Picard iterates themselves, from the semigroup flow S(t) x0, are what
+``picard`` studies, and that command keeps the flow seed.
 """
 
 from __future__ import annotations
@@ -72,6 +81,10 @@ __all__ = [
 ]
 
 GLUE_SAFETY = 0.99
+# the sweeps a batch may run before it raises NonConvergenceError; from the causal pass a
+# solve at tol 1e-12 freezes after one, so only a tol below the rounding floor of the path,
+# or a path that is not finite, reaches it
+N_MAX = 64
 
 
 class NonConvergenceError(RunFailed):
@@ -80,14 +93,13 @@ class NonConvergenceError(RunFailed):
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Horizon, grid size, truncations, Picard controls and the seed."""
+    """Horizon, grid size, truncations, Picard tolerance and the seed."""
 
     alpha: float
     T: float
     M: int
     n: int
     m: int | None = None
-    N_max: int = 64
     tol: float = 1e-12
     seed: int = 0
     x0: np.ndarray | None = None
@@ -99,8 +111,6 @@ class SolverConfig:
             raise ValueError(f"T must be positive and finite, got {self.T}")
         if self.M < 1:
             raise ValueError(f"M must be >= 1, got {self.M}")
-        if self.N_max < 1:
-            raise ValueError("N_max must be >= 1")
         if not 0.0 < self.tol < math.inf:
             raise ValueError(f"tol must be positive and finite, got {self.tol}")
         if self.x0 is not None:
@@ -293,6 +303,47 @@ def residual(model: DiagonalModel, path: MildPath, noise: NoisePath, x0: np.ndar
     return float(np.linalg.norm(gaps, axis=1).max())
 
 
+def _causal_pass(model: DiagonalModel, driven: np.ndarray, x0s: np.ndarray,
+                 kernel: _Kernel) -> np.ndarray:
+    """One exponential-Euler pass: states (R, M+1, n), the discrete fixed point up to rounding.
+
+    X(t_{k+1}) = a X(t_k) + s(X(t_k)) c_k with a = exp(-lambda dt) and
+    c_k = a (f dt + kappa dL_k), formed once for all k.  Time row k holds the
+    pair (X(t_k), s(X(t_k))) and the coefficients the pair (a, c_k), so a step
+    is one product, one sum of its two halves and the shape, each in place.
+    Per state element, the coefficients and the pairs hold 16 + 16 B above
+    the inputs, then the pairs and the (R, M+1, n) copy of the states 16 + 8 B.
+
+    The loop over time steps is a deliberate exception to array code: it is
+    the seed of :func:`_iterate_batch`, which then freezes after one sweep
+    instead of 8 to 12.  Measured in process (2 cores, numpy 2.4): at M = 200
+    with 9 paths, a ``uniqueness`` chunk, the pass takes 0.33 ms against
+    0.23 ms a sweep, and the iteration 0.61 ms instead of 2.5 ms; at M = 5000
+    with one path, 5.3 ms against 0.9 ms, and 6.4 ms instead of 9.0 ms.
+    """
+    count, M, n = driven.shape
+    a = kernel.decay[1]  # exp(-lambda t_1), t_1 = T / M
+    coef = np.empty((M, 2, count, n))
+    coef[:, 0] = a
+    np.multiply(np.swapaxes(driven, 0, 1), model.kappa, out=coef[:, 1])
+    coef[:, 1] += model.f * kernel.dts[:, None, None]
+    coef[:, 1] *= a
+    pairs = np.empty((M + 1, 2, count, n))
+    pairs[0, 0] = x0s
+    shape = model.shape_fn
+    if not isinstance(shape, np.ufunc):  # the constant shapes take no out=
+        shape = lambda x, out, fn=shape: np.copyto(out, fn(x))  # noqa: E731
+    shape(x0s, out=pairs[0, 1])
+    terms = np.empty((2, count, n))
+    decayed, load = terms  # a X(t_k) and s(X(t_k)) c_k
+    for pair, c, x, s in zip(pairs[:-1], coef, pairs[1:, 0], pairs[1:, 1]):
+        np.multiply(pair, c, out=terms)
+        np.add(decayed, load, out=x)
+        shape(x, out=s)
+    del coef, c  # the last row view holds the coefficients too
+    return np.ascontiguousarray(np.swapaxes(pairs[:, 0], 0, 1))
+
+
 def _iterate_batch(
     model: DiagonalModel,
     config: SolverConfig,
@@ -303,20 +354,20 @@ def _iterate_batch(
     """Iterate the Picard map for R replicas: states (R, M+1, n) and gaps (sweeps, R).
 
     Replica r starts from x0s[r] (shape (R, n)) with its driven increments
-    driven[r] (shape (R, M, n)), seeded by its semigroup flow; ``kernel`` is
-    :func:`_kernel` of the config's grid.  All still-active replicas share
+    driven[r] (shape (R, M, n)), seeded by :func:`_causal_pass`; ``kernel``
+    is :func:`_kernel` of the config's grid.  All still-active replicas share
     each sweep; a replica is frozen at its first gap below tol, and its rows
     of the gap history after that are nan.  Raises
     :class:`NonConvergenceError`, naming the last gap of the first replica
-    still active, if any is after N_max sweeps (a nan gap never converges).
+    still active, if any is after N_MAX sweeps (a nan gap never converges).
     """
     count = x0s.shape[0]
-    current = kernel.decay * x0s[:, None, :]  # the semigroup flow S(t_k) x0 of each replica
-    gaps = []  # one row a sweep run: N_max bounds the sweeps, not what is held before them
+    current = _causal_pass(model, driven, x0s, kernel)
+    gaps = []  # one row a sweep run: N_MAX bounds the sweeps, not what is held before them
     # the active replicas' states, driven increments and initial states are gathered once
     # per freeze, and the frozen replicas' states set aside, so each replica is held once
     active, done = np.arange(count), []
-    for _ in range(config.N_max):
+    for _ in range(N_MAX):
         new = _sweep(model, current, driven, x0s, kernel)
         sweep_gaps = np.linalg.norm(new - current, axis=2).max(axis=1)
         gaps.append(np.full(count, np.nan))
@@ -332,7 +383,7 @@ def _iterate_batch(
     else:
         raise NonConvergenceError(
             f"Picard gap {gaps[-1][active[0]]:.3e} still above tol {config.tol:.1e} after "
-            f"{config.N_max} iterations"
+            f"{N_MAX} iterations"
         )
     states = np.empty((count, *current.shape[1:]))
     for rows, block in done:
@@ -359,13 +410,14 @@ def _solve(model: DiagonalModel, config: SolverConfig, increments: np.ndarray) -
 def solve(model: DiagonalModel, config: SolverConfig, noise: NoisePath | None = None) -> MildPath:
     """Iterate the Picard map to the discrete fixed point and certify it.
 
-    Seeds with the semigroup flow S(t)x0, the only seed: the discrete fixed
-    point does not depend on it (see the module docstring).  Warns when T
-    exceeds the binding admissible bound, and raises
-    :class:`NonConvergenceError` when the gap is still above tolerance at
-    N_max; beyond the proven admissible horizon that outcome is a
-    diagnostic, not a bug.  Without ``noise``, the path's rows are the
-    streams (seed, TAG_NOISE_ROW, i) of :func:`sampling.generate_noise_path`.
+    Seeds with one exponential-Euler pass (:func:`_causal_pass`), the fixed
+    point up to rounding, which the discrete fixed point does not depend on
+    (see the module docstring).  Warns when T exceeds the binding admissible
+    bound, and raises :class:`NonConvergenceError` when the gap is still
+    above tolerance after N_MAX sweeps: with a tol below the rounding floor
+    of the path, or a path that is not finite.  Without ``noise``, the
+    path's rows are the streams (seed, TAG_NOISE_ROW, i) of
+    :func:`sampling.generate_noise_path`.
     """
     _check_dimensions(model, config)
     grid = config.grid()

@@ -2,8 +2,9 @@
 
 The discrete Picard map is strictly causal, so its fixed point does not
 depend on the seed of the iteration (:mod:`cylstable.picard`).  The solver
-seeds with the semigroup flow only; :func:`zero_seeded_states` runs the same
-sweeps from zero, so a test can compare the two fixed points.
+seeds with one exponential-Euler pass, and ``picard`` with the semigroup
+flow; :func:`zero_seeded_states` runs the same sweeps from zero, so a test
+can compare the fixed points.
 """
 
 import numpy as np
@@ -14,7 +15,7 @@ from cylstable import picard
 def semigroup_flow(model, grid, x0) -> np.ndarray:
     """S(t_k) x0 on any grid: shape (M+1, n) for x0 of shape (n,), (R, M+1, n) for (R, n).
 
-    The arithmetic of the solver's seed and of every sweep's S(t_k) x0 term.
+    The arithmetic of ``picard``'s seed and of every sweep's S(t_k) x0 term.
     """
     return np.exp(-np.outer(grid, model.lambdas)) * x0[..., None, :]
 
@@ -23,20 +24,20 @@ def zero_seeded_states(model, config, noise) -> np.ndarray:
     """States (M+1, n) of ``picard._sweep`` iterated from the zero path on ``noise``.
 
     Stops at the first sweep whose gap is below ``config.tol``, as the solver
-    does; raises AssertionError if none is within ``config.N_max`` sweeps.
+    does; raises AssertionError if none is within ``picard.N_MAX`` sweeps.
     """
     grid = config.grid()
     kernel = picard._kernel(model, grid)
     x0s = config.initial_state()[None]
     driven = picard._driven_diagonal(model, noise.increments)[None]
     states = np.zeros((1, grid.size, model.n))
-    for _ in range(config.N_max):
+    for _ in range(picard.N_MAX):
         new = picard._sweep(model, states, driven, x0s, kernel)
         gap = np.linalg.norm(new - states, axis=2).max()
         states = new
         if gap < config.tol:
             return states[0]
-    raise AssertionError(f"zero-seeded Picard gap {gap:.3e} above tol after {config.N_max} sweeps")
+    raise AssertionError(f"zero-seeded Picard gap {gap:.3e} above tol after {picard.N_MAX} sweeps")
 
 
 def piece_breaks(M: int, pieces: int) -> list[int]:

@@ -252,8 +252,10 @@ OTHER_VALUES = {
     "integrand": ("const", "bogus"), "scale_factor": ("4",), "p_list": ("1,1.1",),
     "iters": ("2",), "count": ("2",), "case": ("random", "near-equality"),
     "input": ("OTHER_UVW",), "deltas": ("0.5",), "preset": ("bogus",),
-    "model_config": ("OTHER_MODEL",), "x0": ("1,0,0",), "T_total": ("0.2",), "tol": ("1e-3",),
-    "N_max": ("1",),  # one sweep cannot converge: a larger N_max would change no converged byte
+    "model_config": ("OTHER_MODEL",), "x0": ("1,0,0",), "T_total": ("0.2",),
+    # below the rounding floor no solve of these cases converges; from the causal pass every
+    # one freezes after one sweep at any tol above the floor, so no other tol changes a byte
+    "tol": ("1e-300",),
 }
 # the header lines that _model_from writes from a model file, in place of the flags
 MODEL_DERIVED = {"model_sha256", "n"}
@@ -618,15 +620,24 @@ def test_verdict_failure_exit_code(tmp_path, capsys):
 
 
 
-def test_uniqueness_nonconvergence_fails_and_writes_nothing(tmp_path, capsys):
+def _fails_and_writes_nothing(argv, tmp_path, capsys):
     out = tmp_path / "out"
-    code = main(["uniqueness", "--preset", "heat", "--M", "50", "--replicas", "4",
-                 "--N-max", "2", "--seed", "7", "--out", str(out)])
+    code = main([*argv, "--preset", "heat", "--tol", "1e-300", "--seed", "7", "--out", str(out)])
     assert code == 1
     first = capsys.readouterr().err.splitlines()[0]
     assert first.startswith("FAIL: Picard gap ")
-    assert first.endswith(" still above tol 1.0e-12 after 2 iterations")
+    assert first.endswith(" still above tol 1.0e-300 after 64 iterations")
     assert not out.exists()
+
+
+def test_uniqueness_nonconvergence_fails_and_writes_nothing(tmp_path, capsys):
+    # a tol below the rounding floor: some path's gaps settle in a cycle above it
+    _fails_and_writes_nothing(["uniqueness", "--M", "50", "--replicas", "4"], tmp_path, capsys)
+
+
+def test_solve_nonconvergence_fails_and_writes_nothing(tmp_path, capsys):
+    _fails_and_writes_nothing(["solve", "--T", "0.05", "--M", "200"], tmp_path, capsys)
+
 
 @pytest.mark.parametrize("argv", [
     ["tail", "--alpha", "0"],

@@ -509,9 +509,16 @@ def test_batched_experiments_equal_per_replica_reference():
 
 def test_solve_batch_equals_batches_of_one():
     model, _, uniq_cfg = _ensemble_setup()
-    _, paths, noises, x0s = per_replica_uniqueness_paths(model, uniq_cfg, 3, 19)
+    _, _, noises, x0s = per_replica_uniqueness_paths(model, uniq_cfg, 3, 19)
     driven = np.stack([_driven_diagonal(model, noise.increments) for noise in noises])
     kernel = picard._kernel(model, uniq_cfg.grid())
+    # from the causal pass every path freezes after one sweep at the default tol, with a gap
+    # of a few ulp; a tol at the median of those gaps freezes the paths below it after one
+    # sweep and the others after two, whose gaps are an ulp or less
+    _, first = _iterate_batch(model, uniq_cfg, x0s, driven, kernel)
+    assert first.shape == (1, len(noises))
+    uniq_cfg = replace(uniq_cfg, tol=float(np.median(first)))
+    _, paths, _, _ = per_replica_uniqueness_paths(model, uniq_cfg, 3, 19)
     states, gaps = _iterate_batch(model, uniq_cfg, x0s, driven, kernel)
     # the batch freezes replicas at different sweeps, and a frozen replica's gaps read nan
     iterations = (~np.isnan(gaps)).sum(axis=0)

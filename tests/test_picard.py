@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from cylstable import picard
 from cylstable.hilbert import heat_preset, make_model
+from cylstable.experiments import _picard_diffs
 from cylstable.picard import (
     GLUE_SAFETY,
     MildPath,
@@ -157,6 +158,17 @@ def test_loads_equal_drift_and_diffusion_bit_for_bit():
         assert np.swapaxes(loads, -1, -2).tobytes() == np.ascontiguousarray(expected).tobytes()
 
 
+def traced_peak(run) -> int:
+    """Peak bytes that ``run()`` holds above what was held before it, by tracemalloc."""
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        run()
+        return tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+
+
 def test_sweep_holds_at_most_32_bytes_per_state_element_above_its_inputs():
     # two copies of the loads, the loads and their spectrum, the spectrum and the convolution,
     # the convolution and the result: each freed after its last use, so a buffer kept alive
@@ -169,14 +181,21 @@ def test_sweep_holds_at_most_32_bytes_per_state_element_above_its_inputs():
     driven = 0.01 * rng.standard_normal((9, 200, 8))
     x0s = rng.standard_normal((9, 8))
     picard._sweep(model, prev, driven, x0s, kernel)  # numpy.fft's first call allocates once
-    tracemalloc.start()
-    try:
-        start = tracemalloc.get_traced_memory()[0]
-        picard._sweep(model, prev, driven, x0s, kernel)
-        peak = tracemalloc.get_traced_memory()[1] - start
-    finally:
-        tracemalloc.stop()
+    peak = traced_peak(lambda: picard._sweep(model, prev, driven, x0s, kernel))
     assert peak <= 33 * prev.size  # 32 B and numpy's small fixed allocations
+
+
+def test_causal_pass_holds_at_most_32_bytes_per_state_element_above_its_inputs():
+    # the coefficients and the pairs (16 + 16 B), then the pairs and the states (16 + 8 B):
+    # coefficients kept alive into the copy would add 16 B
+    rng = np.random.default_rng(6)
+    driven = 0.01 * rng.standard_normal((9, 200, 8))
+    x0s = rng.standard_normal((9, 8))
+    for shape in ("tanh", "one"):
+        model = make_model(n=8, shape=shape)
+        kernel = picard._kernel(model, np.linspace(0.0, 0.05, 201))
+        peak = traced_peak(lambda: picard._causal_pass(model, driven, x0s, kernel))
+        assert peak <= 33 * 9 * 201 * 8
 
 
 def test_fft_length_is_the_smallest_5_smooth_length_without_wrap_around():
@@ -233,24 +252,45 @@ def test_picard_step_matches_hand_rolled_oracle():
     assert np.all(np.abs(ours2 - oracle2) < 1e-12)
 
 
+def flow_seeded_sweeps(model, config, sweeps):
+    """The semigroup flow and the first ``sweeps`` Picard iterates from it, on solve's noise."""
+    noise = generate_noise_path(config.alpha, config.noise_dim, config.grid(), config.seed)
+    x0 = config.initial_state()
+    iterates = [semigroup_flow(model, config.grid(), x0)]
+    for _ in range(sweeps):
+        iterates.append(picard_step(model, iterates[-1], noise, x0))
+    return iterates
+
+
 def test_zero_coefficients_reduce_to_flow():
+    # the flow is the fixed point: the first flow-seeded sweep returns it bit for bit, on the
+    # whole path and in the picard command's loop; solve freezes on it after one sweep
     model = make_model(n=3, f_rule="zero", kappa_rule="zero")
     config = SolverConfig(alpha=1.5, T=0.5, M=20, n=3, seed=101)
+    flow, first = flow_seeded_sweeps(model, config, 1)
+    assert np.array_equal(first, flow)
+    kernel = picard._kernel(model, config.grid())
+    assert not _picard_diffs(model, config, kernel, config.seed, range(3), 2).any()
     path = solve(model, config)
-    flow = semigroup_flow(model, config.grid(), config.initial_state())
     assert np.array_equal(path.states, flow)
     assert path.iteration_count == 1
-    assert path.final_picard_gap == 0.0
 
 
 def test_additive_noise_fixed_in_two_iterations():
-    # state-independent coefficients: the map no longer depends on the
-    # previous path, so the second sweep reproduces the first exactly
+    # state-independent coefficients: the map no longer depends on the previous path, so from
+    # the flow the second sweep reproduces the first exactly, on the whole path and in the
+    # picard command's loop; solve's one sweep from its pass gives that same path
     model = make_model(n=3, f_rule="zero", kappa_rule="power:1:1.5", shape="one")
     config = SolverConfig(alpha=1.5, T=0.02, M=50, n=3, seed=102)
+    flow, first, second = flow_seeded_sweeps(model, config, 2)
+    assert not np.array_equal(first, flow)
+    assert np.array_equal(second, first)
+    kernel = picard._kernel(model, config.grid())
+    diffs = _picard_diffs(model, config, kernel, config.seed, range(3), 3)
+    assert diffs[:, 0].all() and not diffs[:, 1:].any()
     path = solve(model, config)
-    assert path.iteration_count == 2
-    assert path.final_picard_gap == 0.0
+    assert np.array_equal(path.states, first)
+    assert path.iteration_count == 1
 
 
 def test_solve_preset_residual_certificate():
@@ -337,6 +377,35 @@ def test_solve_below_bound_no_warning():
         solve(model, config)
 
 
+def test_causal_pass_is_the_fixed_point_up_to_rounding():
+    # the pass rounds a = exp(-lambda dt) once and the recursion takes its k-th power, so its
+    # rounding grows along the path: about 10 ulp of sup|X| at M = 200, 1000 at M = 5000
+    model = heat_preset(8)
+    eps = np.finfo(float).eps
+    for M in (200, 5000):
+        config = SolverConfig(alpha=1.5, T=0.05, M=M, n=8, seed=7)
+        noise = generate_noise_path(1.5, 8, config.grid(), config.seed)
+        path = solve(model, config, noise=noise)
+        seed = picard._causal_pass(model, _driven_diagonal(model, noise.increments)[None],
+                                   config.initial_state()[None],
+                                   picard._kernel(model, config.grid()))[0]
+        assert path.iteration_count == 1 and path.residual < 1e-10
+        assert np.abs(seed - path.states).max() <= M * eps * np.abs(path.states).max()
+
+
+def test_solve_does_not_depend_on_the_seed(monkeypatch):
+    # seeded by the semigroup flow instead of the pass, solve sweeps more but reaches the
+    # same fixed point
+    model = heat_preset(8)
+    config = SolverConfig(alpha=1.5, T=0.05, M=200, n=8, seed=7)
+    seeded = solve(model, config)
+    monkeypatch.setattr(picard, "_causal_pass", lambda model, driven, x0s, kernel:
+                        kernel.decay * x0s[:, None, :])
+    flow_seeded = solve(model, config)
+    assert flow_seeded.iteration_count > seeded.iteration_count == 1
+    assert np.abs(flow_seeded.states - seeded.states).max() < 10.0 * config.tol
+
+
 def test_picard_seed_independence():
     model = heat_preset(6)
     config = SolverConfig(alpha=1.5, T=0.03, M=80, n=6, seed=106)
@@ -348,19 +417,20 @@ def test_picard_seed_independence():
 
 
 def test_nonconvergence_is_reported():
+    # a tol below the rounding floor: far beyond the bound the gaps stay at about 1e-14
     model = make_model(n=2, kappa_rule="const:50", f_rule="const:50")
-    config = SolverConfig(alpha=1.5, T=2.0, M=64, n=2, N_max=3, seed=107)
+    config = SolverConfig(alpha=1.5, T=2.0, M=64, n=2, tol=1e-300, seed=107)
     with (pytest.warns(UserWarning, match="exceeds the binding admissible bound"),
-          pytest.raises(NonConvergenceError, match=r"still above tol 1\.0e-12 after 3 iterations")):
+          pytest.raises(NonConvergenceError,
+                        match=r"still above tol 1\.0e-300 after 64 iterations")):
         solve(model, config)
 
 
-
 def test_batch_raises_when_only_a_later_replica_fails():
-    # replica 0 (zero state, zero noise, tanh(0) = 0) is fixed by its first sweep; replica 1
-    # is not, and the batch's error names replica 1's last gap
+    # replica 0 (zero state, zero noise, tanh(0) = 0) is fixed by its first sweep, with a gap
+    # of exactly 0; replica 1 never is, and the batch's error names replica 1's last gap
     model = make_model(n=2, kappa_rule="const:50", f_rule="const:50")
-    config = SolverConfig(alpha=1.5, T=2.0, M=64, n=2, N_max=3, seed=107)
+    config = SolverConfig(alpha=1.5, T=2.0, M=64, n=2, tol=1e-300, seed=107)
     noise = _driven_diagonal(model, generate_noise_path(1.5, 2, config.grid(), 107).increments)
     kernel = picard._kernel(model, config.grid())
     x0s = np.stack([np.zeros(2), config.initial_state()])
@@ -372,7 +442,7 @@ def test_batch_raises_when_only_a_later_replica_fails():
     with pytest.raises(NonConvergenceError) as batched:
         picard._iterate_batch(model, config, x0s, driven, kernel)
     assert str(batched.value) == str(alone.value)
-    assert str(alone.value).endswith("after 3 iterations")
+    assert str(alone.value).endswith("after 64 iterations")
 
 
 def test_batch_raises_on_a_nan_gap():
@@ -388,16 +458,25 @@ def test_batch_raises_on_a_nan_gap():
 
 
 
-def test_iteration_cap_bounds_the_sweeps_not_the_memory():
-    # the gap history holds the sweeps run, so a cap far above them costs nothing
+def test_iteration_cap_bounds_the_sweeps_not_the_memory(monkeypatch):
+    # the gap history holds the sweeps run, so a cap far above them costs nothing; a path
+    # that never converges (nan from t_6 on) raises after exactly N_MAX sweeps
     model = heat_preset(3)
-    config = SolverConfig(alpha=1.5, T=0.01, M=20, n=3, seed=3, N_max=10**15)
+    config = SolverConfig(alpha=1.5, T=0.01, M=20, n=3, seed=3)
+    monkeypatch.setattr(picard, "N_MAX", 10**15)
     path = solve(model, config)
     driven = _driven_diagonal(model, _noise_increments(1.5, 3, config.grid(), 3))[None]
-    _, gaps = picard._iterate_batch(model, config, config.initial_state()[None], driven,
-                                    picard._kernel(model, config.grid()))
-    assert 2 <= path.iteration_count <= 21
+    kernel = picard._kernel(model, config.grid())
+    _, gaps = picard._iterate_batch(model, config, config.initial_state()[None], driven, kernel)
+    assert path.iteration_count == 1
     assert gaps.shape == (path.iteration_count, 1)
+    swept, sweep = [], picard._sweep
+    monkeypatch.setattr(picard, "N_MAX", 5)
+    monkeypatch.setattr(picard, "_sweep", lambda *args: swept.append(1) or sweep(*args))
+    driven[0, 5, 0] = np.nan
+    with pytest.raises(NonConvergenceError, match=r"^Picard gap nan .* after 5 iterations$"):
+        picard._iterate_batch(model, config, config.initial_state()[None], driven, kernel)
+    assert len(swept) == 5
 
 def test_solve_builds_one_kernel_and_glue_one_per_piece(monkeypatch):
     built, build = [], picard._kernel
@@ -498,9 +577,10 @@ def test_glue_deals_out_exactly_M_steps():
 
 
 def test_glue_propagates_nonconvergence_with_piece_index():
+    # piece 0's gaps settle in a cycle at 1.1e-16, so a tol below the rounding floor fails it
     model = make_model(n=2, kappa_rule="const:80", f_rule="const:80")
     bound = binding_time_bound(model, 1.5)
-    config = SolverConfig(alpha=1.5, T=3.0 * bound, M=64, n=2, N_max=2, seed=111)
+    config = SolverConfig(alpha=1.5, T=3.0 * bound, M=400, n=2, tol=1e-300, seed=111)
     with pytest.raises(NonConvergenceError, match="piece 0 of 4 failed to converge"):
         glue_solve(model, config)
 
@@ -508,7 +588,7 @@ def test_glue_propagates_nonconvergence_with_piece_index():
 def test_glue_refuses_pieces_shorter_than_two_steps():
     # T_bound = 1.5e-6 here: T=3 would need ~2e6 pieces for only 64 steps
     model = make_model(n=2, kappa_rule="const:80", f_rule="const:80")
-    config = SolverConfig(alpha=1.5, T=3.0, M=64, n=2, N_max=2, seed=111)
+    config = SolverConfig(alpha=1.5, T=3.0, M=64, n=2, seed=111)
     start = time.perf_counter()
     with pytest.raises(ValueError, match=r"pieces=\d+.*T_bound=.*M=64"):
         glue_solve(model, config)

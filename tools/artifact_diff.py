@@ -10,8 +10,8 @@ whose block-budget chunks split differently from the benchmark's (``CHUNKED``),
 so that a change to batching is compared where its chunks differ, one
 command for each mode that neither of the first two runs, ``tail`` and
 ``moment`` with nine state coordinates, and the solver's failure and warning
-paths: ``solve`` and ``uniqueness`` stopped before they converge, and
-``solve`` beyond the admissible horizon, and a few requests that are refused
+paths: ``solve``, ``glue`` and ``uniqueness`` at a tol below the rounding
+floor, and ``solve`` beyond the admissible horizon, and a few requests that are refused
 as usage errors (``MODES``).  Each runs once per seed
 as ``python -m cylstable.cli`` with the tree on ``PYTHONPATH``, in a fresh
 directory of its own (``--out .`` is set on every command, and ``--seed`` on
@@ -103,10 +103,13 @@ MODES = [
        [command, "--alpha", "1.5", "--gamma", "1,0.9,0.8,0.7,0.6,0.5,0.4,0.3,0.2"])
       for command in ("tail", "moment")),
     # the Picard engine's failure and warning paths: exit 1 with a FAIL line, and a warning
-    ("mode solve N_max=1", ["solve", "--preset", "heat", "--T", "0.05", "--M", "200",
-                            "--N-max", "1"]),
-    ("mode uniqueness N_max=2", ["uniqueness", "--preset", "heat", "--M", "50",
-                                 "--replicas", "4", "--N-max", "2"]),
+    # (a tol below the rounding floor: a path fails unless its gap reaches exactly 0)
+    ("mode solve tol=1e-300", ["solve", "--preset", "heat", "--T", "0.05", "--M", "200",
+                               "--tol", "1e-300"]),
+    ("mode glue tol=1e-300", ["glue", "--preset", "heat", "--T-total", "0.15", "--M", "120",
+                              "--tol", "1e-300"]),
+    ("mode uniqueness tol=1e-300", ["uniqueness", "--preset", "heat", "--M", "50",
+                                    "--replicas", "4", "--tol", "1e-300"]),
     ("mode solve beyond T_bound", ["solve", "--preset", "heat", "--T", "0.2", "--M", "200"]),
     # refused before anything is written: exit 2 with a usage error line
     *((f"refused {' '.join(args)}", args) for args in (
