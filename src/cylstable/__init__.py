@@ -3,12 +3,12 @@ driven by canonical alpha-stable cylindrical noise.
 
 Samples the noise, evaluates the explicit constants of the stable
 calculus, runs the Picard iteration for the discrete mild solution, and
-verifies the quantitative constant-free claims (tail plateaus,
-homogeneity, contraction, pathwise uniqueness) by reproducible
-Monte-Carlo experiments.
+verifies the quantitative constant-free claims (tail plateaus, tail
+index, moment stability, contraction) by reproducible Monte-Carlo
+experiments.
 
 Importing the package loads no module; each name lives in its module, as in
 ``from cylstable.picard import solve``.
 """
 
-__version__ = "0.12.0"
+__version__ = "0.13.0"

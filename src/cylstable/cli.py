@@ -354,9 +354,11 @@ def cmd_solve(resolved: dict) -> int:
     model, config = _solver_setup(resolved)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        path = solve(model, config)
-    for warning in caught:
-        print(f"warning: {warning.message}", file=sys.stderr)
+        try:
+            path = solve(model, config)
+        finally:  # a failing solve keeps its warnings too
+            for warning in caught:
+                print(f"warning: {warning.message}", file=sys.stderr)
     out = _out_dir(resolved)
     _write_mild_path(path, out / "mild_path.csv", resolved)
     write_summary(out / "mild_path.summary", {
@@ -389,26 +391,21 @@ def cmd_glue(resolved: dict) -> int:
     "N": (int, 100_000), "r_min": (float, 10.0), "r_max": (float, 100.0),
     "r_count": (int, 13), "seed": (_seed, None), "out": (str, "."),
     "integrand": (_choice("const"), None), "M": (int, 16), "T": (float, 1.0),
-    "scale_factor": (float, 2.0),
 }, mode=_given("integrand"),
-   only={"without --integrand": ("t",), "with --integrand": ("M", "T", "scale_factor")})
+   only={"without --integrand": ("t",), "with --integrand": ("M", "T")})
 def cmd_tail(resolved: dict) -> int:
     from .experiments import tail_experiment
     from .hilbert import HSMatrix
     from .integral import constant_integrand
 
     _require(resolved, "alpha", "seed")
-    gamma = np.asarray(resolved["gamma"], dtype=float)
+    psi = HSMatrix.diagonal(np.asarray(resolved["gamma"], dtype=float))
     if resolved["integrand"]:
-        grid = np.linspace(0.0, resolved["T"], resolved["M"] + 1)
-        report = tail_experiment(constant_integrand(HSMatrix.diagonal(gamma), grid),
-                                 resolved["alpha"], n_samples=resolved["N"],
-                                 r_grid=_r_grid(resolved), seed=resolved["seed"],
-                                 scale_factor=resolved["scale_factor"])
-    else:
-        report = tail_experiment(HSMatrix.diagonal(gamma), resolved["alpha"], t=resolved["t"],
-                                 n_samples=resolved["N"], r_grid=_r_grid(resolved),
-                                 seed=resolved["seed"])
+        psi = constant_integrand(psi, np.linspace(0.0, resolved["T"], resolved["M"] + 1))
+    # an integrand's own grid sets its horizon: only the operator mode resolves, and reads, t
+    report = tail_experiment(psi, resolved["alpha"], t=resolved.get("t", 1.0),
+                             n_samples=resolved["N"], r_grid=_r_grid(resolved),
+                             seed=resolved["seed"])
     return _report_exit(report, Path(resolved["out"]), resolved)
 
 

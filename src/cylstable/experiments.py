@@ -7,11 +7,12 @@ reproduces every report bit for bit.
 
 Verdict policy: tail plateaus are judged against the constant-free limit
 identity (the Levy mass outside the unit ball); the inequality-shaped
-claims are verified structurally (boundedness, plateau scaling, tail
+claims are verified structurally (boundedness, plateau flatness, tail
 index), since their universal constant is not computable.  Identities of
-the discrete arithmetic (bit-exact power-of-two homogeneity, the unique
-fixed point of the causal Picard map) are pinned by tests, not re-checked
-on every run.
+the discrete arithmetic are pinned by tests, not re-checked on every run:
+the bit-exact power-of-two homogeneity of the sups, and so of the moment
+ratios and of the tail table at rescaled radii, and the unique fixed point
+of the causal Picard map.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence
 import numpy as np
 
 from .reporting import RunFailed
-from .rng import (TAG_ALT_NOISE, TAG_BOOTSTRAP, TAG_GOF, TAG_REPLICA, TAG_SCALED, TAG_TRIPLES,
+from .rng import (TAG_ALT_NOISE, TAG_BOOTSTRAP, TAG_GOF, TAG_REPLICA, TAG_TRIPLES,
                   _blocks, open_uniform, substream)
 from .sampling import (AlphaParams, _isotropic_blocks, _isotropic_from_uniforms, _noise_increments,
                        _row_norms)
@@ -152,11 +153,11 @@ def _tail_table(blocks: Iterable[np.ndarray], n: int, alpha: float,
 
 
 def _tail_verdicts(report: ExperimentReport, table: dict, alpha: float, n_samples: int,
-                   target: float | None) -> np.ndarray | None:
+                   target: float | None) -> None:
     """Verdicts on the radii with at least 50 exceedances.
 
-    Returns the indices of the top half of those radii, or None (and marks
-    the report inconclusive) when fewer than 3 radii resolve.
+    Fewer than 3 such radii mark the report inconclusive instead.  The
+    plateau level is judged only against a ``target``.
     """
     r_grid, p_hat = table["r"], table["p_hat"]
     resolved = p_hat * n_samples >= _MIN_EXCEEDANCES
@@ -166,13 +167,12 @@ def _tail_verdicts(report: ExperimentReport, table: dict, alpha: float, n_sample
             f"under-resolved tail: only {int(resolved.sum())} of {r_grid.size} radii have "
             f">= {_MIN_EXCEEDANCES} exceedances (need {_MIN_RADII})"
         )
-        return None
+        return
     if not resolved.all():
         skipped = ", ".join(f"{r:.6g}" for r in r_grid[~resolved])
         report.notes.append(f"not judged, fewer than {_MIN_EXCEEDANCES} exceedances: r={skipped}")
     judged = np.flatnonzero(resolved)
-    top = judged[judged.size // 2:]
-    plateau_top = table["plateau"][top]
+    plateau_top = table["plateau"][judged[judged.size // 2:]]
     flat = float(plateau_top.max() / plateau_top.min())
     report.add_verdict("plateau_flatness", flat <= _FLATNESS_MAX,
                        f"max/min <= {_FLATNESS_MAX} (top half)", f"{flat:.4f}")
@@ -192,7 +192,6 @@ def _tail_verdicts(report: ExperimentReport, table: dict, alpha: float, n_sample
         "tail_slope", abs(slope + alpha) <= _SLOPE_TOL,
         f"slope = -{alpha} +- {_SLOPE_TOL}", f"{slope:.4f}"
     )
-    return top
 
 
 def tail_experiment(
@@ -202,7 +201,6 @@ def tail_experiment(
     n_samples: int = 100_000,
     r_grid=None,
     seed: int = 0,
-    scale_factor: float = 2.0,
 ) -> ExperimentReport:
     """Tail plateau of a radonified variable, or of the running-sup integral.
 
@@ -210,9 +208,9 @@ def tail_experiment(
     r^alpha P(||psi(L(t))|| > r) plateaus at t times the Levy mass outside
     the unit ball — plus flatness and the log-log tail index.  With a
     :class:`StepIntegrand`: the sup-over-grid statistic, whose plateau must
-    be flat and rescale by c^alpha when the integrand is scaled by c
-    (independent runs, 2 SE tolerance).  ``t`` is read only with an
-    operator matrix, ``scale_factor`` only with an integrand.
+    be flat with tail index alpha; ``t`` is read only with an operator
+    matrix.  The integral is linear in the integrand, so the table of c*psi
+    at radii c*r is that of psi at r, which tests pin bit for bit.
     """
     from .constants import levy_tail_mass
     from .hilbert import as_matrix
@@ -230,8 +228,6 @@ def tail_experiment(
                          f"got {r_grid[0]:g} ... {r_grid[-1]:g}")
     if n_samples < 1_000:
         raise ValueError("n_samples is too small to resolve any tail")
-    if not 0.0 < scale_factor < math.inf:
-        raise ValueError(f"scale_factor must be positive and finite, got {scale_factor}")
 
     report = ExperimentReport(
         name="tail_integral" if is_integrand else "tail_radonified",
@@ -241,42 +237,22 @@ def tail_experiment(
     )
     if is_integrand:
         del report.parameters["t"]  # the sup over the integrand's own grid reads no t
-        table = _tail_table(_sup_integral_norms(psi, alpha, n_samples, seed, TAG_REPLICA),
-                            n_samples, alpha, r_grid)
-        report.tables["tail"] = table
-        top = _tail_verdicts(report, table, alpha, n_samples, target=None)
-        if top is not None:
-            scaled = psi.scaled(scale_factor)
-            table_s = _tail_table(_sup_integral_norms(scaled, alpha, n_samples, seed, TAG_SCALED),
-                                  n_samples, alpha, r_grid * scale_factor)
-            report.tables["tail_scaled"] = table_s
-            base_level = float(table["plateau"][top].mean())
-            scaled_level = float(table_s["plateau"][top].mean())
-            base_se = float(table["plateau_se"][top].mean())
-            scaled_se = float(table_s["plateau_se"][top].mean())
-            expected = scale_factor**alpha * base_level
-            tol = 2.0 * math.hypot(scaled_se, scale_factor**alpha * base_se)
-            report.add_verdict(
-                "plateau_scaling",
-                abs(scaled_level - expected) <= tol,
-                f"|scaled - c^alpha*base| <= {tol:.3g} (2 SE), c={scale_factor}",
-                f"scaled={scaled_level:.6g} expected={expected:.6g}",
-            )
+        integrand, target = psi, None
     else:
         if not 0.0 < t < math.inf:
             raise ValueError(f"t must be positive and finite, got {t}")
         entries = as_matrix(psi)
         # psi(L(t)) is the one-cell integral of psi on [0, t]: its sup is its norm
-        norms = _sup_integral_norms(StepIntegrand(np.array([0.0, t]), entries[None]), alpha,
-                                    n_samples, seed, TAG_REPLICA)
-        table = _tail_table(norms, n_samples, alpha, r_grid)
-        report.tables["tail"] = table
-        if not np.any(entries):
-            report.add_verdict("plateau_level", bool(np.all(table["p_hat"] == 0.0)),
-                               "all exceedances zero for psi = 0", "zero operator")
-        else:
-            target = t * levy_tail_mass(np.linalg.svd(entries, compute_uv=False), alpha)
-            _tail_verdicts(report, table, alpha, n_samples, target)
+        integrand = StepIntegrand(np.array([0.0, t]), entries[None])
+        target = t * levy_tail_mass(np.linalg.svd(entries, compute_uv=False), alpha)
+    table = _tail_table(_sup_integral_norms(integrand, alpha, n_samples, seed, TAG_REPLICA),
+                        n_samples, alpha, r_grid)
+    report.tables["tail"] = table
+    if is_integrand or np.any(integrand.values):
+        _tail_verdicts(report, table, alpha, n_samples, target)
+    else:
+        report.add_verdict("plateau_level", bool(np.all(table["p_hat"] == 0.0)),
+                           "all exceedances zero for psi = 0", "zero operator")
     return report
 
 
@@ -484,11 +460,12 @@ def uniqueness_experiment(
 
     Per replica, three paths are solved: the reference, one from a
     perturbed initial state on the same noise, and one on fresh noise.
-    Their sup distances from the reference are tabulated.  The perturbed
-    run is reported without a threshold (uniqueness is claimed only for
-    equal initial conditions), and the fresh-noise run must NOT be close
-    (sanity anti-test).  The discrete fixed point itself is unique for any
-    Picard seed (see :mod:`cylstable.picard`), so no second seed is solved.
+    Their sup distances from the reference are tabulated and noted without
+    a threshold: uniqueness is claimed only for equal initial conditions,
+    and that the fresh noise differs from the reference noise is a property
+    of the stream names, pinned by tests.  The discrete fixed point itself
+    is unique for any Picard seed (see :mod:`cylstable.picard`), so no
+    second seed is solved.
     """
     from .picard import _check_dimensions, _kernel, binding_time_bound
 
@@ -514,7 +491,6 @@ def uniqueness_experiment(
     for chunk in _blocks(replicas, 66 * 3 * (config.M + 1) * model.n):
         rows[chunk] = _uniqueness_distances(model, config, kernel, seed, chunk, x0_triple)
     x0_dists, noise_dists = rows.T
-    threshold = 10.0 * config.tol
     report = ExperimentReport(
         name="uniqueness",
         parameters={"alpha": config.alpha, "T": config.T, "M": config.M, "n": config.n,
@@ -523,15 +499,13 @@ def uniqueness_experiment(
         tables={"distances": {"replica": np.arange(replicas), "x0_perturbed": x0_dists,
                               "fresh_noise": noise_dists}},
     )
-    report.add_verdict(
-        "fresh_noise_separation",
-        bool(np.all(noise_dists > threshold)),
-        f"different noise must NOT agree (> {threshold:.1e})",
-        f"min={noise_dists.min():.3e}",
-    )
     report.notes.append(
         f"x0-perturbed distance (no threshold; uniqueness asserted only on equal x0): "
         f"median={_median(x0_dists):.3e} max={x0_dists.max():.3e}"
+    )
+    report.notes.append(
+        f"fresh-noise distance (no threshold; distinct noise streams are pinned by tests): "
+        f"median={_median(noise_dists):.3e} min={noise_dists.min():.3e}"
     )
     return report
 

@@ -58,9 +58,6 @@ class StepIntegrand:
     def steps(self) -> int:
         return self.grid.size - 1
 
-    def scaled(self, factor: float) -> "StepIntegrand":
-        return StepIntegrand(self.grid, factor * self.values)
-
     def alpha_scale(self, alpha: float) -> float:
         """(sum_i ||Psi_i||_HS^alpha dt_i)^(1/alpha), max-factored.
 

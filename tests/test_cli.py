@@ -129,7 +129,7 @@ def test_stochastic_command_byte_identical_reruns(tmp_path, command):
     ["constants", "--alpha", "1.5", "--p", "1.2", "--c-f", "nan"],
     ["moment", "--alpha", "1.5", "--p-list", "1,x", "--seed", "1"],
     ["moment", "--alpha", "1.5", "--N", "1e4", "--seed", "1"],
-    ["tail", "--alpha", "1.5", "--integrand", "const", "--scale-factor", "0", "--seed", "1"],
+    ["tail", "--alpha", "1.5", "--integrand", "const", "--T", "0", "--seed", "1"],
     ["tail", "--alpha", "1.5", "--r-min", "-1", "--seed", "1"],
     ["tail", "--alpha", "1.5", "--r-min", "50", "--r-max", "10", "--seed", "1"],
     ["check-model", "--deltas", "0.5,0.5"],
@@ -249,7 +249,7 @@ OTHER_VALUES = {
     "seed": ("4",), "T": ("0.02",), "M": ("12",), "gamma": ("1,0.25",),
     "profile": ("linear", "const"), "refinement_levels": ("3", "4"), "replicas": ("4",),
     "epsilon": ("0.05",), "t": ("2",), "r_min": ("1.5",), "r_max": ("5",), "r_count": ("5",),
-    "integrand": ("const", "bogus"), "scale_factor": ("4",), "p_list": ("1,1.1",),
+    "integrand": ("const", "bogus"), "p_list": ("1,1.1",),
     "iters": ("2",), "count": ("2",), "case": ("random", "near-equality"),
     "input": ("OTHER_UVW",), "deltas": ("0.5",), "preset": ("bogus",),
     "model_config": ("OTHER_MODEL",), "x0": ("1,0,0",), "T_total": ("0.2",),
@@ -639,6 +639,30 @@ def test_solve_nonconvergence_fails_and_writes_nothing(tmp_path, capsys):
     _fails_and_writes_nothing(["solve", "--T", "0.05", "--M", "200"], tmp_path, capsys)
 
 
+def test_failing_solve_beyond_the_horizon_bound_keeps_its_warning(tmp_path, capsys):
+    out = tmp_path / "out"
+    assert main(["solve", "--preset", "heat", "--T", "0.2", "--M", "200", "--tol", "1e-300",
+                 "--seed", "3", "--out", str(out)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 2
+    assert err[0].startswith("warning: horizon T=0.2 exceeds the binding admissible bound ")
+    assert err[1].startswith("FAIL: Picard gap ")
+    assert not out.exists()
+
+
+def test_uniqueness_without_noise_in_the_path_passes(tmp_path, capsys):
+    # the heat preset's G(0) = F(0) = 0, so from x0 = 0 every path, on any noise, stays 0: the
+    # fresh-noise distance is 0, a note and not a failure
+    assert main(["uniqueness", "--preset", "heat", "--n", "3", "--x0", "0,0,0", "--M", "50",
+                 "--replicas", "4", "--seed", "3", "--out", str(tmp_path)]) == 0
+    assert "note: fresh-noise distance" in capsys.readouterr().out
+    summary = (tmp_path / "uniqueness.summary").read_text()
+    assert "verdict." not in summary and "passed=true" in summary
+    rows = _data_rows(tmp_path / "uniqueness.csv")
+    assert rows[0] == "replica,x0_perturbed,fresh_noise"
+    assert [row.split(",")[2] for row in rows[1:]] == ["0"] * 4
+
+
 @pytest.mark.parametrize("argv", [
     ["tail", "--alpha", "0"],
     ["tail", "--alpha", "2.5"],
@@ -649,9 +673,7 @@ def test_solve_nonconvergence_fails_and_writes_nothing(tmp_path, capsys):
     ["integrate", "--alpha", "2.5"],
     # an option that the tail mode does not read
     ["tail", "--alpha", "1.5", "--integrand", "const", "--t", "1"],
-    *(["tail", "--alpha", "1.5", *extra] for extra in (
-        ["--M", "16"], ["--T", "1"], ["--scale-factor", "2"],
-    )),
+    *(["tail", "--alpha", "1.5", *extra] for extra in (["--M", "16"], ["--T", "1"])),
     *(["integrate", "--refinement-levels", "2", "--replicas", "10", *extra] for extra in (
         ["--alpha", "0"], ["--alpha", "1.5", "--M", "0"], ["--alpha", "2.5"], ["--alpha", "-1"],
         ["--alpha", "nan"], ["--alpha", "1.5", "--T", "-1"], ["--alpha", "1.5", "--epsilon", "nan"],
@@ -664,6 +686,11 @@ def test_solve_nonconvergence_fails_and_writes_nothing(tmp_path, capsys):
     ["solve", "--T", "0.01", "--n", "3", "--x0", "1,2"],
     ["glue", "--T-total", "0.01", "--n", "3", "--x0", "1,2"],
     ["glue", "--T-total", "1", "--M", "4"],  # more pieces than M // 2
+    # an initial state that is not finite
+    *([*command, "--n", "2", "--x0", x0] for x0 in ("nan,0", "inf,0") for command in (
+        ["solve", "--T", "0.01"], ["glue", "--T-total", "0.01"],
+        ["picard", "--M", "20", "--replicas", "2"], ["uniqueness", "--M", "20", "--replicas", "2"],
+    )),
     # a moment order outside (0, alpha)
     *(["picard", "--M", "20", "--replicas", "2", "--p", p] for p in ("0", "-1", "nan", "1.5")),
 ], ids=" ".join)

@@ -77,24 +77,22 @@ def test_tail_under_resolved_is_inconclusive():
 def test_tail_integrand_plateau_and_scaling():
     grid = np.linspace(0.0, 1.0, 9)
     integrand = constant_integrand(np.diag([1.0, 0.5]), grid)
-    report = tail_experiment(integrand, 1.5, n_samples=60_000,
-                             r_grid=np.geomspace(10, 60, 9), seed=5)
+    r_grid = np.geomspace(10, 60, 9)
+    report = tail_experiment(integrand, 1.5, n_samples=60_000, r_grid=r_grid, seed=5)
     assert report.passed, [(v.name, v.observed, v.threshold) for v in report.verdicts]
-    assert "plateau_scaling" in {v.name for v in report.verdicts}
+    assert [v.name for v in report.verdicts] == ["plateau_flatness", "tail_slope"]
+    assert list(report.tables) == ["tail"]
+    # the integral is linear in the integrand and c = 2 scales every sup exactly, so on the
+    # same streams the table of c*Psi at radii c*r is that of Psi at r, bit for bit
+    doubled = tail_experiment(integral.StepIntegrand(grid, 2.0 * integrand.values), 1.5,
+                              n_samples=60_000, r_grid=2.0 * r_grid, seed=5)
+    assert np.array_equal(doubled.tables["tail"]["p_hat"], report.tables["tail"]["p_hat"])
 
 
 def _tiny_tail_integrand(seed):
     integrand = constant_integrand(np.eye(1), np.linspace(0.0, 1.0, 5))
     return tail_experiment(integrand, 1.5, n_samples=4_000, r_grid=np.geomspace(1.0, 8.0, 13),
                            seed=seed)
-
-
-def test_tail_scaled_run_does_not_alias_another_seeds_base_run():
-    # the scaled run was once reseeded with (seed << 1) ^ 0x5CA1ED; since c = 2 scales every
-    # sup norm bit-exactly, seed 3's scaled table then equalled seed 0x5CA1EB's base table
-    scaled = _tiny_tail_integrand(3).tables["tail_scaled"]
-    base = _tiny_tail_integrand((3 << 1) ^ 0x5CA1ED).tables["tail"]
-    assert not np.array_equal(scaled["p_hat"], base["p_hat"])
 
 
 def _record_stream_names(monkeypatch) -> list[tuple[int, ...]]:
@@ -129,11 +127,11 @@ def _tiny_runs():
         # 40 rows over 3 pieces
         "glue": (40, lambda: picard.glue_solve(
             model, SolverConfig(alpha=1.5, T=2.5 * bound, M=40, n=4, seed=23))),
-        # one chunk (drawn again for the scaled integrand) and the bootstrap
+        # one chunk and the bootstrap
         "moment": (2, lambda: moment_experiment(constant_integrand(np.eye(1), grid), 1.5,
                                                 [1.0], 500, seed=23)),
-        # the base and the scaled run, one chunk each
-        "tail_integrand": (2, lambda: _tiny_tail_integrand(23)),
+        # one chunk
+        "tail_integrand": (1, lambda: _tiny_tail_integrand(23)),
     }
 
 
@@ -181,7 +179,7 @@ def test_moment_stability_and_bit_exact_homogeneity():
     sups = list(experiments._sup_integral_norms(integrand, 1.5, 20_000, 7, TAG_REPLICA))
     assert len(sups) >= 2
     for c in (2.0, 4.0, 0.5):
-        scaled = integrand.scaled(c)
+        scaled = integral.StepIntegrand(grid, c * integrand.values)
         for ours, base in zip(experiments._sup_integral_norms(scaled, 1.5, 20_000, 7,
                                                               TAG_REPLICA), sups, strict=True):
             assert np.array_equal(ours, c * base)
@@ -301,10 +299,24 @@ def test_uniqueness_experiment_small():
     bound = binding_time_bound(model, 1.5)
     config = SolverConfig(alpha=1.5, T=0.8 * bound, M=50, n=5, seed=11)
     report = uniqueness_experiment(model, config, replicas=12, seed=11)
-    assert report.passed, [(v.name, v.observed) for v in report.verdicts]
+    assert report.passed and not report.verdicts  # both distances are notes, not verdicts
+    assert [note.partition(" (")[0] for note in report.notes] == ["x0-perturbed distance",
+                                                                  "fresh-noise distance"]
     dists = report.tables["distances"]
     assert list(dists) == ["replica", "x0_perturbed", "fresh_noise"]
     assert np.all(dists["fresh_noise"] > 10 * config.tol)
+
+
+def test_fresh_noise_differs_from_the_reference_noise_in_every_replica():
+    # uniqueness drives its reference path by the streams (seed, TAG_REPLICA, r, ...) and its
+    # fresh-noise path by (seed, TAG_ALT_NOISE, r, ...), in one draw per chunk (here the
+    # second chunk of three at the benchmark's M = 200): no increment of the one equals the
+    # other's, so the two paths differ wherever noise reaches them
+    replicas = np.arange(3, 6)[:, None]
+    noise = _noise_increments(1.5, 8, np.linspace(0.0, 0.05, 201), 7,
+                              np.array([TAG_REPLICA, TAG_ALT_NOISE]), replicas)
+    assert noise.shape == (3, 2, 200, 8)
+    assert np.all(noise[:, 0] != noise[:, 1])
 
 
 def test_willet_wong_zero_function():
@@ -601,7 +613,7 @@ def _monte_carlo_results():
     integrand = integral.StepIntegrand(grid, np.random.default_rng(1).normal(size=(4, 5, 2)))
     tail_integrand = tail_experiment(integrand, 1.5, n_samples=1_500,
                                      r_grid=np.geomspace(2.0, 8.0, 5), seed=31)
-    assert "tail_scaled" in tail_integrand.tables  # the scaled run is compared too
+    assert tail_integrand.verdicts  # its verdicts are compared too
     return {
         "tail_radonified": _report_bits(tail_experiment(
             HSMatrix([[1.0, 0.3, 0.0], [0.2, 0.5, -0.4]]), 1.5, n_samples=3_000,

@@ -153,7 +153,7 @@ def test_alpha_scale_power_of_two_exact():
     grid = np.linspace(0.0, 1.0, 9)
     values = np.random.default_rng(1).standard_normal((8, 2, 2))
     base = StepIntegrand(grid, values)
-    scaled = base.scaled(4.0)
+    scaled = StepIntegrand(grid, 4.0 * values)
     assert scaled.alpha_scale(1.5) == 4.0 * base.alpha_scale(1.5)
 
 

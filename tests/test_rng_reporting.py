@@ -73,7 +73,7 @@ def test_multiword_entries_are_refused_not_split():
 def test_tags_are_distinct_nonzero_words():
     # SeedSequence pads short names with zeros, so a zero tag could alias a shorter name
     tags = {name: value for name, value in vars(rng).items() if name.startswith("TAG_")}
-    assert len(tags) == 11  # one per tag of the name table in the rng docstring
+    assert len(tags) == 10  # one per tag of the name table in the rng docstring
     assert len(set(tags.values())) == len(tags)
     assert all(0 < value < 2**32 for value in tags.values())
 

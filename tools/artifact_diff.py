@@ -11,8 +11,10 @@ so that a change to batching is compared where its chunks differ, one
 command for each mode that neither of the first two runs, ``tail`` and
 ``moment`` with nine state coordinates, and the solver's failure and warning
 paths: ``solve``, ``glue`` and ``uniqueness`` at a tol below the rounding
-floor, and ``solve`` beyond the admissible horizon, and a few requests that are refused
-as usage errors (``MODES``).  Each runs once per seed
+floor, ``solve`` beyond the admissible horizon (at the default tol, and below
+the rounding floor, where it both warns and fails), ``uniqueness`` from a
+state that no noise reaches, and a few requests that are refused as usage
+errors (``MODES``).  Each runs once per seed
 as ``python -m cylstable.cli`` with the tree on ``PYTHONPATH``, in a fresh
 directory of its own (``--out .`` is set on every command, and ``--seed`` on
 every command whose mode reads one: not on ``constants``, which takes none,
@@ -111,6 +113,11 @@ MODES = [
     ("mode uniqueness tol=1e-300", ["uniqueness", "--preset", "heat", "--M", "50",
                                     "--replicas", "4", "--tol", "1e-300"]),
     ("mode solve beyond T_bound", ["solve", "--preset", "heat", "--T", "0.2", "--M", "200"]),
+    ("mode solve beyond T_bound tol=1e-300", ["solve", "--preset", "heat", "--T", "0.2",
+                                              "--M", "200", "--tol", "1e-300"]),
+    # the heat preset's F(0) = G(0) = 0: every path from x0 = 0 stays 0, on any noise
+    ("mode uniqueness x0=0", ["uniqueness", "--preset", "heat", "--n", "3", "--x0", "0,0,0",
+                              "--M", "50", "--replicas", "4"]),
     # refused before anything is written: exit 2 with a usage error line
     *((f"refused {' '.join(args)}", args) for args in (
         ["solve", "--T", "0.01", "--x0", ","],
@@ -118,6 +125,7 @@ MODES = [
         ["check-model", "--deltas", ","],
         ["solve", "--T", "0.01", "--n", "3", "--x0", "1,2"],
         ["glue", "--T-total", "0.01", "--n", "3", "--x0", "1,2"],
+        ["solve", "--T", "0.01", "--n", "3", "--x0", "nan,0,0"],
         *(["picard", "--alpha", "1.5", "--p", p] for p in ("0", "-1", "nan", "1.5")),
     )),
 ]
