@@ -2,7 +2,7 @@
 driven by canonical alpha-stable cylindrical noise.
 
 Samples the noise, evaluates the explicit constants of the stable
-calculus, runs the Picard iteration for the discrete mild solution, and
+calculus, solves for the discrete mild solution and certifies it, and
 verifies the quantitative constant-free claims (tail plateaus, tail
 index, moment stability, contraction) by reproducible Monte-Carlo
 experiments.
@@ -11,4 +11,4 @@ Importing the package loads no module; each name lives in its module, as in
 ``from cylstable.picard import solve``.
 """
 
-__version__ = "0.13.0"
+__version__ = "0.14.0"

@@ -14,20 +14,21 @@ Each handler imports the modules it calls, and each experiment of
 :mod:`cylstable.experiments` the solver modules it calls, so a command
 loads only those.
 
-Exit codes: 0 all verdicts pass, 1 verdict failure (or non-convergence),
-2 usage error (an input file that cannot be read included), 3 inconclusive
-(under-resolved) experiment; a failed verdict outranks an inconclusive one.
-A run's wall time goes to stdout, never into an artifact.  ``--seed`` is
-mandatory for every stochastic subcommand: there is no silent entropy.  A
-seed is an integer in [0, 2**32), the first word of every stream name (see
-:mod:`cylstable.rng`); any other value is a usage error.  Outputs are
-byte-identical across identical invocations.
+Exit codes: 0 all verdicts pass, 1 verdict failure (or a solved path that
+fails its certificate), 2 usage error (an input file that cannot be read
+included), 3 inconclusive (under-resolved) experiment; a failed verdict
+outranks an inconclusive one.  A run's wall time goes to stdout, never into
+an artifact.  ``--seed`` is mandatory for every stochastic subcommand: there
+is no silent entropy.  A seed is an integer in [0, 2**32), the first word of
+every stream name (see :mod:`cylstable.rng`); any other value is a usage
+error.  Outputs are byte-identical across identical invocations.
 """
 
 from __future__ import annotations
 
 import argparse
 import io
+import os
 import sys
 import time
 import warnings
@@ -35,7 +36,10 @@ from dataclasses import replace
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable
 
-import numpy as np
+# no call is large enough for an OpenBLAS thread pool; its idle workers spin on a second core
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
+import numpy as np  # noqa: E402  (after the thread setting, which numpy reads on import)
 
 from . import __version__
 from .reporting import (
@@ -170,6 +174,16 @@ def _report_exit(report: ExperimentReport, out_dir: Path, resolved: dict) -> int
     return EXIT_INCONCLUSIVE if report.inconclusive else EXIT_PASS
 
 
+def _grid(resolved: dict) -> np.ndarray:
+    """np.linspace(0, T, M + 1), refusing a T that is not positive and finite.
+
+    The refusal comes first: the grid's arithmetic on such a T prints numpy's warnings.
+    """
+    if not 0.0 < resolved["T"] < np.inf:
+        raise UsageError(f"--T must be positive and finite, got {resolved['T']}")
+    return np.linspace(0.0, resolved["T"], resolved["M"] + 1)
+
+
 _R_COUNT_MAX = 10_000  # radii of the tail grid; each is one binary search per sorted block
 
 
@@ -233,7 +247,7 @@ def cmd_noise(resolved: dict) -> int:
     from .sampling import generate_noise_path, noise_csv_lines
 
     _require(resolved, "alpha", "seed")
-    grid = np.linspace(0.0, resolved["T"], resolved["M"] + 1)
+    grid = _grid(resolved)
     path = generate_noise_path(resolved["alpha"], resolved["m"], grid, resolved["seed"])
     out = _out_dir(resolved)
     with open(out / "noise.csv", "w", encoding="utf-8", newline="\n") as fh:
@@ -260,7 +274,7 @@ def cmd_integrate(resolved: dict) -> int:
     _require(resolved, "alpha", "seed")
     profile = _PROFILES[resolved["profile"]]
     gamma = np.asarray(resolved["gamma"], dtype=float)
-    grid = np.linspace(0.0, resolved["T"], resolved["M"] + 1)
+    grid = _grid(resolved)
     psi = HSMatrix.diagonal(gamma)
 
     if resolved["refinement_levels"] is not None:
@@ -293,8 +307,6 @@ _SOLVER_SPEC = {
     "alpha": (float, 1.5), **_MODEL_SPEC, "m": (int, None), "M": (int, 200),
     "seed": (_seed, None), "out": (str, "."), "x0": (_parse_floats, None),
 }
-# the Picard stopping rule of solve, glue and uniqueness; picard runs exactly --iters sweeps
-_STOPPING_SPEC = {"tol": (float, 1e-12)}
 
 
 def _model_from(resolved: dict):
@@ -332,21 +344,19 @@ def _solver_setup(resolved: dict, horizon: str = "T") -> tuple:
     model = _model_from(resolved)
     if resolved[horizon] is None:
         resolved[horizon] = 0.9 * binding_time_bound(model, resolved["alpha"])
-    stopping = {key: resolved[key] for key in _STOPPING_SPEC if key in resolved}
     return model, SolverConfig(alpha=resolved["alpha"], T=resolved[horizon], M=resolved["M"],
-                               n=model.n, m=model.m, seed=resolved["seed"], x0=resolved["x0"],
-                               **stopping)
+                               n=model.n, m=model.m, seed=resolved["seed"], x0=resolved["x0"])
 
 
 def _write_mild_path(path, file: Path, resolved: dict) -> None:
     write_csv(file, {"t": path.grid, **{f"x_{j + 1}": x for j, x in enumerate(path.states.T)}},
               resolved)
     with open(file, "a", newline="\n") as fh:
-        fh.write(f"# iteration_count={path.iteration_count} gap="
-                 f"{format_value(path.final_picard_gap)} residual={format_value(path.residual)}\n")
+        fh.write(f"# iteration_count={path.iteration_count} "
+                 f"residual={format_value(path.residual)}\n")
 
 
-@_command("solve", {**_SOLVER_SPEC, **_STOPPING_SPEC, "T": (float, None)}, **_MODEL_MODE)
+@_command("solve", {**_SOLVER_SPEC, "T": (float, None)}, **_MODEL_MODE)
 def cmd_solve(resolved: dict) -> int:
     from .picard import binding_time_bound, solve
 
@@ -362,14 +372,13 @@ def cmd_solve(resolved: dict) -> int:
     out = _out_dir(resolved)
     _write_mild_path(path, out / "mild_path.csv", resolved)
     write_summary(out / "mild_path.summary", {
-        "iteration_count": path.iteration_count, "final_picard_gap": path.final_picard_gap,
-        "residual": path.residual, "T_bound": binding_time_bound(model, config.alpha)}, resolved)
-    print(f"solved in {path.iteration_count} iterations, gap={path.final_picard_gap:.3e}, "
-          f"residual={path.residual:.3e}")
+        "iteration_count": path.iteration_count, "residual": path.residual,
+        "T_bound": binding_time_bound(model, config.alpha)}, resolved)
+    print(f"solved in {path.iteration_count} iterations, residual={path.residual:.3e}")
     return EXIT_PASS
 
 
-@_command("glue", {**_SOLVER_SPEC, **_STOPPING_SPEC, "T_total": (float, None)}, **_MODEL_MODE)
+@_command("glue", {**_SOLVER_SPEC, "T_total": (float, None)}, **_MODEL_MODE)
 def cmd_glue(resolved: dict) -> int:
     from .picard import glue_solve
 
@@ -401,7 +410,7 @@ def cmd_tail(resolved: dict) -> int:
     _require(resolved, "alpha", "seed")
     psi = HSMatrix.diagonal(np.asarray(resolved["gamma"], dtype=float))
     if resolved["integrand"]:
-        psi = constant_integrand(psi, np.linspace(0.0, resolved["T"], resolved["M"] + 1))
+        psi = constant_integrand(psi, _grid(resolved))
     # an integrand's own grid sets its horizon: only the operator mode resolves, and reads, t
     report = tail_experiment(psi, resolved["alpha"], t=resolved.get("t", 1.0),
                              n_samples=resolved["N"], r_grid=_r_grid(resolved),
@@ -422,7 +431,7 @@ def cmd_moment(resolved: dict) -> int:
     _require(resolved, "alpha", "seed")
     if resolved["p_list"] is None:
         resolved["p_list"] = (1.0, resolved["alpha"] - 0.3)
-    grid = np.linspace(0.0, resolved["T"], resolved["M"] + 1)
+    grid = _grid(resolved)
     integrand = constant_integrand(HSMatrix.diagonal(np.asarray(resolved["gamma"])), grid)
     report = moment_experiment(integrand, resolved["alpha"], resolved["p_list"], resolved["N"],
                                seed=resolved["seed"])
@@ -441,7 +450,7 @@ def cmd_picard(resolved: dict) -> int:
     return _report_exit(report, Path(resolved["out"]), resolved)
 
 
-@_command("uniqueness", {**_SOLVER_SPEC, **_STOPPING_SPEC, "T": (float, None),
+@_command("uniqueness", {**_SOLVER_SPEC, "T": (float, None),
                          "replicas": (int, 100)}, **_MODEL_MODE)
 def cmd_uniqueness(resolved: dict) -> int:
     from .experiments import uniqueness_experiment

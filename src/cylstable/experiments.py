@@ -436,7 +436,7 @@ def picard_convergence_experiment(
 def _uniqueness_distances(model: DiagonalModel, config: SolverConfig, kernel, seed: int,
                           chunk: range, x0_triple: np.ndarray) -> np.ndarray:
     """Sup distances (R, 2) of paths b and c from path a, for the replicas in chunk."""
-    from .picard import _driven_diagonal, _iterate_batch
+    from .picard import _certified_pass, _driven_diagonal
 
     # each replica's shared and fresh noise in one draw, (R, 2, M, m): the rows of its
     # streams under TAG_REPLICA and TAG_ALT_NOISE, for paths (a, b) and c
@@ -445,7 +445,7 @@ def _uniqueness_distances(model: DiagonalModel, config: SolverConfig, kernel, se
                               np.array([TAG_REPLICA, TAG_ALT_NOISE]), replicas)
     driven = _driven_diagonal(model, noise[:, [0, 0, 1]].reshape(-1, *noise.shape[2:]))
     del noise
-    states, _ = _iterate_batch(model, config, np.tile(x0_triple, (len(chunk), 1)), driven, kernel)
+    states, _ = _certified_pass(model, driven, np.tile(x0_triple, (len(chunk), 1)), kernel)
     states = states.reshape(len(chunk), 3, config.M + 1, -1)
     return np.linalg.norm(states[:, :1] - states[:, 1:], axis=3).max(axis=2)
 
@@ -494,7 +494,7 @@ def uniqueness_experiment(
     report = ExperimentReport(
         name="uniqueness",
         parameters={"alpha": config.alpha, "T": config.T, "M": config.M, "n": config.n,
-                    "m": config.noise_dim, "replicas": replicas, "tol": config.tol},
+                    "m": config.noise_dim, "replicas": replicas},
         seed=seed,
         tables={"distances": {"replica": np.arange(replicas), "x0_perturbed": x0_dists,
                               "fresh_noise": noise_dists}},

@@ -1,4 +1,4 @@
-"""Discrete mild-solution solver: Picard iteration, residual certificate, gluing.
+"""Discrete mild-solution solver: exponential-Euler pass, residual certificate, gluing.
 
 The mild form on a grid 0 = t_0 < ... < t_M = T reads
 
@@ -6,52 +6,42 @@ The mild form on a grid 0 = t_0 < ... < t_M = T reads
                        + sum_{i<k} S(t_k - t_i) G(X(t_i)) dL_i,
 
 with left-endpoint evaluation in both sums (the predictable convention;
-a midpoint rule would break adaptedness).  The semigroup factor is applied
-exactly through the diagonal exponentials, so the fixed-point residual
-isolates Picard convergence rather than discretisation error.
+a midpoint rule would break adaptedness).  The solver accepts only the
+uniform grids it builds, np.linspace(0, T, M+1), and applies the diagonal
+semigroup there as S(t_k - t_i) = a^(k-i), integer powers of the one
+rounded a = exp(-lambda dt), so the fixed-point residual isolates the solve
+rather than discretisation error.
+
+Given a fixed noise realisation the Picard map of the mild form is strictly
+causal in time, hence nilpotent: the discrete fixed point exists, is
+unique, and satisfies the causal recursion
+X(t_{k+1}) = a (X(t_k) + F(X(t_k)) dt + G(X(t_k)) dL_k), the exponential
+Euler scheme (Hochbruck & Ostermann, "Exponential integrators", Acta
+Numerica 2010; Jentzen & Kloeden, Proc. R. Soc. A 2009).  The solver
+computes that recursion in one forward pass (:func:`_causal_pass`) and
+certifies it by one sweep of the Picard map: the certificate
+sup_k ||X(t_k) - Phi(X)(t_k)|| must lie below :data:`TOL`, or the solve
+raises :class:`NonConvergenceError`, so a wrong pass fails loudly.  The
+Picard iterates themselves, from the semigroup flow S(t) x0, are what
+``picard`` studies, and that command keeps the flow seed and its sweeps.
 
 Every solve is one batch of R replicas that share the grid: states of
-shape (R, M+1, n) and driven noise increments of shape (R, M, n), iterated
-by one function.  Each replica carries its own convergence mask entry: it
-is frozen at its first gap below tol, while the others keep sweeping, and
-the batch raises :class:`NonConvergenceError` if any replica is still
-active after N_MAX sweeps.  Per element, a replica's arithmetic is the same
-in any batch, so results do not depend on how replicas are batched:
-:func:`solve` and each glued piece are the batch of one, and ``uniqueness``
-solves three paths per replica in one batch per chunk.
+shape (R, M+1, n) and driven noise increments of shape (R, M, n), solved
+and certified by one function.  Per element, a replica's arithmetic is the
+same in any batch, so results do not depend on how replicas are batched:
+:func:`solve` and each glued piece are the batch of one, and
+``uniqueness`` solves three paths per replica in one batch per chunk.
 
-Per state element of a batch, a sweep holds at most 32 B above its inputs,
-each buffer being dropped after its last use: the shape s(X) and the loads,
-then the loads and their time-contiguous copy (8 + 8 B), that copy and its
-complex spectrum (8 + 16 B), the spectrum and the real convolution
-(16 + 16 B), then the convolution and the new states (16 + 8 B).  Between
-sweeps a batch holds the active replicas' states and driven increments
-(8 + 8 B); a frozen replica's states are set aside in their place, so each
-replica is held once.
-
-The Picard map accepts only the uniform grids the solver builds,
-np.linspace(0, T, M+1), on which the lagged exponentials
-exp(-lambda (t_k - t_i)) depend on k - i alone.  A sweep evaluates all
-left-endpoint loads F(X(t_k)) dt_k + G(X(t_k)) dL_k in whole-array
-operations; both sums are then one causal convolution along time per
-coordinate, of the loads with the kernel exp(-lambda j dt), j = 1..M,
-evaluated by a real FFT in O(M log M).  The residual certificate of
-:func:`solve` and of every glued piece, sup_k ||X(t_k) - Phi(X)(t_k)||, is
-one more application of that same map on the kernel of the iteration;
-:func:`residual` computes it for any path on the solver's grid.
-
-Given a fixed noise realisation the iteration map is strictly causal in
-time, hence nilpotent: the discrete fixed point exists, is unique, and is
-reached after at most M+1 sweeps regardless of the Picard seed.  On the
-uniform grid it also satisfies the causal recursion
-X(t_{k+1}) = a (X(t_k) + F(X(t_k)) dt + G(X(t_k)) dL_k), a = exp(-lambda dt),
-the exponential Euler scheme.  The solver seeds every iteration with one
-forward pass of that recursion (:func:`_causal_pass`), which reaches the
-fixed point up to rounding, so a solve freezes after one sweep.  The sweep
-stays the map, the convergence test and the certificate: the pass is only
-a seed, and a wrong pass would cost sweeps, never change the result.  The
-Picard iterates themselves, from the semigroup flow S(t) x0, are what
-``picard`` studies, and that command keeps the flow seed.
+A sweep evaluates all left-endpoint loads F(X(t_k)) dt_k + G(X(t_k)) dL_k
+in whole-array operations; both sums are then one causal convolution along
+time per coordinate, of the loads with the lag kernel a^j, j = 1..M,
+evaluated by a real FFT in O(M log M).  Per state element of a batch, a
+sweep holds at most 32 B above its inputs, each buffer being dropped after
+its last use: the shape s(X) and the loads, then the loads and their
+time-contiguous copy (8 + 8 B), that copy and its complex spectrum
+(8 + 16 B), the spectrum and the real convolution (16 + 16 B), then the
+convolution and the new states (16 + 8 B).  :func:`residual` computes the
+certificate for any path on the solver's grid.
 """
 
 from __future__ import annotations
@@ -81,26 +71,24 @@ __all__ = [
 ]
 
 GLUE_SAFETY = 0.99
-# the sweeps a batch may run before it raises NonConvergenceError; from the causal pass a
-# solve at tol 1e-12 freezes after one, so only a tol below the rounding floor of the path,
-# or a path that is not finite, reaches it
-N_MAX = 64
+# the bound on a solved path's certificate; the pass reads a few ulp of the path's sup norm
+# (3.9e-15 at M = 5000 on the heat preset), so only a wrong or non-finite pass reaches it
+TOL = 1e-12
 
 
 class NonConvergenceError(RunFailed):
-    """Picard gap above tolerance at the iteration cap."""
+    """The certificate of a solved path is not below TOL."""
 
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Horizon, grid size, truncations, Picard tolerance and the seed."""
+    """Horizon, grid size, truncations, initial state and the seed."""
 
     alpha: float
     T: float
     M: int
     n: int
     m: int | None = None
-    tol: float = 1e-12
     seed: int = 0
     x0: np.ndarray | None = None
 
@@ -111,8 +99,6 @@ class SolverConfig:
             raise ValueError(f"T must be positive and finite, got {self.T}")
         if self.M < 1:
             raise ValueError(f"M must be >= 1, got {self.M}")
-        if not 0.0 < self.tol < math.inf:
-            raise ValueError(f"tol must be positive and finite, got {self.tol}")
         if self.x0 is not None:
             object.__setattr__(self, "x0", np.asarray(self.x0, dtype=float))
             if self.x0.shape != (self.n,):
@@ -141,8 +127,6 @@ class MildPath:
 
     grid: np.ndarray
     states: np.ndarray
-    iteration_count: int
-    final_picard_gap: float
     residual: float
     piece_residuals: list[float] = field(default_factory=list)
 
@@ -151,8 +135,13 @@ class MildPath:
             raise ValueError("states must provide one vector per grid time")
         if not np.all(np.isfinite(self.states)):
             raise ValueError("states must be finite")
-        if self.final_picard_gap < 0.0 or self.residual < 0.0:
-            raise ValueError("diagnostics must be nonnegative")
+        if self.residual < 0.0:
+            raise ValueError("the residual must be nonnegative")
+
+    @property
+    def iteration_count(self) -> int:
+        """Picard sweeps a solve runs: the one that certifies the pass."""
+        return 1
 
     @property
     def terminal(self) -> np.ndarray:
@@ -227,31 +216,32 @@ class _Kernel(NamedTuple):
     """What the Picard map reads of the grid, built once per batch by :func:`_kernel`."""
 
     dts: np.ndarray  # (M,) steps
-    decay: np.ndarray  # (M+1, n): exp(-lambda t_k), so S(t_k) x0 = decay * x0
+    decay: np.ndarray  # (M+1, n): a^k, so S(t_k) x0 = decay * x0
     size: int  # FFT length, _fft_length(M)
-    spectrum: np.ndarray  # (n, size // 2 + 1): rfft of the lag kernel exp(-lambda j dt)
+    spectrum: np.ndarray  # (n, size // 2 + 1): rfft of the lag kernel a^j, j = 1..M
 
 
 def _kernel(model: DiagonalModel, grid: np.ndarray) -> _Kernel:
-    """The grid factors of the Picard map; the lag kernel is exp(-lambda j dt), j = 1..M.
+    """The grid factors of the Picard map: integer powers of the one rounded a = exp(-lambda dt).
 
-    The grid must be the solver's np.linspace(0, T, M + 1), with dt = T / M;
-    any other grid raises ValueError.
+    These are the semigroup factors that :func:`_causal_pass` multiplies by,
+    step by step, so the map and the pass differ only in the rounding of
+    their sums.  The grid must be the solver's np.linspace(0, T, M + 1), with
+    dt = T / M; any other grid raises ValueError.
     """
     M = grid.size - 1
     if not np.array_equal(grid, np.linspace(0.0, grid[-1], M + 1)):
         raise ValueError("the Picard map needs the solver's grid np.linspace(0, T, M + 1)")
     size = _fft_length(M)
-    lags = np.exp(-np.outer(model.lambdas, np.arange(1, M + 1) * (grid[-1] / M)))
-    return _Kernel(np.diff(grid), np.exp(-np.outer(grid, model.lambdas)), size,
-                   np.fft.rfft(lags, size, axis=-1))
+    powers = np.power(np.exp(-model.lambdas * (grid[-1] / M)), np.arange(M + 1.0)[:, None])
+    return _Kernel(np.diff(grid), powers, size, np.fft.rfft(powers[1:].T, size, axis=-1))
 
 
 def _sweep(model: DiagonalModel, prev: np.ndarray, driven: np.ndarray, x0s: np.ndarray,
            kernel: _Kernel) -> np.ndarray:
     """One Picard sweep of a batch: prev (R, M+1, n), driven (R, M, n), x0s (R, n).
 
-    The sum at t_k is the causal convolution sum_{j=1..k} exp(-lambda j dt) b_{k-j}
+    The sum at t_k is the causal convolution sum_{j=1..k} a^j b_{k-j}
     of the loads b_i with the lag kernel, by real FFT along time.  Alive at
     once, per state element: two copies of the loads (8 + 8 B), the loads and
     their spectrum (8 + 16 B), the spectrum and the convolution (16 + 16 B),
@@ -317,14 +307,16 @@ def _causal_pass(model: DiagonalModel, driven: np.ndarray, x0s: np.ndarray,
     the inputs, then the pairs and the (R, M+1, n) copy of the states 16 + 8 B.
 
     The loop over time steps is a deliberate exception to array code: it is
-    the seed of :func:`_iterate_batch`, which then freezes after one sweep
-    instead of 8 to 12.  Measured in process (2 cores, numpy 2.4): at M = 200
-    with 9 paths, a ``uniqueness`` chunk, the pass takes 0.33 ms against
-    0.23 ms a sweep, and the iteration 0.61 ms instead of 2.5 ms; at M = 5000
-    with one path, 5.3 ms against 0.9 ms, and 6.4 ms instead of 9.0 ms.
+    the solver, and one sweep, five times cheaper at M = 5000, certifies it.
+    The pair layout costs one ufunc call a step fewer than separate state
+    and shape rows, and the rows are bit-identical to it.  Measured in
+    process (2 cores, numpy 2.4, median of 41) at M = 200, the pairs take
+    0.86 ms for one path and 1.09 ms for 9, the rows 1.20 ms and 1.63 ms;
+    the rows win only at 75 paths (3.3 ms against 3.8 ms), a batch larger
+    than any the benchmark runs.
     """
     count, M, n = driven.shape
-    a = kernel.decay[1]  # exp(-lambda t_1), t_1 = T / M
+    a = kernel.decay[1]  # the rounded exp(-lambda dt) whose powers the kernel holds
     coef = np.empty((M, 2, count, n))
     coef[:, 0] = a
     np.multiply(np.swapaxes(driven, 0, 1), model.kappa, out=coef[:, 1])
@@ -346,80 +338,43 @@ def _causal_pass(model: DiagonalModel, driven: np.ndarray, x0s: np.ndarray,
     return np.ascontiguousarray(np.swapaxes(pairs[:, 0], 0, 1))
 
 
-def _iterate_batch(
-    model: DiagonalModel,
-    config: SolverConfig,
-    x0s: np.ndarray,
-    driven: np.ndarray,
-    kernel: _Kernel,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Iterate the Picard map for R replicas: states (R, M+1, n) and gaps (sweeps, R).
+def _certified_pass(model: DiagonalModel, driven: np.ndarray, x0s: np.ndarray,
+                    kernel: _Kernel) -> tuple[np.ndarray, np.ndarray]:
+    """States (R, M+1, n) of :func:`_causal_pass` and their certificates (R,), one sweep.
 
     Replica r starts from x0s[r] (shape (R, n)) with its driven increments
-    driven[r] (shape (R, M, n)), seeded by :func:`_causal_pass`; ``kernel``
-    is :func:`_kernel` of the config's grid.  All still-active replicas share
-    each sweep; a replica is frozen at its first gap below tol, and its rows
-    of the gap history after that are nan.  Raises
-    :class:`NonConvergenceError`, naming the last gap of the first replica
-    still active, if any is after N_MAX sweeps (a nan gap never converges).
+    driven[r] (shape (R, M, n)); ``kernel`` is :func:`_kernel` of their grid.
+    The certificate of a path is sup_k ||X(t_k) - Phi(X)(t_k)||.  Raises
+    :class:`NonConvergenceError`, naming the first replica's certificate that
+    is not below TOL (a nan one never is).
     """
-    count = x0s.shape[0]
-    current = _causal_pass(model, driven, x0s, kernel)
-    gaps = []  # one row a sweep run: N_MAX bounds the sweeps, not what is held before them
-    # the active replicas' states, driven increments and initial states are gathered once
-    # per freeze, and the frozen replicas' states set aside, so each replica is held once
-    active, done = np.arange(count), []
-    for _ in range(N_MAX):
-        new = _sweep(model, current, driven, x0s, kernel)
-        sweep_gaps = np.linalg.norm(new - current, axis=2).max(axis=1)
-        gaps.append(np.full(count, np.nan))
-        gaps[-1][active] = sweep_gaps
-        frozen = sweep_gaps < config.tol
-        if frozen.any():
-            done.append((active[frozen], new[frozen]))
-            keep = ~frozen
-            active, new, driven, x0s = active[keep], new[keep], driven[keep], x0s[keep]
-        current = new
-        if active.size == 0:
-            break
-    else:
+    states = _causal_pass(model, driven, x0s, kernel)
+    lags = states - _sweep(model, states, driven, x0s, kernel)
+    certificates = np.linalg.norm(lags, axis=2).max(axis=1)
+    failed = np.flatnonzero(~(certificates < TOL))
+    if failed.size:
         raise NonConvergenceError(
-            f"Picard gap {gaps[-1][active[0]]:.3e} still above tol {config.tol:.1e} after "
-            f"{N_MAX} iterations"
-        )
-    states = np.empty((count, *current.shape[1:]))
-    for rows, block in done:
-        states[rows] = block
-    return states, np.array(gaps)
+            f"Picard certificate {certificates[failed[0]]:.3e} of the exponential-Euler pass "
+            f"is not below TOL={TOL:.0e}")
+    return states, certificates
 
 
 def _solve(model: DiagonalModel, config: SolverConfig, increments: np.ndarray) -> MildPath:
-    """The certified fixed point on the config's grid, driven by noise increments (M, m).
-
-    One kernel serves the iteration and the certificate, one more sweep.
-    """
+    """The certified fixed point on the config's grid, driven by noise increments (M, m)."""
     grid = config.grid()
-    kernel = _kernel(model, grid)
-    x0s = config.initial_state()[None]
-    driven = _driven_diagonal(model, increments)[None]
-    states, gaps = _iterate_batch(model, config, x0s, driven, kernel)
-    lag = states[0] - _sweep(model, states, driven, x0s, kernel)[0]
-    return MildPath(grid=grid, states=states[0], iteration_count=gaps.shape[0],
-                    final_picard_gap=float(gaps[-1, 0]),
-                    residual=float(np.linalg.norm(lag, axis=1).max()))
+    states, certificates = _certified_pass(model, _driven_diagonal(model, increments)[None],
+                                           config.initial_state()[None], _kernel(model, grid))
+    return MildPath(grid=grid, states=states[0], residual=float(certificates[0]))
 
 
 def solve(model: DiagonalModel, config: SolverConfig, noise: NoisePath | None = None) -> MildPath:
-    """Iterate the Picard map to the discrete fixed point and certify it.
+    """The discrete fixed point by one exponential-Euler pass, certified by one Picard sweep.
 
-    Seeds with one exponential-Euler pass (:func:`_causal_pass`), the fixed
-    point up to rounding, which the discrete fixed point does not depend on
-    (see the module docstring).  Warns when T exceeds the binding admissible
-    bound, and raises :class:`NonConvergenceError` when the gap is still
-    above tolerance after N_MAX sweeps: with a tol below the rounding floor
-    of the path, or a path that is not finite.  Without ``noise``, the
-    path's rows are the streams (seed, TAG_NOISE_ROW, i) of
-    :func:`sampling.generate_noise_path`.
+    Warns when T exceeds the binding admissible bound, and raises
+    :class:`NonConvergenceError` when the certificate is not below TOL: for
+    a pass that is not the fixed point, or a path that is not finite.
+    Without ``noise``, the path's rows are the streams (seed, TAG_NOISE_ROW,
+    i) of :func:`sampling.generate_noise_path`.
     """
     _check_dimensions(model, config)
     grid = config.grid()
@@ -446,10 +401,10 @@ def glue_solve(model: DiagonalModel, config: SolverConfig) -> MildPath:
     i).  The M steps are dealt out as evenly as possible, the first M % pieces
     pieces getting one step more, so the glued grid has exactly M + 1 points
     and each junction sits at the cumulative step count.  Every piece must get
-    at least 2 of the M steps, so the work stays bounded by M: a one-step
-    piece is solved exactly by 2 sweeps (the causal Picard map is
-    nilpotent) and could never report non-convergence.  Requests with
-    more than M // 2 pieces raise ValueError before any noise is drawn.
+    at least 2 of the M steps, so the work stays bounded by M: the pass of a
+    one-step piece is one step of the Picard map, so its certificate would
+    check nothing.  Requests with more than M // 2 pieces raise ValueError
+    before any noise is drawn.
     """
     _check_dimensions(model, config)
     bound = binding_time_bound(model, config.alpha)
@@ -466,8 +421,6 @@ def glue_solve(model: DiagonalModel, config: SolverConfig) -> MildPath:
     grids: list[np.ndarray] = []
     states: list[np.ndarray] = []
     piece_residuals: list[float] = []
-    iterations = 0
-    final_gap = 0.0
     x0 = config.initial_state()
     for piece in range(pieces):
         sub = replace(config, T=piece_T, M=steps[piece], x0=x0)
@@ -476,8 +429,7 @@ def glue_solve(model: DiagonalModel, config: SolverConfig) -> MildPath:
         try:
             part = _solve(model, sub, increments)
         except NonConvergenceError as exc:
-            raise NonConvergenceError(
-                f"piece {piece} of {pieces} failed to converge: {exc}") from exc
+            raise NonConvergenceError(f"piece {piece} of {pieces}: {exc}") from exc
         offset = piece * piece_T
         if piece == 0:
             grids.append(part.grid)
@@ -486,14 +438,10 @@ def glue_solve(model: DiagonalModel, config: SolverConfig) -> MildPath:
             grids.append(part.grid[1:] + offset)
             states.append(part.states[1:])
         piece_residuals.append(part.residual)
-        iterations = max(iterations, part.iteration_count)
-        final_gap = part.final_picard_gap
         x0 = part.terminal
     return MildPath(
         grid=np.concatenate(grids),
         states=np.concatenate(states),
-        iteration_count=iterations,
-        final_picard_gap=final_gap,
         residual=max(piece_residuals),
         piece_residuals=piece_residuals,
     )

@@ -214,15 +214,16 @@ def test_criterion_09_fixed_point_and_uniqueness():
 
     bound = binding_time_bound(model, 1.5)
     ucfg = SolverConfig(alpha=1.5, T=0.9 * bound, M=200, n=8, seed=SEED + 80)
-    # the pass-seeded solve and the zero-seeded oracle on each uniqueness replica's noise
+    # the exponential-Euler solve and the zero-seeded Picard limit on each uniqueness
+    # replica's noise
     agree = 0
     for replica in range(100):
         rows = _noise_increments(1.5, 8, ucfg.grid(), SEED + 80, TAG_REPLICA, replica)
         noise = NoisePath(1.5, 8, ucfg.grid(), rows, SEED + 80)
-        seeded = solve(model, ucfg, noise=noise)
-        dist = np.linalg.norm(seeded.states - zero_seeded_states(model, ucfg, noise),
+        solved = solve(model, ucfg, noise=noise)
+        dist = np.linalg.norm(solved.states - zero_seeded_states(model, ucfg, noise),
                               axis=1).max()
-        agree += bool(dist < 10.0 * ucfg.tol)
+        agree += bool(dist < 10.0 * picard.TOL)
 
     # state-independent coefficients: from the flow, the second Picard iterate is the first
     additive = make_model(n=8, f_rule="zero", kappa_rule="power:1:1.5", shape="one")
@@ -231,8 +232,9 @@ def test_criterion_09_fixed_point_and_uniqueness():
                           range(1), 3)[0]
     additive_ok = diffs[0] > 0.0 and not diffs[1:].any()
     _report(9, residual_ok and agree == 100 and additive_ok,
-            f"solve residual {path.residual:.2e} < 1e-10; Picard-seed agreement "
-            f"{agree}/100 within 10*tol; additive case: flow-seeded differences "
+            f"solve residual {path.residual:.2e} < 1e-10; exponential-Euler solve equals the "
+            f"zero-seeded Picard limit in {agree}/100 within 10*TOL; additive case: "
+            f"flow-seeded differences "
             f"{np.array2string(diffs, precision=3)}")
 
 
@@ -241,7 +243,7 @@ def test_criterion_10_gluing():
     bound = binding_time_bound(model, 1.5)
     config = SolverConfig(alpha=1.5, T=3.0 * bound, M=200, n=8, seed=SEED + 90)
     glued = glue_solve(model, config)
-    residuals_ok = all(res < config.tol for res in glued.piece_residuals)
+    residuals_ok = all(res < picard.TOL for res in glued.piece_residuals)
 
     pieces = len(glued.piece_residuals)
     junction = piece_breaks(config.M, pieces)[0]
@@ -252,7 +254,7 @@ def test_criterion_10_gluing():
     junction_exact = np.array_equal(glued.states[junction], piece0.terminal)
     _report(10, pieces == 4 and residuals_ok and junction_exact,
             f"{pieces} pieces (T_total = 3x bound), per-piece residuals "
-            f"{[f'{r:.1e}' for r in glued.piece_residuals]} all < tol; "
+            f"{[f'{r:.1e}' for r in glued.piece_residuals]} all < TOL; "
             f"junction states bit-exact: {junction_exact}")
 
 

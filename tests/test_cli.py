@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import cylstable
-from cylstable import cli
+from cylstable import cli, picard
 from cylstable.cli import main
 from cylstable.reporting import format_value
 
@@ -253,9 +253,6 @@ OTHER_VALUES = {
     "iters": ("2",), "count": ("2",), "case": ("random", "near-equality"),
     "input": ("OTHER_UVW",), "deltas": ("0.5",), "preset": ("bogus",),
     "model_config": ("OTHER_MODEL",), "x0": ("1,0,0",), "T_total": ("0.2",),
-    # below the rounding floor no solve of these cases converges; from the causal pass every
-    # one freezes after one sweep at any tol above the floor, so no other tol changes a byte
-    "tol": ("1e-300",),
 }
 # the header lines that _model_from writes from a model file, in place of the flags
 MODEL_DERIVED = {"model_sha256", "n"}
@@ -620,33 +617,45 @@ def test_verdict_failure_exit_code(tmp_path, capsys):
 
 
 
-def _fails_and_writes_nothing(argv, tmp_path, capsys):
-    out = tmp_path / "out"
-    code = main([*argv, "--preset", "heat", "--tol", "1e-300", "--seed", "7", "--out", str(out)])
-    assert code == 1
-    first = capsys.readouterr().err.splitlines()[0]
-    assert first.startswith("FAIL: Picard gap ")
-    assert first.endswith(" still above tol 1.0e-300 after 64 iterations")
-    assert not out.exists()
+@pytest.fixture
+def moved_pass(monkeypatch):
+    """Every exponential-Euler pass moves its first path's terminal state by 1e-6."""
+    causal_pass = picard._causal_pass
+
+    def moved(*args):
+        states = causal_pass(*args)
+        states[0, -1, 0] += 1e-6
+        return states
+
+    monkeypatch.setattr(picard, "_causal_pass", moved)
 
 
-def test_uniqueness_nonconvergence_fails_and_writes_nothing(tmp_path, capsys):
-    # a tol below the rounding floor: some path's gaps settle in a cycle above it
-    _fails_and_writes_nothing(["uniqueness", "--M", "50", "--replicas", "4"], tmp_path, capsys)
+CERTIFICATE_FAILS = ("Picard certificate 1.000e-06 of the exponential-Euler pass is not below "
+                     "TOL=1e-12")
 
 
-def test_solve_nonconvergence_fails_and_writes_nothing(tmp_path, capsys):
-    _fails_and_writes_nothing(["solve", "--T", "0.05", "--M", "200"], tmp_path, capsys)
+@pytest.mark.usefixtures("moved_pass")
+def test_a_pass_that_fails_its_certificate_exits_1_and_writes_nothing(tmp_path, capsys):
+    for argv, failure in (
+        (["solve", "--T", "0.05", "--M", "200"], CERTIFICATE_FAILS),
+        (["glue", "--T-total", "0.15", "--M", "120"], f"piece 0 of 3: {CERTIFICATE_FAILS}"),
+        (["uniqueness", "--M", "50", "--replicas", "4"], CERTIFICATE_FAILS),
+    ):
+        out = tmp_path / argv[0]
+        assert main([*argv, "--preset", "heat", "--seed", "7", "--out", str(out)]) == 1
+        assert capsys.readouterr().err.splitlines() == [f"FAIL: {failure}"]
+        assert not out.exists()
 
 
+@pytest.mark.usefixtures("moved_pass")
 def test_failing_solve_beyond_the_horizon_bound_keeps_its_warning(tmp_path, capsys):
     out = tmp_path / "out"
-    assert main(["solve", "--preset", "heat", "--T", "0.2", "--M", "200", "--tol", "1e-300",
-                 "--seed", "3", "--out", str(out)]) == 1
+    assert main(["solve", "--preset", "heat", "--T", "0.2", "--M", "200", "--seed", "3",
+                 "--out", str(out)]) == 1
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 2
     assert err[0].startswith("warning: horizon T=0.2 exceeds the binding admissible bound ")
-    assert err[1].startswith("FAIL: Picard gap ")
+    assert err[1].startswith("FAIL: Picard certificate ")
     assert not out.exists()
 
 
@@ -718,7 +727,7 @@ def test_empty_list_options_are_refused_from_config(tmp_path, capsys, argv):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("extra", [["--T", "0.01", "--tol", "inf"], ["--T", "nan"]])
+@pytest.mark.parametrize("extra", [["--T", "inf"], ["--T", "nan"]])
 def test_solve_rejects_non_finite_values(tmp_path, capsys, extra):
     code = main(["solve", "--preset", "heat", "--M", "20", "--seed", "7",
                  "--out", str(tmp_path), *extra])
@@ -727,11 +736,11 @@ def test_solve_rejects_non_finite_values(tmp_path, capsys, extra):
     assert not (tmp_path / "mild_path.csv").exists()
 
 
-def _run_python(code: str, *args: str) -> subprocess.CompletedProcess:
-    """Run ``code`` in a fresh interpreter that imports this checkout's package."""
+def _run_python(code: str, *args: str, environ=os.environ) -> subprocess.CompletedProcess:
+    """Run ``code`` in a fresh interpreter, in ``environ``, that imports this checkout's package."""
     src = str(Path(cylstable.__file__).resolve().parents[1])
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    env = dict(os.environ, PYTHONPATH=path)
+    path = os.pathsep.join(filter(None, [src, environ.get("PYTHONPATH")]))
+    env = dict(environ, PYTHONPATH=path)
     return subprocess.run([sys.executable, "-c", code, *args], env=env, capture_output=True,
                           text=True, timeout=300)
 
@@ -745,6 +754,34 @@ def test_cli_import_loads_no_scipy():
                          "print(sorted(m for m in sys.modules if m.startswith('scipy')))\n")
     assert result.returncode == 0, result.stderr
     assert result.stdout.splitlines() == ["[]", "[]"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["tail", "--alpha", "1.5", "--integrand", "const"],
+    ["moment", "--alpha", "1.5"],
+    ["integrate", "--alpha", "1.5"],
+    ["noise", "--alpha", "1.5"],
+], ids=" ".join)
+def test_a_non_finite_horizon_is_refused_before_its_grid_is_built(tmp_path, argv):
+    # in a child process, where numpy's RuntimeWarnings would reach stderr
+    out = tmp_path / "out"
+    result = _run_python("import sys; from cylstable.cli import main; sys.exit(main(sys.argv[1:]))",
+                         *argv, "--T", "inf", "--seed", "3", "--out", str(out))
+    assert result.stderr == "usage error: --T must be positive and finite, got inf\n"
+    assert result.returncode == 2
+    assert not out.exists()
+
+
+def test_cli_runs_openblas_on_one_thread_unless_told_otherwise():
+    # importing the CLI sets the default before numpy starts OpenBLAS, which then starts no
+    # worker thread; a value already in the environment is kept
+    code = "import os, cylstable.cli; print(os.environ['OPENBLAS_NUM_THREADS'])"
+    environ = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    default = _run_python(f"{code}; print(len(os.listdir('/proc/self/task')))",
+                          environ=environ)
+    assert default.stdout.splitlines() == ["1", "1"], default.stderr
+    kept = _run_python(code, environ={**environ, "OPENBLAS_NUM_THREADS": "3"})
+    assert kept.stdout.splitlines() == ["3"], kept.stderr
 
 
 # modules of the package that a command must leave unloaded

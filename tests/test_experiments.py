@@ -27,7 +27,6 @@ from cylstable.experiments import _cumulative_trapezoid
 from cylstable.picard import (
     SolverConfig,
     _driven_diagonal,
-    _iterate_batch,
     binding_time_bound,
     horizon_bounds,
     picard_step,
@@ -304,7 +303,7 @@ def test_uniqueness_experiment_small():
                                                                   "fresh-noise distance"]
     dists = report.tables["distances"]
     assert list(dists) == ["replica", "x0_perturbed", "fresh_noise"]
-    assert np.all(dists["fresh_noise"] > 10 * config.tol)
+    assert np.all(dists["fresh_noise"] > 10 * picard.TOL)
 
 
 def test_fresh_noise_differs_from_the_reference_noise_in_every_replica():
@@ -520,29 +519,18 @@ def test_batched_experiments_equal_per_replica_reference():
 
 
 def test_solve_batch_equals_batches_of_one():
+    # the batch's states and certificates are each replica's alone, and the public solve's
     model, _, uniq_cfg = _ensemble_setup()
-    _, _, noises, x0s = per_replica_uniqueness_paths(model, uniq_cfg, 3, 19)
+    _, paths, noises, x0s = per_replica_uniqueness_paths(model, uniq_cfg, 3, 19)
     driven = np.stack([_driven_diagonal(model, noise.increments) for noise in noises])
     kernel = picard._kernel(model, uniq_cfg.grid())
-    # from the causal pass every path freezes after one sweep at the default tol, with a gap
-    # of a few ulp; a tol at the median of those gaps freezes the paths below it after one
-    # sweep and the others after two, whose gaps are an ulp or less
-    _, first = _iterate_batch(model, uniq_cfg, x0s, driven, kernel)
-    assert first.shape == (1, len(noises))
-    uniq_cfg = replace(uniq_cfg, tol=float(np.median(first)))
-    _, paths, _, _ = per_replica_uniqueness_paths(model, uniq_cfg, 3, 19)
-    states, gaps = _iterate_batch(model, uniq_cfg, x0s, driven, kernel)
-    # the batch freezes replicas at different sweeps, and a frozen replica's gaps read nan
-    iterations = (~np.isnan(gaps)).sum(axis=0)
-    assert len(set(iterations.tolist())) > 1
-    assert gaps.shape == (iterations.max(), len(paths))
+    states, certificates = picard._certified_pass(model, driven, x0s, kernel)
+    assert certificates.shape == (len(paths),)
     for r, reference in enumerate(paths):
         assert np.array_equal(states[r], reference.states)
-        _, alone = _iterate_batch(model, uniq_cfg, x0s[r:r + 1], driven[r:r + 1], kernel)
-        assert np.array_equal(gaps[:iterations[r], r], alone[:, 0])
-        assert np.isnan(gaps[iterations[r]:, r]).all()
-        assert iterations[r] == reference.iteration_count
-        assert gaps[iterations[r] - 1, r] == reference.final_picard_gap
+        assert certificates[r] == reference.residual
+        alone = picard._certified_pass(model, driven[r:r + 1], x0s[r:r + 1], kernel)
+        assert np.array_equal(alone[0][0], states[r]) and alone[1][0] == certificates[r]
 
 
 def test_experiment_tables_independent_of_batch_budget(monkeypatch):
@@ -592,7 +580,7 @@ def test_uniqueness_batches_three_replicas_a_chunk_on_the_benchmark_grid(monkeyp
             return original(*args)
         monkeypatch.setattr(module, name, wrapper)
 
-    counted(picard, "_iterate_batch", "batches")
+    counted(picard, "_certified_pass", "batches")
     counted(experiments, "_noise_increments", "draws")
     uniqueness_experiment(model, config, replicas=25, seed=7)
     assert calls["batches"] <= 9

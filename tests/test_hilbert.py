@@ -44,8 +44,8 @@ def test_hsmatrix_norm_and_diagonal():
 
 
 def semigroup(model, t, x):
-    """S(t)x as the solver applies it: its flow on the one-point grid [t]."""
-    return semigroup_flow(model, np.array([t]), x)[0]
+    """S(t)x as the solver applies it: its flow at the end of the one-step grid [0, t]."""
+    return semigroup_flow(model, np.array([0.0, t]), x)[-1]
 
 
 def test_semigroup_identity_at_zero():

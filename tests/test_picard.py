@@ -30,6 +30,8 @@ from cylstable.sampling import NoisePath, _noise_increments, _row_norms, generat
 
 from picard_oracles import piece_breaks, semigroup_flow, zero_seeded_states
 
+EPS = np.finfo(float).eps
+
 
 def drift_convolution(model, states, grid):
     """sum_{i<k} S(t_k - t_i) F(X(t_i)) dt_i at every t_k, as one Picard sweep computes it.
@@ -135,8 +137,10 @@ def test_picard_step_is_within_5e_16_of_a_long_double_direct_sum():
     new = picard_step(model, flow, noise, x0)
     loads = (model.drift(flow[:-1]) * np.diff(noise.grid)[:, None]
              + model.diffusion_diagonal(flow[:-1]) * noise.increments).astype(np.longdouble)
-    lags = np.arange(1, config.M + 1, dtype=np.longdouble) * (np.longdouble(config.T) / config.M)
-    kernel = np.exp(-np.outer(lags, model.lambdas.astype(np.longdouble)))
+    # the map's lag kernel a^j, j = 1..M, of the one rounded a = exp(-lambda dt), its powers
+    # taken in long double: what is left is the rounding of the FFT's sums
+    a = np.exp(-model.lambdas * (config.T / config.M)).astype(np.longdouble)
+    kernel = a ** np.arange(1, config.M + 1, dtype=np.longdouble)[:, None]
     for k in range(0, config.M + 1, 25):
         exact = flow[k].astype(np.longdouble) + (kernel[:k] * loads[k - 1::-1][:k]).sum(axis=0)
         assert np.abs(new[k] - exact).max() <= 5e-16
@@ -264,7 +268,8 @@ def flow_seeded_sweeps(model, config, sweeps):
 
 def test_zero_coefficients_reduce_to_flow():
     # the flow is the fixed point: the first flow-seeded sweep returns it bit for bit, on the
-    # whole path and in the picard command's loop; solve freezes on it after one sweep
+    # whole path and in the picard command's loop; solve's pass, which multiplies by a once a
+    # step, is it up to an ulp a step
     model = make_model(n=3, f_rule="zero", kappa_rule="zero")
     config = SolverConfig(alpha=1.5, T=0.5, M=20, n=3, seed=101)
     flow, first = flow_seeded_sweeps(model, config, 1)
@@ -272,14 +277,14 @@ def test_zero_coefficients_reduce_to_flow():
     kernel = picard._kernel(model, config.grid())
     assert not _picard_diffs(model, config, kernel, config.seed, range(3), 2).any()
     path = solve(model, config)
-    assert np.array_equal(path.states, flow)
-    assert path.iteration_count == 1
+    assert np.abs(path.states - flow).max() <= config.M * EPS * np.abs(flow).max()
+    assert path.residual < picard.TOL
 
 
 def test_additive_noise_fixed_in_two_iterations():
     # state-independent coefficients: the map no longer depends on the previous path, so from
     # the flow the second sweep reproduces the first exactly, on the whole path and in the
-    # picard command's loop; solve's one sweep from its pass gives that same path
+    # picard command's loop; solve's pass is that same path up to an ulp a step
     model = make_model(n=3, f_rule="zero", kappa_rule="power:1:1.5", shape="one")
     config = SolverConfig(alpha=1.5, T=0.02, M=50, n=3, seed=102)
     flow, first, second = flow_seeded_sweeps(model, config, 2)
@@ -289,16 +294,16 @@ def test_additive_noise_fixed_in_two_iterations():
     diffs = _picard_diffs(model, config, kernel, config.seed, range(3), 3)
     assert diffs[:, 0].all() and not diffs[:, 1:].any()
     path = solve(model, config)
-    assert np.array_equal(path.states, first)
-    assert path.iteration_count == 1
+    assert np.abs(path.states - first).max() <= config.M * EPS * np.abs(first).max()
+    assert path.residual < picard.TOL
 
 
 def test_solve_preset_residual_certificate():
     model = heat_preset(8)
     config = SolverConfig(alpha=1.5, T=0.05, M=200, n=8, seed=7)
     path = solve(model, config)
-    assert path.final_picard_gap < config.tol
-    assert path.residual < 1e-10
+    assert path.iteration_count == 1
+    assert path.residual < picard.TOL
 
 
 def test_residual_detects_perturbation():
@@ -309,13 +314,7 @@ def test_residual_detects_perturbation():
     x0 = config.initial_state()
     base = residual(model, path, noise, x0)
     assert base < 1e-12
-    perturbed = MildPath(
-        grid=path.grid,
-        states=path.states.copy(),
-        iteration_count=path.iteration_count,
-        final_picard_gap=path.final_picard_gap,
-        residual=0.0,
-    )
+    perturbed = MildPath(grid=path.grid, states=path.states.copy(), residual=0.0)
     perturbed.states[30, 0] += 1e-3
     assert residual(model, perturbed, noise, x0) >= 0.9e-3
 
@@ -348,8 +347,7 @@ def test_residual_refuses_grids_other_than_the_solver_linspace():
     grid = np.linspace(0.0, 0.02, 21)
     grid[7] += 1e-4
     noise = generate_noise_path(1.5, 3, grid, seed=114)
-    path = MildPath(grid=grid, states=np.zeros((21, 3)), iteration_count=1,
-                    final_picard_gap=0.0, residual=0.0)
+    path = MildPath(grid=grid, states=np.zeros((21, 3)), residual=0.0)
     with pytest.raises(ValueError, match=r"np\.linspace\(0, T, M \+ 1\)"):
         residual(model, path, noise, np.zeros(3))
     with pytest.raises(ValueError, match=r"np\.linspace\(0, T, M \+ 1\)"):
@@ -377,33 +375,32 @@ def test_solve_below_bound_no_warning():
         solve(model, config)
 
 
-def test_causal_pass_is_the_fixed_point_up_to_rounding():
-    # the pass rounds a = exp(-lambda dt) once and the recursion takes its k-th power, so its
-    # rounding grows along the path: about 10 ulp of sup|X| at M = 200, 1000 at M = 5000
+def test_solve_returns_the_causal_pass_certified_to_a_few_ulp():
+    # the kernel holds the powers of the one rounded a = exp(-lambda dt) that the pass
+    # multiplies by, so the pass and the map differ only in how they round their sums: the
+    # certificate reads a few ulp of sup|X|, not the ulp per step of exp(-lambda j dt)
     model = heat_preset(8)
-    eps = np.finfo(float).eps
     for M in (200, 5000):
         config = SolverConfig(alpha=1.5, T=0.05, M=M, n=8, seed=7)
         noise = generate_noise_path(1.5, 8, config.grid(), config.seed)
         path = solve(model, config, noise=noise)
-        seed = picard._causal_pass(model, _driven_diagonal(model, noise.increments)[None],
-                                   config.initial_state()[None],
-                                   picard._kernel(model, config.grid()))[0]
-        assert path.iteration_count == 1 and path.residual < 1e-10
-        assert np.abs(seed - path.states).max() <= M * eps * np.abs(path.states).max()
+        states = picard._causal_pass(model, _driven_diagonal(model, noise.increments)[None],
+                                     config.initial_state()[None],
+                                     picard._kernel(model, config.grid()))[0]
+        assert np.array_equal(states, path.states)
+        assert path.residual <= 64 * EPS * np.abs(path.states).max()
 
 
-def test_solve_does_not_depend_on_the_seed(monkeypatch):
-    # seeded by the semigroup flow instead of the pass, solve sweeps more but reaches the
-    # same fixed point
+def test_solve_fails_on_a_pass_that_is_not_the_fixed_point(monkeypatch):
+    # the semigroup flow in place of the pass: its certificate is the size of the noise's
+    # first Picard sweep, and the solve raises instead of returning it
     model = heat_preset(8)
     config = SolverConfig(alpha=1.5, T=0.05, M=200, n=8, seed=7)
-    seeded = solve(model, config)
     monkeypatch.setattr(picard, "_causal_pass", lambda model, driven, x0s, kernel:
                         kernel.decay * x0s[:, None, :])
-    flow_seeded = solve(model, config)
-    assert flow_seeded.iteration_count > seeded.iteration_count == 1
-    assert np.abs(flow_seeded.states - seeded.states).max() < 10.0 * config.tol
+    with pytest.raises(NonConvergenceError, match=r"^Picard certificate \d\.\d{3}e-0\d of the "
+                       r"exponential-Euler pass is not below TOL=1e-12$"):
+        solve(model, config)
 
 
 def test_picard_seed_independence():
@@ -413,70 +410,24 @@ def test_picard_seed_independence():
     flow_seeded = solve(model, config, noise=noise)
     zero_seeded = zero_seeded_states(model, config, noise)
     dist = np.linalg.norm(flow_seeded.states - zero_seeded, axis=1).max()
-    assert dist < 10.0 * config.tol
+    assert dist < 10.0 * picard.TOL
 
 
-def test_nonconvergence_is_reported():
-    # a tol below the rounding floor: far beyond the bound the gaps stay at about 1e-14
-    model = make_model(n=2, kappa_rule="const:50", f_rule="const:50")
-    config = SolverConfig(alpha=1.5, T=2.0, M=64, n=2, tol=1e-300, seed=107)
-    with (pytest.warns(UserWarning, match="exceeds the binding admissible bound"),
-          pytest.raises(NonConvergenceError,
-                        match=r"still above tol 1\.0e-300 after 64 iterations")):
-        solve(model, config)
-
-
-def test_batch_raises_when_only_a_later_replica_fails():
-    # replica 0 (zero state, zero noise, tanh(0) = 0) is fixed by its first sweep, with a gap
-    # of exactly 0; replica 1 never is, and the batch's error names replica 1's last gap
-    model = make_model(n=2, kappa_rule="const:50", f_rule="const:50")
-    config = SolverConfig(alpha=1.5, T=2.0, M=64, n=2, tol=1e-300, seed=107)
-    noise = _driven_diagonal(model, generate_noise_path(1.5, 2, config.grid(), 107).increments)
-    kernel = picard._kernel(model, config.grid())
-    x0s = np.stack([np.zeros(2), config.initial_state()])
-    driven = np.stack([np.zeros_like(noise), noise])
-    states, gaps = picard._iterate_batch(model, config, x0s[:1], driven[:1], kernel)
-    assert gaps.tolist() == [[0.0]] and not states.any()
-    with pytest.raises(NonConvergenceError) as alone:
-        picard._iterate_batch(model, config, x0s[1:], driven[1:], kernel)
-    with pytest.raises(NonConvergenceError) as batched:
-        picard._iterate_batch(model, config, x0s, driven, kernel)
-    assert str(batched.value) == str(alone.value)
-    assert str(alone.value).endswith("after 64 iterations")
-
-
-def test_batch_raises_on_a_nan_gap():
+def test_a_nan_certificate_of_a_later_replica_fails_the_batch():
+    # replica 1's states are nan from t_6 on, and so is its certificate, which is not below
+    # TOL; replica 0 alone passes
     model = heat_preset(3)
     config = SolverConfig(alpha=1.5, T=0.01, M=20, n=3, seed=3)
     noise = _driven_diagonal(model, generate_noise_path(1.5, 3, config.grid(), 3).increments)
     driven = np.stack([noise, noise])
-    driven[1, 5, 0] = np.nan  # replica 1's states are nan from t_6 on, and so are its gaps
+    driven[1, 5, 0] = np.nan
     kernel = picard._kernel(model, config.grid())
-    with pytest.raises(NonConvergenceError, match=r"^Picard gap nan still above tol .* after 64 "):
-        picard._iterate_batch(model, config, np.tile(config.initial_state(), (2, 1)), driven,
-                              kernel)
+    x0s = np.tile(config.initial_state(), (2, 1))
+    _, certificates = picard._certified_pass(model, driven[:1], x0s[:1], kernel)
+    assert certificates[0] < picard.TOL
+    with pytest.raises(NonConvergenceError, match=r"^Picard certificate nan "):
+        picard._certified_pass(model, driven, x0s, kernel)
 
-
-
-def test_iteration_cap_bounds_the_sweeps_not_the_memory(monkeypatch):
-    # the gap history holds the sweeps run, so a cap far above them costs nothing; a path
-    # that never converges (nan from t_6 on) raises after exactly N_MAX sweeps
-    model = heat_preset(3)
-    config = SolverConfig(alpha=1.5, T=0.01, M=20, n=3, seed=3)
-    monkeypatch.setattr(picard, "N_MAX", 10**15)
-    path = solve(model, config)
-    driven = _driven_diagonal(model, _noise_increments(1.5, 3, config.grid(), 3))[None]
-    kernel = picard._kernel(model, config.grid())
-    _, gaps = picard._iterate_batch(model, config, config.initial_state()[None], driven, kernel)
-    assert path.iteration_count == 1
-    assert gaps.shape == (path.iteration_count, 1)
-    swept, sweep = [], picard._sweep
-    monkeypatch.setattr(picard, "N_MAX", 5)
-    monkeypatch.setattr(picard, "_sweep", lambda *args: swept.append(1) or sweep(*args))
-    driven[0, 5, 0] = np.nan
-    with pytest.raises(NonConvergenceError, match=r"^Picard gap nan .* after 5 iterations$"):
-        picard._iterate_batch(model, config, config.initial_state()[None], driven, kernel)
-    assert len(swept) == 5
 
 def test_solve_builds_one_kernel_and_glue_one_per_piece(monkeypatch):
     built, build = [], picard._kernel
@@ -539,7 +490,7 @@ def test_glue_three_times_bound_gives_four_pieces():
     config = SolverConfig(alpha=1.5, T=3.0 * bound, M=200, n=8, seed=109)
     glued = glue_solve(model, config)
     assert len(glued.piece_residuals) == 4
-    assert all(res < config.tol for res in glued.piece_residuals)
+    assert all(res < picard.TOL for res in glued.piece_residuals)
     for p, junction in enumerate(piece_breaks(config.M, 4), 1):
         assert glued.grid[junction] == pytest.approx(p * config.T / 4.0)
     assert glued.grid.size == config_grid_points(glued)
@@ -576,13 +527,25 @@ def test_glue_deals_out_exactly_M_steps():
         assert glued.grid[junction] == pytest.approx(p * config.T / 3.0)
 
 
-def test_glue_propagates_nonconvergence_with_piece_index():
-    # piece 0's gaps settle in a cycle at 1.1e-16, so a tol below the rounding floor fails it
+def test_glue_propagates_nonconvergence_with_piece_index(monkeypatch):
+    # the pass of the third piece moves one state by 1e-6, and its certificate reads it
     model = make_model(n=2, kappa_rule="const:80", f_rule="const:80")
     bound = binding_time_bound(model, 1.5)
-    config = SolverConfig(alpha=1.5, T=3.0 * bound, M=400, n=2, tol=1e-300, seed=111)
-    with pytest.raises(NonConvergenceError, match="piece 0 of 4 failed to converge"):
+    config = SolverConfig(alpha=1.5, T=3.0 * bound, M=400, n=2, seed=111)
+    passes, causal_pass = [], picard._causal_pass
+
+    def third_moved(*args):
+        states = causal_pass(*args)
+        passes.append(1)
+        if len(passes) == 3:
+            states[0, 50, 0] += 1e-6
+        return states
+
+    monkeypatch.setattr(picard, "_causal_pass", third_moved)
+    with pytest.raises(NonConvergenceError,
+                       match=r"^piece 2 of 4: Picard certificate 1\.0\d\de-06 "):
         glue_solve(model, config)
+    assert len(passes) == 3
 
 
 def test_glue_refuses_pieces_shorter_than_two_steps():
@@ -595,7 +558,7 @@ def test_glue_refuses_pieces_shorter_than_two_steps():
     assert time.perf_counter() - start < 1.0
 
 
-@pytest.mark.parametrize("field", ["T", "tol"])
+@pytest.mark.parametrize("field", ["T"])
 @pytest.mark.parametrize("value", [math.nan, math.inf])
 def test_config_rejects_non_finite_values(field, value):
     kwargs = {"alpha": 1.5, "T": 0.01, "M": 10, "n": 2, field: value}
