@@ -634,17 +634,29 @@ CERTIFICATE_FAILS = ("Picard certificate 1.000e-06 of the exponential-Euler pass
                      "TOL=1e-12")
 
 
+def _fails_and_writes_nothing(argv, failure, tmp_path, capsys):
+    out = tmp_path / "out"
+    assert main([*argv, "--preset", "heat", "--seed", "7", "--out", str(out)]) == 1
+    assert capsys.readouterr().err.splitlines() == [f"FAIL: {failure}"]
+    assert not out.exists()
+
+
 @pytest.mark.usefixtures("moved_pass")
-def test_a_pass_that_fails_its_certificate_exits_1_and_writes_nothing(tmp_path, capsys):
-    for argv, failure in (
-        (["solve", "--T", "0.05", "--M", "200"], CERTIFICATE_FAILS),
-        (["glue", "--T-total", "0.15", "--M", "120"], f"piece 0 of 3: {CERTIFICATE_FAILS}"),
-        (["uniqueness", "--M", "50", "--replicas", "4"], CERTIFICATE_FAILS),
-    ):
-        out = tmp_path / argv[0]
-        assert main([*argv, "--preset", "heat", "--seed", "7", "--out", str(out)]) == 1
-        assert capsys.readouterr().err.splitlines() == [f"FAIL: {failure}"]
-        assert not out.exists()
+def test_uniqueness_nonconvergence_fails_and_writes_nothing(tmp_path, capsys):
+    _fails_and_writes_nothing(["uniqueness", "--M", "50", "--replicas", "4"], CERTIFICATE_FAILS,
+                              tmp_path, capsys)
+
+
+@pytest.mark.usefixtures("moved_pass")
+def test_solve_nonconvergence_fails_and_writes_nothing(tmp_path, capsys):
+    _fails_and_writes_nothing(["solve", "--T", "0.05", "--M", "200"], CERTIFICATE_FAILS,
+                              tmp_path, capsys)
+
+
+@pytest.mark.usefixtures("moved_pass")
+def test_glue_nonconvergence_fails_and_writes_nothing(tmp_path, capsys):
+    _fails_and_writes_nothing(["glue", "--T-total", "0.15", "--M", "120"],
+                              f"piece 0 of 3: {CERTIFICATE_FAILS}", tmp_path, capsys)
 
 
 @pytest.mark.usefixtures("moved_pass")

@@ -413,7 +413,31 @@ def test_picard_seed_independence():
     assert dist < 10.0 * picard.TOL
 
 
-def test_a_nan_certificate_of_a_later_replica_fails_the_batch():
+def test_batch_raises_when_only_a_later_replica_fails(monkeypatch):
+    # replica 1's pass is moved by 1e-6 at its terminal state, which the sweep does not read,
+    # so its certificate is that 1e-6 and the batch's error names it; replica 0 alone passes
+    model = heat_preset(3)
+    config = SolverConfig(alpha=1.5, T=0.01, M=20, n=3, seed=3)
+    noise = _driven_diagonal(model, generate_noise_path(1.5, 3, config.grid(), 3).increments)
+    driven = np.stack([noise, noise])
+    kernel = picard._kernel(model, config.grid())
+    x0s = np.tile(config.initial_state(), (2, 1))
+    causal_pass = picard._causal_pass
+
+    def moved(*args):
+        states = causal_pass(*args)
+        states[1:, -1, 0] += 1e-6
+        return states
+
+    monkeypatch.setattr(picard, "_causal_pass", moved)
+    _, certificates = picard._certified_pass(model, driven[:1], x0s[:1], kernel)
+    assert certificates[0] < picard.TOL
+    with pytest.raises(NonConvergenceError, match=r"^Picard certificate 1\.000e-06 of the "
+                       r"exponential-Euler pass is not below TOL=1e-12$"):
+        picard._certified_pass(model, driven, x0s, kernel)
+
+
+def test_batch_raises_on_a_nan_gap():
     # replica 1's states are nan from t_6 on, and so is its certificate, which is not below
     # TOL; replica 0 alone passes
     model = heat_preset(3)
