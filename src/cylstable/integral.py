@@ -17,8 +17,8 @@ from typing import Callable
 import numpy as np
 
 from .hilbert import as_matrix
-from .rng import TAG_REPLICA, _blocks, open_uniform_rows
-from .sampling import AlphaParams, NoisePath, _isotropic_from_uniforms, _row_norms
+from .rng import TAG_REFINE
+from .sampling import AlphaParams, NoisePath, _chunked_isotropic, _row_norms
 
 __all__ = [
     "StepIntegrand",
@@ -98,21 +98,25 @@ def _refinement_diffs(weights: np.ndarray, entries: np.ndarray, alpha: float, dt
 
     I_k(T) = sum_i weights[k, i] psi0 dL_i; only the projected increment
     psi0 dL_i enters, so the m-dim noise is integrated once per replica.
-    Replica r draws open_uniform(substream(seed, TAG_REPLICA, r), (steps, 2 + m)),
-    for a chunk of replicas at once; every product is per replica.
+    Replica r's increments are the rows of sample r of
+    :func:`sampling._chunked_isotropic` named (seed, TAG_REFINE), one row a
+    step, drawn for a block of replicas at once; every product is per replica.
     """
     levels, steps = weights.shape
     n, m = entries.shape
     diffs = np.empty((levels - 1, replicas))
     scale = dt ** (1.0 / alpha)
-    # per step of a replica: 6 floats per uniform and per projected coordinate
-    for chunk in _blocks(replicas, 48 * steps * (2 + m + n)):
-        u = open_uniform_rows([seed, TAG_REPLICA, np.arange(chunk.start, chunk.stop)],
-                              steps * (2 + m)).reshape(len(chunk), steps, 2 + m)
-        projected = scale * _isotropic_from_uniforms(alpha, u) @ entries.T  # (R, steps, n)
+    start = 0
+    # float64 temporaries per step of a replica: 8 for the subordinator, 3 per noise and 2 per
+    # projected coordinate (traced at n, m = 1, 1; 2, 3; 1, 4: 11.1, 17.9 and 19.9 floats)
+    for rows in _chunked_isotropic(alpha, replicas, (steps, m), 8 * steps * (8 + 3 * m + 2 * n),
+                                   seed, TAG_REFINE):
+        block = slice(start, start + len(rows))
+        projected = scale * rows @ entries.T  # (R, steps, n)
         fine_total = weights[-1] @ projected
         for k in range(levels - 1):
-            diffs[k, chunk] = _row_norms(weights[k] @ projected - fine_total)
+            diffs[k, block] = _row_norms(weights[k] @ projected - fine_total)
+        start = block.stop
     return diffs
 
 

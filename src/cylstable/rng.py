@@ -11,25 +11,33 @@ split into its 32-bit words, so ``[5 + 7 * 2**32, 9]`` would hash like
 ``[5, 7, 9]``.  Both :func:`substream` and :func:`open_uniform_rows` refuse
 any entry outside [0, 2**32) with ``ValueError``.  ``SeedSequence`` also pads
 a name shorter than 4 words with zeros (``[5, 1]`` hashes like ``[5, 1, 0]``),
-so within one namespace, the word after the seed, all names have one length,
-and no tag is 0.  The names (r a replica, k a chunk, i a noise row, p a glue
-piece):
+so no tag is 0, and within one namespace, the word after the seed, no name
+is another one padded with zeros: names of a namespace differ in a word
+they both hold, or a longer one ends in a non-zero tag where a shorter one
+is padded (the Gaussian stream of a Monte-Carlo chunk adds
+``TAG_GAUSSIAN`` to the chunk's name).  The names (r a replica, k a chunk,
+i a noise row, p a glue piece; a chunk holds ``_CHUNK`` = 2**16 samples):
 
     (seed)                                      check-model trial points
     (seed, TAG_SCALAR), (seed, TAG_POSITIVE)    scalar and positive stable draws
-    (seed, TAG_ISOTROPIC, n)                    isotropic draws in R^n
+    (seed, TAG_ISOTROPIC, n)                    isotropic draws in R^n: subordinators
+    (seed, TAG_ISOTROPIC, n, TAG_GAUSSIAN)        and their Gaussian coordinates
     (seed, TAG_NOISE_ROW, i)                    generate_noise_path
     (seed, TAG_PIECE, p, TAG_NOISE_ROW, i)      glue piece p
     (seed, TAG_REPLICA, r, TAG_NOISE_ROW, i)    picard and uniqueness replica r
     (seed, TAG_ALT_NOISE, r, TAG_NOISE_ROW, i)  uniqueness fresh noise, replica r
-    (seed, TAG_REPLICA, k)                      tail/moment chunk k, refinement replica k
+    (seed, TAG_REPLICA, k)                      tail/moment chunk k: subordinators
+    (seed, TAG_REPLICA, k, TAG_GAUSSIAN)          and their Gaussian coordinates
     (seed, TAG_REPLICA, TAG_BOOTSTRAP)          moment bootstrap
+    (seed, TAG_REFINE, k)                       refinement chunk k: subordinators
+    (seed, TAG_REFINE, k, TAG_GAUSSIAN)           and their Gaussian coordinates
     (seed, TAG_TRIPLES, M)                      random hypothesis triples
     (0, TAG_GOF, n, count)                      goodness-of-fit test directions
 
 A stream can be drawn in two equal ways.  :func:`substream` builds numpy's
 ``Generator(Philox(SeedSequence(name)))``, for the few long streams
-(sampler and Monte-Carlo chunks of 10^5 values and more).
+(sampler and Monte-Carlo chunks of 10^5 values and more, whose Gaussian
+coordinates are ``standard_normal`` draws; see :mod:`cylstable.sampling`).
 :func:`open_uniform_rows` draws the first ``count`` uniforms of many short
 streams at once, without importing ``numpy.random``: an integer-exact numpy
 port of ``SeedSequence``'s entropy hashing, of Philox4x64-10 and of
@@ -59,6 +67,12 @@ TAG_ALT_NOISE = 0xA17
 TAG_TRIPLES = 0x77
 TAG_GOF = 0x60F
 TAG_BOOTSTRAP = 0xB007
+TAG_GAUSSIAN = 0x6A55
+TAG_REFINE = 0x4EF1
+
+# Samples of one Monte-Carlo chunk, part of the stream names: sample r is sample
+# r mod _CHUNK of chunk r // _CHUNK.
+_CHUNK = 1 << 16
 
 _UNIFORM_LO = 1e-16
 _UNIFORM_HI = 1.0 - 1e-16

@@ -18,13 +18,29 @@ columns, bit for bit.  Each row's stream draws the shared subordinator
 first and then one uniform per coordinate in column order, so a longer
 block reproduces the shorter one as its prefix.
 
-Draw streams are counter-based per row with a fixed uniform-consumption
-layout (2 uniforms for the subordinator, then one per Gaussian coordinate
-through the inverse normal CDF), so a rerun with the same seed reproduces
-every row bit for bit.  The inverse normal CDF is :func:`_ndtri`, a numpy
-port of the Cephes rational approximation (S. L. Moshier, *Methods and
-Programs for Mathematical Functions*, 1989), the same one that
-``scipy.special.ndtri`` evaluates; the package runs on numpy alone.
+Isotropic rows are drawn in one of two layouts, each reproducing every
+row bit for bit on a rerun with the same seed:
+
+* **Noise rows** (:func:`_noise_increments`: ``noise``, ``solve``, ``glue``,
+  ``picard``, ``uniqueness`` and ``integrate``'s path mode) are short
+  counter-based streams, one per row, drawn by the integer port
+  :func:`rng.open_uniform_rows` with a fixed uniform-consumption layout: 2
+  uniforms for the subordinator, then one per Gaussian coordinate through
+  the inverse normal CDF :func:`_ndtri`, a numpy port of the Cephes
+  rational approximation (S. L. Moshier, *Methods and Programs for
+  Mathematical Functions*, 1989), the same one that
+  ``scipy.special.ndtri`` evaluates.  The port keeps ``numpy.random`` out
+  of these commands: importing it adds 6.2 MiB to a process (26.8 ->
+  33.0 MiB), against a cold ``picard`` peak of 31.9 MiB.
+* **Monte-Carlo chunks** (``tail``, ``moment``, ``gof``, ``sample --kind
+  isotropic`` and ``integrate --refinement-levels``), which load
+  ``numpy.random`` anyway, draw from two long Generator streams, a
+  subordinator stream (2 open uniforms a row) and a Gaussian stream whose
+  coordinates are ``standard_normal``, numpy's ziggurat (Marsaglia & Tsang,
+  J. Stat. Softw. 2000), about half the cost of a uniform and ``_ndtri``.
+  See :func:`_isotropic_from_streams`.
+
+The package runs on numpy alone.
 """
 
 from __future__ import annotations
@@ -35,10 +51,12 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from .rng import (
+    TAG_GAUSSIAN,
     TAG_ISOTROPIC,
     TAG_NOISE_ROW,
     TAG_POSITIVE,
     TAG_SCALAR,
+    _CHUNK,
     _blocks,
     open_uniform,
     open_uniform_rows,
@@ -212,33 +230,72 @@ def _ndtri(u: np.ndarray) -> np.ndarray:
     return out.reshape(u.shape)
 
 
-def _isotropic_from_uniforms(alpha: float, u: np.ndarray) -> np.ndarray:
-    """Isotropic draws from a (..., 2+n) uniform block: 2 subordinator + n Gaussian."""
+def _subgaussian(alpha: float, u: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """sqrt(2A) z with A the Kanter draw of the (..., 2) uniforms ``u``: isotropic rows."""
     a = _positive_stable_transform(alpha / 2.0, u[..., 0], u[..., 1])
-    z = _ndtri(u[..., 2:])
     return np.sqrt(2.0 * a)[..., None] * z
 
 
+def _isotropic_from_uniforms(alpha: float, u: np.ndarray) -> np.ndarray:
+    """Isotropic draws from a (..., 2+n) uniform block: 2 subordinator + n Gaussian."""
+    return _subgaussian(alpha, u[..., :2], _ndtri(u[..., 2:]))
+
+
+def _isotropic_from_streams(alpha: float, sub: np.random.Generator,
+                            gauss: np.random.Generator, shape) -> np.ndarray:
+    """Isotropic rows of ``shape`` = (*rows, m): the subordinators from ``sub``, Z from ``gauss``.
+
+    Row by row in order, ``sub`` gives 2 open uniforms and ``gauss`` m
+    ``standard_normal`` coordinates, so consecutive calls draw the rows of
+    one call: the blocks a caller splits its rows into never show.
+    """
+    *rows, m = shape
+    return _subgaussian(alpha, open_uniform(sub, (*rows, 2)), gauss.standard_normal((*rows, m)))
+
+
+def _chunk_streams(*name: int) -> tuple[np.random.Generator, np.random.Generator]:
+    """A Monte-Carlo chunk's two streams: ``name`` (subordinators), ``(*name, TAG_GAUSSIAN)``."""
+    return substream(*name), substream(*name, TAG_GAUSSIAN)
+
+
+def _chunked_isotropic(alpha: float, count: int, row_shape: tuple[int, int], sample_bytes: int,
+                       *name: int) -> Iterator[np.ndarray]:
+    """Isotropic rows of ``count`` samples, each (rows, m), in blocks of shape (samples, rows, m).
+
+    Sample r is sample r mod ``_CHUNK`` of chunk r // ``_CHUNK``, whose streams
+    are ``(*name, k)`` and ``(*name, k, TAG_GAUSSIAN)``.  A chunk's samples
+    come in the blocks of :func:`rng._blocks` at ``sample_bytes`` a sample,
+    drawn in order, so no sample depends on the budget or on ``count``.
+    """
+    for index, start in enumerate(range(0, count, _CHUNK)):
+        sub, gauss = _chunk_streams(*name, index)
+        for block in _blocks(min(_CHUNK, count - start), sample_bytes):
+            yield _isotropic_from_streams(alpha, sub, gauss, (len(block), *row_shape))
+
+
 def _isotropic_blocks(alpha: float, n: int, seed: int, size: int,
-                      row_bytes: int) -> Iterator[np.ndarray]:
+                      extra_row_bytes: int) -> Iterator[np.ndarray]:
     """The ``size`` rows of :func:`sample_isotropic` as consecutive (rows, n) blocks.
 
-    The blocks come from :func:`rng._blocks` at ``row_bytes`` a row and are drawn
-    in order from the one stream, so every row equals its row of
-    ``sample_isotropic`` whatever the blocks.  Arguments are checked at the call.
+    The blocks come from :func:`rng._blocks` at the sampler's bytes a row plus
+    ``extra_row_bytes``, the caller's own per row, and are drawn
+    in order from the streams (seed, TAG_ISOTROPIC, n) and its Gaussian stream,
+    so every row equals its row of ``sample_isotropic`` whatever the blocks.
+    Arguments are checked at the call.
     """
     AlphaParams(alpha)
     if n < 1:
         raise ValueError(f"dimension n must be >= 1, got {n}")
-    rng = substream(seed, TAG_ISOTROPIC, n)
-    return (_isotropic_from_uniforms(alpha, open_uniform(rng, (len(block), 2 + n)))
-            for block in _blocks(size, row_bytes))
+    sub, gauss = _chunk_streams(seed, TAG_ISOTROPIC, n)
+    # per row: 8 floats for the subordinator and 3 per coordinate (traced at n = 1 and 3:
+    # 10.1 and 15.4 floats)
+    return (_isotropic_from_streams(alpha, sub, gauss, (len(block), n))
+            for block in _blocks(size, 8 * (8 + 3 * n) + extra_row_bytes))
 
 
 def sample_isotropic(alpha: float, n: int, seed: int, size: int = 1) -> np.ndarray:
     """Isotropic alpha-stable vectors with cf exp(-||u||^alpha), shape (size, n)."""
-    # per row: 8 floats (uniforms, Gaussians, ndtri scratch) per coordinate and subordinator
-    blocks = _isotropic_blocks(alpha, n, seed, size, 64 * (1 + n))
+    blocks = _isotropic_blocks(alpha, n, seed, size, 0)
     out = np.empty((size, n))
     start = 0
     for rows in blocks:

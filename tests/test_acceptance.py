@@ -140,7 +140,10 @@ def test_criterion_06_moment_structure():
     integrand = constant_integrand(np.array([[1.0], [0.5]]), grid)
     p_list = [1.0, alpha - 0.3]
     report = moment_experiment(integrand, alpha, p_list, 10_000, seed=SEED + 50)
-    stability = [v for v in report.verdicts if v.name.startswith("stability")]
+    # both p lie at or above alpha/2, where |sup I|^p has infinite variance: the N -> 2N change
+    # is noted without a threshold, and nothing is judged
+    stability = [note for note in report.notes
+                 if note.startswith(("stability_p=1 not judged", "stability_p=1.2 not judged"))]
     # power-of-two homogeneity on the same streams: the 2N sups moment draws, and its ratios
     scaled = StepIntegrand(grid, 2.0 * integrand.values)
     sups, sups_scaled = (np.concatenate([*_sup_integral_norms(psi, alpha, 20_000, SEED + 50,
@@ -150,9 +153,10 @@ def test_criterion_06_moment_structure():
     ratio_bits = (report.tables["moments"]["ratio"]
                   == moment_experiment(scaled, alpha, p_list, 10_000,
                                        seed=SEED + 50).tables["moments"]["ratio"])
-    ok = all(v.passed for v in stability) and sup_exact and ratio_bits.all()
+    ok = not report.verdicts and len(stability) == 2 and sup_exact and ratio_bits.all()
     _report(6, ok,
-            f"stability (20%, N=1e4 vs 2e4): {[v.observed for v in stability]}; "
+            f"stability noted, not judged (p >= alpha/2): "
+            f"{[note.rpartition(' ')[2] for note in stability]}; "
             f"homogeneity and normalised ratio bit-identical: "
             f"{[sup_exact, *ratio_bits.tolist()]}")
 

@@ -545,7 +545,10 @@ def test_moment_subcommand(tmp_path):
                  "--M", "8", "--seed", "21", "--out", str(tmp_path)])
     assert code == 0
     summary = (tmp_path / "moment.summary").read_text()
-    assert "verdict.stability_p=1=pass" in summary and "passed=true" in summary
+    # the default p-list (1, alpha - 0.3) lies at or above alpha/2: noted, not judged
+    assert "verdict." not in summary and "passed=true" in summary
+    assert "=stability_p=1 not judged (p >= alpha/2, infinite variance)" in summary
+    assert "=stability_p=1.2 not judged" in summary
     assert "homogeneity" not in summary and "scale_factor" not in summary
 
 
@@ -829,7 +832,6 @@ def _run_cli_fresh(argv: list[str]) -> tuple[int, list[bool], list[str]]:
     ["picard", *TINY_STOCHASTIC["picard"]],
     ["uniqueness", *TINY_STOCHASTIC["uniqueness"]],
     ["integrate", *TINY_STOCHASTIC["integrate"]],
-    ["integrate", "--alpha", "1.5", "--M", "8", "--refinement-levels", "2", "--replicas", "20"],
 ], ids=lambda argv: " ".join(argv[:1] + argv[-2:]))
 def test_noise_commands_never_import_numpy_random(tmp_path, argv):
     # their streams come from the port, which keeps numpy.random's memory out of
@@ -837,6 +839,16 @@ def test_noise_commands_never_import_numpy_random(tmp_path, argv):
     code, imported, loaded = _run_cli_fresh([*argv, "--seed", "7", "--out", str(tmp_path)])
     assert [code, imported] == [0, [False, False, False]]
     assert not {f"cylstable.{name}" for name in NOT_LOADED.get(argv[0], ())} & set(loaded)
+
+
+def test_refinement_mode_draws_generator_streams_and_loads_no_solver_code(tmp_path):
+    # its replicas come from Monte-Carlo chunk streams, as tail's and gof's do, so it loads
+    # numpy.random; it never compiles the Picard solver or the experiments
+    code, imported, loaded = _run_cli_fresh(["integrate", "--alpha", "1.5", "--M", "8",
+                                             "--refinement-levels", "2", "--replicas", "20",
+                                             "--seed", "7", "--out", str(tmp_path)])
+    assert code == 0 and imported[0]
+    assert not {f"cylstable.{name}" for name in NOT_LOADED["integrate"]} & set(loaded)
 
 
 @pytest.mark.parametrize("command", ["tail", "moment", "gof"])

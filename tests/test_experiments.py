@@ -22,7 +22,7 @@ from cylstable.experiments import (
     willet_wong_check,
 )
 from cylstable.hilbert import HSMatrix, heat_preset
-from cylstable.integral import constant_integrand
+from cylstable.integral import constant_integrand, refinement_experiment
 from cylstable.experiments import _cumulative_trapezoid
 from cylstable.picard import (
     SolverConfig,
@@ -32,7 +32,8 @@ from cylstable.picard import (
     picard_step,
     solve,
 )
-from cylstable.rng import TAG_ALT_NOISE, TAG_BOOTSTRAP, TAG_REPLICA, substream
+from cylstable.rng import (TAG_ALT_NOISE, TAG_BOOTSTRAP, TAG_GAUSSIAN, TAG_REPLICA, open_uniform,
+                           substream)
 from cylstable.sampling import NoisePath, _noise_increments, sample_isotropic
 
 import levy_oracles
@@ -126,11 +127,13 @@ def _tiny_runs():
         # 40 rows over 3 pieces
         "glue": (40, lambda: picard.glue_solve(
             model, SolverConfig(alpha=1.5, T=2.5 * bound, M=40, n=4, seed=23))),
-        # one chunk and the bootstrap
-        "moment": (2, lambda: moment_experiment(constant_integrand(np.eye(1), grid), 1.5,
+        # one chunk's subordinator and Gaussian streams, and the bootstrap
+        "moment": (3, lambda: moment_experiment(constant_integrand(np.eye(1), grid), 1.5,
                                                 [1.0], 500, seed=23)),
-        # one chunk
-        "tail_integrand": (1, lambda: _tiny_tail_integrand(23)),
+        # one chunk's two streams
+        "tail_integrand": (2, lambda: _tiny_tail_integrand(23)),
+        "refinement": (2, lambda: refinement_experiment(lambda t: 1.0 + t, np.eye(2), 1.5, 1.0,
+                                                        2, 3, 40, 0.05, seed=23)),
     }
 
 
@@ -148,11 +151,12 @@ def test_streams_of_one_run_have_distinct_keys(monkeypatch, run):
 def test_radonified_tail_with_eight_singular_values_draws_only_its_chunks(monkeypatch):
     # the Levy mass is exact for every dimension: no stream of its own, whatever n
     names = _record_stream_names(monkeypatch)
-    n_samples = experiments._CHUNK + 1_000
+    n_samples = rng._CHUNK + 1_000
     tail_experiment(HSMatrix.diagonal(np.linspace(1.0, 0.3, 8)), 1.5, n_samples=n_samples,
                     seed=23)
-    chunks = math.ceil(n_samples / experiments._CHUNK)
-    assert names == [(23, TAG_REPLICA, k) for k in range(chunks)]
+    chunks = math.ceil(n_samples / rng._CHUNK)
+    assert names == [name for k in range(chunks)
+                     for name in [(23, TAG_REPLICA, k), (23, TAG_REPLICA, k, TAG_GAUSSIAN)]]
 
 
 def test_moment_zero_integrand():
@@ -166,7 +170,12 @@ def test_moment_stability_and_bit_exact_homogeneity():
     grid = np.linspace(0.0, 1.0, 9)
     integrand = constant_integrand(np.array([[1.0], [0.0]]), grid)
     report = moment_experiment(integrand, 1.5, [1.0, 1.2], 10_000, seed=7)
-    assert report.passed, [(v.name, v.observed) for v in report.verdicts]
+    # p >= alpha/2: each relative change N -> 2N is noted without a threshold
+    assert report.passed and not report.verdicts
+    assert [note.partition(":")[0] for note in report.notes[-3:]] == [
+        "stability_p=1 not judged (p >= alpha/2, infinite variance)",
+        "stability_p=1.2 not judged (p >= alpha/2, infinite variance)",
+        "no stability verdict"]
     table = report.tables["moments"]
     assert np.all(table["moment_2N"] > 0.0)
     assert np.all(table["ci_lo"] <= table["moment_2N"])
@@ -185,6 +194,31 @@ def test_moment_stability_and_bit_exact_homogeneity():
         other = moment_experiment(scaled, 1.5, [1.0, 1.2], 10_000, seed=7)
         assert np.array_equal(other.tables["moments"]["ratio"], table["ratio"])
 
+
+def test_moment_judges_stability_below_half_alpha():
+    # p < alpha/2 = 0.75: |sup I|^p has finite variance, and the N -> 2N change is judged
+    integrand = constant_integrand(np.array([[1.0], [0.0]]), np.linspace(0.0, 1.0, 9))
+    report = moment_experiment(integrand, 1.5, [0.5, 0.7], 10_000, seed=7)
+    assert [(v.name, v.passed, v.threshold) for v in report.verdicts] == [
+        (f"stability_p={p}", True, "relative change N -> 2N < 20%") for p in (0.5, 0.7)]
+    assert not any("stability" in note for note in report.notes)
+    assert report.passed
+
+
+def test_every_p_sees_the_same_bootstrap_resamples():
+    # one index set a resample, applied to every p: the intervals of a (200, 2N) index draw
+    integrand = constant_integrand(np.array([[1.0], [0.5]]), np.linspace(0.0, 1.0, 9))
+    n_samples, p_list = 1_000, [0.5, 0.7, 0.5]
+    table = moment_experiment(integrand, 1.5, p_list, n_samples, seed=7).tables["moments"]
+    sups = np.concatenate([*experiments._sup_integral_norms(integrand, 1.5, 2 * n_samples, 7,
+                                                            TAG_REPLICA)])
+    indices = substream(7, TAG_REPLICA, TAG_BOOTSTRAP).integers(
+        0, 2 * n_samples, size=(experiments._BOOTSTRAP, 2 * n_samples))
+    for row, p in enumerate(p_list):
+        boots = np.array([(sups**p)[index].mean() for index in indices])
+        assert np.array_equal(np.percentile(boots, [2.5, 97.5]),
+                              [table["ci_lo"][row], table["ci_hi"][row]])
+    assert table["ci_lo"][0] == table["ci_lo"][2] and table["ci_hi"][0] == table["ci_hi"][2]
 
 
 @pytest.mark.parametrize("part", [7, 1000, 4096, 5000, 8192, 16_000])
@@ -207,6 +241,19 @@ def test_moment_bootstrap_does_not_depend_on_the_index_draw(monkeypatch):
     for key, column in whole.items():
         assert np.array_equal(split[key], column), key
 
+def per_path_increments(alpha, scale, n_samples, m, *name):
+    """Each path's (steps, m) increments from its own draws of the chunk's two streams, in order:
+    2 open uniforms a step from ``(*name, 0)``, then m Gaussians a step from its Gaussian stream."""
+    sub, gauss = substream(*name, 0), substream(*name, 0, TAG_GAUSSIAN)
+    paths = []
+    for _ in range(n_samples):
+        u = open_uniform(sub, (scale.shape[0], 2))
+        z = gauss.standard_normal((scale.shape[0], m))
+        a = sampling._positive_stable_transform(alpha / 2.0, u[:, 0], u[:, 1])
+        paths.append(scale * (np.sqrt(2.0 * a)[:, None] * z))
+    return np.array(paths)
+
+
 @pytest.mark.parametrize("rows", ["one-row", "many-row"])
 def test_sup_integral_norms_equal_the_path_major_oracle(monkeypatch, rows):
     # the coordinate-major reduction equals the path-major one bit for bit up to 7 state
@@ -215,30 +262,21 @@ def test_sup_integral_norms_equal_the_path_major_oracle(monkeypatch, rows):
     if rows == "one-row":
         monkeypatch.setattr(rng, "_BLOCK_BYTES", 1)
     n_samples = 16 if rows == "one-row" else 3_000
-    draws = []
-    isotropic = experiments._isotropic_from_uniforms
-
-    def recorded(alpha, u):
-        draws.append(isotropic(alpha, u))
-        return draws[-1]
-
-    monkeypatch.setattr(experiments, "_isotropic_from_uniforms", recorded)
     values_rng = np.random.default_rng(41)
     for steps in (1, 2, 16):
         grid = np.concatenate([[0.0], np.cumsum(values_rng.uniform(0.5, 1.5, steps))])
         scale = np.diff(grid)[:, None] ** (1.0 / 1.5)
-        for n in (1, 2, 3, 5, 7, 8, 9, 16):
-            for m in (1, 2, 3, 4):
+        for m in (1, 2, 3, 4):
+            increments = per_path_increments(1.5, scale, n_samples, m, 3, steps, m)
+            for n in (1, 2, 3, 5, 7, 8, 9, 16):
                 integrand = integral.StepIntegrand(grid, values_rng.standard_normal((steps, n, m)))
-                draws.clear()
                 blocks = list(experiments._sup_integral_norms(integrand, 1.5, n_samples, 3,
-                                                              steps, n, m))
-                assert len(blocks) == len(draws)
+                                                              steps, m))
                 assert (max(map(len, blocks)) == 1) == (rows == "one-row")
-                for ours, draw in zip(blocks, draws):
-                    oracle = levy_oracles.sup_integral_norms(integrand.values, scale[None] * draw)
-                    ulps = np.abs(ours.view(np.int64) - oracle.view(np.int64)).max()
-                    assert ulps <= (0 if n <= 7 else 4), (steps, n, m, ulps)
+                oracle = levy_oracles.sup_integral_norms(integrand.values, increments)
+                ours = np.concatenate(blocks)
+                ulps = np.abs(ours.view(np.int64) - oracle.view(np.int64)).max()
+                assert ulps <= (0 if n <= 7 else 4), (steps, n, m, ulps)
 
 
 def test_percentiles_equal_numpy_bit_for_bit():
@@ -503,6 +541,28 @@ def _ensemble_setup():
     return model, picard_cfg, uniq_cfg
 
 
+def test_contraction_ratio_counts_only_gaps_at_or_above_tol(monkeypatch):
+    # a gap below picard.TOL is rounding noise: halving every such gap moves no counted ratio,
+    # at the benchmark's size (M = 200, 50 replicas), where some ratio still counts
+    model = heat_preset(8)
+    config = SolverConfig(alpha=1.5, T=0.9 * binding_time_bound(model, 1.5), M=200, n=8, seed=7)
+    gaps = []
+    diffs = experiments._picard_diffs
+
+    def halved_below_tol(*args):
+        gaps.append(diffs(*args))
+        return np.where(gaps[-1] < picard.TOL, 0.5 * gaps[-1], gaps[-1])
+
+    base = picard_convergence_experiment(model, config, replicas=50, seed=7)
+    monkeypatch.setattr(experiments, "_picard_diffs", halved_below_tol)
+    halved = picard_convergence_experiment(model, config, replicas=50, seed=7)
+    gaps = np.concatenate(gaps)
+    assert (gaps < picard.TOL).any()
+    assert ((gaps[:, 1:] >= picard.TOL) & (gaps[:, :-1] >= picard.TOL)).any()
+    assert halved.verdicts[-1] == base.verdicts[-1]
+    assert base.verdicts[-1].name == "contraction_ratio" and base.verdicts[-1].passed
+
+
 def test_batched_experiments_equal_per_replica_reference():
     model, picard_cfg, uniq_cfg = _ensemble_setup()
     report = picard_convergence_experiment(model, picard_cfg, n_iters=5, p=1.0, replicas=4,
@@ -610,6 +670,10 @@ def _monte_carlo_results():
         "moment": _report_bits(moment_experiment(constant_integrand(np.diag([1.0, 0.5]), grid),
                                                  1.5, [0.5, 0.7], 750, seed=32)),
         "gof": _report_bits(isotropic_gof_report(1.5, 3, 3_000, seed=33)),
+        # eight fine steps, two noise and two projected coordinates
+        "refinement": {name: np.asarray(column).tobytes() for name, column in
+                       refinement_experiment(lambda t: 1.0 + t, np.diag([1.0, 0.5]), 1.5, 1.0, 2,
+                                             3, 40, 0.05, seed=34)["table"].items()},
     }
 
 
@@ -618,10 +682,31 @@ def test_monte_carlo_results_independent_of_draw_budget(monkeypatch):
     # reduction is per sample or a sum taken strictly in row order (gof's
     # characteristic function), so blocks of one to four rows change no bit
     default = _monte_carlo_results()
-    assert len(rng._blocks(3_000, 64 * 4)) == 1  # the isotropic sampler's rows, n = 3
+    assert len(rng._blocks(3_000, 8 * 17)) == 1  # the isotropic sampler's rows, n = 3
+    assert len(rng._blocks(40, 8 * 8 * 18)) == 1  # the refinement replicas
     monkeypatch.setattr(rng, "_BLOCK_BYTES", 1_024)
-    assert len(rng._blocks(3_000, 64 * 4)) == 750
+    assert len(rng._blocks(3_000, 8 * 17)) == 429
+    assert len(rng._blocks(40, 8 * 8 * 18)) == 40
     assert _monte_carlo_results() == default
+
+
+@pytest.mark.parametrize("chunk", [rng._CHUNK, 4])
+def test_first_samples_of_a_larger_run_equal_the_smaller_run(monkeypatch, chunk):
+    # sample r is row r mod _CHUNK of chunk r // _CHUNK, drawn in order: a run of 2R samples
+    # begins with the run of R, also where a chunk boundary falls inside it (at 4 a chunk)
+    monkeypatch.setattr(sampling, "_CHUNK", chunk)
+    count = 6
+    integrand = constant_integrand(np.array([[1.0, 0.3], [0.0, 0.5]]), np.linspace(0.0, 1.0, 4))
+    weights = np.random.default_rng(5).uniform(0.0, 1.0, (3, 8))
+    runs = {
+        "sups": lambda size: np.concatenate(list(experiments._sup_integral_norms(
+            integrand, 1.5, size, 3, TAG_REPLICA))),
+        "refinement": lambda size: integral._refinement_diffs(
+            weights, np.eye(2), 1.5, 1.0 / 8, size, 3).T,
+        "isotropic": lambda size: sample_isotropic(1.5, 3, 3, size),
+    }
+    for name, run in runs.items():
+        assert np.array_equal(run(2 * count)[:count], run(count)), name
 
 
 def _traced_peak(run) -> int:

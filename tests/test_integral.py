@@ -13,12 +13,12 @@ from cylstable.integral import (
     integrate,
     refinement_experiment,
 )
-from cylstable.rng import TAG_REPLICA, _blocks, open_uniform, substream
+from cylstable.rng import TAG_GAUSSIAN, TAG_REFINE, _blocks, open_uniform, substream
 from cylstable.sampling import (
     AlphaParams,
     NoisePath,
-    _isotropic_from_uniforms,
     _noise_increments,
+    _positive_stable_transform,
     generate_noise_path,
     sample_scalar_sas,
 )
@@ -158,12 +158,16 @@ def test_alpha_scale_power_of_two_exact():
 
 
 def per_replica_refinement_diffs(weights, entries, alpha, dt, replicas, seed):
-    """Reference for _refinement_diffs: one substream and one 1-d norm per replica and level."""
+    """Reference for _refinement_diffs: each replica's own draws of chunk 0's two streams (2 open
+    uniforms, then m Gaussians a step), and one 1-d norm per replica and level."""
     levels, steps = weights.shape
     diffs = np.empty((levels - 1, replicas))
+    sub, gauss = substream(seed, TAG_REFINE, 0), substream(seed, TAG_REFINE, 0, TAG_GAUSSIAN)
     for r in range(replicas):
-        u = open_uniform(substream(seed, TAG_REPLICA, r), (steps, 2 + entries.shape[1]))
-        projected = dt ** (1.0 / alpha) * _isotropic_from_uniforms(alpha, u) @ entries.T
+        u = open_uniform(sub, (steps, 2))
+        z = gauss.standard_normal((steps, entries.shape[1]))
+        a = _positive_stable_transform(alpha / 2.0, u[:, 0], u[:, 1])
+        projected = dt ** (1.0 / alpha) * (np.sqrt(2.0 * a)[:, None] * z) @ entries.T
         fine_total = weights[-1] @ projected
         for k in range(levels - 1):
             diffs[k, r] = np.linalg.norm(weights[k] @ projected - fine_total)
@@ -176,6 +180,7 @@ def test_refinement_diffs_equal_per_replica_reference(entries, monkeypatch):
     weights = np.random.default_rng(3).uniform(0.0, 1.0, (4, 32))
     reference = per_replica_refinement_diffs(weights, entries, 1.4, 1.0 / 32, 30, 93)
     assert np.array_equal(_refinement_diffs(weights, entries, 1.4, 1.0 / 32, 30, 93), reference)
-    monkeypatch.setattr("cylstable.rng._BLOCK_BYTES", 1 << 16)  # several replica chunks
-    assert len(_blocks(30, 48 * 32 * (2 + sum(entries.shape)))) > 1
+    monkeypatch.setattr("cylstable.rng._BLOCK_BYTES", 1 << 16)  # several replica blocks
+    n, m = entries.shape
+    assert len(_blocks(30, 8 * 32 * (8 + 3 * m + 2 * n))) > 1
     assert np.array_equal(_refinement_diffs(weights, entries, 1.4, 1.0 / 32, 30, 93), reference)

@@ -73,7 +73,7 @@ def test_multiword_entries_are_refused_not_split():
 def test_tags_are_distinct_nonzero_words():
     # SeedSequence pads short names with zeros, so a zero tag could alias a shorter name
     tags = {name: value for name, value in vars(rng).items() if name.startswith("TAG_")}
-    assert len(tags) == 10  # one per tag of the name table in the rng docstring
+    assert len(tags) == 12  # one per tag of the name table in the rng docstring
     assert len(set(tags.values())) == len(tags)
     assert all(0 < value < 2**32 for value in tags.values())
 
@@ -166,14 +166,14 @@ def _block_sites():
             model, replace(uniq_cfg, M=200), replicas=9, seed=3)),
         "open_uniform_rows": (rng, lambda: open_uniform_rows([3, 5, np.arange(20_000)], 10)),
         "ndtri": (sampling, lambda: sampling._ndtri(open_uniform(substream(3), 3 * 2**15))),
-        "sup_integral_norms": (experiments, lambda: [list(experiments._sup_integral_norms(
+        "sup_integral_norms": (sampling, lambda: [list(experiments._sup_integral_norms(
             integrand, 1.5, 4_000, 3, 5)) for integrand in integrands]),
         "sample_isotropic": (sampling, lambda: sampling.sample_isotropic(1.5, 3, 3, 20_000)),
         "gof": (sampling, lambda: experiments.isotropic_gof_report(1.5, 3, 20_000, 3)),
         "noise_csv_lines": (sampling, lambda: sum(map(len, sampling.noise_csv_lines(path)))),
         "format_rows": (reporting, lambda: sum(map(len, format_rows([*columns, np.arange(3_000)])))),
-        "refinement_diffs": (integral, lambda: integral._refinement_diffs(
-            weights, np.eye(1), 1.5, 1.0 / 128, 150, 3)),
+        "refinement_diffs": (sampling, lambda: integral._refinement_diffs(
+            weights, np.eye(1), 1.5, 1.0 / 128, 250, 3)),
         "a2_envelope": (hilbert, lambda: hilbert.check_A2(model, [1e-4, 1.0], [np.ones(8)])),
     }
 
