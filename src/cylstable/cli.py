@@ -430,7 +430,8 @@ def cmd_moment(resolved: dict) -> int:
 
     _require(resolved, "alpha", "seed")
     if resolved["p_list"] is None:
-        resolved["p_list"] = (1.0, resolved["alpha"] - 0.3)
+        # the benchmark's 0.5, 0.7 at alpha = 1.5, scaled: both below alpha/2, so both judged
+        resolved["p_list"] = (resolved["alpha"] / 3.0, 7.0 * resolved["alpha"] / 15.0)
     grid = _grid(resolved)
     integrand = constant_integrand(HSMatrix.diagonal(np.asarray(resolved["gamma"])), grid)
     report = moment_experiment(integrand, resolved["alpha"], resolved["p_list"], resolved["N"],

@@ -20,8 +20,8 @@ i a noise row, p a glue piece; a chunk holds ``_CHUNK`` = 2**16 samples):
 
     (seed)                                      check-model trial points
     (seed, TAG_SCALAR), (seed, TAG_POSITIVE)    scalar and positive stable draws
-    (seed, TAG_ISOTROPIC, n)                    isotropic draws in R^n: subordinators
-    (seed, TAG_ISOTROPIC, n, TAG_GAUSSIAN)        and their Gaussian coordinates
+    (seed, TAG_ISOTROPIC, n, k)                 isotropic draws in R^n, chunk k: subordinators
+    (seed, TAG_ISOTROPIC, n, k, TAG_GAUSSIAN)     and their Gaussian coordinates
     (seed, TAG_NOISE_ROW, i)                    generate_noise_path
     (seed, TAG_PIECE, p, TAG_NOISE_ROW, i)      glue piece p
     (seed, TAG_REPLICA, r, TAG_NOISE_ROW, i)    picard and uniqueness replica r

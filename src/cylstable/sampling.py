@@ -34,11 +34,11 @@ row bit for bit on a rerun with the same seed:
   33.0 MiB), against a cold ``picard`` peak of 31.9 MiB.
 * **Monte-Carlo chunks** (``tail``, ``moment``, ``gof``, ``sample --kind
   isotropic`` and ``integrate --refinement-levels``), which load
-  ``numpy.random`` anyway, draw from two long Generator streams, a
-  subordinator stream (2 open uniforms a row) and a Gaussian stream whose
-  coordinates are ``standard_normal``, numpy's ziggurat (Marsaglia & Tsang,
-  J. Stat. Softw. 2000), about half the cost of a uniform and ``_ndtri``.
-  See :func:`_isotropic_from_streams`.
+  ``numpy.random`` anyway, draw each chunk of 2**16 samples from two
+  Generator streams, a subordinator stream (2 open uniforms a row) and a
+  Gaussian stream whose coordinates are ``standard_normal``, numpy's
+  ziggurat (Marsaglia & Tsang, J. Stat. Softw. 2000), about half the cost
+  of a uniform and ``_ndtri``.  See :func:`_chunked_isotropic`.
 
 The package runs on numpy alone.
 """
@@ -253,14 +253,9 @@ def _isotropic_from_streams(alpha: float, sub: np.random.Generator,
     return _subgaussian(alpha, open_uniform(sub, (*rows, 2)), gauss.standard_normal((*rows, m)))
 
 
-def _chunk_streams(*name: int) -> tuple[np.random.Generator, np.random.Generator]:
-    """A Monte-Carlo chunk's two streams: ``name`` (subordinators), ``(*name, TAG_GAUSSIAN)``."""
-    return substream(*name), substream(*name, TAG_GAUSSIAN)
-
-
-def _chunked_isotropic(alpha: float, count: int, row_shape: tuple[int, int], sample_bytes: int,
+def _chunked_isotropic(alpha: float, count: int, row_shape: tuple[int, ...], sample_bytes: int,
                        *name: int) -> Iterator[np.ndarray]:
-    """Isotropic rows of ``count`` samples, each (rows, m), in blocks of shape (samples, rows, m).
+    """Blocks (samples, *rows, m) of ``count`` isotropic samples, each ``row_shape`` = (*rows, m).
 
     Sample r is sample r mod ``_CHUNK`` of chunk r // ``_CHUNK``, whose streams
     are ``(*name, k)`` and ``(*name, k, TAG_GAUSSIAN)``.  A chunk's samples
@@ -268,7 +263,7 @@ def _chunked_isotropic(alpha: float, count: int, row_shape: tuple[int, int], sam
     drawn in order, so no sample depends on the budget or on ``count``.
     """
     for index, start in enumerate(range(0, count, _CHUNK)):
-        sub, gauss = _chunk_streams(*name, index)
+        sub, gauss = substream(*name, index), substream(*name, index, TAG_GAUSSIAN)
         for block in _blocks(min(_CHUNK, count - start), sample_bytes):
             yield _isotropic_from_streams(alpha, sub, gauss, (len(block), *row_shape))
 
@@ -277,20 +272,18 @@ def _isotropic_blocks(alpha: float, n: int, seed: int, size: int,
                       extra_row_bytes: int) -> Iterator[np.ndarray]:
     """The ``size`` rows of :func:`sample_isotropic` as consecutive (rows, n) blocks.
 
-    The blocks come from :func:`rng._blocks` at the sampler's bytes a row plus
-    ``extra_row_bytes``, the caller's own per row, and are drawn
-    in order from the streams (seed, TAG_ISOTROPIC, n) and its Gaussian stream,
-    so every row equals its row of ``sample_isotropic`` whatever the blocks.
-    Arguments are checked at the call.
+    The rows are the :func:`_chunked_isotropic` samples named (seed,
+    TAG_ISOTROPIC, n), in blocks at the sampler's bytes a row plus
+    ``extra_row_bytes``, the caller's own per row, so every row equals its row
+    of ``sample_isotropic`` whatever the blocks.  Arguments are checked at the call.
     """
     AlphaParams(alpha)
     if n < 1:
         raise ValueError(f"dimension n must be >= 1, got {n}")
-    sub, gauss = _chunk_streams(seed, TAG_ISOTROPIC, n)
     # per row: 8 floats for the subordinator and 3 per coordinate (traced at n = 1 and 3:
     # 10.1 and 15.4 floats)
-    return (_isotropic_from_streams(alpha, sub, gauss, (len(block), n))
-            for block in _blocks(size, 8 * (8 + 3 * n) + extra_row_bytes))
+    return _chunked_isotropic(alpha, size, (n,), 8 * (8 + 3 * n) + extra_row_bytes,
+                              seed, TAG_ISOTROPIC, n)
 
 
 def sample_isotropic(alpha: float, n: int, seed: int, size: int = 1) -> np.ndarray:

@@ -541,15 +541,25 @@ def test_model_config_file(tmp_path):
 
 
 def test_moment_subcommand(tmp_path):
-    code = main(["moment", "--alpha", "1.5", "--N", "4000", "--gamma", "1",
+    code = main(["moment", "--alpha", "1.5", "--p-list", "1,1.2", "--N", "4000", "--gamma", "1",
                  "--M", "8", "--seed", "21", "--out", str(tmp_path)])
     assert code == 0
     summary = (tmp_path / "moment.summary").read_text()
-    # the default p-list (1, alpha - 0.3) lies at or above alpha/2: noted, not judged
+    # 1 and 1.2 lie at or above alpha/2: noted, not judged
     assert "verdict." not in summary and "passed=true" in summary
     assert "=stability_p=1 not judged (p >= alpha/2, infinite variance)" in summary
     assert "=stability_p=1.2 not judged" in summary
     assert "homogeneity" not in summary and "scale_factor" not in summary
+
+
+def test_moment_default_p_list_is_judged(tmp_path):
+    # alpha/3 and 7 alpha/15, the benchmark's 0.5 and 0.7 at alpha = 1.5: both below alpha/2
+    assert main(["moment", "--alpha", "1.5", "--N", "4000", "--gamma", "1", "--M", "8",
+                 "--seed", "21", "--out", str(tmp_path)]) == 0
+    summary = (tmp_path / "moment.summary").read_text()
+    assert "verdict.stability_p=0.5=pass" in summary
+    assert "verdict.stability_p=0.7=pass" in summary
+    assert "not judged" not in summary
 
 
 def test_moment_without_a_judged_p_notes_it_and_passes(tmp_path, capsys):

@@ -190,12 +190,25 @@ def test_extend_dimension_projects_back_bit_exactly():
 
 def test_isotropic_blocks_are_the_rows_of_sample_isotropic():
     whole = sample_isotropic(1.5, 3, seed=53, size=1_000)
+    own = 8 * (8 + 3 * 3)  # the sampler's own bytes a row at n = 3
     # one block, blocks of seven rows, blocks of one row
-    for row_bytes in (64 * 4, 2**20 // 7, 2**21):
-        blocks = list(sampling._isotropic_blocks(1.5, 3, 53, 1_000, row_bytes))
+    for extra_row_bytes, block_rows in ((64 * 4, 1_000), (2**20 // 7 - own, 7), (2**21, 1)):
+        blocks = list(sampling._isotropic_blocks(1.5, 3, 53, 1_000, extra_row_bytes))
+        assert len(blocks[0]) == block_rows
         assert np.array_equal(np.concatenate(blocks), whole)
     with pytest.raises(ValueError, match="dimension n"):
         sampling._isotropic_blocks(1.5, 0, 53, 10, 64)  # checked at the call, not when drawn
+
+
+def test_sample_isotropic_rows_are_the_rows_of_their_chunk_streams():
+    # row r is row r mod 2**16 of chunk r // 2**16, named (seed, TAG_ISOTROPIC, n, k)
+    rows = sample_isotropic(1.5, 2, seed=54, size=rng._CHUNK + 3)
+    for k, chunk in ((0, rows[:3]), (1, rows[rng._CHUNK:])):
+        name = (54, rng.TAG_ISOTROPIC, 2, k)
+        sub, gauss = substream(*name), substream(*name, rng.TAG_GAUSSIAN)
+        u = open_uniform(sub, (3, 2))
+        expected = sampling._subgaussian(1.5, u, gauss.standard_normal((3, 2)))
+        assert np.array_equal(chunk, expected)
 
 
 def test_extended_rows_pass_isotropic_gof():

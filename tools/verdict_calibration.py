@@ -1,14 +1,13 @@
 """Count the failures of each Monte-Carlo verdict over many seeds, for one or two source trees.
 
-    python3 tools/verdict_calibration.py SRC [OTHER_SRC] [--seeds 0-99] [--jobs 2] [--match TEXT]
+    python3 tools/verdict_calibration.py SRC [OTHER_SRC] [--seeds 0-99]
 
 SRC and OTHER_SRC are ``src/`` directories (for example of a ``git archive``
 of the parent commit and of the working tree).  The commands are the
 Monte-Carlo commands among the README's CLI examples and the benchmark's
 commands (``tail``, ``moment``, ``gof`` and ``integrate --refinement-levels``,
 taken as ``tools/artifact_diff.py`` takes them; a command that both list
-runs once; ``--match`` keeps the commands whose text contains it).  Each
-runs once per seed and tree as ``python -m cylstable.cli``
+runs once).  Each runs once per seed and tree as ``python -m cylstable.cli``
 with the tree on ``PYTHONPATH``, in a fresh directory, and its ``.summary``
 is read: every ``verdict.<name>`` entry, ``refinement.summary``'s
 ``monotone`` (the refinement verdict) and ``inconclusive`` (a failure when
@@ -18,19 +17,19 @@ The output is one Markdown table: per command and verdict, the failures over
 the runs that judged it, for each tree, and the same for the exit codes
 other than 0.  A verdict that a tree never judges reads ``-``.  Like
 ``artifact_diff.py`` this launcher imports no numpy, so it stays small
-beside its children; at most ``--jobs`` commands run at once.
+beside its children, and runs one command at a time.
 """
 
 from __future__ import annotations
 
 import argparse
 import importlib.util
+import itertools
 import os
 import subprocess
 import sys
 import tempfile
-from collections import Counter
-from concurrent.futures import ThreadPoolExecutor
+from collections import Counter, defaultdict
 from pathlib import Path
 
 _spec = importlib.util.spec_from_file_location(
@@ -84,32 +83,20 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("srcs", type=Path, nargs="+", metavar="SRC")
     parser.add_argument("--seeds", default="0-99")
-    parser.add_argument("--jobs", type=int, default=2)
-    parser.add_argument("--match", default="", help="run only the commands that contain it")
     opts = parser.parse_args(argv)
     if not 1 <= len(opts.srcs) <= 2:
         parser.error("give one or two source trees")
-    if not 1 <= opts.jobs <= 8:
-        parser.error("--jobs must lie in [1, 8]")
     trees = [src.resolve() for src in opts.srcs]
     seeds = parse_seeds(opts.seeds)
-    commands = [(label, args) for label, args in monte_carlo_commands()
-                if opts.match in " ".join(args)]
+    commands = monte_carlo_commands()
     # (command, tree) -> Counter of runs and failures per verdict and per exit code
-    judged: dict[tuple[int, int], Counter] = {}
-    failed: dict[tuple[int, int], Counter] = {}
-    with tempfile.TemporaryDirectory(prefix="verdict_calibration_") as tmp, \
-            ThreadPoolExecutor(opts.jobs) as pool:
-        jobs = {}
-        for c, (_, args) in enumerate(commands):
-            for t, tree in enumerate(trees):
-                judged[c, t], failed[c, t] = Counter(), Counter()
-                for seed in seeds:
-                    cwd = Path(tmp) / str(t) / str(c) / str(seed)
-                    jobs[c, t, seed] = pool.submit(
-                        verdicts, tree, artifact_diff.with_seed_and_out(args, seed), cwd)
-        for (c, t, seed), job in jobs.items():
-            code, found = job.result()
+    judged: dict[tuple[int, int], Counter] = defaultdict(Counter)
+    failed: dict[tuple[int, int], Counter] = defaultdict(Counter)
+    with tempfile.TemporaryDirectory(prefix="verdict_calibration_") as tmp:
+        for (c, (_, args)), (t, tree), seed in itertools.product(
+                enumerate(commands), enumerate(trees), seeds):
+            cwd = Path(tmp) / str(t) / str(c) / str(seed)
+            code, found = verdicts(tree, artifact_diff.with_seed_and_out(args, seed), cwd)
             judged[c, t]["exit != 0"] += 1
             failed[c, t]["exit != 0"] += code != 0
             for name, passed in found.items():
