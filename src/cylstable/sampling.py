@@ -15,8 +15,8 @@ row shares one subordinator draw across coordinates, pathwise projective
 consistency: :func:`generate_noise_path` at the same seed and grid with
 more coordinates m' > m returns the m-coordinate path as its first m
 columns, bit for bit.  Each row's stream draws the shared subordinator
-first and then one uniform per coordinate in column order, so a longer
-block reproduces the shorter one as its prefix.
+first and then the Gaussian coordinates in column order, two to a pair of
+uniforms, so a longer block reproduces the shorter one as its prefix.
 
 Isotropic rows are drawn in one of two layouts, each reproducing every
 row bit for bit on a rerun with the same seed:
@@ -24,21 +24,20 @@ row bit for bit on a rerun with the same seed:
 * **Noise rows** (:func:`_noise_increments`: ``noise``, ``solve``, ``glue``,
   ``picard``, ``uniqueness`` and ``integrate``'s path mode) are short
   counter-based streams, one per row, drawn by the integer port
-  :func:`rng.open_uniform_rows` with a fixed uniform-consumption layout: 2
-  uniforms for the subordinator, then one per Gaussian coordinate through
-  the inverse normal CDF :func:`_ndtri`, a numpy port of the Cephes
-  rational approximation (S. L. Moshier, *Methods and Programs for
-  Mathematical Functions*, 1989), the same one that
-  ``scipy.special.ndtri`` evaluates.  The port keeps ``numpy.random`` out
-  of these commands: importing it adds 6.2 MiB to a process (26.8 ->
-  33.0 MiB), against a cold ``picard`` peak of 31.9 MiB.
+  :func:`rng.open_uniform_rows`.  A row of m coordinates draws 2 + 2
+  ceil(m/2) uniforms: 2 for the subordinator, then one pair per two
+  Gaussian coordinates through the Box-Muller transform
+  :func:`_box_muller`, the cosine first; an odd m drops the last sine.
+  The port keeps ``numpy.random`` out of these commands: importing it
+  adds 6.2 MiB to a process (26.8 -> 33.0 MiB), against a cold ``picard``
+  peak of 31.9 MiB.
 * **Monte-Carlo chunks** (``tail``, ``moment``, ``gof``, ``sample --kind
   isotropic`` and ``integrate --refinement-levels``), which load
   ``numpy.random`` anyway, draw each chunk of 2**16 samples from two
   Generator streams, a subordinator stream (2 open uniforms a row) and a
   Gaussian stream whose coordinates are ``standard_normal``, numpy's
-  ziggurat (Marsaglia & Tsang, J. Stat. Softw. 2000), about half the cost
-  of a uniform and ``_ndtri``.  See :func:`_chunked_isotropic`.
+  ziggurat (Marsaglia & Tsang, J. Stat. Softw. 2000).  See
+  :func:`_chunked_isotropic`.
 
 The package runs on numpy alone.
 """
@@ -135,98 +134,22 @@ def sample_positive_stable(alpha_half: float, seed: int, size: int = 1) -> np.nd
     return _positive_stable_transform(alpha_half, u[0], u[1])
 
 
-# Cephes ndtri.c: P0/Q0 on the centre |u - 1/2| < 1/2 - exp(-2), P1/Q1 on the tails
-# with sqrt(-2 log y) < 8, P2/Q2 beyond (y < exp(-32)).
-_S2PI = 2.50662827463100050242E0
-_EXP_M2 = 0.13533528323661269189
-_P0 = (-5.99633501014107895267E1, 9.80010754185999661536E1, -5.66762857469070293439E1,
-       1.39312609387279679503E1, -1.23916583867381258016E0)
-_Q0 = (1.95448858338141759834E0, 4.67627912898881538453E0, 8.63602421390890590575E1,
-       -2.25462687854119370527E2, 2.00260212380060660359E2, -8.20372256168333339912E1,
-       1.59056225126211695515E1, -1.18331621121330003142E0)
-_P1 = (4.05544892305962419923E0, 3.15251094599893866154E1, 5.71628192246421288162E1,
-       4.40805073893200834700E1, 1.46849561928858024014E1, 2.18663306850790267539E0,
-       -1.40256079171354495875E-1, -3.50424626827848203418E-2, -8.57456785154685413611E-4)
-_Q1 = (1.57799883256466749731E1, 4.53907635128879210584E1, 4.13172038254672030440E1,
-       1.50425385692907503408E1, 2.50464946208309415979E0, -1.42182922854787788574E-1,
-       -3.80806407691578277194E-2, -9.33259480895457427372E-4)
-_P2 = (3.23774891776946035970E0, 6.91522889068984211695E0, 3.93881025292474443415E0,
-       1.33303460815807542389E0, 2.01485389549179081538E-1, 1.23716634817820021358E-2,
-       3.01581553508235416007E-4, 2.65806974686737550832E-6, 6.23974539184983293730E-9)
-_Q2 = (6.02427039364742014255E0, 3.67983563856160859403E0, 1.37702099489081330271E0,
-       2.16236993594496635890E-1, 1.34204006088543189037E-2, 3.28014464682127739104E-4,
-       2.89247864745380683936E-6, 6.79019408009981274425E-9)
-_log = np.log
+def _box_muller(u: np.ndarray) -> np.ndarray:
+    """Standard normals from open uniforms in pairs: shape (..., 2k) to (..., 2k).
 
-
-def _ratio(x: np.ndarray, p: tuple, q: tuple) -> np.ndarray:
-    """(x * polevl(x, p)) / p1evl(x, q), in C's left-to-right order.
-
-    ``polevl`` is Horner's scheme from ``p[0]``; ``p1evl`` has an implicit
-    leading coefficient 1.
+    Pair k of the last axis gives coordinate 2k = R cos(Theta) and 2k + 1 =
+    R sin(Theta), with R = sqrt(-2 log u[2k]) and Theta = 2 pi u[2k + 1]: two
+    independent standard normals from the pair alone (Box & Muller, Ann.
+    Math. Statist. 1958), so a prefix of pairs gives a prefix of coordinates.
     """
-    num = x * p[0]
-    num += p[1]
-    for c in p[2:]:
-        num *= x
-        num += c
-    den = x + q[0]
-    for c in q[1:]:
-        den *= x
-        den += c
-    num *= x
-    num /= den
-    return num
-
-
-def _ndtri_block(u: np.ndarray) -> np.ndarray:
-    """Each Cephes branch evaluated only on its own elements of the block.
-
-    The centre and tail indices are taken once with ``np.flatnonzero``; each
-    formula runs on its gathered elements and is scattered back.  Every
-    element sees the operations of its branch alone, so the result equals
-    evaluating both branches everywhere and selecting, at half the arithmetic.
-    """
-    out = np.empty_like(u)
-    mid = (u > _EXP_M2) & (u <= 1.0 - _EXP_M2)
-    centre = np.flatnonzero(mid)
-    c = u[centre] - 0.5
-    x = _ratio(c * c, _P0, _Q0)
-    x *= c
-    x += c
-    x *= _S2PI
-    out[centre] = x
-    # tails: y = u below exp(-2) (result negated), y = 1 - u above 1 - exp(-2)
-    tails = np.flatnonzero(~mid)
-    v = u[tails]
-    x = _log(np.minimum(v, 1.0 - v))
-    x *= -2.0
-    np.sqrt(x, out=x)
-    z = 1.0 / x
-    x1 = _ratio(z, _P1, _Q1)
-    far = x >= 8.0
-    if far.any():
-        x1[far] = _ratio(z[far], _P2, _Q2)
-    x -= _log(x) / x
-    x -= x1
-    np.copysign(x, v - 0.5, out=x)
-    out[tails] = x
-    return out
-
-
-def _ndtri(u: np.ndarray) -> np.ndarray:
-    """Inverse standard normal CDF of open uniforms ``u`` in (0, 1), any shape.
-
-    Cephes ``ndtri`` operation for operation, so it equals
-    ``scipy.special.ndtri`` bit for bit wherever ``_log`` equals libm's
-    ``log`` (numpy's SIMD ``log`` may differ from it by an ulp).  Only open
-    uniforms are valid inputs: 0 and 1 are not mapped to infinities.
-    """
-    u = np.asarray(u, dtype=float)
-    flat = u.ravel()
-    out = np.empty(flat.size)
-    for block in _blocks(flat.size, 40):  # an element's branch temporaries: about 5 floats
-        out[block.start:block.stop] = _ndtri_block(flat[block.start:block.stop])
+    pairs = u.reshape(-1, 2)
+    out = np.empty_like(pairs)
+    for block in _blocks(len(pairs), 32):  # a pair's temporaries (traced): R, Theta, 2 products
+        rows = slice(block.start, block.stop)
+        r = np.sqrt(-2.0 * np.log(pairs[rows, 0]))
+        theta = 2.0 * np.pi * pairs[rows, 1]
+        out[rows, 0] = r * np.cos(theta)
+        out[rows, 1] = r * np.sin(theta)
     return out.reshape(u.shape)
 
 
@@ -236,36 +159,22 @@ def _subgaussian(alpha: float, u: np.ndarray, z: np.ndarray) -> np.ndarray:
     return np.sqrt(2.0 * a)[..., None] * z
 
 
-def _isotropic_from_uniforms(alpha: float, u: np.ndarray) -> np.ndarray:
-    """Isotropic draws from a (..., 2+n) uniform block: 2 subordinator + n Gaussian."""
-    return _subgaussian(alpha, u[..., :2], _ndtri(u[..., 2:]))
-
-
-def _isotropic_from_streams(alpha: float, sub: np.random.Generator,
-                            gauss: np.random.Generator, shape) -> np.ndarray:
-    """Isotropic rows of ``shape`` = (*rows, m): the subordinators from ``sub``, Z from ``gauss``.
-
-    Row by row in order, ``sub`` gives 2 open uniforms and ``gauss`` m
-    ``standard_normal`` coordinates, so consecutive calls draw the rows of
-    one call: the blocks a caller splits its rows into never show.
-    """
-    *rows, m = shape
-    return _subgaussian(alpha, open_uniform(sub, (*rows, 2)), gauss.standard_normal((*rows, m)))
-
-
 def _chunked_isotropic(alpha: float, count: int, row_shape: tuple[int, ...], sample_bytes: int,
                        *name: int) -> Iterator[np.ndarray]:
     """Blocks (samples, *rows, m) of ``count`` isotropic samples, each ``row_shape`` = (*rows, m).
 
     Sample r is sample r mod ``_CHUNK`` of chunk r // ``_CHUNK``, whose streams
-    are ``(*name, k)`` and ``(*name, k, TAG_GAUSSIAN)``.  A chunk's samples
-    come in the blocks of :func:`rng._blocks` at ``sample_bytes`` a sample,
-    drawn in order, so no sample depends on the budget or on ``count``.
+    are ``(*name, k)`` and ``(*name, k, TAG_GAUSSIAN)``: row by row, the first
+    gives 2 open uniforms for the subordinator and the second m
+    ``standard_normal`` coordinates.  A chunk's samples come in the blocks of
+    :func:`rng._blocks` at ``sample_bytes`` a sample, drawn in order, so no
+    sample depends on the budget or on ``count``.
     """
     for index, start in enumerate(range(0, count, _CHUNK)):
         sub, gauss = substream(*name, index), substream(*name, index, TAG_GAUSSIAN)
         for block in _blocks(min(_CHUNK, count - start), sample_bytes):
-            yield _isotropic_from_streams(alpha, sub, gauss, (len(block), *row_shape))
+            u = open_uniform(sub, (len(block), *row_shape[:-1], 2))
+            yield _subgaussian(alpha, u, gauss.standard_normal((len(block), *row_shape)))
 
 
 def _isotropic_blocks(alpha: float, n: int, seed: int, size: int,
@@ -342,14 +251,17 @@ def _validate_grid(grid: np.ndarray) -> None:
 def _noise_increments(alpha: float, m: int, grid: np.ndarray, *name) -> np.ndarray:
     """Row i: (dt_i)^(1/alpha) x isotropic, from its own stream (*name, TAG_NOISE_ROW, i).
 
-    Scalar entries of ``name`` give one path, shape (M, m); array entries of
-    shape S give a batch of paths, shape S + (M, m), each equal to the path
-    named by its own entries.
+    Its first 2 uniforms give the subordinator, and the next 2 ceil(m/2) the
+    Gaussian coordinates in :func:`_box_muller`'s pairs; an odd m drops the
+    last sine.  Scalar entries of ``name`` give one path, shape (M, m); array
+    entries of shape S give a batch of paths, shape S + (M, m), each equal to
+    the path named by its own entries.
     """
     rows = np.arange(grid.size - 1)
     words = [np.expand_dims(word, -1) for word in name]
-    uniforms = open_uniform_rows([*words, TAG_NOISE_ROW, rows], 2 + m)
-    return np.diff(grid)[:, None] ** (1.0 / alpha) * _isotropic_from_uniforms(alpha, uniforms)
+    u = open_uniform_rows([*words, TAG_NOISE_ROW, rows], 2 + m + m % 2)
+    isotropic = _subgaussian(alpha, u[..., :2], _box_muller(u[..., 2:])[..., :m])
+    return np.diff(grid)[:, None] ** (1.0 / alpha) * isotropic
 
 
 def _row_norms(rows: np.ndarray) -> np.ndarray:

@@ -165,7 +165,8 @@ def _block_sites():
         "uniqueness_M200": (experiments, lambda: uniqueness_experiment(
             model, replace(uniq_cfg, M=200), replicas=9, seed=3)),
         "open_uniform_rows": (rng, lambda: open_uniform_rows([3, 5, np.arange(20_000)], 10)),
-        "ndtri": (sampling, lambda: sampling._ndtri(open_uniform(substream(3), 3 * 2**15))),
+        "box_muller": (sampling, lambda: sampling._box_muller(open_uniform(substream(3),
+                                                                           (3 * 2**15, 2)))),
         "sup_integral_norms": (sampling, lambda: [list(experiments._sup_integral_norms(
             integrand, 1.5, 4_000, 3, 5)) for integrand in integrands]),
         "sample_isotropic": (sampling, lambda: sampling.sample_isotropic(1.5, 3, 3, 20_000)),
@@ -181,7 +182,7 @@ def _block_sites():
 @pytest.mark.parametrize("site", sorted(_block_sites()))
 def test_each_blocked_loop_stays_within_the_block_budget(monkeypatch, site):
     # traced peak of each block above the memory held when its loop began; a nested
-    # loop (an _ndtri inside a sampler block) counts in its enclosing block
+    # loop (a Box-Muller transform inside a replica block) counts in its enclosing block
     module, run = _block_sites()[site]
     blocks, peaks, open_loops = rng._blocks, [], []
 

@@ -5,7 +5,6 @@ import math
 
 import numpy as np
 import pytest
-from scipy.special import ndtri
 from scipy.stats import ks_2samp, levy_stable
 
 from cylstable import rng, sampling
@@ -13,7 +12,6 @@ from cylstable.experiments import char_function_test
 from cylstable.rng import TAG_NOISE_ROW, TAG_PIECE, TAG_REPLICA, open_uniform, substream
 from cylstable.sampling import (
     AlphaParams,
-    _isotropic_from_uniforms,
     _noise_increments,
     generate_noise_path,
     noise_csv_lines,
@@ -175,17 +173,21 @@ def test_noise_path_rejects_bad_grids():
 
 
 def test_extend_dimension_projects_back_bit_exactly():
-    # a wider path at the same seed and grid holds the narrower one as its first columns
+    # a wider path at the same seed and grid holds the narrower one as its first columns,
+    # also from an odd m, whose last pair drops its sine
     grid = np.linspace(0, 1, 9)
-    path = generate_noise_path(1.5, 2, grid, seed=51)
     wide = generate_noise_path(1.5, 5, grid, seed=51)
-    assert np.array_equal(wide.increments[:, :2], path.increments)
+    for m in (2, 3):
+        path = generate_noise_path(1.5, m, grid, seed=51)
+        assert np.array_equal(wide.increments[:, :m], path.increments)
     # so does a batch of replicas, drawn as picard and uniqueness draw a chunk
     replicas = np.arange(3, 7)
-    narrow = _noise_increments(1.5, 2, grid, 51, TAG_REPLICA, replicas)
     wide = _noise_increments(1.5, 5, grid, 51, TAG_REPLICA, replicas)
-    assert narrow.shape == (4, 8, 2) and wide.shape == (4, 8, 5)
-    assert np.array_equal(wide[..., :2], narrow)
+    assert wide.shape == (4, 8, 5)
+    for m in (2, 3):
+        narrow = _noise_increments(1.5, m, grid, 51, TAG_REPLICA, replicas)
+        assert narrow.shape == (4, 8, m)
+        assert np.array_equal(wide[..., :m], narrow)
 
 
 def test_isotropic_blocks_are_the_rows_of_sample_isotropic():
@@ -257,23 +259,55 @@ def test_positive_stable_finite_at_stream_extremes():
         assert np.all(np.isfinite(out)) and np.all(out > 0.0)
 
 
+def _noise_rows_reference(alpha: float, grid: np.ndarray, *name: int) -> np.ndarray:
+    """Three coordinates a row: row i's stream (*name, TAG_NOISE_ROW, i) gives 2 + 4 uniforms.
+
+    u0, u1 feed the subordinator; pair k of u2..u5 gives coordinates 2k and 2k + 1 as
+    R cos(Theta) and R sin(Theta), R = sqrt(-2 log u(2+2k)), Theta = 2 pi u(3+2k); the
+    third coordinate's sine is dropped.
+    """
+    u = np.stack([open_uniform(substream(*name, TAG_NOISE_ROW, i), 2 + 4)
+                  for i in range(grid.size - 1)])
+    radius, theta = np.sqrt(-2.0 * np.log(u[:, 2::2])), 2.0 * np.pi * u[:, 3::2]
+    z = np.stack([radius * np.cos(theta), radius * np.sin(theta)], axis=-1).reshape(-1, 4)
+    rows = sampling._subgaussian(alpha, u[:, :2], z[:, :3])
+    return np.diff(grid)[:, None] ** (1.0 / alpha) * rows
+
+
 def test_noise_rows_equal_per_row_substreams():
     # row i is drawn from its own stream (seed, TAG_NOISE_ROW, i)
     grid = np.concatenate([[0.0], np.cumsum(np.linspace(0.01, 0.05, 23))])
     for seed in (0, 17, 2**32 - 1):
-        uniforms = np.stack([open_uniform(substream(seed, TAG_NOISE_ROW, i), 2 + 3)
-                             for i in range(grid.size - 1)])
-        reference = np.diff(grid)[:, None] ** (1.0 / 1.6) * _isotropic_from_uniforms(1.6, uniforms)
+        reference = _noise_rows_reference(1.6, grid, seed)
         assert np.array_equal(generate_noise_path(1.6, 3, grid, seed).increments, reference)
     seeds = np.array([5, 2**32 - 1], dtype=np.uint64)
     batch = _noise_increments(1.6, 3, grid, seeds)
     for path, seed in zip(batch, seeds, strict=True):
         assert np.array_equal(path, generate_noise_path(1.6, 3, grid, int(seed)).increments)
     # a longer name: row i from (*name, TAG_NOISE_ROW, i)
-    uniforms = np.stack([open_uniform(substream(9, TAG_PIECE, 2, TAG_NOISE_ROW, i), 2 + 3)
-                         for i in range(grid.size - 1)])
-    reference = np.diff(grid)[:, None] ** (1.0 / 1.6) * _isotropic_from_uniforms(1.6, uniforms)
+    reference = _noise_rows_reference(1.6, grid, 9, TAG_PIECE, 2)
     assert np.array_equal(_noise_increments(1.6, 3, grid, 9, TAG_PIECE, 2), reference)
+
+
+def test_box_muller_pair_is_two_independent_standard_normals(monkeypatch):
+    # one pair of noise-row uniforms (u2, u3) of 10^5 rows: its two coordinates
+    n = 100_000
+    u = rng.open_uniform_rows([83, TAG_NOISE_ROW, np.arange(n)], 4)[:, 2:]
+    z = sampling._box_muller(u)
+    assert len(rng._blocks(n, 32)) == 4
+    # their empirical 2-d cf is the N(0, I) one exp(-|v|^2 / 2): each is N(0, 1), and the
+    # points off the axes see their dependence
+    points = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0], [1.0, -1.0], [0.5, 1.5], [2.0, 0.5]])
+    ecf = np.exp(1j * (z @ points.T)).mean(axis=0)
+    target = np.exp(-0.5 * (points**2).sum(axis=1))
+    assert np.abs(ecf - target).max() < 3.0 / math.sqrt(n)
+    # and the pair is the polar form of its own uniforms: the first gives R, the second Theta
+    assert np.allclose(np.exp(-0.5 * (z**2).sum(axis=1)), u[:, 0], rtol=1e-12, atol=0.0)
+    turns = np.arctan2(z[:, 1], z[:, 0]) / (2.0 * np.pi) - u[:, 1]
+    assert np.abs(turns - np.round(turns)).max() < 1e-12
+    # the blocks change no bit
+    monkeypatch.setattr(rng, "_BLOCK_BYTES", 32 * 7)  # seven pairs a block
+    assert np.array_equal(sampling._box_muller(u[-3_000:]), z[-3_000:])
 
 
 def test_noise_csv_equals_per_value_writer(monkeypatch):
@@ -290,40 +324,3 @@ def test_noise_csv_equals_per_value_writer(monkeypatch):
     monkeypatch.setattr(rng, "_BLOCK_BYTES", 1)  # one step a block
     assert len(list(noise_csv_lines(path))) == 2 + path.steps
     assert "".join(noise_csv_lines(path, ("note",))) == reference
-
-
-def _ndtri_edges() -> np.ndarray:
-    """Smallest doubles of every binade, 1 - 2^-k, 1/2 and the Cephes split points."""
-    splits = np.array([math.exp(-2.0), 1.0 - math.exp(-2.0)])
-    return np.concatenate([
-        2.0 ** -np.arange(1, 1075.0), 1.0 - 2.0 ** -np.arange(1, 54.0), [0.5],
-        splits, np.nextafter(splits, 0.0), np.nextafter(splits, 1.0),
-    ])
-
-
-def test_ndtri_with_libm_log_equals_scipy_bit_for_bit(monkeypatch):
-    # the port is Cephes ndtri operation for operation; libm's log makes it scipy's
-    monkeypatch.setattr(sampling, "_log", lambda x: np.array([math.log(v) for v in x]))
-    u = np.concatenate([open_uniform(substream(80), 100_000), _ndtri_edges()])
-    assert np.all((u > 0.0) & (u < 1.0))
-    assert np.array_equal(sampling._ndtri(u).view(np.int64), ndtri(u).view(np.int64))
-
-
-def test_ndtri_blocks_change_no_bit(monkeypatch):
-    u = np.concatenate([open_uniform(substream(82), 60_000), _ndtri_edges()])
-    whole = sampling._ndtri_block(u).view(np.int64)  # every element in one pass
-    assert len(rng._blocks(u.size, 40)) == 3
-    assert np.array_equal(sampling._ndtri(u).view(np.int64), whole)
-    monkeypatch.setattr(rng, "_BLOCK_BYTES", 40 * 7)  # seven elements a block
-    assert np.array_equal(sampling._ndtri(u[-3_000:]).view(np.int64), whole[-3_000:])
-
-
-def test_ndtri_with_numpy_log_is_within_8_ulp_of_scipy():
-    # numpy's SIMD log may differ from libm's by an ulp, moving a few draws slightly
-    u = open_uniform(substream(81), (1000, 1000))
-    ours, ref = sampling._ndtri(u), ndtri(u)
-    assert ours.shape == u.shape
-    assert np.array_equal(np.signbit(ours), np.signbit(ref))
-    ulps = np.abs(ours.view(np.int64) - ref.view(np.int64))
-    assert np.count_nonzero(ulps) < 1e-3 * u.size
-    assert ulps.max() <= 8

@@ -3,11 +3,12 @@
     python3 tools/verdict_calibration.py SRC [OTHER_SRC] [--seeds 0-99]
 
 SRC and OTHER_SRC are ``src/`` directories (for example of a ``git archive``
-of the parent commit and of the working tree).  The commands are the
-Monte-Carlo commands among the README's CLI examples and the benchmark's
-commands (``tail``, ``moment``, ``gof`` and ``integrate --refinement-levels``,
-taken as ``tools/artifact_diff.py`` takes them; a command that both list
-runs once).  Each runs once per seed and tree as ``python -m cylstable.cli``
+of the parent commit and of the working tree).  The commands are those among
+the README's CLI examples and the benchmark's commands that judge verdicts on
+random draws: the Monte-Carlo commands (``tail``, ``moment``, ``gof`` and
+``integrate --refinement-levels``) and ``picard``, whose replicas are noise
+paths (taken as ``tools/artifact_diff.py`` takes them; a command that both
+list runs once).  Each runs once per seed and tree as ``python -m cylstable.cli``
 with the tree on ``PYTHONPATH``, in a fresh directory, and its ``.summary``
 is read: every ``verdict.<name>`` entry, ``refinement.summary``'s
 ``monotone`` (the refinement verdict) and ``inconclusive`` (a failure when
@@ -38,14 +39,14 @@ artifact_diff = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(artifact_diff)
 
 
-def monte_carlo_commands() -> list[tuple[str, list[str]]]:
-    """The README's and the benchmark's Monte-Carlo commands, each distinct one once."""
+def judged_commands() -> list[tuple[str, list[str]]]:
+    """The README's and the benchmark's commands that judge random draws, each distinct one once."""
     commands, seen = [], set()
     for label, args in artifact_diff.readme_commands() + artifact_diff.benchmark_commands():
-        monte_carlo = args[0] in ("tail", "moment", "gof") or (
+        judged = args[0] in ("tail", "moment", "gof", "picard") or (
             args[0] == "integrate" and "--refinement-levels" in args)
         key = tuple(artifact_diff.with_seed_and_out(args, 0))  # the README sets --seed, --out
-        if monte_carlo and key not in seen:
+        if judged and key not in seen:
             seen.add(key)
             commands.append((label, args))
     return commands
@@ -88,7 +89,7 @@ def main(argv=None) -> int:
         parser.error("give one or two source trees")
     trees = [src.resolve() for src in opts.srcs]
     seeds = parse_seeds(opts.seeds)
-    commands = monte_carlo_commands()
+    commands = judged_commands()
     # (command, tree) -> Counter of runs and failures per verdict and per exit code
     judged: dict[tuple[int, int], Counter] = defaultdict(Counter)
     failed: dict[tuple[int, int], Counter] = defaultdict(Counter)
