@@ -289,25 +289,52 @@ def test_noise_rows_equal_per_row_substreams():
     assert np.array_equal(_noise_increments(1.6, 3, grid, 9, TAG_PIECE, 2), reference)
 
 
-def test_box_muller_pair_is_two_independent_standard_normals(monkeypatch):
+def test_box_muller_pair_is_two_independent_standard_normals():
     # one pair of noise-row uniforms (u2, u3) of 10^5 rows: its two coordinates
     n = 100_000
     u = rng.open_uniform_rows([83, TAG_NOISE_ROW, np.arange(n)], 4)[:, 2:]
     z = sampling._box_muller(u)
-    assert len(rng._blocks(n, 32)) == 4
     # their empirical 2-d cf is the N(0, I) one exp(-|v|^2 / 2): each is N(0, 1), and the
     # points off the axes see their dependence
     points = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0], [1.0, -1.0], [0.5, 1.5], [2.0, 0.5]])
     ecf = np.exp(1j * (z @ points.T)).mean(axis=0)
     target = np.exp(-0.5 * (points**2).sum(axis=1))
     assert np.abs(ecf - target).max() < 3.0 / math.sqrt(n)
-    # and the pair is the polar form of its own uniforms: the first gives R, the second Theta
+
+
+def test_box_muller_pair_is_the_polar_form_of_its_uniforms():
+    # the first uniform of a pair gives R, the second Theta
+    u = rng.open_uniform_rows([84, TAG_NOISE_ROW, np.arange(20_000)], 4)[:, 2:]
+    z = sampling._box_muller(u)
     assert np.allclose(np.exp(-0.5 * (z**2).sum(axis=1)), u[:, 0], rtol=1e-12, atol=0.0)
     turns = np.arctan2(z[:, 1], z[:, 0]) / (2.0 * np.pi) - u[:, 1]
     assert np.abs(turns - np.round(turns)).max() < 1e-12
-    # the blocks change no bit
+
+
+def test_box_muller_blocks_change_no_bit(monkeypatch):
+    u = rng.open_uniform_rows([85, TAG_NOISE_ROW, np.arange(60_000)], 6)[:, 2:]
+    whole = sampling._box_muller(u)  # two pairs a row, (60_000, 4)
+    assert whole.shape == u.shape and len(rng._blocks(2 * 60_000, 32)) == 4
     monkeypatch.setattr(rng, "_BLOCK_BYTES", 32 * 7)  # seven pairs a block
-    assert np.array_equal(sampling._box_muller(u[-3_000:]), z[-3_000:])
+    assert np.array_equal(sampling._box_muller(u[-3_000:]).view(np.int64),
+                          whole[-3_000:].view(np.int64))
+    monkeypatch.setattr(rng, "_BLOCK_BYTES", 1)  # one pair a block
+    assert np.array_equal(sampling._box_muller(u[:500]).view(np.int64),
+                          whole[:500].view(np.int64))
+
+
+def test_box_muller_finite_at_stream_extremes():
+    # the clip bounds of open_uniform, every binade down to them and 1 - 2^-k: R stays
+    # within sqrt(-2 log LO) and above 0, and Theta sweeps the circle without a NaN
+    radii = np.concatenate([[rng._UNIFORM_LO, rng._UNIFORM_HI, 0.5],
+                            2.0 ** -np.arange(1, 54.0), 1.0 - 2.0 ** -np.arange(1, 54.0)])
+    angles = np.array([rng._UNIFORM_LO, 0.25, 0.5, 0.75, rng._UNIFORM_HI])
+    u = np.stack(np.meshgrid(radii, angles, indexing="ij"), axis=-1).reshape(-1, 2)
+    z = sampling._box_muller(u)
+    assert np.all(np.isfinite(z))
+    norm = np.hypot(z[:, 0], z[:, 1])
+    assert norm.max() <= math.sqrt(-2.0 * math.log(rng._UNIFORM_LO)) * (1.0 + 1e-15)
+    assert np.all(norm > 0.0)
 
 
 def test_noise_csv_equals_per_value_writer(monkeypatch):
