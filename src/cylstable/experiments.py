@@ -26,8 +26,7 @@ import numpy as np
 from .reporting import RunFailed
 from .rng import (TAG_ALT_NOISE, TAG_BOOTSTRAP, TAG_GOF, TAG_REPLICA, TAG_TRIPLES,
                   _blocks, substream)
-from .sampling import (AlphaParams, _chunked_isotropic, _isotropic_blocks, _noise_increments,
-                       _row_norms)
+from .sampling import AlphaParams, _chunked_isotropic, _isotropic_blocks, _noise_increments
 
 if TYPE_CHECKING:  # annotations only; each experiment imports the solver modules it calls
     from .hilbert import DiagonalModel
@@ -376,7 +375,7 @@ def _picard_diffs(model: DiagonalModel, config: SolverConfig, kernel, seed: int,
     diffs = np.empty((len(chunk), n_iters))
     for it in range(n_iters):
         new = _sweep(model, prev, driven, x0s, kernel)
-        diffs[:, it] = _row_norms(new[:, -1] - prev[:, -1])
+        diffs[:, it] = np.linalg.norm(new[:, -1] - prev[:, -1], axis=-1)
         prev = new
     return diffs
 
@@ -407,8 +406,9 @@ def picard_convergence_experiment(
     kernel = _kernel(model, config.grid())
     all_diffs = np.empty((replicas, n_iters))
     # a replica's noise draw, or its states, noise and sweep: 64 B per state element, which
-    # keeps the 2^14-element batch measured fastest (traced in chunks of ten at M = 200: 66 B
-    # in the noise draw's Philox passes, 48 B in the sweeps)
+    # keeps the 2^14-element batch measured fastest (traced in chunks of ten at M = 200:
+    # 58.6 B in the noise draw's Philox passes, 48.3 B in the sweeps; in chunks of two at
+    # M = 1000: 59.7 B and 48.2 B)
     for chunk in _blocks(replicas, 64 * (config.M + 1) * model.n):
         all_diffs[chunk] = _picard_diffs(model, config, kernel, seed, chunk, n_iters)
     moments = (all_diffs**p).mean(axis=0)
@@ -491,8 +491,8 @@ def uniqueness_experiment(
     rows = np.empty((replicas, 2))
     # three Picard paths per replica, 66 B per state element: the noise draw, then each path's
     # noise with the causal pass's 32 B, or with its states and the sweep's 32 B (traced in
-    # chunks of three at M = 200: 56 B, set by the draw, with or without the pass; 48 B at
-    # M = 1000)
+    # chunks of three at M = 200: 53.6 B in the draw, 48.2 B after it; one replica a chunk at
+    # M = 1000: 39.7 B in the draw, 48.2 B after it)
     for chunk in _blocks(replicas, 66 * 3 * (config.M + 1) * model.n):
         rows[chunk] = _uniqueness_distances(model, config, kernel, seed, chunk, x0_triple)
     x0_dists, noise_dists = rows.T

@@ -18,7 +18,7 @@ import numpy as np
 
 from .hilbert import as_matrix
 from .rng import TAG_REFINE
-from .sampling import AlphaParams, NoisePath, _chunked_isotropic, _row_norms
+from .sampling import AlphaParams, NoisePath, _chunked_isotropic
 
 __all__ = [
     "StepIntegrand",
@@ -115,7 +115,7 @@ def _refinement_diffs(weights: np.ndarray, entries: np.ndarray, alpha: float, dt
         projected = scale * rows @ entries.T  # (R, steps, n)
         fine_total = weights[-1] @ projected
         for k in range(levels - 1):
-            diffs[k, block] = _row_norms(weights[k] @ projected - fine_total)
+            diffs[k, block] = np.linalg.norm(weights[k] @ projected - fine_total, axis=-1)
         start = block.stop
     return diffs
 

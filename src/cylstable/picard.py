@@ -374,7 +374,7 @@ def solve(model: DiagonalModel, config: SolverConfig, noise: NoisePath | None = 
     :class:`NonConvergenceError` when the certificate is not below TOL: for
     a pass that is not the fixed point, or a path that is not finite.
     Without ``noise``, the path's rows are the streams (seed, TAG_NOISE_ROW,
-    i) of :func:`sampling.generate_noise_path`.
+    0, i) of :func:`sampling.generate_noise_path`.
     """
     _check_dimensions(model, config)
     grid = config.grid()
@@ -397,10 +397,10 @@ def glue_solve(model: DiagonalModel, config: SolverConfig) -> MildPath:
     The horizon is split into equal pieces of length
     T/ceil(T/(0.99 * T_bound)); each piece is solved with the previous
     terminal state as initial condition (bit-exact handoff) and its own
-    noise: row i of piece p from the stream (seed, TAG_PIECE, p, TAG_NOISE_ROW,
-    i).  The M steps are dealt out as evenly as possible, the first M % pieces
-    pieces getting one step more, so the glued grid has exactly M + 1 points
-    and each junction sits at the cumulative step count.  Every piece must get
+    noise: row i of piece p from the stream (seed, TAG_PIECE, p, i).  The M
+    steps are dealt out as evenly as possible, the first M % pieces pieces
+    getting one step more, so the glued grid has exactly M + 1 points and
+    each junction sits at the cumulative step count.  Every piece must get
     at least 2 of the M steps, so the work stays bounded by M: the pass of a
     one-step piece is one step of the Picard map, so its certificate would
     check nothing.  Requests with more than M // 2 pieces raise ValueError

@@ -3,29 +3,40 @@
 All randomness comes from counter-based Philox streams (Salmon et al.,
 "Parallel random numbers: as easy as 1, 2, 3", SC'11), and a stream is fully
 determined by its name: the master seed, then tags and indices, each an
-integer in [0, 2**32).  The name is the stream's ``SeedSequence`` entropy,
-so every row, chunk or replica draws the same numbers on every rerun.
+integer in [0, 2**32), so every row, chunk or replica draws the same numbers
+on every rerun.  A name reaches its Philox4x64-10 key in one of two ways:
 
-Each entry must be exactly one ``SeedSequence`` word: a larger integer is
-split into its 32-bit words, so ``[5 + 7 * 2**32, 9]`` would hash like
-``[5, 7, 9]``.  Both :func:`substream` and :func:`open_uniform_rows` refuse
-any entry outside [0, 2**32) with ``ValueError``.  ``SeedSequence`` also pads
-a name shorter than 4 words with zeros (``[5, 1]`` hashes like ``[5, 1, 0]``),
-so no tag is 0, and within one namespace, the word after the seed, no name
-is another one padded with zeros: names of a namespace differ in a word
-they both hold, or a longer one ends in a non-zero tag where a shorter one
-is padded (the Gaussian stream of a Monte-Carlo chunk adds
-``TAG_GAUSSIAN`` to the chunk's name).  The names (r a replica, k a chunk,
-i a noise row, p a glue piece; a chunk holds ``_CHUNK`` = 2**16 samples):
+* **Generator streams** (:func:`substream`): numpy's
+  ``Generator(Philox(SeedSequence(name)))``, for the few long streams
+  (samplers and Monte-Carlo chunks of 10^5 values and more, whose Gaussian
+  coordinates are ``standard_normal`` draws; see :mod:`cylstable.sampling`).
+  The name is the ``SeedSequence`` entropy, which pads a name shorter than
+  4 words with zeros (``[5, 1]`` hashes like ``[5, 1, 0]``).  So no tag is
+  0, and within one namespace, the word after the seed, no name is another
+  one padded with zeros: names of a namespace differ in a word they both
+  hold, or a longer one ends in a non-zero tag where a shorter one is padded
+  (the Gaussian stream of a Monte-Carlo chunk adds ``TAG_GAUSSIAN`` to the
+  chunk's name).
+* **Noise rows** (:func:`open_uniform_rows`): a name of exactly 4 words
+  ``(seed, tag, index, row)`` is the key itself, packed low word first into
+  two 64-bit words (:func:`_row_keys`); different keys give independent
+  Philox streams.  An integer-exact numpy port of Philox4x64-10 and of
+  ``Generator.random`` draws the first uniforms of thousands of such rows
+  at once without importing ``numpy.random``; a row equals
+  ``open_uniform(Generator(Philox(key=[k0, k1])), count)`` bit for bit, the
+  key given as a uint64 array.
+
+Each entry must be exactly one word: :func:`substream` and
+:func:`open_uniform_rows` refuse any entry outside [0, 2**32) with
+``ValueError`` (``SeedSequence`` would split ``5 + 7 * 2**32`` into two words
+and alias ``[5, 7]``), and :func:`open_uniform_rows` any name that is not 4
+words long.  The names (r a replica, k a chunk, i a noise row, p a glue
+piece; a chunk holds ``_CHUNK`` = 2**16 samples):
 
     (seed)                                      check-model trial points
     (seed, TAG_SCALAR), (seed, TAG_POSITIVE)    scalar and positive stable draws
     (seed, TAG_ISOTROPIC, n, k)                 isotropic draws in R^n, chunk k: subordinators
     (seed, TAG_ISOTROPIC, n, k, TAG_GAUSSIAN)     and their Gaussian coordinates
-    (seed, TAG_NOISE_ROW, i)                    generate_noise_path
-    (seed, TAG_PIECE, p, TAG_NOISE_ROW, i)      glue piece p
-    (seed, TAG_REPLICA, r, TAG_NOISE_ROW, i)    picard and uniqueness replica r
-    (seed, TAG_ALT_NOISE, r, TAG_NOISE_ROW, i)  uniqueness fresh noise, replica r
     (seed, TAG_REPLICA, k)                      tail/moment chunk k: subordinators
     (seed, TAG_REPLICA, k, TAG_GAUSSIAN)          and their Gaussian coordinates
     (seed, TAG_REPLICA, TAG_BOOTSTRAP)          moment bootstrap
@@ -34,22 +45,16 @@ i a noise row, p a glue piece; a chunk holds ``_CHUNK`` = 2**16 samples):
     (seed, TAG_TRIPLES, M)                      random hypothesis triples
     (0, TAG_GOF, n, count)                      goodness-of-fit test directions
 
-A stream can be drawn in two equal ways.  :func:`substream` builds numpy's
-``Generator(Philox(SeedSequence(name)))``, for the few long streams
-(sampler and Monte-Carlo chunks of 10^5 values and more, whose Gaussian
-coordinates are ``standard_normal`` draws; see :mod:`cylstable.sampling`).
-:func:`open_uniform_rows` draws the first ``count`` uniforms of many short
-streams at once, without importing ``numpy.random``: an integer-exact numpy
-port of ``SeedSequence``'s entropy hashing, of Philox4x64-10 and of
-``Generator.random``, for the thousands of per-row and per-replica streams
-of a noise path or an ensemble.  Its rows equal
-``open_uniform(substream(*name), count)`` bit for bit, so the choice never
-shows in an artifact.
+and the noise rows, keyed by their names:
+
+    (seed, TAG_NOISE_ROW, 0, i)                 generate_noise_path
+    (seed, TAG_PIECE, p, i)                     glue piece p
+    (seed, TAG_REPLICA, r, i)                   picard and uniqueness replica r
+    (seed, TAG_ALT_NOISE, r, i)                 uniqueness fresh noise, replica r
 """
 
 from __future__ import annotations
 
-import functools
 import operator
 from typing import Sequence
 
@@ -80,15 +85,8 @@ _UNIFORM_HI = 1.0 - 1e-16
 _MASK32 = 0xFFFFFFFF
 _WORD_RANGE = "stream name entries must be integers in [0, 2**32)"
 
-# SeedSequence's hash constants and pool size (numpy.random.bit_generator).
-_POOL_SIZE = 4
-_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
-_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
-_MIX_MULT_L, _MIX_MULT_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
-
 # Shifts and masks as numpy scalars: a Python int operand costs each array
 # operation a conversion, a sizeable share of the port's small passes.
-_U32_16 = np.uint32(16)
 _U64_11, _U64_32 = np.uint64(11), np.uint64(32)
 _U64_LOW = np.uint64(_MASK32)
 
@@ -136,71 +134,24 @@ def _blocks(count: int, bytes_per_index: int) -> list[range]:
     return [range(start, min(start + size, count)) for start in range(0, count, size)]
 
 
-def _name_words(words: Sequence) -> np.ndarray:
-    """Entries (ints or int arrays) broadcast to the row shape: uint32 words (L, *rows)."""
+def _row_keys(words: Sequence) -> np.ndarray:
+    """Philox keys (2, *rows) of the 4-word names the entries of ``words`` broadcast to.
+
+    Name ``(w0, w1, w2, w3)`` is packed low word first: ``k0 = w0 | w1 << 32`` and
+    ``k1 = w2 | w3 << 32``, so distinct names are distinct keys.
+    """
+    if len(words) != 4:
+        raise ValueError(f"a noise row is named by exactly 4 words, got {len(words)}")
     entries = [np.asarray(word) for word in words]
     for entry in entries:
         if entry.size and not (entry.dtype.kind in "iu" and entry.min() >= 0
                                and entry.max() <= _MASK32):
             raise ValueError(f"{_WORD_RANGE}, got values from {entry.min()} to {entry.max()}")
-    names = np.empty((len(entries), *np.broadcast_shapes(*(e.shape for e in entries))),
-                     dtype=np.uint32)
-    for k, entry in enumerate(entries):
-        names[k] = entry
-    return names
-
-
-@functools.lru_cache(maxsize=None)
-def _hash_consts(init: int, mult: int, count: int) -> np.ndarray:
-    """The hash constant before each of ``count`` hashing steps, as a (count, 1) column."""
-    consts = [init]
-    for _ in range(count):
-        consts.append((consts[-1] * mult) & _MASK32)
-    return np.array(consts, dtype=np.uint32)[:, None]
-
-
-def _hash(values: np.ndarray, consts: np.ndarray) -> np.ndarray:
-    """Steps i = 0, 1, ... of SeedSequence's hashmix on rows of values, constants consts[i:i+2]."""
-    values = (values ^ consts[:-1]) * consts[1:]
-    return values ^ (values >> _U32_16)
-
-
-def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    result = x * _MIX_MULT_L - y * _MIX_MULT_R
-    return result ^ (result >> _U32_16)
-
-
-def _entropy_pool(words: np.ndarray) -> np.ndarray:
-    """``SeedSequence.mix_entropy`` of entropy words (L, rows) uint32: the pool (4, rows).
-
-    Each hashing step advances one shared constant, so the steps whose
-    inputs are known together (the pool fill, one source word against
-    every other pool word) run as one array operation.
-    """
-    extra = max(0, words.shape[0] - _POOL_SIZE)
-    consts = _hash_consts(_INIT_A, _MULT_A, _POOL_SIZE ** 2 + _POOL_SIZE * extra)
-    fill = np.zeros((_POOL_SIZE, words.shape[1]), dtype=np.uint32)
-    fill[:min(_POOL_SIZE, words.shape[0])] = words[:_POOL_SIZE]
-    pool = _hash(fill, consts[:_POOL_SIZE + 1])
-    step = _POOL_SIZE
-    for src in range(_POOL_SIZE):
-        dst = [d for d in range(_POOL_SIZE) if d != src]
-        hashed = _hash(pool[src], consts[step:step + _POOL_SIZE])
-        pool[dst] = _mix(pool[dst], hashed)
-        step += _POOL_SIZE - 1
-    for word in words[_POOL_SIZE:]:
-        pool = _mix(pool, _hash(word, consts[step:step + _POOL_SIZE + 1]))
-        step += _POOL_SIZE
-    return pool
-
-
-_STATE_CONSTS = _hash_consts(_INIT_B, _MULT_B, _POOL_SIZE)
-
-
-def _philox_key(pool: np.ndarray) -> np.ndarray:
-    """``generate_state(2, np.uint64)`` of each pool column: Philox's key words, (2, rows)."""
-    state = _hash(pool, _STATE_CONSTS).astype(np.uint64)
-    return state[0::2] | state[1::2] << _U64_32
+    keys = np.empty((2, *np.broadcast_shapes(*(e.shape for e in entries))), dtype=np.uint64)
+    for k in range(2):
+        keys[k] = entries[2 * k]
+        keys[k] |= entries[2 * k + 1].astype(np.uint64) << _U64_32
+    return keys
 
 
 _PHILOX_M = np.array([_PHILOX_M0, _PHILOX_M1], dtype=np.uint64)[:, None, None]
@@ -240,23 +191,25 @@ def _philox_blocks(keys: np.ndarray, blocks: int) -> np.ndarray:
 
 
 def open_uniform_rows(words: Sequence, count: int) -> np.ndarray:
-    """``open_uniform(substream(*name), count)`` for every name the entries of ``words`` form.
+    """The first ``count`` open uniforms of the stream of every 4-word name ``words`` forms.
 
     Each entry is an int or an int array, and the entries broadcast to the
-    row shape: row ``idx`` is the stream named by ``[w[idx] for w in words]``.
-    Returns shape ``rows + (count,)``.  Rows go through the port in passes
-    of :func:`_blocks`, so the temporaries stay bounded whatever the number
-    of rows.
+    row shape: row ``idx`` is the stream named by ``[w[idx] for w in words]``,
+    equal bit for bit to ``open_uniform(Generator(Philox(key=key)), count)``
+    with ``key`` its uint64 words from :func:`_row_keys`.  Returns shape
+    ``rows + (count,)``.
+    Rows go through the port in passes of :func:`_blocks`, so the
+    temporaries stay bounded whatever the number of rows.
     """
-    names = _name_words(words)
-    shape = names.shape[1:]
-    names = names.reshape(names.shape[0], -1)
+    keys = _row_keys(words)
+    shape = keys.shape[1:]
+    keys = keys.reshape(2, -1)
     blocks = -(-count // 4)
-    out = np.empty((names.shape[1], count))
-    # a pass holds about 32 uint64 temporaries per Philox block of a row
-    for block in _blocks(names.shape[1], 256 * blocks):
+    out = np.empty((keys.shape[1], count))
+    # a pass's temporaries per Philox block of a row, stated as 32 uint64 (256 B); traced
+    # above the output: 178-209 B, the most at one block a row
+    for block in _blocks(keys.shape[1], 256 * blocks):
         rows = slice(block.start, block.stop)
-        keys = _philox_key(_entropy_pool(names[:, rows]))
-        raw = _philox_blocks(keys, blocks)[:, :count]
+        raw = _philox_blocks(keys[:, rows], blocks)[:, :count]
         out[rows] = (raw >> _U64_11) * (1.0 / 9007199254740992.0)  # Generator.random: 53 bits
     return np.clip(out, _UNIFORM_LO, _UNIFORM_HI, out=out).reshape(*shape, count)

@@ -23,14 +23,15 @@ row bit for bit on a rerun with the same seed:
 
 * **Noise rows** (:func:`_noise_increments`: ``noise``, ``solve``, ``glue``,
   ``picard``, ``uniqueness`` and ``integrate``'s path mode) are short
-  counter-based streams, one per row, drawn by the integer port
+  counter-based streams, one per row, each keyed by its four-word name
+  (seed, tag, index, row) and drawn by the integer Philox port
   :func:`rng.open_uniform_rows`.  A row of m coordinates draws 2 + 2
   ceil(m/2) uniforms: 2 for the subordinator, then one pair per two
   Gaussian coordinates through the Box-Muller transform
   :func:`_box_muller`, the cosine first; an odd m drops the last sine.
   The port keeps ``numpy.random`` out of these commands: importing it
-  adds 6.2 MiB to a process (26.8 -> 33.0 MiB), against a cold ``picard``
-  peak of 31.9 MiB.
+  adds 6.3 MiB to a process (26.8 -> 33.1 MiB), and would lift a cold
+  ``picard`` peak from 32.0 to 37.7 MiB.
 * **Monte-Carlo chunks** (``tail``, ``moment``, ``gof``, ``sample --kind
   isotropic`` and ``integrate --refinement-levels``), which load
   ``numpy.random`` anyway, draw each chunk of 2**16 samples from two
@@ -248,39 +249,29 @@ def _validate_grid(grid: np.ndarray) -> None:
         raise ValueError("grid must be strictly increasing")
 
 
-def _noise_increments(alpha: float, m: int, grid: np.ndarray, *name) -> np.ndarray:
-    """Row i: (dt_i)^(1/alpha) x isotropic, from its own stream (*name, TAG_NOISE_ROW, i).
+def _noise_increments(alpha: float, m: int, grid: np.ndarray, seed, tag=TAG_NOISE_ROW,
+                      index=0) -> np.ndarray:
+    """Row i: (dt_i)^(1/alpha) x isotropic, from its own stream (seed, tag, index, i).
 
     Its first 2 uniforms give the subordinator, and the next 2 ceil(m/2) the
     Gaussian coordinates in :func:`_box_muller`'s pairs; an odd m drops the
-    last sine.  Scalar entries of ``name`` give one path, shape (M, m); array
-    entries of shape S give a batch of paths, shape S + (M, m), each equal to
-    the path named by its own entries.
+    last sine.  Scalar ``seed``, ``tag`` and ``index`` name one path, shape
+    (M, m); array ones of broadcast shape S name a batch of paths, shape
+    S + (M, m), each equal to the path named by its own words.
     """
     rows = np.arange(grid.size - 1)
-    words = [np.expand_dims(word, -1) for word in name]
-    u = open_uniform_rows([*words, TAG_NOISE_ROW, rows], 2 + m + m % 2)
+    words = [np.expand_dims(word, -1) for word in (seed, tag, index)]
+    u = open_uniform_rows([*words, rows], 2 + m + m % 2)
     isotropic = _subgaussian(alpha, u[..., :2], _box_muller(u[..., 2:])[..., :m])
     return np.diff(grid)[:, None] ** (1.0 / alpha) * isotropic
-
-
-def _row_norms(rows: np.ndarray) -> np.ndarray:
-    """Euclidean norm over the last axis, bit-identical to 1-d ``np.linalg.norm``.
-
-    The 1-d norm is sqrt(x.dot(x)), a BLAS dot whose rounding an
-    ``axis=-1`` reduction does not reproduce, so each row is dotted alone;
-    rows are made contiguous first, because a strided dot rounds differently.
-    """
-    flat = np.ascontiguousarray(rows).reshape(-1, rows.shape[-1])
-    return np.sqrt([row.dot(row) for row in flat]).reshape(rows.shape[:-1])
 
 
 def generate_noise_path(alpha: float, m: int, grid, seed: int) -> NoisePath:
     """Sample a NoisePath: independent rows, row i ~ (dt_i)^(1/alpha) x isotropic.
 
-    Row i is generated from its own counter-based stream, named
-    (seed, TAG_NOISE_ROW, i), so a rerun with the same seed reproduces the path,
-    and a rerun with a larger m reproduces it as its first m columns.
+    Row i is generated from its own counter-based stream, keyed by its name
+    (seed, TAG_NOISE_ROW, 0, i), so a rerun with the same seed reproduces the
+    path, and a rerun with a larger m reproduces it as its first m columns.
     """
     AlphaParams(alpha)
     if m < 1:

@@ -95,24 +95,31 @@ def _tiny_tail_integrand(seed):
                            seed=seed)
 
 
-def _record_stream_names(monkeypatch) -> list[tuple[int, ...]]:
-    """Make every module that draws streams record the name of each stream it draws."""
-    names = []
+def _record_streams(monkeypatch) -> tuple[list[tuple[int, ...]], list[tuple[int, int]]]:
+    """Make every module that draws streams record the name and Philox key of each stream.
+
+    A noise row's key is its packed 4-word name, a substream's the key its
+    ``SeedSequence`` hashes from the name, read from the Generator itself.
+    """
+    names, keys = [], []
 
     def rows(words, count):
         entries = np.broadcast_arrays(*(np.asarray(word) for word in words))
         names.extend(zip(*(entry.ravel().tolist() for entry in entries)))
+        keys.extend(map(tuple, rng._row_keys(words).reshape(2, -1).T.tolist()))
         return rng.open_uniform_rows(words, count)
 
     def stream(*name):
         names.append(tuple(int(word) for word in name))
-        return rng.substream(*name)
+        generator = rng.substream(*name)
+        keys.append(tuple(generator.bit_generator.state["state"]["key"].tolist()))
+        return generator
 
     for module in (experiments, integral, sampling):
         for attr, recorder in (("substream", stream), ("open_uniform_rows", rows)):
             if hasattr(module, attr):
                 monkeypatch.setattr(module, attr, recorder)
-    return names
+    return names, keys
 
 
 def _tiny_runs():
@@ -140,17 +147,16 @@ def _tiny_runs():
 @pytest.mark.parametrize("run", sorted(_tiny_runs()))
 def test_streams_of_one_run_have_distinct_keys(monkeypatch, run):
     expected, draw = _tiny_runs()[run]
-    names = _record_stream_names(monkeypatch)
+    names, keys = _record_streams(monkeypatch)
     draw()
-    distinct = set(names)
-    keys = {tuple(np.random.SeedSequence(list(name)).generate_state(2, np.uint64))
-            for name in distinct}
-    assert len(keys) == len(distinct) == expected
+    # one key per stream: no two names of the run share a Philox key, port rows and
+    # substreams alike
+    assert len(set(keys)) == len(set(names)) == expected
 
 
 def test_radonified_tail_with_eight_singular_values_draws_only_its_chunks(monkeypatch):
     # the Levy mass is exact for every dimension: no stream of its own, whatever n
-    names = _record_stream_names(monkeypatch)
+    names, _ = _record_streams(monkeypatch)
     n_samples = rng._CHUNK + 1_000
     tail_experiment(HSMatrix.diagonal(np.linspace(1.0, 0.3, 8)), 1.5, n_samples=n_samples,
                     seed=23)
@@ -484,7 +490,7 @@ def test_picard_experiment_additive_zero_from_n2():
 
 
 def replica_noise(config, seed, tag, replica):
-    """Noise of one replica, its rows named (seed, tag, replica, TAG_NOISE_ROW, i)."""
+    """Noise of one replica, its rows named (seed, tag, replica, i)."""
     grid = config.grid()
     rows = _noise_increments(config.alpha, config.noise_dim, grid, seed, tag, replica)
     return NoisePath(config.alpha, config.noise_dim, grid, rows, seed)
@@ -500,7 +506,7 @@ def per_replica_picard_decay(model, config, n_iters, p, replicas, seed):
         prev = semigroup_flow(model, grid, x0)
         for it in range(n_iters):
             new = picard_step(model, prev, noise, x0)
-            diffs[r, it] = np.linalg.norm(new[-1] - prev[-1])
+            diffs[r, it] = np.linalg.norm(new[-1] - prev[-1], axis=-1)
             prev = new
     powered = diffs**p
     return powered.mean(axis=0), powered.std(axis=0, ddof=1) / math.sqrt(replicas)

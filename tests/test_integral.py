@@ -170,7 +170,7 @@ def per_replica_refinement_diffs(weights, entries, alpha, dt, replicas, seed):
         projected = dt ** (1.0 / alpha) * (np.sqrt(2.0 * a)[:, None] * z) @ entries.T
         fine_total = weights[-1] @ projected
         for k in range(levels - 1):
-            diffs[k, r] = np.linalg.norm(weights[k] @ projected - fine_total)
+            diffs[k, r] = np.linalg.norm(weights[k] @ projected - fine_total, axis=-1)
     return diffs
 
 

@@ -26,7 +26,7 @@ from cylstable.picard import (
     _driven_diagonal,
 )
 from cylstable.rng import TAG_PIECE
-from cylstable.sampling import NoisePath, _noise_increments, _row_norms, generate_noise_path
+from cylstable.sampling import NoisePath, _noise_increments, generate_noise_path
 
 from picard_oracles import piece_breaks, semigroup_flow, zero_seeded_states
 
@@ -232,13 +232,6 @@ def test_solve_matches_exponential_euler_oracle():
             x + model.drift(x) * dt + model.diffusion_diagonal(x) * noise.increments[k]
         )
     assert np.abs(path.states - euler).max() <= 1e-12
-
-
-def test_row_norms_equal_one_dimensional_norm_for_strided_rows():
-    rows = np.asfortranarray(np.random.default_rng(4).standard_normal((2000, 5)))
-    expected = [np.linalg.norm(row.copy()) for row in rows]
-    assert np.array_equal(_row_norms(rows), expected)
-    assert np.array_equal(_row_norms(rows.reshape(400, 5, 5)).ravel(), expected)
 
 
 def test_picard_step_matches_hand_rolled_oracle():

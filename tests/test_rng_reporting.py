@@ -1,5 +1,6 @@
 """Stream derivation and file conventions."""
 
+import math
 import tracemalloc
 from dataclasses import replace
 
@@ -10,7 +11,9 @@ from hypothesis import strategies as st
 
 from cylstable import reporting, rng
 from cylstable.reporting import format_rows, format_value, write_csv, write_summary
-from cylstable.rng import open_uniform, open_uniform_rows, substream
+from cylstable.rng import TAG_ALT_NOISE, TAG_REPLICA, open_uniform, open_uniform_rows, substream
+
+from stream_oracles import keyed_stream
 
 
 def test_substream_determinism_and_independence():
@@ -22,40 +25,65 @@ def test_substream_determinism_and_independence():
     assert not np.array_equal(a, substream(43, 1, 2).random(8))
 
 
+# a name word, with both ends of its range drawn often
+WORDS = st.one_of(st.just(0), st.just(2**32 - 1), st.integers(0, 2**32 - 1))
+
+
 @given(
-    seed=st.integers(0, 2**32 - 1),
-    tags=st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=3),
-    replicas=st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=3),
-    indices=st.lists(st.one_of(st.just(0), st.just(2**32 - 1), st.integers(0, 2**32 - 1)),
-                     min_size=1, max_size=4),
+    seed=WORDS,
+    tags=st.lists(WORDS, min_size=1, max_size=2),
+    replicas=st.lists(WORDS, min_size=1, max_size=3),
+    indices=st.lists(WORDS, min_size=1, max_size=4),
     count=st.integers(1, 40),
 )
 @settings(max_examples=150, deadline=None)
-def test_open_uniform_rows_equal_substream_streams(seed, tags, replicas, indices, count):
-    # array entries in two positions of the name: replica x row
-    rows = open_uniform_rows([seed, *tags, np.array(replicas)[:, None], tags[0],
+def test_open_uniform_rows_equal_philox_keyed_streams(seed, tags, replicas, indices, count):
+    # array entries in three positions of the name: tag x replica x row
+    rows = open_uniform_rows([seed, np.array(tags)[:, None, None], np.array(replicas)[:, None],
                               np.array(indices, dtype=np.uint64)], count)
-    reference = np.stack([[open_uniform(substream(seed, *tags, r, tags[0], i), count)
-                           for i in indices] for r in replicas])
+    reference = np.stack([[[open_uniform(keyed_stream(seed, tag, r, i), count)
+                            for i in indices] for r in replicas] for tag in tags])
     assert np.array_equal(rows, reference)
 
 
-def test_open_uniform_rows_broadcast_array_words_like_substream():
-    seeds = np.array([0, 7, 2**32 - 1], dtype=np.uint64)
-    rows = open_uniform_rows([seeds[:, None], 5, np.arange(3)], 6)
-    assert rows.shape == (3, 3, 6)
+@given(seeds=st.lists(WORDS, min_size=1, max_size=3), word=WORDS, count=st.integers(1, 12))
+@settings(max_examples=50, deadline=None)
+def test_open_uniform_rows_broadcast_array_words_like_keyed_streams(seeds, word, count):
+    seeds = np.array(seeds, dtype=np.uint64)
+    rows = open_uniform_rows([seeds[:, None], word, 0, np.arange(3)], count)
+    assert rows.shape == (len(seeds), 3, count)
     for s, seed in enumerate(seeds):
         for i in range(3):
-            assert np.array_equal(rows[s, i], open_uniform(substream(int(seed), 5, i), 6))
-    assert np.array_equal(open_uniform_rows([9], 4), open_uniform(substream(9), 4))
-    assert open_uniform_rows([1, np.arange(0)], 4).shape == (0, 4)
+            assert np.array_equal(rows[s, i], open_uniform(keyed_stream(seed, word, 0, i), count))
+    assert np.array_equal(open_uniform_rows([word, 0, 0, 0], count),
+                          open_uniform(keyed_stream(word, 0, 0, 0), count))
+    assert open_uniform_rows([1, 2, 3, np.arange(0)], count).shape == (0, count)
+
+
+@pytest.mark.parametrize("words", [[1, 2, 3], [1, 2, 3, 4, 5], [1, 2, np.arange(3)],
+                                   [1, 2, 3, np.arange(3), 5]])
+def test_open_uniform_rows_refuse_names_not_four_words_long(words):
+    with pytest.raises(ValueError, match="exactly 4 words"):
+        open_uniform_rows(words, 3)
+
+
+def test_rows_of_neighbouring_keys_are_uncorrelated():
+    # streams whose names differ in one word, from a replica row's name: the seed, the
+    # tag (TAG_REPLICA against TAG_ALT_NOISE), the replica, the row
+    n = 100_000
+    base = (41, TAG_REPLICA, 6, 9)
+    neighbours = [(42, TAG_REPLICA, 6, 9), (41, TAG_ALT_NOISE, 6, 9), (41, TAG_REPLICA, 7, 9),
+                  (41, TAG_REPLICA, 6, 10)]
+    u = open_uniform_rows(list(np.array([base, *neighbours]).T), n)
+    for row in u[1:]:
+        assert abs(np.corrcoef(u[0], row)[0, 1]) < 4.0 / math.sqrt(n)
 
 
 @pytest.mark.parametrize("word", [-1, 2**32, 2**64 + 5])
 def test_stream_names_refuse_words_outside_32_bits(word):
     for draw in (lambda: substream(word), lambda: substream(1, 2, word),
-                 lambda: open_uniform_rows([word], 3),
-                 lambda: open_uniform_rows([1, np.array([0, word])], 3)):
+                 lambda: open_uniform_rows([word, 1, 2, 3], 3),
+                 lambda: open_uniform_rows([1, 2, 3, np.array([0, word])], 3)):
         with pytest.raises(ValueError, match=r"\[0, 2\*\*32\)"):
             draw()
 
@@ -80,10 +108,10 @@ def test_tags_are_distinct_nonzero_words():
 
 def test_open_uniform_rows_pass_budget_does_not_change_rows(monkeypatch):
     rows = 24
-    whole = open_uniform_rows([11, 3, np.arange(rows)], 9)  # one pass
-    assert np.array_equal(whole[:-1], open_uniform_rows([11, 3, np.arange(rows - 1)], 9))
+    whole = open_uniform_rows([11, 3, 0, np.arange(rows)], 9)  # one pass
+    assert np.array_equal(whole[:-1], open_uniform_rows([11, 3, 0, np.arange(rows - 1)], 9))
     monkeypatch.setattr(rng, "_BLOCK_BYTES", 1)  # one row a pass
-    assert np.array_equal(open_uniform_rows([11, 3, np.arange(rows)], 9), whole)
+    assert np.array_equal(open_uniform_rows([11, 3, 0, np.arange(rows)], 9), whole)
 
 
 def test_format_rows_equals_format_value_per_cell(monkeypatch):
@@ -164,7 +192,7 @@ def _block_sites():
             model, uniq_cfg, replicas=36, seed=3)),
         "uniqueness_M200": (experiments, lambda: uniqueness_experiment(
             model, replace(uniq_cfg, M=200), replicas=9, seed=3)),
-        "open_uniform_rows": (rng, lambda: open_uniform_rows([3, 5, np.arange(20_000)], 10)),
+        "open_uniform_rows": (rng, lambda: open_uniform_rows([3, 5, 0, np.arange(20_000)], 10)),
         "box_muller": (sampling, lambda: sampling._box_muller(open_uniform(substream(3),
                                                                            (3 * 2**15, 2)))),
         "sup_integral_norms": (sampling, lambda: [list(experiments._sup_integral_norms(

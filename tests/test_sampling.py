@@ -21,6 +21,8 @@ from cylstable.sampling import (
     sample_scalar_sas,
 )
 
+from stream_oracles import keyed_stream
+
 # two-sample KS critical value at the 1% level: c(0.01) * sqrt((n+m)/(n*m))
 KS_COEFF_1PCT = math.sqrt(-math.log(0.005) / 2.0)
 
@@ -259,14 +261,15 @@ def test_positive_stable_finite_at_stream_extremes():
         assert np.all(np.isfinite(out)) and np.all(out > 0.0)
 
 
-def _noise_rows_reference(alpha: float, grid: np.ndarray, *name: int) -> np.ndarray:
-    """Three coordinates a row: row i's stream (*name, TAG_NOISE_ROW, i) gives 2 + 4 uniforms.
+def _noise_rows_reference(alpha: float, grid: np.ndarray, seed: int, tag: int,
+                          index: int) -> np.ndarray:
+    """Three coordinates a row: row i's stream, keyed (seed, tag, index, i), gives 2 + 4 uniforms.
 
     u0, u1 feed the subordinator; pair k of u2..u5 gives coordinates 2k and 2k + 1 as
     R cos(Theta) and R sin(Theta), R = sqrt(-2 log u(2+2k)), Theta = 2 pi u(3+2k); the
     third coordinate's sine is dropped.
     """
-    u = np.stack([open_uniform(substream(*name, TAG_NOISE_ROW, i), 2 + 4)
+    u = np.stack([open_uniform(keyed_stream(seed, tag, index, i), 2 + 4)
                   for i in range(grid.size - 1)])
     radius, theta = np.sqrt(-2.0 * np.log(u[:, 2::2])), 2.0 * np.pi * u[:, 3::2]
     z = np.stack([radius * np.cos(theta), radius * np.sin(theta)], axis=-1).reshape(-1, 4)
@@ -274,17 +277,17 @@ def _noise_rows_reference(alpha: float, grid: np.ndarray, *name: int) -> np.ndar
     return np.diff(grid)[:, None] ** (1.0 / alpha) * rows
 
 
-def test_noise_rows_equal_per_row_substreams():
-    # row i is drawn from its own stream (seed, TAG_NOISE_ROW, i)
+def test_noise_rows_equal_per_row_keyed_streams():
+    # row i is drawn from its own stream, keyed by its name (seed, TAG_NOISE_ROW, 0, i)
     grid = np.concatenate([[0.0], np.cumsum(np.linspace(0.01, 0.05, 23))])
     for seed in (0, 17, 2**32 - 1):
-        reference = _noise_rows_reference(1.6, grid, seed)
+        reference = _noise_rows_reference(1.6, grid, seed, TAG_NOISE_ROW, 0)
         assert np.array_equal(generate_noise_path(1.6, 3, grid, seed).increments, reference)
     seeds = np.array([5, 2**32 - 1], dtype=np.uint64)
     batch = _noise_increments(1.6, 3, grid, seeds)
     for path, seed in zip(batch, seeds, strict=True):
         assert np.array_equal(path, generate_noise_path(1.6, 3, grid, int(seed)).increments)
-    # a longer name: row i from (*name, TAG_NOISE_ROW, i)
+    # a glue piece's name: row i from (seed, TAG_PIECE, piece, i)
     reference = _noise_rows_reference(1.6, grid, 9, TAG_PIECE, 2)
     assert np.array_equal(_noise_increments(1.6, 3, grid, 9, TAG_PIECE, 2), reference)
 
@@ -292,7 +295,7 @@ def test_noise_rows_equal_per_row_substreams():
 def test_box_muller_pair_is_two_independent_standard_normals():
     # one pair of noise-row uniforms (u2, u3) of 10^5 rows: its two coordinates
     n = 100_000
-    u = rng.open_uniform_rows([83, TAG_NOISE_ROW, np.arange(n)], 4)[:, 2:]
+    u = rng.open_uniform_rows([83, TAG_NOISE_ROW, 0, np.arange(n)], 4)[:, 2:]
     z = sampling._box_muller(u)
     # their empirical 2-d cf is the N(0, I) one exp(-|v|^2 / 2): each is N(0, 1), and the
     # points off the axes see their dependence
@@ -304,7 +307,7 @@ def test_box_muller_pair_is_two_independent_standard_normals():
 
 def test_box_muller_pair_is_the_polar_form_of_its_uniforms():
     # the first uniform of a pair gives R, the second Theta
-    u = rng.open_uniform_rows([84, TAG_NOISE_ROW, np.arange(20_000)], 4)[:, 2:]
+    u = rng.open_uniform_rows([84, TAG_NOISE_ROW, 0, np.arange(20_000)], 4)[:, 2:]
     z = sampling._box_muller(u)
     assert np.allclose(np.exp(-0.5 * (z**2).sum(axis=1)), u[:, 0], rtol=1e-12, atol=0.0)
     turns = np.arctan2(z[:, 1], z[:, 0]) / (2.0 * np.pi) - u[:, 1]
@@ -312,7 +315,7 @@ def test_box_muller_pair_is_the_polar_form_of_its_uniforms():
 
 
 def test_box_muller_blocks_change_no_bit(monkeypatch):
-    u = rng.open_uniform_rows([85, TAG_NOISE_ROW, np.arange(60_000)], 6)[:, 2:]
+    u = rng.open_uniform_rows([85, TAG_NOISE_ROW, 0, np.arange(60_000)], 6)[:, 2:]
     whole = sampling._box_muller(u)  # two pairs a row, (60_000, 4)
     assert whole.shape == u.shape and len(rng._blocks(2 * 60_000, 32)) == 4
     monkeypatch.setattr(rng, "_BLOCK_BYTES", 32 * 7)  # seven pairs a block

@@ -8,11 +8,11 @@ the README's CLI examples and the benchmark's commands that judge verdicts on
 random draws: the Monte-Carlo commands (``tail``, ``moment``, ``gof`` and
 ``integrate --refinement-levels``) and ``picard``, whose replicas are noise
 paths (taken as ``tools/artifact_diff.py`` takes them; a command that both
-list runs once).  Each runs once per seed and tree as ``python -m cylstable.cli``
-with the tree on ``PYTHONPATH``, in a fresh directory, and its ``.summary``
-is read: every ``verdict.<name>`` entry, ``refinement.summary``'s
-``monotone`` (the refinement verdict) and ``inconclusive`` (a failure when
-true).
+list runs once).  Each runs once per seed and tree, as ``artifact_diff.py``
+runs a command (``python -m cylstable.cli`` with the tree on ``PYTHONPATH``,
+in a fresh directory), and its ``.summary`` is read: every ``verdict.<name>``
+entry, ``refinement.summary``'s ``monotone`` (the refinement verdict) and
+``inconclusive`` (a failure when true).
 
 The output is one Markdown table: per command and verdict, the failures over
 the runs that judged it, for each tree, and the same for the exit codes
@@ -26,8 +26,6 @@ from __future__ import annotations
 import argparse
 import importlib.util
 import itertools
-import os
-import subprocess
 import sys
 import tempfile
 from collections import Counter, defaultdict
@@ -53,11 +51,8 @@ def judged_commands() -> list[tuple[str, list[str]]]:
 
 
 def verdicts(src: Path, args: list[str], cwd: Path) -> tuple[int, dict[str, bool]]:
-    """Exit code and {verdict: passed} of one run."""
-    cwd.mkdir(parents=True)
-    env = {**os.environ, "PYTHONPATH": str(src)}
-    code = subprocess.run([sys.executable, "-m", "cylstable.cli", *args], cwd=cwd, env=env,
-                          stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL).returncode
+    """Exit code and {verdict: passed} of one run, made by ``artifact_diff.run``."""
+    code, _ = artifact_diff.run(src, args, cwd)
     found = {}
     for summary in cwd.glob("*.summary"):
         for line in summary.read_text(encoding="utf-8").splitlines():
