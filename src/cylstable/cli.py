@@ -18,8 +18,12 @@ Exit codes: 0 all verdicts pass, 1 verdict failure (or a solved path that
 fails its certificate), 2 usage error (an input file that cannot be read
 included), 3 inconclusive (under-resolved) experiment; a failed verdict
 outranks an inconclusive one.  A run's wall time goes to stdout, never into
-an artifact.  ``--seed`` is mandatory for every stochastic subcommand: there
-is no silent entropy.  A seed is an integer in [0, 2**32), the first word of
+an artifact.  Every CSV artifact is one :func:`reporting.write_csv` call: the
+``# `` header, a column line, then one row per step or grid time, so
+``noise.csv`` holds ``t_start,t_end,x_1..x_m`` rows and ``mild_path.csv`` and
+``glued_path.csv`` hold ``t,x_1..x_n`` rows, with nothing after them.
+``--seed`` is mandatory for every stochastic subcommand: there is no silent
+entropy.  A seed is an integer in [0, 2**32), the first word of
 every stream name (see :mod:`cylstable.rng`); any other value is a usage
 error.  Outputs are byte-identical across identical invocations.
 """
@@ -45,7 +49,6 @@ from . import __version__
 from .reporting import (
     RunFailed,
     format_value,
-    header_lines,
     parse_key_values,
     write_csv,
     write_report,
@@ -244,14 +247,13 @@ def cmd_sample(resolved: dict) -> int:
     "seed": (_seed, None), "out": (str, "."),
 })
 def cmd_noise(resolved: dict) -> int:
-    from .sampling import generate_noise_path, noise_csv_lines
+    from .sampling import generate_noise_path
 
     _require(resolved, "alpha", "seed")
     grid = _grid(resolved)
     path = generate_noise_path(resolved["alpha"], resolved["m"], grid, resolved["seed"])
     out = _out_dir(resolved)
-    with open(out / "noise.csv", "w", encoding="utf-8", newline="\n") as fh:
-        fh.writelines(noise_csv_lines(path, header_lines(resolved)))
+    write_csv(out / "noise.csv", path.columns(), resolved)
     print(f"wrote {out / 'noise.csv'} ({path.steps} steps x {path.m} coordinates)")
     return EXIT_PASS
 
@@ -348,14 +350,6 @@ def _solver_setup(resolved: dict, horizon: str = "T") -> tuple:
                                n=model.n, m=model.m, seed=resolved["seed"], x0=resolved["x0"])
 
 
-def _write_mild_path(path, file: Path, resolved: dict) -> None:
-    write_csv(file, {"t": path.grid, **{f"x_{j + 1}": x for j, x in enumerate(path.states.T)}},
-              resolved)
-    with open(file, "a", newline="\n") as fh:
-        fh.write(f"# iteration_count={path.iteration_count} "
-                 f"residual={format_value(path.residual)}\n")
-
-
 @_command("solve", {**_SOLVER_SPEC, "T": (float, None)}, **_MODEL_MODE)
 def cmd_solve(resolved: dict) -> int:
     from .picard import binding_time_bound, solve
@@ -370,11 +364,10 @@ def cmd_solve(resolved: dict) -> int:
             for warning in caught:
                 print(f"warning: {warning.message}", file=sys.stderr)
     out = _out_dir(resolved)
-    _write_mild_path(path, out / "mild_path.csv", resolved)
+    write_csv(out / "mild_path.csv", path.columns(), resolved)
     write_summary(out / "mild_path.summary", {
-        "iteration_count": path.iteration_count, "residual": path.residual,
-        "T_bound": binding_time_bound(model, config.alpha)}, resolved)
-    print(f"solved in {path.iteration_count} iterations, residual={path.residual:.3e}")
+        "residual": path.residual, "T_bound": binding_time_bound(model, config.alpha)}, resolved)
+    print(f"solved, residual={path.residual:.3e}")
     return EXIT_PASS
 
 
@@ -386,7 +379,7 @@ def cmd_glue(resolved: dict) -> int:
     model, config = _solver_setup(resolved, "T_total")
     path = glue_solve(model, config)
     out = _out_dir(resolved)
-    _write_mild_path(path, out / "glued_path.csv", resolved)
+    write_csv(out / "glued_path.csv", path.columns(), resolved)
     entries = {"pieces": len(path.piece_residuals), "residual": path.residual}
     for i, res in enumerate(path.piece_residuals):
         entries[f"piece_residual.{i}"] = res

@@ -40,16 +40,21 @@ row bit for bit on a rerun with the same seed:
   ziggurat (Marsaglia & Tsang, J. Stat. Softw. 2000).  See
   :func:`_chunked_isotropic`.
 
+A path serialises as one wide row per step, ``t_start, t_end, x_1..x_m``
+(:meth:`NoisePath.columns`), which ``noise`` writes through
+``reporting.write_csv`` like every other artifact.
+
 The package runs on numpy alone.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterator
 
 import numpy as np
 
+from .reporting import format_rows
 from .rng import (
     TAG_GAUSSIAN,
     TAG_ISOTROPIC,
@@ -70,7 +75,6 @@ __all__ = [
     "sample_positive_stable",
     "sample_isotropic",
     "generate_noise_path",
-    "noise_csv_lines",
     "noise_path_to_csv",
 ]
 
@@ -239,6 +243,11 @@ class NoisePath:
     def steps(self) -> int:
         return self.grid.size - 1
 
+    def columns(self) -> dict[str, np.ndarray]:
+        """The CSV columns: one row per step, ``t_start, t_end, x_1..x_m``."""
+        return {"t_start": self.grid[:-1], "t_end": self.grid[1:],
+                **{f"x_{j + 1}": x for j, x in enumerate(self.increments.T)}}
+
 
 def _validate_grid(grid: np.ndarray) -> None:
     if grid.ndim != 1 or grid.size < 2:
@@ -282,28 +291,7 @@ def generate_noise_path(alpha: float, m: int, grid, seed: int) -> NoisePath:
     return NoisePath(alpha=alpha, m=m, grid=grid, increments=increments, seed=seed)
 
 
-def noise_csv_lines(path: NoisePath, extra_header: Iterable[str] = ()) -> Iterator[str]:
-    """Metadata comments, then one `t_start,t_end,j,increment` row per cell, in blocks.
-
-    Cells use the ``%.17g`` of ``reporting.format_rows``, but each grid time
-    is formatted once, not once per coordinate: a step's m lines come from
-    one template, filled with its two times and then its m increments.
-    """
-    for line in extra_header:
-        yield f"# {line}\n"
-    yield f"# alpha={path.alpha!r}, m={path.m}, seed={path.seed}\n"
-    yield "t_start,t_end,j,increment\n"
-    times = ["%.17g" % t for t in path.grid.tolist()]
-    step_lines = "".join(f"{{0}},{j},%.17g\n" for j in range(1, path.m + 1))
-    # a step's two times and m increments: their Python objects and their text
-    for block in _blocks(path.steps, 160 * (path.m + 1)):
-        ts = times[block.start:block.stop + 1]
-        rows = path.increments[block.start:block.stop].tolist()
-        yield "".join(step_lines.format(f"{t0},{t1}") % tuple(row)
-                      for t0, t1, row in zip(ts, ts[1:], rows))
-
-
 def noise_path_to_csv(path: NoisePath) -> str:
-    """Serialize: the lines of :func:`noise_csv_lines` as one string."""
-    return "".join(noise_csv_lines(path))
-
+    """Serialize: the column line and rows of :meth:`NoisePath.columns`, as in ``noise.csv``."""
+    columns = path.columns()
+    return ",".join(columns) + "\n" + "".join(format_rows(columns.values()))

@@ -33,17 +33,20 @@ def test_constants_subcommand(tmp_path, capsys):
 
 
 def test_noise_dimension_extension_keeps_the_narrower_lines(tmp_path):
-    # the j <= 3 lines of an m=7 file are the m=3 file's lines, byte for byte
+    # the first 2 + 3 fields of each data line of an m=7 file are the m=3 file's line, byte
+    # for byte
     def data_lines(m):
         out = tmp_path / f"m{m}"
         assert main(["noise", "--alpha", "1.5", "--m", str(m), "--T", "1", "--M", "16",
                      "--seed", "5", "--out", str(out)]) == 0
         lines = (out / "noise.csv").read_bytes().splitlines()
-        return lines[lines.index(b"t_start,t_end,j,increment") + 1:]
+        columns = b",".join([b"t_start", b"t_end", *(b"x_%d" % j for j in range(1, m + 1))])
+        return lines[lines.index(columns) + 1:]
 
     narrow, wide = data_lines(3), data_lines(7)
-    assert len(narrow) == 16 * 3 and len(wide) == 16 * 7
-    assert [line for line in wide if int(line.split(b",")[2]) <= 3] == narrow
+    assert len(narrow) == len(wide) == 16
+    assert all(len(line.split(b",")) == 2 + 7 for line in wide)
+    assert [b",".join(line.split(b",")[:2 + 3]) for line in wide] == narrow
 
 
 def test_seed_required_for_stochastic_commands(tmp_path, capsys):
@@ -56,7 +59,7 @@ def test_noise_and_sample_outputs(tmp_path):
     assert main(["noise", "--alpha", "1.5", "--m", "2", "--T", "1", "--M", "4",
                  "--seed", "3", "--out", str(tmp_path)]) == 0
     lines = (tmp_path / "noise.csv").read_text().splitlines()
-    assert any(line == "t_start,t_end,j,increment" for line in lines)
+    assert [line for line in lines if not line.startswith("# ")][0] == "t_start,t_end,x_1,x_2"
     assert main(["sample", "--kind", "isotropic", "--alpha", "1.5", "--n", "3",
                  "--N", "100", "--seed", "4", "--out", str(tmp_path)]) == 0
     header = [l for l in (tmp_path / "samples.csv").read_text().splitlines()
@@ -72,8 +75,12 @@ def test_solve_subcommand_residual(tmp_path, capsys):
     residual = float([l for l in summary.splitlines() if l.startswith("residual=")][0]
                      .split("=")[1])
     assert residual < 1e-10
-    trailer = (tmp_path / "mild_path.csv").read_text().splitlines()[-1]
-    assert trailer.startswith("# iteration_count=")
+    assert "iteration_count" not in summary
+    assert capsys.readouterr().out.startswith("solved, residual=")
+    # after the header: the column line and one row per grid time, with no trailer
+    rows = [line for line in (tmp_path / "mild_path.csv").read_text().splitlines()
+            if not line.startswith("# ")]
+    assert rows[0] == "t," + ",".join(f"x_{j}" for j in range(1, 9)) and len(rows) == 1 + 201
 
 
 def test_glue_subcommand(tmp_path):

@@ -199,7 +199,9 @@ def _block_sites():
             integrand, 1.5, 4_000, 3, 5)) for integrand in integrands]),
         "sample_isotropic": (sampling, lambda: sampling.sample_isotropic(1.5, 3, 3, 20_000)),
         "gof": (sampling, lambda: experiments.isotropic_gof_report(1.5, 3, 20_000, 3)),
-        "noise_csv_lines": (sampling, lambda: sum(map(len, sampling.noise_csv_lines(path)))),
+        # noise.csv's rows: t_start, t_end and 8 increment columns
+        "noise_format_rows": (reporting, lambda: sum(map(len, format_rows(
+            path.columns().values())))),
         "format_rows": (reporting, lambda: sum(map(len, format_rows([*columns, np.arange(3_000)])))),
         "refinement_diffs": (sampling, lambda: integral._refinement_diffs(
             weights, np.eye(1), 1.5, 1.0 / 128, 250, 3)),

@@ -1,6 +1,5 @@
 """Samplers: distributional oracles, projective consistency, determinism."""
 
-import io
 import math
 
 import numpy as np
@@ -8,19 +7,20 @@ import pytest
 from scipy.stats import ks_2samp, levy_stable
 
 from cylstable import rng, sampling
+from cylstable.cli import main
 from cylstable.experiments import char_function_test
 from cylstable.rng import TAG_NOISE_ROW, TAG_PIECE, TAG_REPLICA, open_uniform, substream
 from cylstable.sampling import (
     AlphaParams,
     _noise_increments,
     generate_noise_path,
-    noise_csv_lines,
     noise_path_to_csv,
     sample_isotropic,
     sample_positive_stable,
     sample_scalar_sas,
 )
 
+from csv_oracles import long_noise_lines
 from stream_oracles import keyed_stream
 
 # two-sample KS critical value at the 1% level: c(0.01) * sqrt((n+m)/(n*m))
@@ -238,16 +238,27 @@ def test_determinism_across_runs_and_schedules():
     assert not np.array_equal(first.increments, other.increments)
 
 
-def test_noise_csv_round_trip():
-    path = generate_noise_path(1.5, 2, np.linspace(0, 0.5, 6), seed=70)
-    text = noise_path_to_csv(path)
-    assert text.splitlines()[0] == f"# alpha={path.alpha!r}, m={path.m}, seed={path.seed}"
-    assert text.splitlines()[1] == "t_start,t_end,j,increment"
-    rows = np.genfromtxt(io.StringIO(text), delimiter=",", names=True, skip_header=1)
-    assert np.array_equal(rows["t_start"], np.repeat(path.grid[:-1], path.m))
-    assert np.array_equal(rows["t_end"], np.repeat(path.grid[1:], path.m))
-    assert np.array_equal(rows["j"], np.tile(np.arange(1, path.m + 1), path.steps))
-    assert np.array_equal(rows["increment"].reshape(path.steps, path.m), path.increments)
+def test_noise_csv_cells_equal_the_per_value_long_layout(tmp_path, monkeypatch):
+    # every cell of the wide noise.csv, rebuilt into the long layout of 0.17.0, is the
+    # per-value %.17g text; one step a block writes the same bytes
+    argv = ["noise", "--alpha", "1.5", "--m", "3", "--T", "0.3", "--M", "7", "--seed", "61",
+            "--out", str(tmp_path)]
+    assert main(argv) == 0
+    text = (tmp_path / "noise.csv").read_text()
+    monkeypatch.setattr(rng, "_BLOCK_BYTES", 1)
+    assert main(argv) == 0
+    assert (tmp_path / "noise.csv").read_text() == text
+
+    path = generate_noise_path(1.5, 3, np.linspace(0.0, 0.3, 8), seed=61)
+    reference = ["t_start,t_end,j,increment"]
+    for i in range(path.steps):
+        for j in range(path.m):
+            reference.append(f"{path.grid[i]:.17g},{path.grid[i + 1]:.17g},{j + 1},"
+                             f"{path.increments[i, j]:.17g}")
+    assert long_noise_lines(text) == reference
+    assert not any(line.startswith("# alpha=1.5,") for line in text.splitlines())
+    assert text.endswith(noise_path_to_csv(path))
+    assert noise_path_to_csv(path).count("\n") == 1 + path.steps
 
 
 def test_positive_stable_finite_at_stream_extremes():
@@ -338,19 +349,3 @@ def test_box_muller_finite_at_stream_extremes():
     norm = np.hypot(z[:, 0], z[:, 1])
     assert norm.max() <= math.sqrt(-2.0 * math.log(rng._UNIFORM_LO)) * (1.0 + 1e-15)
     assert np.all(norm > 0.0)
-
-
-def test_noise_csv_equals_per_value_writer(monkeypatch):
-    path = generate_noise_path(1.5, 3, np.linspace(0.0, 0.3, 8), seed=61)
-    lines = ["# note", f"# alpha={path.alpha!r}, m={path.m}, seed={path.seed}",
-             "t_start,t_end,j,increment"]
-    for i in range(path.steps):
-        for j in range(path.m):
-            lines.append(f"{path.grid[i]:.17g},{path.grid[i + 1]:.17g},{j + 1},"
-                         f"{path.increments[i, j]:.17g}")
-    reference = "\n".join(lines) + "\n"
-    assert "".join(noise_csv_lines(path, ("note",))) == reference
-    assert noise_path_to_csv(path) == reference.partition("\n")[2]
-    monkeypatch.setattr(rng, "_BLOCK_BYTES", 1)  # one step a block
-    assert len(list(noise_csv_lines(path))) == 2 + path.steps
-    assert "".join(noise_csv_lines(path, ("note",))) == reference
