@@ -11,4 +11,4 @@ Importing the package loads no module; each name lives in its module, as in
 ``from cylstable.picard import solve``.
 """
 
-__version__ = "0.18.0"
+__version__ = "0.19.0"

@@ -158,6 +158,8 @@ class DiagonalModel:
             raise ValueError("coefficient amplitudes must be nonnegative")
         if self.shape_name not in SHAPES:
             raise ValueError(f"unknown shape {self.shape_name!r}; options: {sorted(SHAPES)}")
+        if self.m is not None and self.m < 1:
+            raise ValueError(f"m must be >= 1, got {self.m}")
 
     @property
     def n(self) -> int:

@@ -29,8 +29,9 @@ Every solve is one batch of R replicas that share the grid: states of
 shape (R, M+1, n) and driven noise increments of shape (R, M, n), solved
 and certified by one function.  Per element, a replica's arithmetic is the
 same in any batch, so results do not depend on how replicas are batched:
-:func:`solve` and each glued piece are the batch of one, and
-``uniqueness`` solves three paths per replica in one batch per chunk.
+:func:`solve` and :func:`glue_solve` (whose pieces restart the recursion
+from each previous terminal state, so continue it) are the batch of one,
+and ``uniqueness`` solves three paths per replica in one batch per chunk.
 
 A sweep evaluates all left-endpoint loads F(X(t_k)) dt_k + G(X(t_k)) dL_k
 in whole-array operations; both sums are then one causal convolution along
@@ -48,7 +49,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -142,10 +143,6 @@ class MildPath:
     def iteration_count(self) -> int:
         """Picard sweeps a solve runs: the one that certifies the pass."""
         return 1
-
-    @property
-    def terminal(self) -> np.ndarray:
-        return self.states[-1]
 
     def columns(self) -> dict[str, np.ndarray]:
         """The CSV columns: one row per grid time, ``t, x_1..x_n``."""
@@ -343,32 +340,40 @@ def _causal_pass(model: DiagonalModel, driven: np.ndarray, x0s: np.ndarray,
 
 
 def _certified_pass(model: DiagonalModel, driven: np.ndarray, x0s: np.ndarray,
-                    kernel: _Kernel) -> tuple[np.ndarray, np.ndarray]:
+                    kernel: _Kernel, starts: np.ndarray | None = None,
+                    ) -> tuple[np.ndarray, np.ndarray]:
     """States (R, M+1, n) of :func:`_causal_pass` and their certificates (R,), one sweep.
 
     Replica r starts from x0s[r] (shape (R, n)) with its driven increments
     driven[r] (shape (R, M, n)); ``kernel`` is :func:`_kernel` of their grid.
-    The certificate of a path is sup_k ||X(t_k) - Phi(X)(t_k)||.  Raises
-    :class:`NonConvergenceError`, naming the first replica's certificate that
-    is not below TOL (a nan one never is).
+    The certificate of a path is sup_k ||X(t_k) - Phi(X)(t_k)||, or with
+    ``starts``, the first steps of P glue pieces, its sup over each piece's
+    steps, shape (R, P).  Raises :class:`NonConvergenceError`, naming the
+    first certificate, by replica then piece, not below TOL (nan never is).
     """
     states = _causal_pass(model, driven, x0s, kernel)
     lags = states - _sweep(model, states, driven, x0s, kernel)
-    certificates = np.linalg.norm(lags, axis=2).max(axis=1)
-    failed = np.flatnonzero(~(certificates < TOL))
+    lags = np.linalg.norm(lags[:, 1:], axis=2)  # (R, M): the lag after each step
+    certificates = lags.max(axis=1) if starts is None else np.maximum.reduceat(lags, starts, axis=1)
+    failed = np.argwhere(~(certificates < TOL))
     if failed.size:
+        first = tuple(failed[0])
+        where = "" if starts is None else f"piece {first[-1]} of {len(starts)}: "
         raise NonConvergenceError(
-            f"Picard certificate {certificates[failed[0]]:.3e} of the exponential-Euler pass "
+            f"{where}Picard certificate {certificates[first]:.3e} of the exponential-Euler pass "
             f"is not below TOL={TOL:.0e}")
     return states, certificates
 
 
-def _solve(model: DiagonalModel, config: SolverConfig, increments: np.ndarray) -> MildPath:
+def _solve(model: DiagonalModel, config: SolverConfig, increments: np.ndarray,
+           starts: np.ndarray | None = None) -> MildPath:
     """The certified fixed point on the config's grid, driven by noise increments (M, m)."""
     grid = config.grid()
     states, certificates = _certified_pass(model, _driven_diagonal(model, increments)[None],
-                                           config.initial_state()[None], _kernel(model, grid))
-    return MildPath(grid=grid, states=states[0], residual=float(certificates[0]))
+                                           config.initial_state()[None], _kernel(model, grid),
+                                           starts)
+    return MildPath(grid=grid, states=states[0], residual=float(certificates[0].max()),
+                    piece_residuals=[] if starts is None else certificates[0].tolist())
 
 
 def solve(model: DiagonalModel, config: SolverConfig, noise: NoisePath | None = None) -> MildPath:
@@ -398,57 +403,36 @@ def solve(model: DiagonalModel, config: SolverConfig, noise: NoisePath | None = 
     return _solve(model, config, increments)
 
 
-def glue_solve(model: DiagonalModel, config: SolverConfig) -> MildPath:
-    """Solve on an arbitrary horizon by gluing admissible-length pieces.
+def _piece_steps(T: float, M: int, bound: float) -> list[int]:
+    """Step counts of the glue pieces: the M steps dealt out evenly over ceil(M / s) pieces.
 
-    The horizon is split into equal pieces of length
-    T/ceil(T/(0.99 * T_bound)); each piece is solved with the previous
-    terminal state as initial condition (bit-exact handoff) and its own
-    noise: row i of piece p from the stream (seed, TAG_PIECE, p, i).  The M
-    steps are dealt out as evenly as possible, the first M % pieces pieces
-    getting one step more, so the glued grid has exactly M + 1 points and
-    each junction sits at the cumulative step count.  Every piece must get
-    at least 2 of the M steps, so the work stays bounded by M: the pass of a
-    one-step piece is one step of the Picard map, so its certificate would
-    check nothing.  Requests with more than M // 2 pieces raise ValueError
-    before any noise is drawn.
+    s = floor(GLUE_SAFETY * bound * M / T), exact in these floats, is the most
+    steps that a piece at most GLUE_SAFETY * bound long holds; s < 1 raises ValueError.
+    """
+    safe, safe_den = (GLUE_SAFETY * bound).as_integer_ratio()
+    horizon, horizon_den = T.as_integer_ratio()
+    most = safe * horizon_den * M // (safe_den * horizon)
+    if most < 1:
+        raise ValueError(
+            f"gluing T={T:.6g} needs pieces at most {GLUE_SAFETY} * T_bound={bound:.6g} long, "
+            f"but M={M} steps of {T / M:.6g} are longer; raise M or shorten T")
+    pieces = -(-M // most)
+    return [M // pieces + (p < M % pieces) for p in range(pieces)]
+
+
+def glue_solve(model: DiagonalModel, config: SolverConfig) -> MildPath:
+    """Solve on an arbitrary horizon by gluing admissible-length pieces, in one certified pass.
+
+    The pieces of :func:`_piece_steps` (refused before any draw) split the
+    solver's grid at step counts.  Row i of piece p, from the stream (seed,
+    TAG_PIECE, p, i) on the piece's slice of the grid, drives one pass, and
+    its sweep certifies each piece; a failure names the first failing piece.
     """
     _check_dimensions(model, config)
-    bound = binding_time_bound(model, config.alpha)
-    pieces = max(1, math.ceil(config.T / (GLUE_SAFETY * bound)))
-    if pieces > config.M // 2:
-        raise ValueError(
-            f"gluing T={config.T:.6g} needs pieces={pieces} (each at most "
-            f"{GLUE_SAFETY} * T_bound={bound:.6g} long), but M={config.M} steps allow at "
-            f"most {config.M // 2} pieces of 2 steps or more; raise M or shorten T"
-        )
-    piece_T = config.T / pieces
-    steps = [config.M // pieces + (p < config.M % pieces) for p in range(pieces)]
-
-    grids: list[np.ndarray] = []
-    states: list[np.ndarray] = []
-    piece_residuals: list[float] = []
-    x0 = config.initial_state()
-    for piece in range(pieces):
-        sub = replace(config, T=piece_T, M=steps[piece], x0=x0)
-        increments = _noise_increments(config.alpha, config.noise_dim, sub.grid(),
-                                       config.seed, TAG_PIECE, piece)
-        try:
-            part = _solve(model, sub, increments)
-        except NonConvergenceError as exc:
-            raise NonConvergenceError(f"piece {piece} of {pieces}: {exc}") from exc
-        offset = piece * piece_T
-        if piece == 0:
-            grids.append(part.grid)
-            states.append(part.states)
-        else:
-            grids.append(part.grid[1:] + offset)
-            states.append(part.states[1:])
-        piece_residuals.append(part.residual)
-        x0 = part.terminal
-    return MildPath(
-        grid=np.concatenate(grids),
-        states=np.concatenate(states),
-        residual=max(piece_residuals),
-        piece_residuals=piece_residuals,
-    )
+    steps = _piece_steps(config.T, config.M, binding_time_bound(model, config.alpha))
+    starts, grid = np.cumsum([0, *steps[:-1]]), config.grid()
+    increments = np.concatenate([
+        _noise_increments(config.alpha, config.noise_dim, grid[start:start + count + 1],
+                          config.seed, TAG_PIECE, piece)
+        for piece, (start, count) in enumerate(zip(starts, steps))])
+    return _solve(model, config, increments, starts)

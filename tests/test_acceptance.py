@@ -255,7 +255,7 @@ def test_criterion_10_gluing():
     rows0 = _noise_increments(1.5, 8, sub.grid(), config.seed, TAG_PIECE, 0)
     noise0 = NoisePath(1.5, 8, sub.grid(), rows0, config.seed)
     piece0 = solve(model, sub, noise=noise0)
-    junction_exact = np.array_equal(glued.states[junction], piece0.terminal)
+    junction_exact = np.array_equal(glued.states[junction], piece0.states[-1])
     _report(10, pieces == 4 and residuals_ok and junction_exact,
             f"{pieces} pieces (T_total = 3x bound), per-piece residuals "
             f"{[f'{r:.1e}' for r in glued.piece_residuals]} all < TOL; "

@@ -91,6 +91,13 @@ def test_glue_subcommand(tmp_path):
     assert "pieces=3" in summary or "pieces=4" in summary
 
 
+def test_glue_of_one_step_is_one_piece(tmp_path):
+    # one step of 0.01 fits an admissible piece; once refused as a piece shorter than 2 steps
+    assert main(["glue", "--preset", "heat", "--T-total", "0.01", "--M", "1",
+                 "--seed", "7", "--out", str(tmp_path)]) == 0
+    assert "pieces=1\n" in (tmp_path / "glued_path.summary").read_text()
+
+
 # tiny passing arguments of every command whose seed has no default
 TINY_STOCHASTIC = {
     "sample": ["--kind", "isotropic", "--alpha", "1.5", "--n", "2", "--N", "200"],
@@ -485,6 +492,36 @@ def test_model_file_noise_dimension_is_used(tmp_path):
     assert from_file != _solve_states(tmp_path, "none", "n=4\n")
 
 
+# the noise-dimension-free arguments of each solver command
+M_COMMANDS = {
+    "solve": ["--T", "0.01", "--M", "10"],
+    "glue": ["--T-total", "0.01", "--M", "10"],
+    "picard": ["--M", "20", "--replicas", "2"],
+    "uniqueness": ["--M", "20", "--replicas", "2"],
+}
+
+
+@pytest.mark.parametrize("m", [0, -1, -3])
+@pytest.mark.parametrize("command", sorted(M_COMMANDS))
+def test_noise_dimension_below_one_is_refused(tmp_path, capsys, command, m):
+    # once written a noise-free path, or died in a ZeroDivisionError or a reshape
+    out = tmp_path / "out"
+    assert main([command, *M_COMMANDS[command], "--m", str(m), "--seed", "3",
+                 "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"usage error: m must be >= 1, got {m}\n"
+    assert not out.exists()
+
+
+def test_model_file_noise_dimension_below_one_is_refused(tmp_path, capsys):
+    model_file = tmp_path / "model.cfg"
+    model_file.write_text("n=4\nm=0\n")
+    out = tmp_path / "out"
+    assert main(["solve", "--model-config", str(model_file), "--T", "0.01", "--M", "10",
+                 "--seed", "3", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "usage error: m must be >= 1, got 0\n"
+    assert not out.exists()
+
+
 def test_m_flag_overrides_model_file(tmp_path):
     overridden = _solve_states(tmp_path, "file", "n=4\nm=2\n", "--m", "3")
     assert overridden == _solve_states(tmp_path, "flag", "n=4\n", "--m", "3")
@@ -675,8 +712,9 @@ def test_solve_nonconvergence_fails_and_writes_nothing(tmp_path, capsys):
 
 @pytest.mark.usefixtures("moved_pass")
 def test_glue_nonconvergence_fails_and_writes_nothing(tmp_path, capsys):
+    # the one pass's terminal state lies in the last piece
     _fails_and_writes_nothing(["glue", "--T-total", "0.15", "--M", "120"],
-                              f"piece 0 of 3: {CERTIFICATE_FAILS}", tmp_path, capsys)
+                              f"piece 2 of 3: {CERTIFICATE_FAILS}", tmp_path, capsys)
 
 
 @pytest.mark.usefixtures("moved_pass")
@@ -726,7 +764,7 @@ def test_uniqueness_without_noise_in_the_path_passes(tmp_path, capsys):
     # an initial state whose length is not the model's n
     ["solve", "--T", "0.01", "--n", "3", "--x0", "1,2"],
     ["glue", "--T-total", "0.01", "--n", "3", "--x0", "1,2"],
-    ["glue", "--T-total", "1", "--M", "4"],  # more pieces than M // 2
+    ["glue", "--T-total", "1", "--M", "4"],  # a step longer than an admissible piece
     # an initial state that is not finite
     *([*command, "--n", "2", "--x0", x0] for x0 in ("nan,0", "inf,0") for command in (
         ["solve", "--T", "0.01"], ["glue", "--T-total", "0.01"],

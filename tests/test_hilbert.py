@@ -1,6 +1,7 @@
 """Semigroup and the assumption certifiers."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -177,6 +178,11 @@ def test_model_validation():
         make_model(n=3, delta=1.5)
     with pytest.raises(ValueError):
         make_model(n=3, shape="sigmoid")
+    for m in (0, -1):  # a noise dimension below 1, however the model is made
+        with pytest.raises(ValueError, match=f"^m must be >= 1, got {m}$"):
+            replace(heat_preset(3), m=m)
+        with pytest.raises(ValueError, match=f"^m must be >= 1, got {m}$"):
+            parse_model_config(f"n=3\nm={m}\n")
 
 
 def test_parse_model_config_round_trip():

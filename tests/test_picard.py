@@ -1,13 +1,13 @@
 """Picard solver: oracles, fixed point, residual certificate, gluing."""
 
 import math
-import time
 import tracemalloc
 from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cylstable import picard
@@ -447,7 +447,7 @@ def test_batch_raises_on_a_nan_gap():
         picard._certified_pass(model, driven, x0s, kernel)
 
 
-def test_solve_builds_one_kernel_and_glue_one_per_piece(monkeypatch):
+def test_solve_and_glue_build_one_kernel(monkeypatch):
     built, build = [], picard._kernel
 
     def counted(model, grid):
@@ -461,7 +461,8 @@ def test_solve_builds_one_kernel_and_glue_one_per_piece(monkeypatch):
     assert built == [41]  # the iteration and the certificate share it
     built.clear()
     glued = glue_solve(model, SolverConfig(alpha=1.5, T=2.5 * bound, M=120, n=4, seed=110))
-    assert built == [41, 41, 41] and len(glued.piece_residuals) == 3
+    assert built == [121] and len(glued.piece_residuals) == 3  # one pass over all pieces
+
 
 def piece_noise(config, piece):
     """Noise of glue piece ``piece`` on the grid of ``config``, named (seed, TAG_PIECE, piece)."""
@@ -481,42 +482,59 @@ def test_glue_single_piece_matches_solve():
     assert np.array_equal(glued.states, direct.states)
 
 
-@pytest.mark.parametrize("T, M, pieces", [(0.15, 120, 3), (1.0, 3000, 20)])
+@pytest.mark.parametrize("T, M, pieces", [(0.15, 120, 3), (0.15, 121, 3), (1.0, 3000, 20)])
 def test_glue_is_a_solve_on_the_concatenated_piece_noise(T, M, pieces):
-    # pieces of equal step counts restart the one exponential-Euler recursion at each junction
-    # from the previous piece's terminal state, so on the piece increments (seed, TAG_PIECE, p,
-    # i), laid end to end, the glued path is one solve up to the rounding of the piece grids
-    # (at seed 7: 3.5 ulp of sup|X| at the benchmark's glue, 1.5 ulp at 20 pieces)
+    # a junction restarts the one exponential-Euler recursion from the previous piece's
+    # terminal state, which continues it, so the glued path is the solve on the piece
+    # increments (seed, TAG_PIECE, p, i), each drawn on its slice of the solver's grid and laid
+    # end to end, and its worst piece residual is that solve's residual
     model = heat_preset(8)
     config = SolverConfig(alpha=1.5, T=T, M=M, n=8, seed=7)
     glued = glue_solve(model, config)
-    assert len(glued.piece_residuals) == pieces and M % pieces == 0
-    piece = replace(config, T=T / pieces, M=M // pieces)
-    increments = np.concatenate([piece_noise(piece, p).increments for p in range(pieces)])
+    assert len(glued.piece_residuals) == pieces
+    grid, ends = config.grid(), [0, *piece_breaks(M, pieces), M]
+    increments = np.concatenate([
+        _noise_increments(1.5, 8, grid[start:end + 1], config.seed, TAG_PIECE, p)
+        for p, (start, end) in enumerate(zip(ends, ends[1:]))])
     whole = picard._solve(model, config, increments)
-    ulp = np.spacing(np.abs(whole.states).max())
-    assert np.abs(glued.states - whole.states).max() <= 16 * ulp
+    assert np.array_equal(glued.grid, whole.grid) and np.array_equal(glued.states, whole.states)
+    assert glued.residual == whole.residual
 
 
-def test_glue_piece_noise_does_not_alias_other_seeds(monkeypatch):
+def test_glue_piece_noise_does_not_alias_other_seeds():
     # pieces were once seeded by (seed << 8) ^ (TAG_PIECE + piece), so piece 0 of seed 7
     # drew exactly the noise of piece 256 of seed 6
-    drawn, solve_piece = [], picard._solve
-
-    def recording_solve(model, config, increments):
-        drawn.append((config.grid(), increments))
-        return solve_piece(model, config, increments)
-
-    monkeypatch.setattr(picard, "_solve", recording_solve)
-    model = heat_preset(3)
-    pieces = 257
-    six = SolverConfig(alpha=1.5, T=(pieces - 0.5) * GLUE_SAFETY * binding_time_bound(model, 1.5),
-                       M=2 * pieces, n=3, seed=6)
-    assert len(glue_solve(model, six).piece_residuals) == pieces
-    assert len(glue_solve(model, replace(six, T=six.T / pieces, M=2, seed=7)).piece_residuals) == 1
-    (grid_256_of_6, piece_256_of_6), (grid_0_of_7, piece_0_of_7) = drawn[pieces - 1:]
-    assert np.array_equal(grid_256_of_6, grid_0_of_7)
+    grid = np.linspace(0.0, 0.01, 3)
+    piece_256_of_6 = _noise_increments(1.5, 3, grid, 6, TAG_PIECE, 256)
+    piece_0_of_7 = _noise_increments(1.5, 3, grid, 7, TAG_PIECE, 0)
     assert not np.any(piece_256_of_6 == piece_0_of_7)
+
+
+GLUE_BOUND = binding_time_bound(heat_preset(8), 1.5)
+
+
+@given(T=st.floats(1e-6, 100.0), M=st.integers(1, 10**6))
+@example(T=0.15, M=120).via("the benchmark's glue")
+@example(T=0.15, M=121).via("an M that the 3 pieces do not divide")
+@example(T=1.0, M=3000).via("20 pieces")
+@example(T=0.01, M=1).via("one piece of one step")
+@example(T=1.0, M=4).via("a step longer than an admissible piece")
+@settings(max_examples=200, deadline=None)
+def test_glue_piece_rule(T, M):
+    # exact rationals of the floats given: no piece longer than GLUE_SAFETY * T_bound, M steps
+    # dealt out evenly, the fewest pieces ceil(T / (GLUE_SAFETY * T_bound)) when that count
+    # divides M, and a refusal exactly when one step is longer than an admissible piece
+    admissible, dt = Fraction(GLUE_SAFETY * GLUE_BOUND), Fraction(T) / M
+    if dt > admissible:
+        with pytest.raises(ValueError, match=r"needs pieces at most 0\.99 \* T_bound="):
+            picard._piece_steps(T, M, GLUE_BOUND)
+        return
+    steps = picard._piece_steps(T, M, GLUE_BOUND)
+    assert sum(steps) == M and max(steps) * dt <= admissible
+    assert steps == sorted(steps, reverse=True) and steps[0] - steps[-1] <= 1
+    fewest = math.ceil(Fraction(T) / admissible)
+    if M % fewest == 0:
+        assert len(steps) == fewest
 
 
 def test_glue_three_times_bound_gives_four_pieces():
@@ -546,7 +564,7 @@ def test_glue_junctions_bit_exact():
     junction = piece_breaks(config.M, pieces)[0]
     sub = SolverConfig(alpha=1.5, T=config.T / pieces, M=junction, n=4, seed=config.seed)
     piece0 = solve(model, sub, noise=piece_noise(sub, 0))
-    assert np.array_equal(glued.states[junction], piece0.terminal)
+    assert np.array_equal(glued.states[junction], piece0.states[-1])
 
 
 def test_glue_deals_out_exactly_M_steps():
@@ -556,41 +574,41 @@ def test_glue_deals_out_exactly_M_steps():
     config = SolverConfig(alpha=1.5, T=2.5 * bound, M=121, n=8, seed=110)
     glued = glue_solve(model, config)
     assert len(glued.piece_residuals) == 3
-    assert glued.grid.size == 122
-    assert piece_breaks(config.M, 3) == [41, 81]
-    for p, junction in enumerate([0, 41, 81, 121]):
-        assert glued.grid[junction] == pytest.approx(p * config.T / 3.0)
+    assert np.array_equal(glued.grid, config.grid())  # the junctions sit on the uniform grid
+    steps = picard._piece_steps(config.T, config.M, bound)
+    assert np.cumsum(steps[:-1]).tolist() == piece_breaks(config.M, 3) == [41, 81]
 
 
 def test_glue_propagates_nonconvergence_with_piece_index(monkeypatch):
-    # the pass of the third piece moves one state by 1e-6, and its certificate reads it
+    # the one pass moves a state inside the third of 4 pieces of 100 steps by 1e-6, and that
+    # piece's certificate reads it; the earlier pieces' lags stay at rounding level
     model = make_model(n=2, kappa_rule="const:80", f_rule="const:80")
     bound = binding_time_bound(model, 1.5)
     config = SolverConfig(alpha=1.5, T=3.0 * bound, M=400, n=2, seed=111)
     passes, causal_pass = [], picard._causal_pass
 
-    def third_moved(*args):
+    def moved(*args):
         states = causal_pass(*args)
         passes.append(1)
-        if len(passes) == 3:
-            states[0, 50, 0] += 1e-6
+        states[0, 250, 0] += 1e-6
         return states
 
-    monkeypatch.setattr(picard, "_causal_pass", third_moved)
+    monkeypatch.setattr(picard, "_causal_pass", moved)
     with pytest.raises(NonConvergenceError,
                        match=r"^piece 2 of 4: Picard certificate 1\.0\d\de-06 "):
         glue_solve(model, config)
-    assert len(passes) == 3
+    assert len(passes) == 1
 
 
-def test_glue_refuses_pieces_shorter_than_two_steps():
-    # T_bound = 1.5e-6 here: T=3 would need ~2e6 pieces for only 64 steps
+def test_glue_refuses_a_step_longer_than_an_admissible_piece(monkeypatch):
+    # T_bound = 1.5e-6 here: each of the 64 steps of T=3 is ~3e4 admissible pieces long, and
+    # the refusal comes before any noise is drawn
     model = make_model(n=2, kappa_rule="const:80", f_rule="const:80")
     config = SolverConfig(alpha=1.5, T=3.0, M=64, n=2, seed=111)
-    start = time.perf_counter()
-    with pytest.raises(ValueError, match=r"pieces=\d+.*T_bound=.*M=64"):
+    monkeypatch.setattr(picard, "_noise_increments", None)
+    with pytest.raises(ValueError, match=r"T_bound=1\.53\d*e-06 long, but M=64 steps of "
+                                         r"0\.046875 are longer"):
         glue_solve(model, config)
-    assert time.perf_counter() - start < 1.0
 
 
 @pytest.mark.parametrize("field", ["T"])

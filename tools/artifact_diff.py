@@ -10,8 +10,9 @@ whose block-budget chunks split differently from the benchmark's (``CHUNKED``),
 so that a change to batching is compared where its chunks differ, one
 command for each mode that neither of the first two runs, ``tail`` and
 ``moment`` with nine state coordinates, the solver's warning path (``solve``
-beyond the admissible horizon), ``uniqueness`` from a state that no noise
-reaches, and a few requests that are refused as usage errors (``MODES``).  Each runs once per seed
+beyond the admissible horizon), ``glue`` over pieces that do not divide M and
+over 20 pieces, ``uniqueness`` from a state that no noise reaches, and a few
+requests that are refused as usage errors (``MODES``).  Each runs once per seed
 as ``python -m cylstable.cli`` with the tree on ``PYTHONPATH``, in a fresh
 directory of its own (``--out .`` is set on every command, and ``--seed`` on
 every command whose mode reads one: not on ``constants``, which takes none,
@@ -103,6 +104,9 @@ MODES = [
       for command in ("tail", "moment")),
     # the solver's warning path
     ("mode solve beyond T_bound", ["solve", "--preset", "heat", "--T", "0.2", "--M", "200"]),
+    # glue where the pieces do not divide M, and glue over 20 pieces
+    ("mode glue M=121", ["glue", "--preset", "heat", "--T-total", "0.15", "--M", "121"]),
+    ("mode glue 20 pieces", ["glue", "--preset", "heat", "--T-total", "1.0", "--M", "3000"]),
     # the heat preset's F(0) = G(0) = 0: every path from x0 = 0 stays 0, on any noise
     ("mode uniqueness x0=0", ["uniqueness", "--preset", "heat", "--n", "3", "--x0", "0,0,0",
                               "--M", "50", "--replicas", "4"]),
